@@ -58,6 +58,10 @@ class Catalog:
         self._handles: Dict[BatKey, ColumnHandle] = {}
         self._by_id: Dict[int, ColumnHandle] = {}
         self._next_bat_id = 0
+        #: bumped whenever a plan compiled earlier might bind differently
+        #: now (today: every registered partition BAT); compiled-plan
+        #: caches compare it to decide whether they are still valid
+        self.version = 0
 
     # ------------------------------------------------------------------
     # loading
@@ -117,6 +121,7 @@ class Catalog:
             bat=bat,
         )
         self._next_bat_id += 1
+        self.version += 1
         self._handles[handle.key] = handle
         self._by_id[handle.bat_id] = handle
         return handle

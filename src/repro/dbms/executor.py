@@ -147,6 +147,12 @@ class RingDatabase:
         # class.  Both default off; the count valve above still applies.
         self.byte_budget: Optional[int] = None
         self.engine_byte_budgets: Dict[str, int] = {}
+        # the valves' ledger: handles whose process has not ended yet
+        # (refused ones included until their no-op process runs), and
+        # the footprint bytes behind them, overall and per engine class
+        self._inflight = 0
+        self._inflight_bytes = 0
+        self._inflight_engine_bytes: Dict[str, int] = {}
         # section 6.2: intermediates circulate as first-class ring data
         self.result_cache = None
         self.cache_min_bytes = cache_min_bytes
@@ -234,6 +240,14 @@ class RingDatabase:
     def compile(self, sql: str) -> PlannedQuery:
         return self._mal.compile_sql(sql)
 
+    def plan_cache_stats(self) -> Dict[str, int]:
+        """The MAL engine's compile-once cache: hits, misses, size, bound.
+
+        Deliberately not part of ``metrics.summary()``: host-side cache
+        behaviour is not simulated behaviour.
+        """
+        return self._mal.plan_cache_stats()
+
     def submit(
         self, sql: str, node: int = 0, arrival: Optional[float] = None
     ) -> QueryHandle:
@@ -277,20 +291,23 @@ class RingDatabase:
         legacy = qpu is self._mal and not self.lifecycle_events and tag is None
 
         def process() -> Generator:
-            now = runtime.sim.now
-            if legacy:
-                self.dc.metrics.query_registered(now, query_id, node, tag="sql")
-            else:
-                self._register(now, query_id, node, qpu.engine_class,
-                               compiled, estimated, tag=tag)
             try:
-                result = yield from qpu.execute(compiled, ctx)
-            except QueryAbort as abort:
-                self._release_pins(ctx, runtime, query_id)
-                runtime.finish_query(query_id, failed=True, error=str(abort))
-                return None
-            runtime.finish_query(query_id)
-            return result
+                now = runtime.sim.now
+                if legacy:
+                    self.dc.metrics.query_registered(now, query_id, node, tag="sql")
+                else:
+                    self._register(now, query_id, node, qpu.engine_class,
+                                   compiled, estimated, tag=tag)
+                try:
+                    result = yield from qpu.execute(compiled, ctx)
+                except QueryAbort as abort:
+                    self._release_pins(ctx, runtime, query_id)
+                    runtime.finish_query(query_id, failed=True, error=str(abort))
+                    return None
+                runtime.finish_query(query_id)
+                return result
+            finally:
+                self._leave(qpu.engine_class, compiled.footprint_bytes)
 
         delay = arrival - self.dc.sim.now
         if delay < 0:
@@ -308,6 +325,7 @@ class RingDatabase:
             footprint_bytes=compiled.footprint_bytes,
         )
         self.handles.append(handle)
+        self._enter(qpu.engine_class, compiled.footprint_bytes)
         return handle
 
     # ------------------------------------------------------------------
@@ -356,28 +374,18 @@ class RingDatabase:
         over = False
         reason = ""
         if self.max_inflight is not None:
-            inflight = sum(1 for h in self.handles if not h.done)
-            over = inflight >= self.max_inflight
+            over = self._inflight >= self.max_inflight
             if over:
                 reason = "count-valve"
         if not over and (self.byte_budget is not None or self.engine_byte_budgets):
-            total = 0
-            per_engine = 0
-            busy = 0
-            for h in self.handles:
-                if h.done:
-                    continue
-                busy += 1
-                total += h.footprint_bytes
-                if h.engine == engine:
-                    per_engine += h.footprint_bytes
             if (
-                busy
+                self._inflight
                 and self.byte_budget is not None
-                and total + footprint_bytes > self.byte_budget
+                and self._inflight_bytes + footprint_bytes > self.byte_budget
             ):
                 over = True
             cap = self.engine_byte_budgets.get(engine)
+            per_engine = self._inflight_engine_bytes.get(engine, 0)
             if (
                 cap is not None
                 and per_engine > 0
@@ -402,6 +410,7 @@ class RingDatabase:
         self, request, compiled, query_id: int, node: int, estimated: float
     ) -> QueryHandle:
         def refused() -> Generator:
+            self._leave(compiled.engine, 0)
             return None
             yield  # pragma: no cover - makes this a generator
 
@@ -415,7 +424,22 @@ class RingDatabase:
             estimated_cost=estimated,
         )
         self.handles.append(handle)
+        self._enter(compiled.engine, 0)  # weighs nothing, but is busy
         return handle
+
+    # The ledger moves in the handle's own generator, never through
+    # Process.join()/Future callbacks: those post simulator events and
+    # would change every event count and digest.
+    def _enter(self, engine: str, footprint_bytes: int) -> None:
+        self._inflight += 1
+        self._inflight_bytes += footprint_bytes
+        by_engine = self._inflight_engine_bytes
+        by_engine[engine] = by_engine.get(engine, 0) + footprint_bytes
+
+    def _leave(self, engine: str, footprint_bytes: int) -> None:
+        self._inflight -= 1
+        self._inflight_bytes -= footprint_bytes
+        self._inflight_engine_bytes[engine] -= footprint_bytes
 
     @staticmethod
     def _release_pins(ctx: QpuContext, runtime, query_id: int) -> None:

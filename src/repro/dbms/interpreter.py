@@ -20,6 +20,8 @@ from __future__ import annotations
 import inspect
 from typing import Any, Callable, Dict, Generator, Optional, Tuple
 
+import numpy as np
+
 from repro.dbms import kernel
 from repro.dbms.bat import BAT
 from repro.dbms.catalog import Catalog
@@ -228,15 +230,18 @@ def local_registry(catalog: Catalog) -> Registry:
     }
 
 
+#: mixed-radix group codes are re-densified before they could pass this
+_MAX_GROUP_CODE = 2**62
+
+
 def _group_multi(bats: list) -> Tuple[BAT, list]:
     """Group by several head-aligned columns at once.
 
     Returns (groups, extents_list): groups maps each head to a combined
     group id; extents_list has, per input column, a dense BAT mapping
-    group id -> that column's key value.
+    group id -> that column's key value.  Group ids follow the
+    lexicographic order of the key tuples.
     """
-    import numpy as np
-
     if not bats:
         raise ValueError("group.multi needs at least one column")
     n = len(bats[0])
@@ -246,14 +251,30 @@ def _group_multi(bats: list) -> Tuple[BAT, list]:
     if n == 0:
         empty = BAT.empty(np.int64)
         return empty, [BAT.empty(b.tail.dtype) for b in bats]
-    keys = np.empty(n, dtype=object)
+    # Factorise each column into its sorted-value codes and combine the
+    # codes as mixed-radix digits, first column most significant: the
+    # combined integers sort exactly as the key tuples do.
     columns = [np.asarray(b.tail) for b in bats]
-    for i in range(n):
-        keys[i] = tuple(c[i] for c in columns)
-    values, inverse = np.unique(keys, return_inverse=True)
+    combined = np.zeros(n, dtype=np.int64)
+    radix = 1
+    for column in columns:
+        distinct, codes = np.unique(column, return_inverse=True)
+        if radix * len(distinct) > _MAX_GROUP_CODE:
+            # order-preserving re-densification keeps the digits in int64
+            dense, combined = np.unique(combined, return_inverse=True)
+            radix = len(dense)
+        combined = combined * len(distinct) + codes
+        radix *= len(distinct)
+    _, first, inverse = np.unique(combined, return_index=True, return_inverse=True)
     groups = BAT(inverse.astype(np.int64), head=bats[0].head_array())
-    extents = [
-        BAT(np.array([v[k] for v in values]), head=None)
-        for k in range(len(columns))
-    ]
-    return groups, extents
+    return groups, [BAT(_extent(column[first]), head=None) for column in columns]
+
+
+def _extent(keys: np.ndarray) -> np.ndarray:
+    """String keys at the width of the longest one, as ``np.array`` over
+    the values would size them: operator cost is charged on ``nbytes``,
+    so a wider extent would read as a slower plan."""
+    if keys.dtype.kind not in "US":
+        return keys
+    width = max(int(np.char.str_len(keys).max()), 1)
+    return keys.astype(f"{keys.dtype.kind}{width}")

@@ -107,7 +107,7 @@ def join(left: BAT, right: BAT) -> BAT:
     """
     rheads = right.head_array()
     if right.head_is_sorted():
-        order = np.arange(len(rheads), dtype=np.int64)
+        order = None  # positions in the sorted heads are right positions
         sorted_heads = rheads
     else:
         order = np.argsort(rheads, kind="stable")
@@ -123,14 +123,13 @@ def join(left: BAT, right: BAT) -> BAT:
             head=np.empty(0, dtype=OID_DTYPE),
         )
     out_left = np.repeat(left.head_array(), counts)
-    # gather matching right positions, preserving left-major order
-    idx = np.empty(total, dtype=np.int64)
-    pos = 0
-    nonzero = np.nonzero(counts)[0]
-    for i in nonzero:
-        n = counts[i]
-        idx[pos : pos + n] = order[lo[i] : hi[i]]
-        pos += n
+    # Gather the matching right positions in left-major order: every
+    # left row i contributes the run lo[i]..hi[i] of the sorted heads,
+    # i.e. its run start repeated counts[i] times plus 0..counts[i]-1.
+    run_start = np.cumsum(counts) - counts
+    idx = np.repeat(lo - run_start, counts) + np.arange(total, dtype=np.int64)
+    if order is not None:
+        idx = order[idx]
     return BAT(right.tail[idx], head=out_left)
 
 
@@ -296,15 +295,12 @@ def group_count_distinct(values: BAT, groups: BAT, n_groups: int) -> BAT:
     if len(values) == 0:
         return BAT(np.zeros(n_groups, dtype=np.int64), head=None)
     gid = np.asarray(groups.tail, dtype=np.int64)
-    pairs = np.empty(len(values), dtype=object)
-    vals = np.asarray(values.tail)
-    for i in range(len(values)):
-        pairs[i] = (gid[i], vals[i])
-    unique_pairs = np.unique(pairs)
-    out = np.zeros(n_groups, dtype=np.int64)
-    for g, _ in unique_pairs:
-        out[g] += 1
-    return BAT(out, head=None)
+    # one code per (group, value) pair: the distinct codes of a group
+    # are its distinct values
+    distinct, codes = np.unique(np.asarray(values.tail), return_inverse=True)
+    pairs = np.unique(gid * len(distinct) + codes)
+    out = np.bincount(pairs // len(distinct), minlength=n_groups)
+    return BAT(out.astype(np.int64), head=None)
 
 
 # ----------------------------------------------------------------------

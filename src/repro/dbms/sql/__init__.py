@@ -23,6 +23,7 @@ from repro.dbms.sql.parser import (
     Select,
     SqlError,
     parse,
+    parse_cached,
 )
 from repro.dbms.sql.planner import plan_select
 
@@ -37,5 +38,6 @@ __all__ = [
     "Select",
     "SqlError",
     "parse",
+    "parse_cached",
     "plan_select",
 ]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Tuple, Union
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "Select",
     "tokenize",
     "parse",
+    "parse_cached",
 ]
 
 
@@ -439,3 +441,17 @@ class _Parser:
 def parse(text: str) -> Select:
     """Parse one SELECT statement into its AST."""
     return _Parser(tokenize(text)).parse_select()
+
+
+@lru_cache(maxsize=128)
+def parse_cached(text: str) -> Select:
+    """:func:`parse` behind a bounded text -> AST memo.
+
+    The estimator prices a statement and the MAL engine compiles it a
+    moment later; both read the one AST.  It is shared between every
+    caller in the process, so callers must treat it as **read-only**
+    (the planner and the estimator do; ``tests/test_plan_cache.py`` pins
+    it).  Code that wants to edit an AST calls :func:`parse`.  Syntax
+    errors are raised afresh on every call, never cached.
+    """
+    return parse(text)

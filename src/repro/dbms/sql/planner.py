@@ -53,7 +53,8 @@ def plan_select(select: Select, catalog: Catalog, name: str = "user.s1_1") -> Pl
 
 class _Planner:
     def __init__(self, select: Select, catalog: Catalog, name: str):
-        self.select = select
+        self.select = select  # read-only: the AST may be shared
+        self.items: List[SelectItem] = select.items  # after * expansion
         self.catalog = catalog
         self.plan = Plan(name)
         # binding name -> TableRef
@@ -88,9 +89,9 @@ class _Planner:
 
     def _expand_star(self) -> None:
         """Replace ``SELECT *`` by every column of the FROM tables."""
-        if not any(isinstance(item.expr, Star) for item in self.select.items):
+        if not any(isinstance(item.expr, Star) for item in self.items):
             return
-        if len(self.select.items) != 1:
+        if len(self.items) != 1:
             raise SqlError("* cannot be combined with other select items")
         if self.select.group_by:
             raise SqlError("* is not allowed with GROUP BY")
@@ -101,7 +102,7 @@ class _Planner:
                 SelectItem(expr=ColumnRef(column, table=ref.binding))
                 for column in table.columns
             )
-        self.select.items = expanded
+        self.items = expanded
 
     # ==================================================================
     # name resolution and column binding
@@ -386,16 +387,16 @@ class _Planner:
         return f"col_{idx}"
 
     def _build_output(self) -> Tuple[List[str], List[Var]]:
-        names = [self._item_name(item, i) for i, item in enumerate(self.select.items)]
-        has_aggs = any(isinstance(i.expr, AggCall) for i in self.select.items)
+        names = [self._item_name(item, i) for i, item in enumerate(self.items)]
+        has_aggs = any(isinstance(i.expr, AggCall) for i in self.items)
 
         if self.select.group_by:
             return names, self._grouped_output()
         if has_aggs:
-            if any(not isinstance(i.expr, AggCall) for i in self.select.items):
+            if any(not isinstance(i.expr, AggCall) for i in self.items):
                 raise SqlError("mixing aggregates and plain columns needs GROUP BY")
             columns = []
-            for item in self.select.items:
+            for item in self.items:
                 agg: AggCall = item.expr  # type: ignore[assignment]
                 if agg.arg is None:  # COUNT(*)
                     any_map = next(iter(self._maps.values()))
@@ -410,7 +411,7 @@ class _Planner:
                         self.plan.emit("aggr", "scalar", (values, agg.func))
                     )
             return names, columns
-        return names, [self._output_plain(item) for item in self.select.items]
+        return names, [self._output_plain(item) for item in self.items]
 
     def _output_plain(self, item: SelectItem) -> Var:
         if isinstance(item.expr, AggCall):
@@ -429,7 +430,7 @@ class _Planner:
         self._group_size = self.plan.emit("algebra", "nth", (extents, 0))
         key_names = {self._resolve(ref) for ref in self.select.group_by}
         columns: List[Var] = []
-        for item in self.select.items:
+        for item in self.items:
             expr = item.expr
             if isinstance(expr, ColumnRef):
                 resolved = self._resolve(expr)
@@ -498,7 +499,7 @@ class _Planner:
     # ==================================================================
     def _apply_order_limit(self, names: List[str], columns: List[Var]) -> List[Var]:
         scalar_output = any(
-            isinstance(i.expr, AggCall) for i in self.select.items
+            isinstance(i.expr, AggCall) for i in self.items
         ) and not self.select.group_by
         if scalar_output:
             if self.select.order_by:

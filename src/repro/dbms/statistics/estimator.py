@@ -41,7 +41,7 @@ from repro.dbms.sql.parser import (
     OrGroup,
     SqlError,
     Star,
-    parse,
+    parse_cached,
 )
 from repro.dbms.statistics.catalog import StatisticsCatalog, TableStats
 
@@ -158,7 +158,7 @@ class QueryEstimator:
     # ------------------------------------------------------------------
     def _estimate_sql(self, sql: str) -> QueryEstimate:
         try:
-            ast = parse(sql)
+            ast = parse_cached(sql)
         except SqlError as exc:
             raise EstimateError(str(exc)) from exc
         bindings: Dict[str, TableStats] = {}

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.dbms import kernel
-from repro.dbms.bat import BAT
+from repro.dbms.bat import BAT, OID_DTYPE
 
 
 # ----------------------------------------------------------------------
@@ -343,3 +343,153 @@ def test_property_sorted_select_equals_scan(values, a, b):
     fast = kernel.select_range(BAT.dense(arr), low, high)
     expected = [(i, v) for i, v in enumerate(arr.tolist()) if low <= v <= high]
     assert fast.to_pairs() == expected
+
+
+# ----------------------------------------------------------------------
+# bulk kernels against the row-at-a-time bodies they replaced
+# ----------------------------------------------------------------------
+def join_row_loop(left: BAT, right: BAT) -> BAT:
+    """``kernel.join`` as it was: one Python iteration per matching left
+    row.  Kept as the reference the bulk gather must equal."""
+    rheads = right.head_array()
+    if right.head_is_sorted():
+        order = np.arange(len(rheads), dtype=np.int64)
+        sorted_heads = rheads
+    else:
+        order = np.argsort(rheads, kind="stable")
+        sorted_heads = rheads[order]
+    lt = np.asarray(left.tail)
+    lo = np.searchsorted(sorted_heads, lt, side="left")
+    hi = np.searchsorted(sorted_heads, lt, side="right")
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        return BAT(
+            np.empty(0, dtype=right.tail.dtype),
+            head=np.empty(0, dtype=OID_DTYPE),
+        )
+    out_left = np.repeat(left.head_array(), counts)
+    idx = np.empty(total, dtype=np.int64)
+    pos = 0
+    for i in np.nonzero(counts)[0]:
+        n = counts[i]
+        idx[pos : pos + n] = order[lo[i] : hi[i]]
+        pos += n
+    return BAT(right.tail[idx], head=out_left)
+
+
+def group_count_distinct_row_loop(values: BAT, groups: BAT, n_groups: int) -> BAT:
+    """``kernel.group_count_distinct`` as it was: one tuple per row."""
+    if len(values) == 0:
+        return BAT(np.zeros(n_groups, dtype=np.int64), head=None)
+    gid = np.asarray(groups.tail, dtype=np.int64)
+    pairs = np.empty(len(values), dtype=object)
+    vals = np.asarray(values.tail)
+    for i in range(len(values)):
+        pairs[i] = (gid[i], vals[i])
+    out = np.zeros(n_groups, dtype=np.int64)
+    for g, _ in np.unique(pairs):
+        out[g] += 1
+    return BAT(out, head=None)
+
+
+def assert_same_bat(got: BAT, want: BAT) -> None:
+    """Element for element: heads, tails, their order and dtypes."""
+    assert got.head_array().tolist() == want.head_array().tolist()
+    assert got.tail.tolist() == want.tail.tolist()
+    assert got.tail.dtype == want.tail.dtype
+    assert got.head_array().dtype == want.head_array().dtype
+
+
+# few distinct keys, so both sides carry duplicates and long runs
+KEYS = st.integers(min_value=0, max_value=6)
+TAIL_KINDS = {
+    "int": lambda n: np.arange(n, dtype=np.int64) * 3,
+    "int32": lambda n: np.arange(n, dtype=np.int32),
+    "float": lambda n: np.arange(n, dtype=np.float64) / 4,
+    "str": lambda n: np.array([f"r{i}" for i in range(n)], dtype="<U8"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(KEYS, max_size=40),
+    st.lists(KEYS, max_size=40),
+    st.sampled_from(sorted(TAIL_KINDS)),
+    st.booleans(),
+    st.booleans(),
+)
+def test_property_join_equals_row_loop(ltails, rheads, kind, sort_right, dense_left):
+    """Duplicates on both sides, empty sides, sorted and unsorted right
+    heads, every tail kind: same pairs, same order, same dtypes."""
+    if sort_right:
+        rheads = sorted(rheads)
+    ltails = np.array(ltails, dtype=np.int64)
+    left = (
+        BAT.dense(ltails, hseqbase=7)
+        if dense_left
+        else BAT(ltails, head=np.arange(len(ltails))[::-1] * 2)
+    )
+    right = BAT(
+        TAIL_KINDS[kind](len(rheads)), head=np.array(rheads, dtype=np.int64)
+    )
+    assert_same_bat(kernel.join(left, right), join_row_loop(left, right))
+
+
+@pytest.mark.parametrize("kind", sorted(TAIL_KINDS))
+def test_join_zero_matches_keeps_tail_dtype(kind):
+    left = BAT.dense(np.array([1, 2, 3]))
+    right = BAT(TAIL_KINDS[kind](2), head=np.array([8, 9]))
+    got = kernel.join(left, right)
+    assert_same_bat(got, join_row_loop(left, right))
+    assert len(got) == 0
+
+
+def test_join_one_giant_run():
+    """Every left row matches every right row (one run of equal heads);
+    equal right heads keep their original relative order."""
+    left = BAT.dense(np.full(50, 4))
+    right = BAT(np.arange(300.0), head=np.full(300, 4))
+    got = kernel.join(left, right)
+    assert len(got) == 50 * 300
+    assert_same_bat(got, join_row_loop(left, right))
+    shuffled = np.random.default_rng(5).permutation(600)
+    right = BAT(np.arange(600.0), head=np.repeat([4, 2], 300)[shuffled])
+    assert_same_bat(kernel.join(left, right), join_row_loop(left, right))
+
+
+def test_join_float_left_tails():
+    left = BAT.dense(np.array([1.0, 2.5, 2.0, 1.0]))
+    right = BAT(np.array(["a", "b", "c"]), head=np.array([2, 1, 2]))
+    assert_same_bat(kernel.join(left, right), join_row_loop(left, right))
+
+
+GROUPED_VALUES = st.one_of(
+    st.lists(st.tuples(KEYS, st.integers(-3, 3)), max_size=50),
+    st.lists(
+        st.tuples(KEYS, st.sampled_from([0.0, 0.5, -1.5, 1e9, 2.0])), max_size=50
+    ),
+    st.lists(st.tuples(KEYS, st.sampled_from(["", "a", "ab", "b", "ba"])), max_size=50),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(GROUPED_VALUES, st.integers(min_value=0, max_value=3))
+def test_property_group_count_distinct_equals_row_loop(pairs, spare_groups):
+    """int, float and str values; groups with no row count zero."""
+    gids = np.array([g for g, _ in pairs], dtype=np.int64)
+    values = BAT.dense(np.array([v for _, v in pairs]))
+    groups = BAT.dense(gids)
+    n_groups = (int(gids.max()) + 1 if len(gids) else 0) + spare_groups
+    assert_same_bat(
+        kernel.group_count_distinct(values, groups, n_groups),
+        group_count_distinct_row_loop(values, groups, n_groups),
+    )
+
+
+def test_group_count_distinct_one_giant_group():
+    rng = np.random.default_rng(2)
+    values = BAT.dense(rng.integers(0, 40, 5000))
+    groups = BAT.dense(np.zeros(5000, dtype=np.int64))
+    out = kernel.group_count_distinct(values, groups, 1)
+    assert out.tail.tolist() == [len(set(values.tail.tolist()))]
