@@ -16,9 +16,9 @@ growing one big one (docs/multiring.md):
   ones and drains idle rings, fed by the pulsating-ring signals,
 * :class:`MultiRingChaosHarness` -- fixed-seed gateway-failure
   scenarios with per-ring invariant checks,
-* :class:`PartitionedFederation` -- the parallel-kernel twin: one
-  simulator per ring, synchronised by conservative lookahead windows
-  (docs/parallel.md), optionally across a worker-process pool.
+* :class:`PartitionedFederation` -- the same router, query process and
+  retry ladder on one simulator per ring, synchronised by conservative
+  lookahead windows (docs/parallel.md), optionally across a pool.
 """
 
 from repro.multiring.catalog import GlobalCatalog
@@ -26,7 +26,7 @@ from repro.multiring.chaos import MultiRingChaosHarness, MultiRingChaosResult
 from repro.multiring.config import MultiRingConfig
 from repro.multiring.federation import RingFederation, federated_query_process
 from repro.multiring.parallel import PartitionedFederation
-from repro.multiring.partition import RingPartition, partition_query_process
+from repro.multiring.partition import RingPartition
 from repro.multiring.placement import PlacementManager
 from repro.multiring.router import CrossRingRouter
 from repro.multiring.splitmerge import SplitMergeController
@@ -43,5 +43,4 @@ __all__ = [
     "RingPartition",
     "SplitMergeController",
     "federated_query_process",
-    "partition_query_process",
 ]

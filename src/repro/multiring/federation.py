@@ -28,29 +28,31 @@ from repro.metrics.collector import MetricsCollector
 from repro.multiring.catalog import GlobalCatalog
 from repro.multiring.config import MultiRingConfig
 from repro.multiring.placement import PlacementManager
-from repro.multiring.router import CrossRingRouter
+from repro.multiring.router import CrossRingRouter, fetch_timeout_for
 from repro.multiring.splitmerge import SplitMergeController
 from repro.sim.engine import Simulator
 from repro.sim.process import Process
 
-__all__ = ["RingFederation", "federated_query_process"]
+__all__ = ["FederationHost", "RingFederation", "federated_query_process"]
 
 NODE_CRASHED = "NODE_CRASHED"
 
 
-def federated_query_process(fed: "RingFederation", ring_id: int,
+def federated_query_process(fed: "FederationHost", ring_id: int,
                             runtime: NodeRuntime, spec: QuerySpec):
     """The federated twin of :func:`repro.core.query.query_process`.
 
-    Identical pin schedule and lifecycle events; the only difference is
-    a catalog lookup per pin: a BAT homed on this ring goes through the
-    classic ``NodeRuntime.pin``, anything else through the cross-ring
-    router.  The placement manager may move a fragment between the
-    request and the pin -- the catalog is re-read at every step, and a
-    stale S2 entry left by ``request`` is dropped at finish.
+    Identical pin schedule and lifecycle events -- for an all-local spec
+    the emitted stream is bit-identical to the classic process; the only
+    difference is a catalog lookup per pin: a BAT homed on this ring
+    goes through the classic ``NodeRuntime.pin``, anything else through
+    the cross-ring router.  The placement manager may move a fragment
+    between the request and the pin -- the catalog is re-read at every
+    step, and a stale S2 entry left by ``request`` is dropped at finish.
     """
     bus = runtime.bus
     sim = runtime.sim
+    fed._note_start(ring_id, spec)
     if bus.active:
         bus.publish(ev.QueryRegistered(
             sim.now, spec.query_id, runtime.node_id, spec.tag
@@ -101,7 +103,118 @@ def federated_query_process(fed: "RingFederation", ring_id: int,
     return failed
 
 
-class RingFederation:
+class FederationHost:
+    """The dispatch -> done -> retry ladder both federations run.
+
+    A host owns ``config``, ``sim``, ``bus``, ``catalog``, ``router``
+    and ``rings`` (ring id -> :class:`DataCyclotron`); the shared-clock
+    :class:`RingFederation` hosts every ring, a
+    :class:`~repro.multiring.partition.RingPartition` exactly one.  The
+    three ``_note_start`` / ``_query_ended`` / ``_retry_scheduled``
+    hooks are no-ops here; the partition overrides them to keep the
+    kernel's conservative bound informed.
+    """
+
+    def _init_ladder(self) -> None:
+        # logical query id -> "ok" | error
+        self._outcomes: Dict[int, str] = {}
+        self._attempts: Dict[int, int] = {}
+        self._specs: Dict[int, QuerySpec] = {}
+        self._ring_of_query: Dict[int, int] = {}
+        # nodes whose crash was *announced* on a ring bus (NodeCrashed is
+        # the omniscient-mode fault: publishing it makes the death public
+        # knowledge, so routing around it leaks nothing; silent fail_node
+        # deaths are only learned through each ring's failure detector)
+        self._announced_down: Dict[int, set] = {}
+
+    def _watch_ring(self, ring_id: int, ring: DataCyclotron) -> None:
+        down = self._announced_down.setdefault(ring_id, set())
+        ring.bus.subscribe(ev.NodeCrashed, lambda e: down.add(e.node))
+        ring.bus.subscribe(ev.NodeRejoined, lambda e: down.discard(e.node))
+
+    def global_node(self, ring_id: int, local: int) -> int:
+        return ring_id * self.config.nodes_per_ring + local
+
+    def _admit(self, ring_id: int, spec: QuerySpec) -> Process:
+        """First dispatch of a query whose ``node`` is already ring-local."""
+        self._attempts[spec.query_id] = 1
+        self._specs[spec.query_id] = spec
+        return self._dispatch(ring_id, spec)
+
+    def _dispatch(self, ring_id: int, spec: QuerySpec) -> Process:
+        ring = self.rings[ring_id]
+        if not 0 <= spec.node < ring.config.n_nodes:
+            raise ValueError(f"query {spec.query_id} targets invalid node {spec.node}")
+        self._ring_of_query[spec.query_id] = ring_id
+        ring._submitted += 1
+        runtime = ring.nodes[spec.node]
+        delay = max(0.0, spec.arrival - self.sim.now)
+        return Process(
+            self.sim,
+            federated_query_process(self, ring_id, runtime, spec),
+            start_delay=delay,
+        )
+
+    # -- hooks ---------------------------------------------------------
+    def _note_start(self, ring_id: int, spec: QuerySpec) -> None:
+        """A dispatched query process begins to run."""
+
+    def _query_ended(self, ring_id: int, spec: QuerySpec) -> None:
+        """A query process ran to its end (any outcome)."""
+
+    def _retry_scheduled(self, ring_id: int, spec: QuerySpec, at: float) -> None:
+        """A failed query will be re-dispatched at simulated time ``at``."""
+
+    # -- completion + federation-level retry ---------------------------
+    def _note_done(self, ring_id: int, spec: QuerySpec, failed: Optional[str]) -> None:
+        self._query_ended(ring_id, spec)
+        if failed is None:
+            self._outcomes[spec.query_id] = "ok"
+            return
+        base = self.config.base
+        attempt = self._attempts.get(spec.query_id, 1)
+        if base.resilience and attempt < base.retry_max_attempts:
+            self._attempts[spec.query_id] = attempt + 1
+            backoff = min(
+                base.retry_backoff_cap,
+                base.retry_backoff_initial * base.retry_backoff_base ** (attempt - 1),
+            )
+            self._retry_scheduled(ring_id, spec, self.sim.now + backoff)
+            self.sim.post(backoff, self._retry, spec.query_id, failed)
+            return
+        self._outcomes[spec.query_id] = failed
+        if base.resilience and self.bus.active:
+            self.bus.publish(ev.QueryAbandoned(
+                self.sim.now, spec.query_id, attempt, failed
+            ))
+
+    def _retry(self, query_id: int, error: str) -> None:
+        spec = self._specs[query_id]
+        ring_id = self._ring_of_query[query_id]
+        ring = self.rings[ring_id]
+        # avoid every node whose death is known without injector
+        # knowledge: announced crashes plus detector-confirmed/suspected
+        avoid = set(self._announced_down.get(ring_id, ()))
+        if ring.resilience is not None:
+            avoid |= ring.resilience.known_down | ring.resilience.suspected_targets
+        n = ring.config.n_nodes
+        node = spec.node
+        for step in range(n):
+            candidate = (spec.node + step) % n
+            if candidate not in avoid:
+                node = candidate
+                break
+        retry_spec = replace(spec, node=node, arrival=self.sim.now)
+        self._specs[query_id] = retry_spec
+        if self.bus.active:
+            self.bus.publish(ev.QueryRetried(
+                self.sim.now, query_id, self._attempts[query_id],
+                self.global_node(ring_id, node), error,
+            ))
+        self._dispatch(ring_id, retry_spec)
+
+
+class RingFederation(FederationHost):
     """N small rings, one clock, three federation mechanisms."""
 
     def __init__(self, config: Optional[MultiRingConfig] = None):
@@ -129,29 +242,13 @@ class RingFederation:
                 from repro.resilience.gateway import GatewayGuard
 
                 self.guard = GatewayGuard(self)
-        # nodes whose crash was *announced* on a ring bus (NodeCrashed is
-        # the omniscient-mode fault: publishing it makes the death public
-        # knowledge, so routing around it leaks nothing; silent fail_node
-        # deaths are only learned through each ring's failure detector)
-        self._announced_down: Dict[int, set] = {}
+        self._init_ladder()
         if self.federated:
-            for _r, _ring in enumerate(self.rings):
-                _ring.bus.subscribe(
-                    ev.NodeCrashed,
-                    lambda e, _r=_r: self._announced_down.setdefault(_r, set()).add(e.node),
-                )
-                _ring.bus.subscribe(
-                    ev.NodeRejoined,
-                    lambda e, _r=_r: self._announced_down.get(_r, set()).discard(e.node),
-                )
+            for ring_id, ring in enumerate(self.rings):
+                self._watch_ring(ring_id, ring)
         self._next_ring = 0
         self._submitted = 0
         self._started = False
-        # federated-mode accounting: logical query id -> "ok" | error
-        self._outcomes: Dict[int, str] = {}
-        self._attempts: Dict[int, int] = {}
-        self._specs: Dict[int, QuerySpec] = {}
-        self._ring_of_query: Dict[int, int] = {}
         self._schedulers: Dict[int, Any] = {}
 
     # ------------------------------------------------------------------
@@ -160,9 +257,6 @@ class RingFederation:
     @property
     def total_nodes(self) -> int:
         return len(self.active_rings) * self.config.nodes_per_ring
-
-    def global_node(self, ring_id: int, local: int) -> int:
-        return ring_id * self.config.nodes_per_ring + local
 
     def locate(self, global_node: int) -> tuple:
         """(ring_id, local_node) for a global node index."""
@@ -233,9 +327,7 @@ class RingFederation:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         ring_id, local = self.locate(spec.node)
         ring_id, spec = self._maybe_ship(spec, ring_id, local)
-        self._attempts[spec.query_id] = 1
-        self._specs[spec.query_id] = spec
-        return self._dispatch(ring_id, spec)
+        return self._admit(ring_id, spec)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
         count = 0
@@ -322,70 +414,10 @@ class RingFederation:
             ))
         return best, shipped
 
-    def _dispatch(self, ring_id: int, spec: QuerySpec) -> Process:
-        ring = self.rings[ring_id]
-        if not 0 <= spec.node < ring.config.n_nodes:
-            raise ValueError(f"query {spec.query_id} targets invalid node {spec.node}")
-        self._ring_of_query[spec.query_id] = ring_id
-        ring._submitted += 1
-        runtime = ring.nodes[spec.node]
-        delay = max(0.0, spec.arrival - self.sim.now)
-        return Process(
-            self.sim,
-            federated_query_process(self, ring_id, runtime, spec),
-            start_delay=delay,
-        )
-
-    # ------------------------------------------------------------------
-    # completion + federation-level retry
-    # ------------------------------------------------------------------
-    def _note_done(self, ring_id: int, spec: QuerySpec, failed: Optional[str]) -> None:
+    def _query_ended(self, ring_id: int, spec: QuerySpec) -> None:
         scheduler = self._schedulers.get(ring_id)
         if scheduler is not None:
             scheduler.query_finished(spec.node)
-        if failed is None:
-            self._outcomes[spec.query_id] = "ok"
-            return
-        base = self.config.base
-        attempt = self._attempts.get(spec.query_id, 1)
-        if base.resilience and attempt < base.retry_max_attempts:
-            self._attempts[spec.query_id] = attempt + 1
-            backoff = min(
-                base.retry_backoff_cap,
-                base.retry_backoff_initial * base.retry_backoff_base ** (attempt - 1),
-            )
-            self.sim.post(backoff, self._retry, spec.query_id, failed)
-            return
-        self._outcomes[spec.query_id] = failed
-        if base.resilience and self.bus.active:
-            self.bus.publish(ev.QueryAbandoned(
-                self.sim.now, spec.query_id, attempt, failed
-            ))
-
-    def _retry(self, query_id: int, error: str) -> None:
-        spec = self._specs[query_id]
-        ring_id = self._ring_of_query[query_id]
-        ring = self.rings[ring_id]
-        # avoid every node whose death is known without injector
-        # knowledge: announced crashes plus detector-confirmed/suspected
-        avoid = set(self._announced_down.get(ring_id, ()))
-        if ring.resilience is not None:
-            avoid |= ring.resilience.known_down | ring.resilience.suspected_targets
-        n = ring.config.n_nodes
-        node = spec.node
-        for step in range(n):
-            candidate = (spec.node + step) % n
-            if candidate not in avoid:
-                node = candidate
-                break
-        retry_spec = replace(spec, node=node, arrival=self.sim.now)
-        self._specs[query_id] = retry_spec
-        if self.bus.active:
-            self.bus.publish(ev.QueryRetried(
-                self.sim.now, query_id, self._attempts[query_id],
-                self.global_node(ring_id, node), error,
-            ))
-        self._dispatch(ring_id, retry_spec)
 
     @property
     def completed_queries(self) -> int:
@@ -414,33 +446,12 @@ class RingFederation:
         for ring_id in self.active_rings:
             self.rings[ring_id]._start_ticks()
         if self.federated:
-            if self.config.fetch_timeout is not None:
-                self.router.fetch_timeout = self.config.fetch_timeout
-            else:
-                self.router.fetch_timeout = self._derived_fetch_timeout()
+            self.router.fetch_timeout = fetch_timeout_for(
+                self.config, self.catalog,
+                {r: self.rings[r].config for r in self.active_rings},
+            )
             self.placement.start()
             self.splitmerge.start()
-
-    def _derived_fetch_timeout(self) -> float:
-        """Remote-serve bound: rotations of the slowest ring + the hop.
-
-        Mirrors the reasoning of ``derived_resend_timeout`` one level
-        up: a remote fetch needs the home ring to load and rotate the
-        BAT to its gateway (up to a few loaded rotations under
-        competition), plus two link traversals for request and reply.
-        """
-        worst = 0.0
-        for ring_id in self.active_rings:
-            ring = self.rings[ring_id]
-            sizes = [self.catalog.size(b) for b in self.catalog.bats_on(ring_id)]
-            mean = sum(sizes) / len(sizes) if sizes else 1024 * 1024
-            worst = max(worst, ring.config.derived_resend_timeout(mean))
-        mean_bat = (
-            sum(self.catalog.size(b) for b in self.catalog.bat_ids)
-            / max(1, len(self.catalog))
-        )
-        hop = self.config.link_delay() + mean_bat / self.config.link_bandwidth()
-        return 3.0 * worst + 2.0 * hop
 
     def run(self, until: float) -> None:
         self._start()

@@ -1,18 +1,21 @@
 """The partitioned federation facade (docs/parallel.md).
 
-A :class:`PartitionedFederation` is the parallel-kernel twin of
-:class:`~repro.multiring.federation.RingFederation`: the same
-:class:`~repro.multiring.config.MultiRingConfig`, the same global node
-addressing and round-robin BAT placement, the same gateway fetch/serve
-protocol -- but each ring runs on its **own** simulator, synchronised by
-:class:`~repro.sim.parallel.ParallelKernel` through conservative
-lookahead windows, optionally across a pool of worker processes.
+A :class:`PartitionedFederation` runs the federation of
+:class:`~repro.multiring.federation.RingFederation` -- the same
+:class:`~repro.multiring.config.MultiRingConfig`, global node
+addressing and round-robin BAT placement, and literally the same
+router, query process and retry ladder (each
+:class:`~repro.multiring.partition.RingPartition` hosts them for its
+ring) -- under a different clock arrangement: every ring has its **own**
+simulator, synchronised by :class:`~repro.sim.parallel.ParallelKernel`
+through conservative lookahead windows, optionally across a pool of
+worker processes.
 
 Scope: static placement with cross-ring fetches.  The placement
 manager, split/merge controller and nomadic query shipping need a
-shared clock and stay with :class:`RingFederation`; configurations
-relying on them should not be ported here (their ticks are simply never
-scheduled in partitioned mode).
+shared clock and stay with :class:`RingFederation`; here they are
+simply never constructed, so configurations relying on them should not
+be ported.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from typing import Dict, Iterable, List, Optional
 
 from repro.core.query import QuerySpec
 from repro.events.bus import Bus
+from repro.multiring.catalog import GlobalCatalog
 from repro.multiring.config import MultiRingConfig
 from repro.multiring.partition import RingPartition
+from repro.multiring.router import fetch_timeout_for
 from repro.sim.parallel import INFINITY, ParallelKernel
 from repro.sim.process import Process
 
@@ -53,12 +58,9 @@ class PartitionedFederation:
             )
         self.workers = max(1, int(workers))
         self.bus = Bus()  # coordinator bus: PartitionSynced rounds
-        self.catalog: Dict[int, int] = {}   # bat_id -> home ring
-        self.sizes: Dict[int, int] = {}
+        self.catalog = GlobalCatalog()  # shared, frozen once the kernel starts
         self.partitions: List[RingPartition] = [
-            RingPartition(
-                r, cfg, self.catalog, self.sizes, collect_digest=collect_digests
-            )
+            RingPartition(r, cfg, self.catalog, collect_digest=collect_digests)
             for r in range(cfg.n_rings)
         ]
         self.kernel = ParallelKernel(
@@ -72,18 +74,20 @@ class PartitionedFederation:
         self._started = False
 
     # ------------------------------------------------------------------
-    # topology helpers (mirror RingFederation)
+    # topology helpers
     # ------------------------------------------------------------------
     @property
     def total_nodes(self) -> int:
-        return self.config.n_rings * self.config.nodes_per_ring
+        return self.config.total_nodes
 
     def global_node(self, ring_id: int, local: int) -> int:
         return ring_id * self.config.nodes_per_ring + local
 
     def locate(self, global_node: int) -> tuple:
-        ring_id, local = divmod(global_node, self.config.nodes_per_ring)
-        return ring_id % self.config.n_rings, local
+        """(ring_id, local_node); static topology, so nothing is remapped."""
+        if not 0 <= global_node < self.total_nodes:
+            raise ValueError(f"node {global_node} outside [0, {self.total_nodes})")
+        return divmod(global_node, self.config.nodes_per_ring)
 
     # ------------------------------------------------------------------
     # data placement
@@ -109,9 +113,7 @@ class PartitionedFederation:
         """Submit one query addressed to a global node index."""
         unknown = [b for b in spec.bat_ids if b not in self.catalog]
         if unknown:
-            raise ValueError(
-                f"query {spec.query_id} references unknown BATs {unknown}"
-            )
+            raise ValueError(f"query {spec.query_id} references unknown BATs {unknown}")
         if spec.arrival < self.kernel.now:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         ring_id, local = self.locate(spec.node)
@@ -134,24 +136,12 @@ class PartitionedFederation:
         self._started = True
         for part in self.partitions:
             part.start()
-        timeout = self.config.fetch_timeout
-        if timeout is None:
-            timeout = self._derived_fetch_timeout()
+        timeout = fetch_timeout_for(
+            self.config, self.catalog,
+            {part.ring_id: part.dc.config for part in self.partitions},
+        )
         for part in self.partitions:
-            part.fetch_timeout = timeout
-
-    def _derived_fetch_timeout(self) -> float:
-        """Mirror of ``RingFederation._derived_fetch_timeout``."""
-        worst = 0.0
-        for ring_id, part in enumerate(self.partitions):
-            sizes = [
-                self.sizes[b] for b, home in self.catalog.items() if home == ring_id
-            ]
-            mean = sum(sizes) / len(sizes) if sizes else 1024 * 1024
-            worst = max(worst, part.dc.config.derived_resend_timeout(mean))
-        mean_bat = sum(self.sizes.values()) / max(1, len(self.sizes))
-        hop = self.config.link_delay() + mean_bat / self.config.link_bandwidth()
-        return 3.0 * worst + 2.0 * hop
+            part.router.fetch_timeout = timeout
 
     def run(self, until: float) -> None:
         self._start()

@@ -16,22 +16,31 @@ link transfer, and is re-dispatched (to the current gateway, at the
 current home ring) a bounded number of times before failing with
 ``DATA_UNAVAILABLE``.  A fetch whose home moved mid-flight -- fragment
 migration -- simply re-dispatches to the new home.
+
+One router, two hosts: the shared-clock :class:`~repro.multiring.
+federation.RingFederation` builds one for all its rings and lets it send
+over its own inter-ring channels; each :class:`~repro.multiring.
+partition.RingPartition` builds one for its single ring and hands it a
+``transport`` that stamps messages into the parallel kernel's outbox
+(docs/parallel.md).  Inbound messages enter through :meth:`CrossRingRouter.
+deliver` either way, so the protocol cannot tell the difference.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+import itertools
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.config import DataCyclotronConfig
 from repro.core.runtime import PinResult
 from repro.events import types as ev
+from repro.multiring.catalog import GlobalCatalog
+from repro.multiring.config import MultiRingConfig
 from repro.multiring.messages import FetchReply, FetchRequest, MigrationShipment
 from repro.net.channel import Channel
 from repro.sim.process import Future, Process
 
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.multiring.federation import RingFederation
-
-__all__ = ["CrossRingRouter"]
+__all__ = ["CrossRingRouter", "fetch_timeout_for"]
 
 DATA_UNAVAILABLE = "DATA_UNAVAILABLE"
 
@@ -61,26 +70,66 @@ class _Fetch:
         self.timer = None
 
 
-class CrossRingRouter:
-    """Gateway bookkeeping plus the fetch/serve protocol."""
+def fetch_timeout_for(
+    config: MultiRingConfig,
+    catalog: GlobalCatalog,
+    ring_configs: Dict[int, DataCyclotronConfig],
+) -> float:
+    """``config.fetch_timeout``, or the derived remote-serve bound:
+    rotations of the slowest of the serving rings + the hop.
 
-    def __init__(self, fed: "RingFederation"):
-        self.fed = fed
-        self.sim = fed.sim
-        self.bus = fed.bus
-        self.config = fed.config
-        self.catalog = fed.catalog
+    The reasoning of ``derived_resend_timeout`` one level up: a remote
+    fetch needs the home ring to load and rotate the BAT to its gateway
+    (up to a few loaded rotations under competition), plus two link
+    traversals for request and reply.
+    """
+    if config.fetch_timeout is not None:
+        return config.fetch_timeout
+    worst = 0.0
+    for ring_id, ring_config in ring_configs.items():
+        sizes = [catalog.size(b) for b in catalog.bats_on(ring_id)]
+        mean = sum(sizes) / len(sizes) if sizes else 1024 * 1024
+        worst = max(worst, ring_config.derived_resend_timeout(mean))
+    mean_bat = sum(catalog.size(b) for b in catalog.bat_ids) / max(1, len(catalog))
+    hop = config.link_delay() + mean_bat / config.link_bandwidth()
+    return 3.0 * worst + 2.0 * hop
+
+
+class CrossRingRouter:
+    """Gateway bookkeeping plus the fetch/serve protocol.
+
+    ``host`` supplies ``sim``, ``bus``, ``config``, ``catalog``,
+    ``rings`` (id -> :class:`DataCyclotron` of every ring it serves) and
+    ``placement`` (``None`` under static placement).  ``transport(src,
+    dst, msg, size)`` carries a message to ring ``dst``'s
+    :meth:`deliver`; the default is the shared-clock :meth:`link`.
+    Routers running side by side (one per partition) each get a disjoint
+    ``req_ids`` range: serves are tracked by request id on the home ring.
+    """
+
+    def __init__(
+        self,
+        host,
+        transport: Optional[Callable[[int, int, object, int], None]] = None,
+        req_ids: Optional[Iterator[int]] = None,
+    ):
+        self.fed = host
+        self.sim = host.sim
+        self.bus = host.bus
+        self.config = host.config
+        self.catalog = host.catalog
+        self._send = transport if transport is not None else self._link_send
+        self._req_ids = req_ids if req_ids is not None else itertools.count(1)
         # ring -> ordered gateway node ids (first is the primary)
-        self.gateways: Dict[int, List[int]] = {}
-        for ring_id in range(len(fed.rings)):
-            count = min(self.config.gateways_per_ring, self.config.nodes_per_ring)
-            self.gateways[ring_id] = list(range(count))
+        count = min(self.config.gateways_per_ring, self.config.nodes_per_ring)
+        self.gateways: Dict[int, List[int]] = {
+            ring_id: list(range(count)) for ring_id in range(self.config.max_rings)
+        }
         self._links: Dict[Tuple[int, int], Channel] = {}
         self._rr: Dict[int, int] = {}
         # (requester_ring, bat_id) -> fetch; req_id -> same fetch
         self._fetches: Dict[Tuple[int, int], _Fetch] = {}
         self._by_req: Dict[int, _Fetch] = {}
-        self._req_seq = 0
         self._service_seq = SERVICE_ID_BASE
         # bats whose fetches wait for a migration to land
         self._held: Dict[int, List[Tuple[int, Future]]] = {}
@@ -88,6 +137,9 @@ class CrossRingRouter:
         # node, serve token); the gateway guard reads this to hand
         # stranded serves to a freshly elected gateway
         self._pending_serves: Dict[int, Dict[int, Tuple[FetchRequest, int, int]]] = {}
+        # serve processes per home ring that may still emit a reply (a
+        # stranded serve stays *pending* but is no longer *live*)
+        self._live_serves: Dict[int, int] = {}
         self.fetch_timeout = 1.0  # overwritten by the federation at start
         # headline numbers (federation report)
         self.fetches_dispatched = 0
@@ -130,10 +182,13 @@ class CrossRingRouter:
                 bus=self.bus,
             )
             channel.set_receiver(
-                lambda msg, size, _dst=dst_ring: self._deliver(_dst, msg, size)
+                lambda msg, size, _dst=dst_ring: self.deliver(_dst, msg, size)
             )
             self._links[key] = channel
         return channel
+
+    def _link_send(self, src_ring: int, dst_ring: int, msg, size: int) -> None:
+        self.link(src_ring, dst_ring).send(msg, size)
 
     def purge_outgoing(self, ring_id: int) -> int:
         """Drop everything queued in ``ring_id``'s outgoing endpoints.
@@ -157,7 +212,8 @@ class CrossRingRouter:
     def fetch(self, requester_ring: int, bat_id: int) -> Future:
         """A pin-shaped future for a BAT homed on another ring."""
         fut = Future(self.sim)
-        self.fed.placement.note_fetch(requester_ring, bat_id)
+        if self.fed.placement is not None:
+            self.fed.placement.note_fetch(requester_ring, bat_id)
         if self.catalog.is_migrating(bat_id):
             self._held.setdefault(bat_id, []).append((requester_ring, fut))
             return fut
@@ -172,9 +228,8 @@ class CrossRingRouter:
             # share one in-flight cross-ring fetch (section 4.2.2)
             fetch.waiters.append(fut)
             return
-        self._req_seq += 1
         fetch = _Fetch(
-            self._req_seq, bat_id, requester_ring,
+            next(self._req_ids), bat_id, requester_ring,
             self.catalog.home(bat_id), self.sim.now,
         )
         fetch.waiters.append(fut)
@@ -197,7 +252,8 @@ class CrossRingRouter:
                 fetch.req_id, fetch.bat_id, fetch.requester_ring, home
             ))
         else:
-            self.link(fetch.requester_ring, home).send(
+            self._send(
+                fetch.requester_ring, home,
                 FetchRequest(fetch.req_id, fetch.bat_id, fetch.requester_ring, home),
                 self.config.base.request_message_size,
             )
@@ -246,7 +302,8 @@ class CrossRingRouter:
     # ------------------------------------------------------------------
     # the serving side
     # ------------------------------------------------------------------
-    def _deliver(self, dst_ring: int, msg, size: int) -> None:
+    def deliver(self, dst_ring: int, msg, size: int) -> None:
+        """One inter-ring message arrived at ``dst_ring``'s gateway."""
         if isinstance(msg, FetchRequest):
             self._serve(dst_ring, msg)
         elif isinstance(msg, FetchReply):
@@ -275,38 +332,44 @@ class CrossRingRouter:
             req, gateway, service_id
         )
 
+        live = self._live_serves
+        live[home_ring] = live.get(home_ring, 0) + 1
+
         def serve():
-            if runtime.crashed:
-                return  # stays pending: handoff or requester timeout
-            runtime.request(service_id, [req.bat_id])
-            fut = runtime.pin(service_id, req.bat_id)
-            yield fut
-            result: PinResult = fut.value
-            if result.ok:
-                runtime.unpin(service_id, req.bat_id)
-            # manual teardown: a fetch service is not a query, so it must
-            # not publish query-lifecycle events (finish_query would)
-            runtime.s3.drop_query(service_id)
-            for bat_id in runtime.s2.drop_query(service_id):
-                runtime._cancel_resend(bat_id)
-            if runtime.crashed and not result.ok:
-                return  # stays pending: a dead gateway answers nobody
-            self._serve_done(home_ring, req.req_id, service_id)
-            reply = FetchReply(
-                req.req_id, req.bat_id, ok=result.ok,
-                payload=result.payload, version=result.version,
-                size=self.catalog.size(req.bat_id) if req.bat_id in self.catalog else 0,
-                error=result.error or "",
-            )
-            if local:
-                self._on_reply(req.from_ring, reply)
-            else:
-                wire = (
-                    reply.size + self.config.base.bat_header_size
-                    if result.ok
-                    else self.config.base.request_message_size
+            try:
+                if runtime.crashed:
+                    return  # stays pending: handoff or requester timeout
+                runtime.request(service_id, [req.bat_id])
+                fut = runtime.pin(service_id, req.bat_id)
+                yield fut
+                result: PinResult = fut.value
+                if result.ok:
+                    runtime.unpin(service_id, req.bat_id)
+                # manual teardown: a fetch service is not a query, so it must
+                # not publish query-lifecycle events (finish_query would)
+                runtime.s3.drop_query(service_id)
+                for bat_id in runtime.s2.drop_query(service_id):
+                    runtime._cancel_resend(bat_id)
+                if runtime.crashed and not result.ok:
+                    return  # stays pending: a dead gateway answers nobody
+                self._serve_done(home_ring, req.req_id, service_id)
+                reply = FetchReply(
+                    req.req_id, req.bat_id, ok=result.ok,
+                    payload=result.payload, version=result.version,
+                    size=self.catalog.size(req.bat_id) if req.bat_id in self.catalog else 0,
+                    error=result.error or "",
                 )
-                self.link(home_ring, req.from_ring).send(reply, wire)
+                if local:
+                    self._on_reply(req.from_ring, reply)
+                else:
+                    wire = (
+                        reply.size + self.config.base.bat_header_size
+                        if result.ok
+                        else self.config.base.request_message_size
+                    )
+                    self._send(home_ring, req.from_ring, reply, wire)
+            finally:
+                live[home_ring] -= 1
 
         Process(self.sim, serve())
         return gateway
@@ -318,6 +381,12 @@ class CrossRingRouter:
             entry = pending.get(req_id)
             if entry is not None and entry[2] == service_id:
                 del pending[req_id]
+
+    def live_serve_count(self, ring_id: int) -> int:
+        """Serve processes of ``ring_id`` that have not run to an end yet,
+        i.e. may still send a reply -- an input of the partitioned
+        kernel's conservative bound (docs/parallel.md)."""
+        return self._live_serves.get(ring_id, 0)
 
     def pending_serve_count(self, ring_id: int, node: Optional[int] = None) -> int:
         """Fetch serves currently in flight inside ``ring_id`` (optionally
@@ -395,7 +464,7 @@ class CrossRingRouter:
     # reporting
     # ------------------------------------------------------------------
     def stats(self) -> dict:
-        latencies = sorted(self.fetch_latencies)
+        latencies = self.fetch_latencies
         mean = sum(latencies) / len(latencies) if latencies else 0.0
         return {
             "fetches_dispatched": self.fetches_dispatched,
