@@ -141,7 +141,7 @@ def mean_or_zero(values: List[float]) -> float:
 
 
 # ----------------------------------------------------------------------
-# federation runs (shared by bench_perf, bench_core and the scaling test)
+# federation runs (test_multiring_scaling.py)
 # ----------------------------------------------------------------------
 def build_federation(
     dataset: UniformDataset,
@@ -149,8 +149,6 @@ def build_federation(
     n_rings: int,
     queue_capacity: int,
     seed: int,
-    fast_forward: bool = True,
-    loit_static: Optional[float] = None,
     **multiring_kwargs,
 ) -> RingFederation:
     """``total_nodes`` split evenly over ``n_rings``, dataset pre-loaded."""
@@ -159,7 +157,6 @@ def build_federation(
     fed = RingFederation(MultiRingConfig(
         base=DataCyclotronConfig(
             n_nodes=nodes_per_ring, bat_queue_capacity=queue_capacity, seed=seed,
-            fast_forward=fast_forward, loit_static=loit_static,
         ),
         n_rings=n_rings,
         nodes_per_ring=nodes_per_ring,
@@ -178,26 +175,18 @@ def gaussian_workload(
     min_proc: float,
     max_proc: float,
     seed: int,
-    min_bats: int = 1,
-    max_bats: int = 5,
-    std: Optional[float] = None,
 ) -> GaussianWorkload:
-    """The section 5.3 skew: queries normal around the dataset's middle.
-
-    ``std`` defaults to the paper's ratio (n_bats/20); small catalogs
-    need it wider -- with only a handful of reachable ids the distinct
-    redraw loop in ``pick_bats`` degenerates (keep ``max_bats`` well
-    below the ~6-sigma id count).
-    """
+    """The section 5.3 skew: queries normal around the dataset's middle,
+    at the paper's spread (``std`` = n_bats/20)."""
     return GaussianWorkload(
         dataset,
         n_nodes=total_nodes,
         queries_per_second=total_rate / total_nodes,
         duration=duration,
         mean=dataset.n_bats / 2,
-        std=std if std is not None else dataset.n_bats / 20,
-        min_bats=min_bats,
-        max_bats=max_bats,
+        std=dataset.n_bats / 20,
+        min_bats=1,
+        max_bats=5,
         min_proc_time=min_proc,
         max_proc_time=max_proc,
         seed=seed,

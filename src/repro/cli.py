@@ -891,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--check-determinism", action="store_true",
                            dest="check_determinism",
                            help="run each scenario twice, fail on drift")
-            p.add_argument("--out", default="BENCH_slo.json",
-                           help="JSON report path ('' disables)")
+            p.add_argument("--out", default="",
+                           help="also write the JSON report to this path")
         if name == "trace":
             p.add_argument("--out", default="repro.trace.json",
                            help="Chrome trace_event output file")

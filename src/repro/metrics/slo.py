@@ -378,9 +378,9 @@ _PERCENTILE_KEYS = tuple(name for name, _q in PERCENTILES)
 def validate_verdict(verdict: Dict) -> None:
     """Raise ``ValueError`` unless ``verdict`` matches the SLO schema.
 
-    The scenario-smoke CI job runs every verdict through this before
-    uploading ``BENCH_slo.json``; schema drift fails the build even
-    when the SLO itself is met.
+    Every scenario run passes its verdict through this before
+    returning it, so schema drift fails ``repro scenarios`` and
+    tests/test_scenario_gates.py even when the SLO itself is met.
     """
     for name, expected in _REQUIRED_FIELDS:
         if name not in verdict:

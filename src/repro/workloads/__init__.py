@@ -17,8 +17,8 @@
   (docs/overload.md),
 * :mod:`repro.workloads.mixed` -- the mixed-engine workload driving all
   three QPU classes through one ring economy (docs/qpu.md),
-* :mod:`repro.workloads.suite` -- the named scenario registry shared by
-  ``repro scenarios`` and ``benchmarks/bench_slo.py``.
+* :mod:`repro.workloads.suite` -- the named scenario registry behind
+  ``repro scenarios`` and tests/test_scenario_gates.py.
 """
 
 from repro.workloads.base import UniformDataset, populate_ring

@@ -14,8 +14,8 @@ their respective engines:
 
 Arrivals sit on per-class deterministic grids and every random choice
 comes from a seeded per-class stream, so a ``(params, seed)`` pair
-replays bit-identically -- the property the scenario suite and
-``BENCH_slo.json`` rely on.  The scenario wrapper lives in
+replays bit-identically -- the property the scenario suite's per-seed
+verdicts rely on.  The scenario wrapper lives in
 :mod:`repro.workloads.suite` (``mixed-engine``), which grades each
 class against its own :class:`~repro.metrics.slo.EngineSloTarget`.
 """

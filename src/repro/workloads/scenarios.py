@@ -19,8 +19,8 @@ emitting ordinary :class:`~repro.core.query.QuerySpec` streams:
 
 Determinism contract: two instances built with identical arguments
 yield identical query streams (tests/test_workloads_determinism.py),
-which is what makes the SLO trajectory in ``BENCH_slo.json``
-comparable across commits.
+which is what makes the ``repro scenarios`` verdicts comparable across
+commits.
 """
 
 from __future__ import annotations

@@ -24,13 +24,14 @@ it, and returns an SLO verdict plus scenario-specific extras:
 
 Everything is deterministic per seed: ``run_scenario(name, seed)``
 returns a bit-identical result dict on every call, which is what the
-CI ``scenario-smoke`` job and ``benchmarks/bench_slo.py`` rely on.
+CI ``scenario-smoke`` job (``repro scenarios --check-determinism``) and
+the gates in tests/test_scenario_gates.py rely on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import MB, DataCyclotronConfig
 from repro.core.query import QuerySpec
@@ -64,7 +65,6 @@ __all__ = [
     "SCENARIOS",
     "ScenarioSpec",
     "run_scenario",
-    "run_suite",
     "scenario_names",
 ]
 
@@ -1105,19 +1105,3 @@ def run_scenario(name: str, seed: int = 0, quick: bool = True) -> Dict:
         )
     return SCENARIOS[name].run(seed, quick)
 
-
-def run_suite(
-    names: Optional[Sequence[str]] = None,
-    seeds: Iterable[int] = (0,),
-    quick: bool = True,
-) -> Dict:
-    """Run scenarios x seeds; returns the ``BENCH_slo.json`` payload."""
-    names = list(names) if names is not None else scenario_names()
-    runs = [run_scenario(name, seed, quick) for name in names for seed in seeds]
-    return {
-        "quick": quick,
-        "seeds": list(seeds),
-        "scenarios": {
-            name: [r for r in runs if r["name"] == name] for name in names
-        },
-    }

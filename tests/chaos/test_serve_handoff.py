@@ -4,7 +4,7 @@ A gateway dies with fetch serves in flight.  With ``serve_handoff``
 enabled the guard's re-election hands those serves to the new gateway
 immediately; disabled, the requesters sit out their resend timers.
 These tests pin the mechanism itself -- the event, the counter, the
-re-dispatch target -- while ``benchmarks/test_bench_slo.py`` pins the
+re-dispatch target -- while tests/test_scenario_gates.py pins the
 p999 improvement it buys.
 """
 

@@ -110,3 +110,27 @@ def test_chaos_command_scenario_file(tmp_path, capsys):
 def test_chaos_command_listed(capsys):
     assert main(["list"]) == 0
     assert "chaos" in capsys.readouterr().out
+
+
+def test_scenarios_command_writes_a_report_only_when_asked(
+    tmp_path, monkeypatch, capsys
+):
+    import json
+
+    from repro.metrics.slo import validate_verdict
+
+    monkeypatch.chdir(tmp_path)
+    assert main(["scenarios", "diurnal"]) == 0
+    assert "written:" not in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+    out = tmp_path / "report.json"
+    assert main(["scenarios", "diurnal", "--seeds", "0", "1",
+                 "--out", str(out)]) == 0
+    assert list(tmp_path.iterdir()) == [out]
+    payload = json.loads(out.read_text())
+    assert payload["quick"] and payload["seeds"] == [0, 1]
+    runs = payload["scenarios"]["diurnal"]
+    assert [run["seed"] for run in runs] == [0, 1]
+    for run in runs:
+        validate_verdict(run["verdict"])

@@ -6,14 +6,15 @@ observational equivalence: every per-BAT statistic, every query record,
 every link counter and the processed-event count must match a classic
 run byte for byte -- floats included, because the closed-form per-hop
 times are computed with the same stepwise arithmetic the classic path
-uses.  This suite sweeps seeds, workload shapes and the resilience
-detector; any drift is a correctness bug in the fast path, never an
-acceptable approximation.
+uses.  This suite sweeps seeds, workload shapes, the resilience
+detector and a shared-clock federation; any drift is a correctness bug
+in the fast path, never an acceptable approximation.
 """
 
 import pytest
 
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
+from repro.multiring import MultiRingConfig, RingFederation
 from repro.workloads.base import UniformDataset, populate_ring
 from repro.workloads.gaussian import GaussianWorkload
 from repro.workloads.uniform import UniformWorkload
@@ -76,3 +77,42 @@ def test_summary_bit_identical_with_resilience(seed: int, workload: str):
     on = run_summary(seed, workload, fast_forward=True, resilience=True)
     off = run_summary(seed, workload, fast_forward=False, resilience=True)
     assert on == off
+
+
+def run_federation_summary(seed: int, fast_forward: bool) -> dict:
+    """Two 16-node rings, each BAT pinned on its ring (static LOIT 0) so
+    rotation dominates, under a light stream that fetches across rings:
+    gateway traffic rides through standing flights."""
+    dataset = UniformDataset(n_bats=8, min_size=MB, max_size=MB, seed=seed)
+    fed = RingFederation(MultiRingConfig(
+        base=DataCyclotronConfig(
+            n_nodes=16, bat_queue_capacity=10 * MB, seed=seed,
+            fast_forward=fast_forward, loit_static=0.0,
+        ),
+        n_rings=2,
+        nodes_per_ring=16,
+        splitmerge_interval=0.0,
+    ))
+    for bat_id, size in dataset.sizes.items():
+        fed.add_bat(bat_id, size)
+    GaussianWorkload(
+        dataset, n_nodes=32, queries_per_second=0.25, duration=8.0,
+        mean=dataset.n_bats / 2, std=2.0, min_bats=1, max_bats=2,
+        min_proc_time=0.002, max_proc_time=0.005, seed=seed,
+    ).submit_to(fed)
+    assert fed.run_until_done(max_time=60.0)
+    if fast_forward:
+        assert sum(ring.ff.stats()["flights"] for ring in fed.rings) > 0
+    # unlike DataCyclotron.summary(), the federation's does not land
+    # its rings' open flights: their credits are still owed
+    for ring in fed.rings:
+        ring.ff.flush_all()
+    summary = fed.summary()
+    assert summary["fetches_served"] > 0, "no cross-ring traffic"
+    summary["_processed"] = fed.sim.processed
+    return summary
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_federation_summary_bit_identical(seed: int):
+    assert run_federation_summary(seed, True) == run_federation_summary(seed, False)

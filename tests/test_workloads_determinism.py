@@ -2,8 +2,8 @@
 
 Two generators built with identical arguments must emit identical
 query streams, and a scenario run must be event-bit-identical across
-repeats -- that contract is what makes the ``BENCH_slo.json``
-trajectory comparable across commits and what protects the rotation
+repeats -- that contract is what makes the ``repro scenarios``
+verdicts comparable across commits and what protects the rotation
 fast-forward equivalence work (docs/performance.md) from silent
 nondeterminism sneaking in through a workload.
 """
