@@ -384,13 +384,11 @@ def cmd_multiring(args: argparse.Namespace) -> int:
 def _profile_per_ring(args: argparse.Namespace) -> int:
     """Per-ring attribution over the partitioned kernel (docs/parallel.md).
 
-    Runs a 4-ring :class:`PartitionedFederation` with ``workers=1`` --
-    the merged trace is bit-identical to any worker count, and a single
-    process is what makes wall-clock attribution meaningful: every
-    published event is charged the wall time since the previous event
-    *anywhere*, so the table shows which ring partitions the kernel
-    actually spends its time simulating (stragglers stand out) next to
-    each ring's own events/sec.
+    Runs a 4-ring :class:`PartitionedFederation`: the kernel is one
+    process, so every published event can be charged the wall time
+    since the previous event *anywhere*, and the table shows which ring
+    partitions the kernel actually spends its time simulating
+    (stragglers stand out) next to each ring's own events/sec.
     """
     import cProfile
     import pstats
@@ -413,7 +411,7 @@ def _profile_per_ring(args: argparse.Namespace) -> int:
         splitmerge_interval=0.0,
         inter_ring_delay=0.002,
     )
-    fed = PartitionedFederation(cfg, workers=1)
+    fed = PartitionedFederation(cfg)
     n_bats = bats_per_ring * n_rings
     for bat_id in range(n_bats):
         fed.add_bat(bat_id, MB)

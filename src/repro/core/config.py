@@ -140,7 +140,6 @@ class DataCyclotronConfig:
 
     # --- bookkeeping ---------------------------------------------------
     seed: int = 0
-    metrics_time_bin: float = 1.0           # seconds per time-series bin
     # JSONL event-trace path; None disables tracing (docs/events.md).
     trace: Optional[str] = None
     _total_data_bytes: Optional[int] = field(default=None, repr=False)

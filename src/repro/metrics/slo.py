@@ -35,6 +35,7 @@ __all__ = [
     "exact_quantile",
     "jain_fairness",
     "latency_percentiles",
+    "slo_verdict",
     "validate_verdict",
 ]
 
@@ -136,6 +137,42 @@ class EngineSloTarget:
             "min_throughput": self.min_throughput,
             "max_failure_rate": self.max_failure_rate,
         }
+
+
+def slo_verdict(
+    scenario: str,
+    seed: int,
+    target: SloTarget,
+    samples: List[float],
+    total: int,
+    failed: int,
+    shed: int,
+) -> Dict:
+    """The serialisable SLO verdict over ``total`` logical queries, of
+    which ``samples`` are the latencies of the successful ones."""
+    percentiles = {
+        name: round(value, 6)
+        for name, value in latency_percentiles(samples).items()
+    }
+    failure_rate = failed / total if total else 0.0
+    passed = {
+        name: percentiles[name] <= getattr(target, name)
+        for name, _q in PERCENTILES
+    }
+    passed["failure_rate"] = failure_rate <= target.max_failure_rate
+    return {
+        "scenario": scenario,
+        "seed": seed,
+        "queries": total,
+        "succeeded": len(samples),
+        "failed": failed,
+        "shed": shed,
+        "failure_rate": round(failure_rate, 6),
+        "latency": percentiles,
+        "target": target.as_dict(),
+        "passed": passed,
+        "ok": all(passed.values()),
+    }
 
 
 @dataclass
@@ -276,32 +313,10 @@ class SloCollector:
 
     def verdict(self, scenario: str, seed: int, target: SloTarget) -> Dict:
         """The serialisable SLO verdict object for one scenario run."""
-        samples = self.latencies()
-        percentiles = {
-            name: round(value, 6)
-            for name, value in latency_percentiles(samples).items()
-        }
-        failed = self.failed_count()
-        total = self.query_count
-        failure_rate = failed / total if total else 0.0
-        passed = {
-            name: percentiles[name] <= getattr(target, name)
-            for name, _q in PERCENTILES
-        }
-        passed["failure_rate"] = failure_rate <= target.max_failure_rate
-        verdict = {
-            "scenario": scenario,
-            "seed": seed,
-            "queries": total,
-            "succeeded": len(samples),
-            "failed": failed,
-            "shed": self.shed_count(),
-            "failure_rate": round(failure_rate, 6),
-            "latency": percentiles,
-            "target": target.as_dict(),
-            "passed": passed,
-            "ok": all(passed.values()),
-        }
+        verdict = slo_verdict(
+            scenario, seed, target, self.latencies(),
+            self.query_count, self.failed_count(), self.shed_count(),
+        )
         tenants = self.tenant_stats()
         if tenants:
             verdict["tenants"] = {

@@ -18,7 +18,7 @@ growing one big one (docs/multiring.md):
   scenarios with per-ring invariant checks,
 * :class:`PartitionedFederation` -- the same router, query process and
   retry ladder on one simulator per ring, synchronised by conservative
-  lookahead windows (docs/parallel.md), optionally across a pool.
+  lookahead windows (docs/parallel.md).
 """
 
 from repro.multiring.catalog import GlobalCatalog

@@ -8,8 +8,7 @@ router, query process and retry ladder (each
 :class:`~repro.multiring.partition.RingPartition` hosts them for its
 ring) -- under a different clock arrangement: every ring has its **own**
 simulator, synchronised by :class:`~repro.sim.parallel.ParallelKernel`
-through conservative lookahead windows, optionally across a pool of
-worker processes.
+through conservative lookahead windows.
 
 Scope: static placement with cross-ring fetches.  The placement
 manager, split/merge controller and nomadic query shipping need a
@@ -21,7 +20,7 @@ be ported.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional
+from typing import Iterable, List, Optional
 
 from repro.core.query import QuerySpec
 from repro.events.bus import Bus
@@ -38,12 +37,14 @@ __all__ = ["PartitionedFederation"]
 class PartitionedFederation:
     """N rings, N clocks, one conservative-lookahead kernel."""
 
-    def __init__(
-        self,
-        config: Optional[MultiRingConfig] = None,
-        workers: int = 1,
-        collect_digests: bool = False,
-    ):
+    def __init__(self, config: Optional[MultiRingConfig] = None, workers: int = 1):
+        # fossil: bench/ passes workers=1 and is frozen; the next
+        # benchmark issue drops the parameter (ROADMAP)
+        if workers != 1:
+            raise ValueError(
+                f"workers={workers!r}: the process pool was deleted, the "
+                "kernel is one sequential window loop (docs/parallel.md section 6)"
+            )
         self.config = config if config is not None else MultiRingConfig()
         cfg = self.config
         if cfg.max_rings != cfg.n_rings:
@@ -56,17 +57,14 @@ class PartitionedFederation:
                 "the partitioned kernel derives its lookahead from the "
                 "inter-ring propagation delay, which must be positive"
             )
-        self.workers = max(1, int(workers))
         self.bus = Bus()  # coordinator bus: PartitionSynced rounds
         self.catalog = GlobalCatalog()  # shared, frozen once the kernel starts
         self.partitions: List[RingPartition] = [
-            RingPartition(r, cfg, self.catalog, collect_digest=collect_digests)
-            for r in range(cfg.n_rings)
+            RingPartition(r, cfg, self.catalog) for r in range(cfg.n_rings)
         ]
         self.kernel = ParallelKernel(
             self.partitions,
             lookahead=cfg.link_delay() if cfg.n_rings > 1 else INFINITY,
-            workers=self.workers,
             bus=self.bus,
         )
         self._next_ring = 0
@@ -161,29 +159,21 @@ class PartitionedFederation:
     # ------------------------------------------------------------------
     # reporting
     # ------------------------------------------------------------------
-    def finish(self) -> Dict[int, tuple]:
-        """Flush partitions, join workers; ``{ring: (summary, digest)}``."""
+    def finish(self) -> None:
+        """Flush every partition's open flights; no ``run`` may follow."""
         self._start()
-        return self.kernel.finish()
-
-    def close(self) -> None:
-        self.kernel.close()
+        self.kernel.finish()
 
     def ring_summaries(self) -> List[dict]:
-        results = self.finish()
-        return [results[i][0] for i in sorted(results)]
-
-    def ring_digests(self) -> List[Optional[str]]:
-        """Per-ring repr-hash digests (requires ``collect_digests=True``)."""
-        results = self.finish()
-        return [results[i][1] for i in sorted(results)]
+        self.finish()
+        return [part.summary() for part in self.partitions]
 
     def summary(self) -> dict:
         rings = self.ring_summaries()
         return {
             "n_rings": self.config.n_rings,
             "nodes_per_ring": self.config.nodes_per_ring,
-            "workers": self.workers,
+            "workers": 1,  # fossil: bench/ hashes the whole summary
             "kernel_rounds": self.kernel.rounds,
             "kernel_messages": self.kernel.messages_exchanged,
             "lookahead": self.kernel.lookahead,

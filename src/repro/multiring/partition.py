@@ -100,26 +100,16 @@ class RingPartition(FederationHost):
 
     Implements the duck interface of :class:`~repro.sim.parallel.
     ParallelKernel`: ``start``/``finish``, ``end_of_timestep``,
-    ``deliver``/``collect_outbox``, ``completed``/``summary``/
-    ``digest_hex``.
+    ``deliver``/``collect_outbox``, ``completed``.
     """
 
-    def __init__(
-        self,
-        ring_id: int,
-        config: MultiRingConfig,
-        catalog: GlobalCatalog,
-        collect_digest: bool = False,
-    ):
+    def __init__(self, ring_id: int, config: MultiRingConfig, catalog: GlobalCatalog):
         self.ring_id = ring_id
         self.config = config
         self.catalog = catalog  # shared by every partition, frozen at start
         self.dc = DataCyclotron(config=config.ring_config(ring_id))
         self.sim = self.dc.sim
         self.bus = self.dc.bus
-        self.digest: Optional[StreamDigest] = (
-            attach_stream_digest(self.bus) if collect_digest else None
-        )
         # --- what the router and the ladder ask of their host ---
         self.rings = {ring_id: self.dc}
         self.placement = None  # static placement: nobody folds interest
@@ -270,7 +260,7 @@ class RingPartition(FederationHost):
         return eot
 
     # ------------------------------------------------------------------
-    # lifecycle / reporting (the kernel's duck interface)
+    # lifecycle (the kernel's duck interface) and reporting
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._started:
@@ -300,6 +290,3 @@ class RingPartition(FederationHost):
         # no gateway guard here, so no handoffs (bench/ hashes these keys)
         del out["serves_handed_off"]
         return out
-
-    def digest_hex(self) -> Optional[str]:
-        return self.digest.hexdigest() if self.digest is not None else None

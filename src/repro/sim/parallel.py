@@ -22,29 +22,27 @@ traffic is the gateway fetch/serve exchange:
    :class:`~repro.events.types.TimeGrantIssued` event.
 3. **Run** -- all partitions execute events strictly below the window
    edge ``W = min(EOT)`` (``Simulator.run(until=W, inclusive=False)``),
-   in parallel when a worker pool is attached.  Events *at* the edge
-   are deferred until edge-stamped messages have been delivered, which
-   is what makes the merged trace independent of worker scheduling.
+   one after another.  Events *at* the edge are deferred until
+   edge-stamped messages have been delivered, so a partition's trace
+   never depends on the order its peers ran in.
 4. **Exchange** -- emitted messages are collected, sorted by the
    canonical ``(deliver_at, source, seq)`` key, and carried into the
    next round's deliver step.  A :class:`~repro.events.types.
    PartitionSynced` event closes the round.
 
-Because every step is deterministic -- the window schedule depends only
-on partition states, and deliveries are canonically ordered -- the event
-stream of every partition is **bit-identical** whether the kernel runs
-sequentially (``workers=1``) or on a process pool (``workers=N``).
-tests/test_parallel_equivalence.py pins this with repr-hash digests.
+Every step is deterministic -- the window schedule depends only on
+partition states, and deliveries are canonically ordered -- so a run is
+a pure function of its seed; tests/test_parallel_equivalence.py pins
+the per-ring event streams with repr-hash digests.
 
-The process pool uses the ``fork`` start method: partitions are built
-(and workloads submitted) in the parent, then inherited by the workers,
-so nothing but the window protocol -- floats, small message envelopes --
-ever crosses a pipe.
+The kernel is one sequential loop in one process: "parallel" names the
+algorithm, not the execution (docs/parallel.md section 6 has the
+measurements a process pool failed on).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.events.types import PartitionSynced
 
@@ -60,7 +58,7 @@ class CrossPartitionMessage:
     link propagation delay; the kernel guarantees it is never below the
     window edge at which the message is exchanged, so the destination
     can always still schedule it.  ``(deliver_at, src, seq)`` is the
-    canonical total order every delivery follows, in both kernel modes.
+    canonical total order every delivery follows.
     """
 
     __slots__ = ("deliver_at", "src", "seq", "dst", "payload", "size")
@@ -92,48 +90,6 @@ def _msg_key(msg: CrossPartitionMessage) -> Tuple[float, int, int]:
     return (msg.deliver_at, msg.src, msg.seq)
 
 
-def _worker_main(conn, indices, partitions, lookahead) -> None:
-    """One pool worker: owns a fixed slice of partitions for life.
-
-    Commands (tuples, first element the opcode):
-
-    * ``("sync", msgs)`` -- deliver the round's messages, reply with the
-      slice's EOT list.
-    * ``("run", target, final)`` -- run every owned partition's window,
-      reply ``(outbox, completed)``.
-    * ``("finish",)`` -- flush fast-forward state, reply ``{index:
-      (summary, digest)}``.
-    * ``("stop",)`` -- exit.
-    """
-    parts = {i: partitions[i] for i in indices}
-    order = list(indices)
-    while True:
-        cmd = conn.recv()
-        op = cmd[0]
-        if op == "sync":
-            for msg in cmd[1]:
-                parts[msg.dst].deliver(msg)
-            conn.send([parts[i].end_of_timestep(lookahead) for i in order])
-        elif op == "run":
-            target, final = cmd[1], cmd[2]
-            for i in order:
-                parts[i].sim.run(until=target, inclusive=final)
-            out: List[CrossPartitionMessage] = []
-            for i in order:
-                out.extend(parts[i].collect_outbox())
-            done = sum(parts[i].completed for i in order)
-            conn.send((out, done))
-        elif op == "finish":
-            result = {}
-            for i in order:
-                parts[i].finish()
-                result[i] = (parts[i].summary(), parts[i].digest_hex())
-            conn.send(result)
-        elif op == "stop":
-            conn.close()
-            return
-
-
 class ParallelKernel:
     """Coordinate N partition simulators through lookahead windows.
 
@@ -143,18 +99,15 @@ class ParallelKernel:
     * ``start()`` / ``finish()`` -- lifecycle hooks,
     * ``end_of_timestep(lookahead) -> float`` -- the EOT bound,
     * ``deliver(msg)`` / ``collect_outbox()`` -- message plumbing,
-    * ``completed`` / ``summary()`` / ``digest_hex()`` -- reporting.
+    * ``completed`` -- queries finished so far.
 
     Message ``dst`` fields index into the ``partitions`` sequence.
-    ``workers=1`` runs the identical window protocol inline -- the
-    reference mode every pool run is bit-compared against.
     """
 
     def __init__(
         self,
         partitions: Sequence[Any],
         lookahead: float,
-        workers: int = 1,
         bus: Optional[Any] = None,
     ):
         if not partitions:
@@ -163,59 +116,35 @@ class ParallelKernel:
             raise ValueError("lookahead must be positive (got %r)" % lookahead)
         self.partitions = list(partitions)
         self.lookahead = lookahead
-        self.workers = max(1, min(int(workers), len(self.partitions)))
         self.bus = bus
         self.now = 0.0
         self.rounds = 0
         self.messages_exchanged = 0
         self._carry: List[CrossPartitionMessage] = []
-        self._pool: Optional[List[tuple]] = None
-        self._pool_completed = 0
         self._started = False
-        self._results: Optional[Dict[int, tuple]] = None
+        self._finished = False
 
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def run(self, until: float) -> None:
         """Advance every partition to simulated time ``until``."""
-        if self._results is not None:
+        if self._finished:
             raise RuntimeError("kernel already finished")
         if until < self.now:
             raise ValueError(f"cannot run backwards to {until} (now {self.now})")
+        parts = self.partitions
         if not self._started:
             self._started = True
-            for part in self.partitions:
+            for part in parts:
                 part.start()
-        if self.workers == 1 or len(self.partitions) == 1:
-            self._run_local(until)
-        else:
-            self._run_pool(until)
-        self.now = until
-
-    def _round(self, eots: List[float], until: float) -> Tuple[float, bool]:
-        """The window decision: edge, and whether it closes the run."""
-        horizon = min(eots)
-        target = min(horizon, until)
-        return target, until <= horizon
-
-    def _sync_round(self, target: float, delivered: int) -> None:
-        self.rounds += 1
-        self.messages_exchanged += delivered
-        bus = self.bus
-        if bus is not None and bus.active:
-            bus.publish(
-                PartitionSynced(target, target, len(self.partitions), delivered)
-            )
-
-    def _run_local(self, until: float) -> None:
-        parts = self.partitions
-        while True:
-            carry, self._carry = self._carry, []
+        bus, lookahead = self.bus, self.lookahead
+        final = False
+        while not final:
+            carry = self._carry
             for msg in carry:
                 parts[msg.dst].deliver(msg)
-            eots = [p.end_of_timestep(self.lookahead) for p in parts]
-            target, final = self._round(eots, until)
+            horizon = min(p.end_of_timestep(lookahead) for p in parts)
+            # the window edge, and whether it closes the run
+            target = min(horizon, until)
+            final = until <= horizon
             for p in parts:
                 p.sim.run(until=target, inclusive=final)
             out: List[CrossPartitionMessage] = []
@@ -223,109 +152,22 @@ class ParallelKernel:
                 out.extend(p.collect_outbox())
             out.sort(key=_msg_key)
             self._carry = out
-            self._sync_round(target, len(carry))
-            if final:
-                return
+            self.rounds += 1
+            self.messages_exchanged += len(carry)
+            if bus is not None and bus.active:
+                bus.publish(PartitionSynced(target, target, len(parts), len(carry)))
+        self.now = until
 
-    # ------------------------------------------------------------------
-    # process-pool mode
-    # ------------------------------------------------------------------
-    def _ensure_pool(self) -> None:
-        if self._pool is not None:
-            return
-        import multiprocessing as mp
-
-        ctx = mp.get_context("fork")
-        slices: List[List[int]] = [[] for _ in range(self.workers)]
-        for i in range(len(self.partitions)):
-            slices[i % self.workers].append(i)
-        pool = []
-        for w in range(self.workers):
-            parent_conn, child_conn = ctx.Pipe()
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, slices[w], self.partitions, self.lookahead),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            pool.append((proc, parent_conn, frozenset(slices[w])))
-        self._pool = pool
-
-    def _run_pool(self, until: float) -> None:
-        self._ensure_pool()
-        pool = self._pool
-        while True:
-            carry, self._carry = self._carry, []
-            for _proc, conn, owned in pool:
-                conn.send(("sync", [m for m in carry if m.dst in owned]))
-            eots: List[float] = []
-            for _proc, conn, _owned in pool:
-                eots.extend(conn.recv())
-            target, final = self._round(eots, until)
-            for _proc, conn, _owned in pool:
-                conn.send(("run", target, final))
-            out: List[CrossPartitionMessage] = []
-            done = 0
-            for _proc, conn, _owned in pool:
-                msgs, completed = conn.recv()
-                out.extend(msgs)
-                done += completed
-            out.sort(key=_msg_key)
-            self._carry = out
-            self._pool_completed = done
-            self._sync_round(target, len(carry))
-            if final:
-                return
-
-    # ------------------------------------------------------------------
-    # reporting / teardown
-    # ------------------------------------------------------------------
     @property
     def completed(self) -> int:
-        """Queries finished across all partitions (pool mode: as of the
-        last completed round)."""
-        if self._pool is not None:
-            return self._pool_completed
+        """Queries finished across all partitions."""
         return sum(p.completed for p in self.partitions)
 
-    def finish(self) -> Dict[int, tuple]:
-        """Flush every partition and collect ``{index: (summary, digest)}``.
-
-        Idempotent; in pool mode this also drains and joins the workers
-        (the partition objects in the parent are stale after the first
-        pooled round -- the workers own the truth, so their final state
-        is collected here and cached).
-        """
-        if self._results is not None:
-            return self._results
-        results: Dict[int, tuple] = {}
-        if self._pool is not None:
-            for _proc, conn, _owned in self._pool:
-                conn.send(("finish",))
-            for _proc, conn, _owned in self._pool:
-                results.update(conn.recv())
-            for proc, conn, _owned in self._pool:
-                conn.send(("stop",))
-                conn.close()
-                proc.join(timeout=30)
-            self._pool = None
-        else:
-            for i, part in enumerate(self.partitions):
-                part.finish()
-                results[i] = (part.summary(), part.digest_hex())
-        self._results = results
-        return results
-
-    def close(self) -> None:
-        """Tear the pool down without collecting results (best effort)."""
-        if self._pool is None:
+    def finish(self) -> None:
+        """Flush every partition's open flights.  Idempotent; no
+        :meth:`run` may follow."""
+        if self._finished:
             return
-        for proc, conn, _owned in self._pool:
-            try:
-                conn.send(("stop",))
-                conn.close()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass
-            proc.join(timeout=5)
-        self._pool = None
+        self._finished = True
+        for part in self.partitions:
+            part.finish()

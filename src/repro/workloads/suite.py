@@ -38,11 +38,10 @@ from repro.core.query import QuerySpec
 from repro.core.ring import DataCyclotron
 from repro.dbms.executor import RingDatabase
 from repro.metrics.slo import (
-    PERCENTILES,
     EngineSloTarget,
     SloCollector,
     SloTarget,
-    latency_percentiles,
+    slo_verdict,
     validate_verdict,
 )
 from repro.multiring.config import MultiRingConfig
@@ -454,33 +453,14 @@ def _retrier_verdict(retrier, scenario: str, seed: int, target: SloTarget) -> Di
     every attempt separately; the retry states are the source of truth
     here.  Shed queries count as failed, the ``SloCollector``
     convention."""
-    states = list(retrier.states.values())
+    states = retrier.states.values()
     samples = retrier.latencies()
-    percentiles = {
-        name: round(value, 6)
-        for name, value in latency_percentiles(samples).items()
-    }
-    total = len(states)
-    failed = total - len(samples)
-    failure_rate = failed / total if total else 0.0
-    passed = {
-        name: percentiles[name] <= getattr(target, name)
-        for name, _q in PERCENTILES
-    }
-    passed["failure_rate"] = failure_rate <= target.max_failure_rate
-    return {
-        "scenario": scenario,
-        "seed": seed,
-        "queries": total,
-        "succeeded": len(samples),
-        "failed": failed,
-        "shed": sum(1 for s in states if s.shed),
-        "failure_rate": round(failure_rate, 6),
-        "latency": percentiles,
-        "target": target.as_dict(),
-        "passed": passed,
-        "ok": all(passed.values()),
-    }
+    return slo_verdict(
+        scenario, seed, target, samples,
+        total=len(states),
+        failed=len(states) - len(samples),
+        shed=sum(1 for s in states if s.shed),
+    )
 
 
 def _tier_outcomes(retrier, deadline: float, duration: float) -> Dict[int, Dict]:

@@ -180,6 +180,35 @@ def test_retry_budget_exhaustion_publishes_query_abandoned():
 
 
 @pytest.mark.chaos_smoke
+def test_attempt_timeout_supersedes_a_slow_attempt_and_discards_its_result():
+    """A 2 MB BAT on 2 MB/s links takes a second per hop, so attempts on
+    nodes 0 and 1 outlive ``retry_attempt_timeout``; each is superseded
+    by the next node, attempt 3 lands on the owner and succeeds, and the
+    two late completions are discarded by their epoch tag."""
+    dc = build_dc(
+        n_nodes=4,
+        resilience=True,
+        bandwidth=2 * MB,
+        retry_attempt_timeout=0.2,
+        retry_max_attempts=3,
+        bats={5: 2 * MB},
+        owners={5: 2},
+    )
+    retried, stale = [], []
+    dc.bus.subscribe(ev.QueryRetried, retried.append)
+    dc.bus.subscribe(ev.StaleResultDiscarded, stale.append)
+    state = dc.resilience.submit(_spec(1, 0, [5]))
+    assert dc.run_until_done(max_time=30.0)
+    assert state.succeeded
+    assert state.attempt_nodes == [0, 1, 2]
+    assert [(e.attempt, e.error) for e in retried] == [
+        (2, "ATTEMPT_TIMEOUT"), (3, "ATTEMPT_TIMEOUT")
+    ]
+    assert [e.attempt for e in stale] == [1, 2]
+    assert dc.summary()["stale_results_discarded"] == 2
+
+
+@pytest.mark.chaos_smoke
 def test_admission_valve_sheds_when_half_the_ring_is_down():
     dc = build_dc(n_nodes=4, resilience=True, admission_suspect_fraction=0.5)
     shed = []

@@ -33,7 +33,7 @@ def _ring0(fed):
 
 @pytest.mark.parametrize(
     "build",
-    [RingFederation, lambda cfg: PartitionedFederation(cfg, workers=1)],
+    [RingFederation, PartitionedFederation],
     ids=["shared-clock", "partitioned"],
 )
 def test_retry_routes_around_an_announced_crash(build):
@@ -60,7 +60,7 @@ def test_retry_routes_around_an_announced_crash(build):
 def test_partitioned_submit_rejects_out_of_range_nodes(node):
     """Static topology: there is no inactive ring to remap to, so a node
     index outside ``[0, total_nodes)`` is a caller bug, not a ring."""
-    fed = PartitionedFederation(_config(), workers=1)
+    fed = PartitionedFederation(_config())
     fed.add_bat(0, MB)
     with pytest.raises(ValueError, match="node"):
         fed.submit(QuerySpec.simple(

@@ -115,6 +115,7 @@ class FakePartition:
         self.bus = Bus()
         self.log = []
         self.completed = 0
+        self.finishes = 0
         self._outbox = []
         self._sends = sorted(sends)
         self._emitted = 0
@@ -135,7 +136,7 @@ class FakePartition:
         pass
 
     def finish(self):
-        pass
+        self.finishes += 1
 
     def end_of_timestep(self, lookahead):
         pending = self._sends[self._emitted:]
@@ -151,12 +152,6 @@ class FakePartition:
         out = self._outbox
         self._outbox = []
         return out
-
-    def summary(self):
-        return {"log": list(self.log)}
-
-    def digest_hex(self):
-        return None
 
 
 class TestKernelProtocol:
@@ -210,22 +205,6 @@ class TestKernelProtocol:
         kernel.run(5.0)
         assert sink.log == [(1.5, 1.5, 0, 1), (1.5, 1.5, 0, 2), (1.5, 1.5, 1, 1)]
 
-    def test_sequential_and_pool_runs_are_identical(self):
-        def build():
-            a = FakePartition(0, sends=[(0.2, 1), (1.7, 2)])
-            b = FakePartition(1, sends=[(0.9, 0), (0.9, 2)])
-            c = FakePartition(2, sends=[(2.4, 0)])
-            return [a, b, c]
-
-        logs = {}
-        for workers in (1, 2, 3):
-            parts = build()
-            kernel = ParallelKernel(parts, lookahead=LOOKAHEAD, workers=workers)
-            kernel.run(5.0)
-            results = kernel.finish()
-            logs[workers] = [results[i][0]["log"] for i in sorted(results)]
-        assert logs[1] == logs[2] == logs[3]
-
     def test_partition_synced_published_per_round(self):
         bus = Bus()
         synced = []
@@ -244,8 +223,9 @@ class TestKernelProtocol:
         parts = [FakePartition(0)]
         kernel = ParallelKernel(parts, lookahead=LOOKAHEAD)
         kernel.run(1.0)
-        first = kernel.finish()
-        assert kernel.finish() is first
+        kernel.finish()
+        kernel.finish()
+        assert parts[0].finishes == 1
         with pytest.raises(RuntimeError):
             kernel.run(2.0)
 
@@ -253,7 +233,7 @@ class TestKernelProtocol:
 class TestRingPartitionGrants:
     """The real partition's time grants, observed through a tiny run."""
 
-    def _build(self):
+    def _build(self, **kwargs):
         from repro.core.config import DataCyclotronConfig
         from repro.core.query import QuerySpec
         from repro.multiring import MultiRingConfig, PartitionedFederation
@@ -261,7 +241,7 @@ class TestRingPartitionGrants:
         cfg = MultiRingConfig(
             base=DataCyclotronConfig(seed=11), n_rings=2, nodes_per_ring=3
         )
-        fed = PartitionedFederation(cfg, workers=1)
+        fed = PartitionedFederation(cfg, **kwargs)
         for bat_id in range(4):
             fed.add_bat(bat_id, size=1 << 20)
         # one ring-local query, one cross-ring query (bat 1 lives on ring 1)
@@ -295,3 +275,13 @@ class TestRingPartitionGrants:
         assert summary["failed"] == 0
         assert summary["fetches_served"] == 1
         assert summary["kernel_messages"] >= 2  # request + reply
+
+    def test_workers_is_a_fossil_that_fails_loudly(self):
+        # bench/ still passes workers=1; nothing else is a valid value
+        with pytest.raises(ValueError, match=r"docs/parallel\.md"):
+            self._build(workers=2)
+        default, explicit = self._build(), self._build(workers=1)
+        assert default.run_until_done(max_time=20.0)
+        assert explicit.run_until_done(max_time=20.0)
+        assert default.summary() == explicit.summary()
+        assert default.summary()["workers"] == 1
