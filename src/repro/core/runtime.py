@@ -233,11 +233,19 @@ class NodeRuntime:
             del self.cache[bat_id]
             self.pinned_bytes -= cached.size
 
-    def finish_query(self, query_id: int, failed: bool = False, error: str = "") -> None:
-        """Last-unpin bookkeeping: drop the query from S2 and S3."""
-        self.s3.drop_query(query_id)
+    def release_query(self, query_id: int) -> None:
+        """Last-unpin bookkeeping: drop the query from S2 and S3.
+
+        Publishes nothing, so callers that are not queries (the
+        federation's fetch service) tear down through it too.
+        """
+        self.s3.drop_query(query_id, self.s2.bats_of(query_id))
         for bat_id in self.s2.drop_query(query_id):
             self._cancel_resend(bat_id)
+
+    def finish_query(self, query_id: int, failed: bool = False, error: str = "") -> None:
+        """:meth:`release_query` plus the query-lifecycle event."""
+        self.release_query(query_id)
         if failed:
             self.queries_failed += 1
             if self.bus.active:
@@ -549,8 +557,9 @@ class NodeRuntime:
                 ev.BatPinned(now, msg.bat_id, self.node_id, count=len(waits))
             )
         result = PinResult(True, msg.bat_id, msg.payload, msg.version)
+        mark_served = self.s2.mark_served
         for wait in waits:
-            req.queries[wait.query_id] = True
+            mark_served(req, wait.query_id)
             if degraded:
                 if self.bus.active:
                     self.bus.publish(ev.QueryDegraded(now, wait.query_id, self.node_id))
@@ -729,8 +738,7 @@ class NodeRuntime:
             for fut in waiters:
                 fut.resolve(result)
         self._local_fetches.clear()
-        for bat_id in self.s2.bat_ids():
-            self.s2.unregister(bat_id)
+        self.s2.clear()
         for bat_id in list(self._resend_timers):
             self._cancel_resend(bat_id)
         self.cache.clear()

@@ -8,12 +8,18 @@
   BAT and which of them have already pinned it.
 * **S3** -- "the identity of the BATs needed urgently as indicated by the
   pin calls": the blocked pin() calls waiting for a BAT to flow past.
+
+The paper only ever looks S2 and S3 up by BAT.  Leaving them at the
+last unpin (Fig. 4 line 09) is the one lookup by *query*, and S2 keeps
+the inverse index for it: per query, the BATs it registered.  The index
+is an over-approximation that is allowed to go stale -- see
+:class:`RequestTable`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.process import Future
 
@@ -151,10 +157,25 @@ class OutstandingRequest:
 
 
 class RequestTable:
-    """S2: outstanding requests organised by BAT identifier."""
+    """S2: outstanding requests organised by BAT identifier.
+
+    Beside the paper's table it keeps ``query id -> [BAT ids]``, the BATs
+    a query joined in the order it joined them, so a finished query
+    leaves S2 (and, through the same list, S3) in time proportional to
+    its own footprint instead of walking every outstanding BAT of the
+    node.  Every insert into an entry's ``queries`` dict goes through
+    :meth:`register` or :meth:`mark_served`, which is what keeps the
+    index *complete*: each (query, BAT) in an S2 entry or an S3 wait is
+    listed.  It is deliberately not *exact*: :meth:`unregister` drops an
+    entry without chasing the lists of the queries it named, so a list
+    may name a BAT whose entry is gone, was re-created by other queries,
+    or (unregister, then register again) appears twice.
+    :meth:`drop_query` skips all three.
+    """
 
     def __init__(self) -> None:
         self._requests: Dict[int, OutstandingRequest] = {}
+        self._by_query: Dict[int, List[int]] = {}
 
     def register(self, bat_id: int, query_id: int, now: float) -> OutstandingRequest:
         """Attach ``query_id`` to the request for ``bat_id``, creating it.
@@ -167,7 +188,9 @@ class RequestTable:
         if entry is None:
             entry = OutstandingRequest(bat_id=bat_id, registered_at=now)
             self._requests[bat_id] = entry
-        entry.queries.setdefault(query_id, False)
+        if query_id not in entry.queries:
+            entry.queries[query_id] = False
+            self._by_query.setdefault(query_id, []).append(bat_id)
         return entry
 
     def unregister(self, bat_id: int) -> None:
@@ -184,24 +207,54 @@ class RequestTable:
         if entry is not None and query_id in entry.queries:
             entry.queries[query_id] = True
 
+    def mark_served(self, entry: OutstandingRequest, query_id: int) -> None:
+        """A blocked pin of ``query_id`` was just served from ``entry``.
+
+        Unlike :meth:`mark_pinned` this may *insert*: the wait can outlive
+        the entry the query registered in (unregistered, then re-created
+        by another query before the BAT came around).  An insert the
+        index did not see would never be dropped, so this one is listed
+        here rather than trusted to an older, stale listing.
+        """
+        if query_id not in entry.queries:
+            self._by_query.setdefault(query_id, []).append(entry.bat_id)
+        entry.queries[query_id] = True
+
     def bat_ids(self) -> List[int]:
         return list(self._requests)
+
+    def bats_of(self, query_id: int) -> Sequence[int]:
+        """The BATs ``query_id`` joined (possibly stale, possibly repeated)."""
+        return self._by_query.get(query_id, ())
 
     def drop_query(self, query_id: int) -> List[int]:
         """Remove a finished/aborted query from every request it joined.
 
         Returns the BAT ids whose requests became empty and were dropped,
-        so the caller can cancel exactly those resend timers instead of
-        sweeping the whole timer table.
+        in the order the query registered them, so the caller can cancel
+        exactly those resend timers instead of sweeping the whole timer
+        table.
         """
         empty = []
-        for bat_id, entry in self._requests.items():
-            entry.queries.pop(query_id, None)
+        requests = self._requests
+        for bat_id in self._by_query.pop(query_id, ()):
+            entry = requests.get(bat_id)
+            if entry is None or query_id not in entry.queries:
+                continue  # stale: unregistered since, or listed twice
+            del entry.queries[query_id]
             if not entry.queries:
+                del requests[bat_id]
                 empty.append(bat_id)
-        for bat_id in empty:
-            del self._requests[bat_id]
         return empty
+
+    def clear(self) -> None:
+        """Forget every request and the whole index (node crash).
+
+        Empties the table in place: the fast-forward scan holds
+        ``_requests`` by reference.
+        """
+        self._requests.clear()
+        self._by_query.clear()
 
     def __len__(self) -> int:
         return len(self._requests)
@@ -223,7 +276,10 @@ class PinWait:
 
 
 class PinTable:
-    """S3: blocked pin calls keyed by BAT identifier."""
+    """S3: blocked pin calls keyed by BAT identifier.
+
+    It has no per-query index of its own; S2's serves both tables.
+    """
 
     def __init__(self) -> None:
         self._waits: Dict[int, List[PinWait]] = {}
@@ -239,14 +295,21 @@ class PinTable:
         """Take (and clear) every blocked pin for ``bat_id``."""
         return self._waits.pop(bat_id, [])
 
-    def drop_query(self, query_id: int) -> None:
-        empty = []
-        for bat_id, waits in self._waits.items():
+    def drop_query(self, query_id: int, bat_ids: Iterable[int]) -> None:
+        """Drop the blocked pins of ``query_id``, looking only at ``bat_ids``.
+
+        ``bat_ids`` is S2's list for the query
+        (:meth:`RequestTable.bats_of`): every wait is added right after
+        the same (query, BAT) was registered there, so the list covers
+        them all; BATs with no wait left, or listed twice, are skipped.
+        """
+        for bat_id in bat_ids:
+            waits = self._waits.get(bat_id)
+            if waits is None:
+                continue
             waits[:] = [w for w in waits if w.query_id != query_id]
             if not waits:
-                empty.append(bat_id)
-        for bat_id in empty:
-            del self._waits[bat_id]
+                del self._waits[bat_id]
 
     def waiting_queries(self, bat_id: int) -> List[int]:
         return [w.query_id for w in self._waits.get(bat_id, [])]

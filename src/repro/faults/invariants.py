@@ -21,7 +21,12 @@ from repro.core.ring import DataCyclotron
 from repro.events import types as ev
 from repro.events.bus import Bus
 
-__all__ = ["InvariantMonitor", "check_invariants", "check_terminal"]
+__all__ = [
+    "InvariantMonitor",
+    "check_invariants",
+    "check_request_index",
+    "check_terminal",
+]
 
 
 def _circulating_bats(dc: DataCyclotron):
@@ -142,6 +147,36 @@ def check_pin_accounting(dc: DataCyclotron) -> List[str]:
     return violations
 
 
+def check_request_index(dc: DataCyclotron) -> List[str]:
+    """S2's per-query index names every (query, BAT) it must be able to
+    drop: each query of a live node's S2 entry and each blocked pin in
+    its S3.  (The converse is not required -- the index may be stale.)
+    A crashed node has no index left."""
+    violations = []
+    for node in dc.nodes:
+        index = node.s2._by_query
+        if node.crashed:
+            if index:
+                violations.append(
+                    f"crashed node {node.node_id} still indexes queries "
+                    f"{sorted(index)[:10]}"
+                )
+            continue
+        held = [(q, entry.bat_id) for entry in node.s2 for q in entry.queries]
+        held += [
+            (q, bat_id)
+            for bat_id in node.s3.bat_ids()
+            for q in node.s3.waiting_queries(bat_id)
+        ]
+        violations.extend(
+            f"node {node.node_id}: query {q} holds BAT {bat_id} in S2/S3 "
+            f"but the request index does not list it"
+            for q, bat_id in held
+            if bat_id not in index.get(q, ())
+        )
+    return violations
+
+
 def check_invariants(dc: DataCyclotron) -> List[str]:
     """All fault-point invariants; empty list = the ring is consistent."""
     return (
@@ -150,6 +185,7 @@ def check_invariants(dc: DataCyclotron) -> List[str]:
         + check_timer_hygiene(dc)
         + check_ownership(dc)
         + check_pin_accounting(dc)
+        + check_request_index(dc)
     )
 
 
@@ -220,4 +256,9 @@ def check_terminal(dc: DataCyclotron) -> List[str]:
     )
     if stale:
         violations.append(f"dead-owner BATs still circulating: {stale}")
+    # the leak check: a query that never reached release_query is still
+    # listed here long before it would show as memory drift
+    leaked = sorted(q for node in dc.nodes for q in node.s2._by_query)
+    if leaked:
+        violations.append(f"request index not empty at quiescence: {leaked[:10]}")
     return violations + check_invariants(dc)

@@ -18,6 +18,7 @@ state by simply dropping the in-flight copy.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.events import types as ev
@@ -42,6 +43,10 @@ class _Migration:
         self.started = started
 
 
+def _count_pins(counts: Dict[int, int], event: ev.BatPinned) -> None:
+    counts[event.bat_id] = counts.get(event.bat_id, 0) + event.count
+
+
 class PlacementManager:
     """Interest accounting, migration decisions, and the cutover protocol."""
 
@@ -53,7 +58,12 @@ class PlacementManager:
         self.catalog = fed.catalog
         # raw counts since the last tick
         self._fetch_counts: Dict[Tuple[int, int], int] = {}  # (ring, bat) -> n
-        self._last_pins: Dict[int, Dict[int, int]] = {}      # ring -> bat -> pins
+        # per ring, bat -> pins, fed by the manager's own typed subscription
+        # on each ring's bus: a control loop must not read its input from
+        # the MetricsCollector, an observer the operator may detach
+        self._pin_counts: List[Dict[int, int]] = [{} for _ in fed.rings]
+        for ring, counts in zip(fed.rings, self._pin_counts):
+            ring.bus.subscribe(ev.BatPinned, partial(_count_pins, counts))
         # folded interest EWMA
         self.interest: Dict[Tuple[int, int], float] = {}
         # bat -> (candidate ring, consecutive ticks over the hysteresis bar)
@@ -102,16 +112,14 @@ class PlacementManager:
         for key, count in self._fetch_counts.items():
             fresh[key] = fresh.get(key, 0.0) + count
         self._fetch_counts.clear()
-        # local pins: interest of the home ring
+        # local pins: interest of the home ring (a standby or drained
+        # ring keeps accumulating until it is active again)
         for ring_id in self.fed.active_rings:
-            ring = self.fed.rings[ring_id]
-            prev = self._last_pins.setdefault(ring_id, {})
-            for bat_id, stats in ring.metrics.bats.items():
-                delta = stats.pins - prev.get(bat_id, 0)
-                prev[bat_id] = stats.pins
-                if delta > 0:
-                    key = (ring_id, bat_id)
-                    fresh[key] = fresh.get(key, 0.0) + delta
+            counts = self._pin_counts[ring_id]
+            for bat_id, count in counts.items():
+                key = (ring_id, bat_id)
+                fresh[key] = fresh.get(key, 0.0) + count
+            counts.clear()
         decayed: Dict[Tuple[int, int], float] = {}
         for key, value in self.interest.items():
             kept = (1.0 - alpha) * value
@@ -136,7 +144,22 @@ class PlacementManager:
 
     def _drive_interest(self) -> None:
         cfg = self.config
+        # Only a BAT with enough interest on a ring other than its home
+        # can qualify, and only one with a streak can lose it; every
+        # other BAT of the catalog is a no-op below.  The set is a
+        # membership filter only: the walk stays in catalog order so the
+        # migrations of one tick start in the order they always did.
+        candidates = set(self._streak)
+        min_interest = cfg.migration_min_interest
+        home_of = self.catalog.maybe_home
+        for (ring_id, bat_id), value in self.interest.items():
+            if value >= min_interest and home_of(bat_id) != ring_id:
+                candidates.add(bat_id)
+        if not candidates:
+            return
         for bat_id in self.catalog.bat_ids:
+            if bat_id not in candidates:
+                continue
             if bat_id in self._migrations or self.catalog.is_migrating(bat_id):
                 continue
             if bat_id in self._forced:

@@ -345,11 +345,9 @@ class CrossRingRouter:
                 result: PinResult = fut.value
                 if result.ok:
                     runtime.unpin(service_id, req.bat_id)
-                # manual teardown: a fetch service is not a query, so it must
-                # not publish query-lifecycle events (finish_query would)
-                runtime.s3.drop_query(service_id)
-                for bat_id in runtime.s2.drop_query(service_id):
-                    runtime._cancel_resend(bat_id)
+                # a fetch service is not a query, so it must not publish
+                # query-lifecycle events (finish_query would)
+                runtime.release_query(service_id)
                 if runtime.crashed and not result.ok:
                     return  # stays pending: a dead gateway answers nobody
                 self._serve_done(home_ring, req.req_id, service_id)

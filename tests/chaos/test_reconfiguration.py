@@ -11,7 +11,11 @@ import pytest
 from repro.core import QuerySpec
 from repro.core.query import PinStep
 from repro.core.runtime import DATA_UNAVAILABLE, NODE_CRASHED
-from repro.faults.invariants import check_invariants
+from repro.faults.invariants import (
+    check_invariants,
+    check_request_index,
+    check_terminal,
+)
 
 from helpers import MB, build_dc
 
@@ -257,3 +261,50 @@ def test_lossy_link_recovers_via_resend():
     assert dc.metrics.loss_drops >= 1
     assert dc.metrics.resends >= 1
     assert check_invariants(dc) == []
+
+
+# ----------------------------------------------------------------------
+# the per-query request index (S2) across crash and restart
+# ----------------------------------------------------------------------
+def test_crash_empties_the_request_index_and_restart_starts_clean():
+    dc = build_dc(n_nodes=4, bats={5: MB, 6: MB}, owners={5: 2, 6: 2})
+    node = dc.nodes[0]
+    dc._start_ticks()
+    node.request(1, [5, 6])
+    fut = node.pin(1, 5)
+    assert node.s2.bats_of(1) == [5, 6]
+    scanned = dc.ff._s2maps[0]  # the fast-forward scan's view of S2
+    dc.crash_node(0)
+    assert fut.done and fut.value.error == NODE_CRASHED
+    assert node.s2._by_query == {} and len(node.s2) == 0
+    assert node.s2._requests is scanned
+    assert check_invariants(dc) == []
+    # the blocked query's process tears down against the emptied tables
+    node.release_query(1)
+    dc.rejoin_node(0)
+    assert node.s2._by_query == {}
+    node.request(2, [5])
+    fut = node.pin(2, 5)
+    dc.sim.run(until=2.0)
+    assert fut.done and fut.value.ok
+    node.unpin(2, 5)
+    node.release_query(2)
+    assert check_terminal(dc) == []
+
+
+def test_request_index_invariant_names_what_the_index_misses():
+    dc = build_dc(n_nodes=3, bats={5: MB}, owners={5: 1})
+    node = dc.nodes[0]
+    dc._start_ticks()
+    node.request(1, [5])
+    assert check_request_index(dc) == []
+    # a query slipped into the entry behind the table's back
+    node.s2.get(5).queries[9] = False
+    (violation,) = check_request_index(dc)
+    assert "query 9 holds BAT 5" in violation
+    del node.s2.get(5).queries[9]
+    # a query that never reaches release_query is a leak at quiescence
+    dc.sim.run(until=2.0)
+    assert any("request index not empty" in v for v in check_terminal(dc))
+    node.release_query(1)
+    assert check_terminal(dc) == []

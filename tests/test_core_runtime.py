@@ -308,3 +308,33 @@ def test_unpin_releases_memory():
 def test_unpin_unknown_bat_is_noop():
     dc = build_dc(n_nodes=2)
     dc.nodes[0].unpin(1, 999)
+
+
+# ----------------------------------------------------------------------
+# leaving S2/S3 at the last unpin
+# ----------------------------------------------------------------------
+def test_release_query_tears_down_silently_and_finish_query_adds_the_event():
+    dc = build_dc(n_nodes=3, bats={5: MB, 6: MB}, owners={5: 1, 6: 1},
+                  resend_timeout=5.0)
+    node = dc.nodes[0]
+    dc._start_ticks()
+    dc.detach_metrics()  # the collector wants a QueryRegistered first
+    seen = []
+    dc.bus.subscribe_all(lambda event: seen.append(type(event).__name__))
+    node.request(1, [5, 6])
+    node.pin(1, 5)
+    node.request(2, [6])
+    assert set(node._resend_timers) == {5, 6}
+    del seen[:]
+
+    node.release_query(1)  # what a fetch service calls: no lifecycle event
+    assert seen == []
+    assert node.queries_finished == 0
+    assert not node.s2.has(5) and len(node.s3) == 0
+    assert set(node._resend_timers) == {6}  # query 2 still wants BAT 6
+    assert node.s2.bats_of(1) == ()
+
+    node.finish_query(2)
+    assert seen == ["QueryFinished"]
+    assert node.queries_finished == 1
+    assert len(node.s2) == 0 and node._resend_timers == {}

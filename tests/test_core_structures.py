@@ -146,7 +146,7 @@ def test_s3_drop_query():
     s3.add(5, make_wait(1))
     s3.add(5, make_wait(2))
     s3.add(6, make_wait(1))
-    s3.drop_query(1)
+    s3.drop_query(1, [5, 6])
     assert s3.waiting_queries(5) == [2]
     assert not s3.has_pins(6)
 

@@ -146,14 +146,15 @@ def test_finish_query_cancels_only_its_own_timers():
     node = dc.nodes[0]
     dc._start_ticks()
     node.request(1, [5])
-    node.request(2, [5, 6])
+    node.request(2, [6, 5])
     assert set(node._resend_timers) == {5, 6}
     # query 1 leaving keeps BAT 5's request alive (query 2 still needs it)
     assert node.s2.drop_query(1) == []
     assert set(node._resend_timers) == {5, 6}
-    # query 2 leaving empties both requests; the caller cancels exactly those
+    # query 2 leaving empties both requests; the caller cancels exactly
+    # those, named in the order query 2 registered them (table order is 5, 6)
     emptied = node.s2.drop_query(2)
-    assert sorted(emptied) == [5, 6]
+    assert emptied == [6, 5]
     for bat_id in emptied:
         node._cancel_resend(bat_id)
     assert node._resend_timers == {}

@@ -7,14 +7,15 @@ safety properties always hold:
 * **liveness** -- every submitted query eventually completes,
 * **BAT conservation** -- loads = unloads + drops once quiescent, and
   the ring drains to empty when interest ends,
-* **catalog hygiene** -- no node retains S2/S3 entries or pinned memory
-  after its queries are done,
+* **catalog hygiene** -- no node retains S2/S3 entries, request-index
+  lists or pinned memory after its queries are done,
 * **determinism** -- identical seeds give identical traces.
 """
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import DataCyclotron, DataCyclotronConfig, MB, QuerySpec
+from repro.faults.invariants import check_request_index, check_terminal
 
 SLOW = {
     "deadline": None,
@@ -127,6 +128,7 @@ def test_property_loss_never_blocks_completion(loss, queries):
         )
     assert dc.run_until_done(max_time=300.0)
     assert dc.metrics.finished_count() == len(queries)
+    assert check_terminal(dc) == []
 
 
 @settings(**SLOW)
@@ -144,7 +146,12 @@ def test_property_catalog_hygiene_after_completion(queries):
                 bat_ids=bats, processing_times=[t] * len(bats),
             )
         )
+    # mid-run, while requests and blocked pins are outstanding
+    for until in (0.05, 0.2, 0.6):
+        dc.run(until=until)
+        assert check_request_index(dc) == []
     assert dc.run_until_done(max_time=120.0)
+    assert check_terminal(dc) == []
     for node in dc.nodes:
         assert len(node.s2) == 0
         assert len(node.s3) == 0
