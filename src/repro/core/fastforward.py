@@ -60,40 +60,64 @@ __all__ = ["FastForwarder", "Flight"]
 class Flight:
     """One coalesced multi-hop traversal, pending its arrival event.
 
-    ``hops`` holds one ``(link, enqueue, tx, serialise_end, arrival)``
-    tuple per analytic hop; ``skipped`` the disinterested runtimes the
-    message passes through.  The last skipped node performs the real
-    final send when the flight completes (or is flushed past it).
+    An arc of the ring, not a list of hops.  Hop ``i`` crosses
+    ``lane[at + i]`` -- the link out of node ``(start + i*step) % n``
+    into node ``(start + (i+1)*step) % n``, the ``i``-th *skipped* node
+    -- is enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and arrives
+    at ``arrivals[i]``.  Only the arrivals are stored; :meth:`hop`
+    re-derives the rest with the float operations of the scan, in the
+    scan's order, so the result is bit-identical to what the scan saw
+    (link bandwidths only change under a fault, which lands every
+    flight first).  The last skipped node performs the real final send
+    when the flight completes (or is flushed past it).
     """
 
     __slots__ = (
-        "ff", "kind", "msg", "wire", "hops", "skipped", "event", "bat_id", "span",
+        "ff", "kind", "msg", "wire", "bat_id", "lane", "at", "start", "step",
+        "t0", "arrivals", "event",
     )
 
     def __init__(self, ff: "FastForwarder", kind: str, msg, wire: int,
-                 hops: list, skipped: list):
+                 lane: list, start: int, step: int, t0: float, arrivals: list):
         self.ff = ff
         self.kind = kind  # "bat" | "request"
         self.msg = msg
         self.wire = wire
-        self.hops = hops
-        self.skipped = skipped
-        self.event = None
         self.bat_id = msg.bat_id
-        # node_id -> hop index, so the S2-registration gate in
-        # flush_bat is one dict probe instead of a walk of ``skipped``
-        self.span = {rt.node_id: i for i, rt in enumerate(skipped)}
+        self.lane = lane
+        self.at = (start * step) % ff.n
+        self.start = start
+        self.step = step
+        self.t0 = t0
+        self.arrivals = arrivals
+        self.event = None
+
+    def hop(self, i: int) -> tuple:
+        """``(link, enqueue, tx, serialise_end, arrival)`` of hop ``i``."""
+        link = self.lane[self.at + i][1]
+        enqueue = self.arrivals[i - 1] if i else self.t0
+        tx = self.wire / link.bandwidth
+        return link, enqueue, tx, enqueue + tx, self.arrivals[i]
+
+    def hop_of_link(self, link) -> Optional[int]:
+        """Index of the hop that crosses ``link``; None off the arc."""
+        i = ((link.ring_pos - self.start) * self.step) % self.ff.n
+        if i < len(self.arrivals) and self.lane[self.at + i][1] is link:
+            return i
+        return None
+
+    def hop_into(self, node_id: int) -> Optional[int]:
+        """Index of the hop that delivers into ``node_id``; None off the arc."""
+        i = ((node_id - self.start) * self.step - 1) % self.ff.n
+        return i if i < len(self.arrivals) else None
 
     def flush(self) -> None:
         self.ff._flush_flight(self)
 
     def touch(self, link, size: int = 0) -> None:
         """A competing send of ``size`` bytes reached ``link``: flush,
-        unless the flight provably does not interact with it -- the
-        flight's message already left the sender side (the reservation
-        just lapses), or it has not reached this link yet and the
-        competing transmission drains before it would (the reservation
-        stays, guarding the hop against later, overlapping sends)."""
+        unless the flight provably does not interact with it
+        (:meth:`FastForwarder._tolerates`)."""
         if not self.ff._tolerates(self, link, size):
             self.ff._flush_flight(self)
 
@@ -102,13 +126,11 @@ class FastForwarder:
     """Per-ring rotation fast-forwarding engine."""
 
     def __init__(self, dc: "DataCyclotron"):
-        self.dc = dc
         self.sim = dc.sim
         self.bus = dc.bus
         self.config = dc.config
         self.nodes: List["NodeRuntime"] = dc.nodes
         self.n = len(dc.nodes)
-        self.ring = dc.ring
         # The fast path needs the closed form of a skipped forward to be
         # *exactly* "hops += 1, publish, send": a non-zero network CPU
         # overhead (non-RDMA transfer modes) adds per-hop core
@@ -122,21 +144,13 @@ class FastForwarder:
         # liveness monitors on the request channels; the facade clears
         # this when a detector is attached.  BAT flights are unaffected.
         self.request_enabled = True
-        self._pos: Dict[int, int] = {node.node_id: i for i, node in enumerate(dc.nodes)}
         self._req_step = 1 if self.config.requests_clockwise else -1
-        # The scan runs on every forward, so its per-hop cost decides
-        # whether coalescing pays at all: flat arrays indexed by ring
-        # position replace the attribute chains (node.s2.get,
-        # ring.data[i].link, ...) of the classic path.  All of these
-        # objects live as long as the deployment; rewires only re-point
-        # channel receivers.  Node ids are ring positions by
-        # construction -- verified here, never assumed.
+        # Node ids are ring positions by construction -- verified here,
+        # never assumed: every arc formula below depends on it.
         if any(node.node_id != i for i, node in enumerate(dc.nodes)):
             self.active = False  # pragma: no cover - facade always ids in order
-        self._s2maps = [node.s2._requests for node in dc.nodes]
-        self._s1maps = [node.s1._bats for node in dc.nodes]
-        self._data_hw = [(ch, ch.link) for ch in dc.ring.data]
-        self._req_hw = [(ch, ch.link) for ch in dc.ring.request]
+        self._bat_lane = self._lane(dc.ring.data, 1)
+        self._req_lane = self._lane(dc.ring.request, self._req_step)
         # Longest run of hops one flight may coalesce.  A flight longer
         # than the gap to the next circulating BAT is guaranteed to be
         # flushed by that BAT's next forward (it enters one of the
@@ -172,11 +186,41 @@ class FastForwarder:
         # coalescing stays on.
         self.bat_scan_ok = self.active
         self._population = 0
-        # observability
+        # observability: stats() only, no hashed summary reads these
         self.flights = 0
         self.hops_coalesced = 0
         self.flushes = 0
         self.truncations = 0
+        self.refused_debt = 0
+        self.refused_first_hop = 0
+        self.refused_short = 0
+        self.released = 0
+        self.tolerated = 0
+
+    def _lane(self, channels: list, step: int) -> list:
+        """The scan lane of messages stepping ``step`` around the ring.
+
+        Entry ``j`` is the hop out of node ``(j*step) % n`` -- travel
+        order -- as ``(channel, link, link.stats, receiver id, receiver's
+        S2 map, receiver's S1 map)``, doubled so a slice of up to n-1
+        hops never wraps.  The scan runs on every forward, so its per-hop
+        cost decides whether coalescing pays at all: one tuple unpack
+        replaces the attribute chains (node.s2.get, ring.data[i].link,
+        ...) of the classic path.  Everything is held by reference for
+        the life of the deployment: rewires only re-point channel
+        receivers, and ``RequestTable._requests``, ``OwnedCatalog._bats``
+        and ``Link.stats`` are mutated in place, never rebound.
+        """
+        n = self.n
+        lane = []
+        for j in range(n):
+            pos = (j * step) % n
+            receiver = self.nodes[(pos + step) % n]
+            link = channels[pos].link
+            link.ring_pos = pos
+            lane.append((channels[pos], link, link.stats, receiver.node_id,
+                         receiver.s2._requests, receiver.s1._bats))
+        return lane * 2
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -188,13 +232,17 @@ class FastForwarder:
         self.bat_scan_ok = False
 
     def set_population(self, count: int) -> None:
-        """The ring now circulates ``count`` BATs; regate BAT scanning.
+        """The ring's catalog now holds ``count`` BATs; regate BAT scanning.
 
-        More BATs than nodes on a small ring means the average inter-BAT
-        gap is under one hop and the data links stay busy serialising --
-        flights would be overrun before landing, and the per-forward
-        scan is wasted work.  Large rings keep scanning: even dense
-        interest leaves multi-hop disinterested runs worth coalescing.
+        ``count`` is what the facade registered (``add_bat`` /
+        ``remove_bat``): an upper bound on what circulates, not the hot
+        set.  A small ring whose catalog outnumbers its nodes is taken
+        to keep its data links busy serialising -- flights would be
+        overrun before landing, and the per-forward scan is wasted work
+        -- so 10 nodes under a 1000-BAT catalog never scan a BAT forward,
+        however few of the BATs are hot.  Large rings keep scanning: even
+        dense interest leaves multi-hop disinterested runs worth
+        coalescing.
         """
         self._population = count
         self.bat_scan_ok = self.active and not (
@@ -222,7 +270,7 @@ class FastForwarder:
         run unmodified protocol code.
 
         Without ``node_id`` (BAT added/removed, topology change) every
-        flight for the BAT is flushed, as before.
+        flight for the BAT is flushed.
         """
         flights = self._by_bat.get(bat_id)
         if node_id is None:
@@ -234,10 +282,10 @@ class FastForwarder:
             return
         now = self.sim.now
         for flight in list(flights):
-            i = flight.span.get(node_id)
+            i = flight.hop_into(node_id)
             if i is None:
                 continue
-            hop = flight.hops[i]
+            _link, enqueue, _tx, s_end, arrival = flight.hop(i)
             # At an exact tie (arrival == now) the classic run's order
             # is decided by heap seq: the delivery was scheduled at the
             # hop's serialise-end, the registering event at
@@ -245,9 +293,9 @@ class FastForwarder:
             # first it also dispatches first, so the delivery must
             # re-materialise as pending (and will see the new entry);
             # otherwise the node was already passed.
-            if hop[4] < now or (hop[4] == now and self.sim.dispatch_origin > hop[3]):
+            if arrival < now or (arrival == now and self.sim.dispatch_origin > s_end):
                 continue  # node already passed (its S2 check is behind us)
-            if hop[1] <= now:
+            if enqueue <= now:
                 # mid-hop into the node: re-materialise the crossing
                 # so the node takes a real delivery at the exact time
                 self._flush_flight(flight)
@@ -274,6 +322,7 @@ class FastForwarder:
             return False
         if self._debt >= 16:
             self._debt -= 1
+            self.refused_debt += 1
             return False
         if self.bus.version != self._bus_version:
             self._refresh_bus_caches()
@@ -281,30 +330,21 @@ class FastForwarder:
             return False
         owner = msg.owner
         bat_id = msg.bat_id
-        n = self.n
-        pos = node.node_id
-        s2maps = self._s2maps
+        lane = self._bat_lane
+        start = node.node_id  # step +1: the lane index is the position
         # Most forwards happen *inside* an interested run -- the next
         # node stops the message -- so the dominant scan outcome is a
         # first-hop failure.  Check it before paying for the full setup.
-        nxt = pos + 1
-        if nxt == n:
-            nxt = 0
-        if nxt == owner or s2maps[nxt].get(bat_id) is not None:
+        first = lane[start]
+        if first[3] == owner or bat_id in first[4]:
+            self.refused_first_hop += 1
             return False
-        nodes = self.nodes
-        hw = self._data_hw
-        hops: list = []
-        skipped: list = []
-        t = self.sim.now
-        limit = self.scan_limit
-        while len(skipped) < limit:
-            nxt = pos + 1
-            if nxt == n:
-                nxt = 0
-            if nxt == owner or s2maps[nxt].get(bat_id) is not None:
+        t = s_end = t0 = self.sim.now
+        arrivals: list = []
+        arrived = arrivals.append
+        for ch, link, _stats, nxt, s2, _s1 in lane[start:start + self.scan_limit]:
+            if nxt == owner or bat_id in s2:
                 break
-            ch, link = hw[pos]
             ft = link.ff_transit
             if ft is not None and not self._release_if_passed(ft, link):
                 break
@@ -315,18 +355,15 @@ class FastForwarder:
                 or (link.queue_capacity is not None and wire > link.queue_capacity)
             ):
                 break
-            tx = wire / link.bandwidth
-            s_end = t + tx
-            arrival = s_end + link.delay
-            hops.append((link, t, tx, s_end, arrival))
-            skipped.append(nodes[nxt])
-            t = arrival
-            pos = nxt
-        if len(skipped) < self.min_flight:
+            s_end = t + wire / link.bandwidth
+            t = s_end + link.delay
+            arrived(t)
+        if len(arrivals) < self.min_flight:
             # a short flight saves a couple of net events but pays for
             # the whole flight machinery; let the classic path handle it
+            self.refused_short += 1
             return False
-        self._launch(Flight(self, "bat", msg, wire, hops, skipped), t)
+        self._launch(Flight(self, "bat", msg, wire, lane, start, 1, t0, arrivals), s_end)
         return True
 
     def send_request(self, node: "NodeRuntime", msg: "RequestMessage") -> bool:
@@ -335,6 +372,7 @@ class FastForwarder:
             return False
         if self._debt >= 16:
             self._debt -= 1
+            self.refused_debt += 1
             return False
         if self.bus.version != self._bus_version:
             self._refresh_bus_caches()
@@ -342,33 +380,28 @@ class FastForwarder:
             return False
         origin = msg.origin
         bat_id = msg.bat_id
-        n = self.n
+        lane = self._req_lane
+        start = node.node_id
         step = self._req_step
-        pos = node.node_id
-        s1maps = self._s1maps
-        s2maps = self._s2maps
+        at = (start * step) % self.n
         # first-hop failure is the common case; check before full setup
-        nxt = (pos + step) % n
-        if nxt == origin or s2maps[nxt].get(bat_id) is not None:
-            return False
-        owned = s1maps[nxt].get(bat_id)
-        if owned is not None and not owned.deleted:
+        first = lane[at]
+        owned = first[5].get(bat_id)
+        if first[3] == origin or bat_id in first[4] or (
+            owned is not None and not owned.deleted
+        ):
+            self.refused_first_hop += 1
             return False
         wire = self.config.request_message_size
-        nodes = self.nodes
-        hw = self._req_hw
-        hops: list = []
-        skipped: list = []
-        t = self.sim.now
-        limit = self.scan_limit
-        while len(skipped) < limit:
-            nxt = (pos + step) % n
-            if nxt == origin or s2maps[nxt].get(bat_id) is not None:
+        t = s_end = t0 = self.sim.now
+        arrivals: list = []
+        arrived = arrivals.append
+        for ch, link, _stats, nxt, s2, s1 in lane[at:at + self.scan_limit]:
+            if nxt == origin or bat_id in s2:
                 break
-            owned = s1maps[nxt].get(bat_id)
+            owned = s1.get(bat_id)
             if owned is not None and not owned.deleted:  # s1.owns, inlined
                 break
-            ch, link = hw[pos]
             ft = link.ff_transit
             if ft is not None and not self._release_if_passed(ft, link):
                 break
@@ -379,57 +412,59 @@ class FastForwarder:
                 or (link.queue_capacity is not None and wire > link.queue_capacity)
             ):
                 break
-            tx = wire / link.bandwidth
-            s_end = t + tx
-            arrival = s_end + link.delay
-            hops.append((link, t, tx, s_end, arrival))
-            skipped.append(nodes[nxt])
-            t = arrival
-            pos = nxt
-        if len(skipped) < self.min_flight:
+            s_end = t + wire / link.bandwidth
+            t = s_end + link.delay
+            arrived(t)
+        if len(arrivals) < self.min_flight:
+            self.refused_short += 1
             return False
-        self._launch(Flight(self, "request", msg, wire, hops, skipped), t)
+        flight = Flight(self, "request", msg, wire, lane, start, step, t0, arrivals)
+        self._launch(flight, s_end)
         return True
 
     # ------------------------------------------------------------------
     # flight mechanics
     # ------------------------------------------------------------------
-    def _launch(self, flight: Flight, arrival: float) -> None:
-        for hop in flight.hops:
-            hop[0].ff_transit = flight
+    def _launch(self, flight: Flight, s_end: float) -> None:
+        """Reserve the arc and schedule the landing; ``s_end`` is the
+        last hop's serialise-end, carried out of the scan."""
+        arrivals = flight.arrivals
+        at = flight.at
+        for entry in flight.lane[at:at + len(arrivals)]:
+            entry[1].ff_transit = flight
         self._by_bat.setdefault(flight.bat_id, []).append(flight)
         # the completion stands in for the classic delivery into the last
         # skipped node, which the wire would have scheduled at that hop's
-        # serialise-end: stamp it so same-instant ties dispatch in the
-        # classic order
+        # serialise-end: stamped so, same-instant ties dispatch classically
         flight.event = self.sim.schedule_backdated_at(
-            arrival, flight.hops[-1][3], self._complete, flight
+            arrivals[-1], s_end, self._complete, flight
         )
         self.flights += 1
-        self.hops_coalesced += len(flight.hops)
+        self.hops_coalesced += len(arrivals)
 
     def _release_if_passed(self, flight: Flight, link) -> bool:
-        """Release ``link``'s reservation if ``flight`` has analytically
-        left its *sender* side already (serialisation over that hop ended
-        in the past -- the classic wire frees at serialise-end, while the
-        message propagates for ``delay`` more).  A competing transmission
-        started now serialises after ours ended and delivers a full
-        ``tx`` later, so FIFO order at the far node is preserved.  The
-        hop's lazy accounting still lands with the flight; every counter
-        it touches is order-insensitive, so a later competing send sees
-        exactly the link state a classic run would show now.  At an
-        exact serialise-end tie the wire is free only if the classic
-        serialise-end event (scheduled at the hop's enqueue) would have
-        dispatched before the currently running one."""
+        """Release ``link``'s reservation if ``flight``, which holds it,
+        has analytically left its *sender* side already (serialisation
+        over that hop ended in the past -- the classic wire frees at
+        serialise-end, while the message propagates for ``delay`` more).
+        A competing transmission started now serialises after ours ended
+        and delivers a full ``tx`` later, so FIFO order at the far node
+        is preserved.  The hop's lazy accounting still lands with the
+        flight: every counter it touches is an integer sum or a maximum,
+        hence order-insensitive, so the landed link reads exactly as in
+        a classic run.  At an exact serialise-end tie the wire is free
+        only if the classic serialise-end event (scheduled at the hop's
+        enqueue) would have dispatched before the running one."""
+        # hop_of_link + hop, inlined: runs per reserved link per scan
+        i = ((link.ring_pos - flight.start) * flight.step) % self.n
+        enqueue = flight.arrivals[i - 1] if i else flight.t0
+        s_end = enqueue + flight.wire / link.bandwidth
         now = self.sim.now
-        origin = self.sim.dispatch_origin
-        for hop in flight.hops:
-            if hop[0] is link:
-                if hop[3] < now or (hop[3] == now and origin > hop[1]):
-                    link.ff_transit = None
-                    return True
-                return False
-        return False  # pragma: no cover - defensive
+        if s_end < now or (s_end == now and self.sim.dispatch_origin > enqueue):
+            link.ff_transit = None
+            self.released += 1
+            return True
+        return False
 
     def _tolerates(self, flight: Flight, link, size: int) -> bool:
         """True if a competing send of ``size`` bytes on ``link`` right
@@ -441,99 +476,95 @@ class FastForwarder:
         this link yet and everything ahead of it -- the serialisation in
         progress, the queue, and the competing message itself -- drains
         *strictly* before the flight's analytic enqueue: the classic run
-        would find the sender free again at that enqueue, so the
-        precomputed hop times stay bit-exact.  (An exact-tie drain is
-        not tolerated: the flight's enqueue-side delivery was scheduled
-        before the last competing serialise-end, so classically it
-        dispatches first and would find the wire busy.)  The reservation
-        is kept in that case -- a later send could still overlap the
-        analytic crossing.
+        would find the sender free again at that enqueue, so the hop
+        times stay bit-exact.  (An exact-tie drain is not tolerated: the
+        flight's enqueue-side delivery was scheduled before the last
+        competing serialise-end, so classically it dispatches first and
+        would find the wire busy.)  The reservation is kept in that case
+        -- a later send could still overlap the analytic crossing.
 
         The drain bound is what keeps unrelated traffic cheap: a
         gateway-induced hop (a 64-byte fetch request, say) crossing a
         link some other BAT's flight reserved queues behind nothing and
         drains in microseconds, so it rides through without tearing the
-        flight down.  Only traffic that genuinely overlaps the analytic
-        crossing forces a flush.
+        flight down.  Only traffic that overlaps the crossing flushes.
         """
+        i = flight.hop_of_link(link)
+        if i is None:
+            return False  # pragma: no cover - defensive
+        enqueue = flight.arrivals[i - 1] if i else flight.t0
         now = self.sim.now
-        for hop in flight.hops:
-            if hop[0] is link:
-                if hop[3] < now or (
-                    hop[3] == now and self.sim.dispatch_origin > hop[1]
-                ):
-                    link.ff_transit = None
-                    return True
-                if now < hop[1]:
-                    bandwidth = link.bandwidth
-                    drain = link._busy_until if link._busy else now
-                    if link._queue:
-                        drain += link._queued_bytes / bandwidth
-                    drain += size / bandwidth
-                    if drain < hop[1]:
-                        return True
-                return False
-        return False  # pragma: no cover - defensive
+        if now >= enqueue:  # crossing it, or crossed
+            return self._release_if_passed(flight, link)
+        bandwidth = link.bandwidth
+        drain = link._busy_until if link._busy else now
+        if link._queue:
+            drain += link._queued_bytes / bandwidth
+        drain += size / bandwidth
+        if drain < enqueue:
+            self.tolerated += 1
+            return True
+        return False
 
     def _truncate(self, flight: Flight, stop: int) -> None:
-        """Shorten ``flight`` so it lands *before* ``skipped[stop]``.
+        """Shorten ``flight`` so it lands *before* skipped node ``stop``.
 
         Only valid while the message has not yet entered hop ``stop``
-        (``now < hops[stop][1]``), which also implies ``stop >= 1`` --
-        hop 0's enqueue is the launch instant.  The dropped hops release
-        their reservations, and the completion event moves up to the
-        arrival at the new last skipped node; its live final send then
-        enqueues on hop ``stop``'s link at exactly ``hops[stop][1]``,
+        (``now < hop(stop)`` enqueue), which also implies ``stop >= 1``
+        -- hop 0's enqueue is the launch instant.  The dropped hops
+        release their reservations, and the completion event moves up to
+        the arrival at the new last skipped node; its live final send
+        then enqueues on hop ``stop``'s link at exactly that arrival,
         the time the classic message would have entered it.
         """
-        hops = flight.hops
-        for hop in hops[stop:]:
-            if hop[0].ff_transit is flight:
-                hop[0].ff_transit = None
-        self.hops_coalesced -= len(hops) - stop
+        arrivals = flight.arrivals
+        self._release(flight, stop)
+        self.hops_coalesced -= len(arrivals) - stop
         self.truncations += 1
-        flight.hops = hops[:stop]
-        flight.skipped = flight.skipped[:stop]
-        flight.span = {rt.node_id: j for j, rt in enumerate(flight.skipped)}
+        del arrivals[stop:]
         flight.event.cancel()
         flight.event = self.sim.schedule_backdated_at(
-            hops[stop - 1][4], hops[stop - 1][3], self._complete, flight
+            arrivals[-1], flight.hop(stop - 1)[3], self._complete, flight
         )
 
-    def _unregister(self, flight: Flight) -> None:
-        # released links may have been re-claimed by a younger flight
-        for hop in flight.hops:
-            if hop[0].ff_transit is flight:
-                hop[0].ff_transit = None
+    def _release(self, flight: Flight, since: int = 0) -> None:
+        """Clear the reservations of hops ``since`` onwards that the
+        flight still holds: released links may have been re-claimed by
+        a younger flight."""
+        at = flight.at
+        for entry in flight.lane[at + since:at + len(flight.arrivals)]:
+            if entry[1].ff_transit is flight:
+                entry[1].ff_transit = None
+
+    def _forget(self, flight: Flight) -> None:
         flights = self._by_bat.get(flight.bat_id)
         if flights is not None:
             flights.remove(flight)
             if not flights:
                 del self._by_bat[flight.bat_id]
 
-    def _account_hop(self, link, tx: float, wire: int) -> None:
+    def _account_hop(self, stats, wire: int) -> None:
         """Closed form of one completed hop's link accounting."""
-        stats = link.stats
         stats.messages_sent += 1
         stats.messages_delivered += 1
         stats.bytes_sent += wire
         stats.bytes_delivered += wire
-        stats.busy_time += tx
         if stats.max_queue_bytes < wire:
             stats.max_queue_bytes = wire
 
-    def _publish_forward(self, flight: Flight, runtime, when: float) -> None:
-        bus = self.bus
-        if not bus.active:
-            return
-        if flight.kind == "bat":
-            bus.publish(ev.BatForwarded(when, flight.bat_id, runtime.node_id))
-        else:
-            bus.publish(ev.RequestForwarded(when, flight.bat_id, runtime.node_id))
+    def _publish_forwards(self, flight: Flight, count: int) -> None:
+        """The forwards of the first ``count`` skipped nodes, at their
+        original per-hop timestamps, in hop order."""
+        publish = self.bus.publish
+        event = ev.BatForwarded if flight.kind == "bat" else ev.RequestForwarded
+        bat_id = flight.bat_id
+        at = flight.at
+        for when, entry in zip(flight.arrivals, flight.lane[at:at + count]):
+            publish(event(when, bat_id, entry[3]))
 
     def _final_send(self, flight: Flight) -> None:
         """The real send into the stop node, by the last skipped runtime."""
-        last = flight.skipped[-1]
+        last = self.nodes[flight.lane[flight.at + len(flight.arrivals) - 1][3]]
         if flight.kind == "bat":
             last.forward_bat(flight.msg)
         else:
@@ -547,32 +578,32 @@ class FastForwarder:
         """The flight's arrival event: apply the closed form, send on."""
         if self._debt > 0:
             self._debt -= 1
-        self._unregister(flight)
         wire = flight.wire
-        hops = flight.hops
-        k = len(hops)
-        for hop in hops:  # _account_hop, inlined for the hot path
-            stats = hop[0].stats
+        arrivals = flight.arrivals
+        k = len(arrivals)
+        lane = flight.lane
+        at = flight.at
+        # one pass per hop: _release and _account_hop, inlined
+        for _ch, link, stats, _nxt, _s2, _s1 in lane[at:at + k]:
+            if link.ff_transit is flight:
+                link.ff_transit = None
             stats.messages_sent += 1
             stats.messages_delivered += 1
             stats.bytes_sent += wire
             stats.bytes_delivered += wire
-            stats.busy_time += hop[2]
             if stats.max_queue_bytes < wire:
                 stats.max_queue_bytes = wire
+        self._forget(flight)
         flight.msg.hops += k
-        # forwards by every skipped node but the last, at their original
-        # per-hop timestamps; the last forwards live via _final_send
+        # every skipped node but the last: it forwards live via _final_send
         if self.bus.active:
-            for m in range(k - 1):
-                self._publish_forward(flight, flight.skipped[m], hops[m][4])
+            self._publish_forwards(flight, k - 1)
         # k analytic hops cost 2k classic events; this callback was one
         self.sim.credit(2 * k - 1)
         if self._wants_ff:
             self.bus.publish(
                 RotationFastForwarded(
-                    self.sim.now, flight.kind, flight.bat_id,
-                    flight.skipped[-1].node_id, k,
+                    self.sim.now, flight.kind, flight.bat_id, lane[at + k - 1][3], k
                 )
             )
         self._final_send(flight)
@@ -583,7 +614,7 @@ class FastForwarder:
         Hops whose arrival has passed get their full closed-form
         accounting; the hop the message is currently crossing is put
         back onto its link (busy flag, in-flight list, a real
-        serialisation/delivery event at the precomputed instant, with
+        serialisation/delivery event at the re-derived instant, with
         its classic scheduling time stamped for same-instant ordering)
         so every subsequent interaction -- a competing send queueing
         behind it, a degradation, a crash purge -- behaves exactly as
@@ -595,46 +626,46 @@ class FastForwarder:
         ``dispatch_origin``, and the heap dispatches the earlier-
         scheduled one first.
         """
-        self._unregister(flight)
+        self._release(flight)
+        self._forget(flight)
         flight.event.cancel()
         self.flushes += 1
         if self._debt < 64:
             self._debt += 4
-        now = self.sim.now
         sim = self.sim
+        now = sim.now
         wire = flight.wire
         msg = flight.msg
-        hops = flight.hops
-        k = len(hops)
+        arrivals = flight.arrivals
+        k = len(arrivals)
+        lane = flight.lane
+        at = flight.at
         done = 0
-        while done < k and hops[done][4] < now:
+        while done < k and arrivals[done] < now:
             done += 1
         if (
             done < k
-            and hops[done][4] == now
-            and sim.dispatch_origin > hops[done][3]
+            and arrivals[done] == now
+            and sim.dispatch_origin > flight.hop(done)[3]
         ):
             done += 1
-        for m in range(done):
-            self._account_hop(hops[m][0], hops[m][2], wire)
+        for entry in lane[at:at + done]:
+            self._account_hop(entry[2], wire)
         msg.hops += done
-        if done == k:
-            # past every analytic hop: only the live final send remains,
+        if self.bus.active:
+            # past every analytic hop only the live final send remains,
             # and _final_send publishes the last node's forward itself
-            for m in range(done - 1):
-                self._publish_forward(flight, flight.skipped[m], hops[m][4])
+            self._publish_forwards(flight, done - 1 if done == k else done)
+        if done == k:
             sim.credit(2 * k)
             self._final_send(flight)
             return
-        for m in range(done):
-            self._publish_forward(flight, flight.skipped[m], hops[m][4])
         # the message is crossing hop ``done``: sender-side accounting
         # happened at enqueue time in the classic run, delivery has not
-        link, enq, tx, s_end, arrival = hops[done]
+        link, enq, _tx, s_end, arrival = flight.hop(done)
         stats = link.stats
         stats.messages_sent += 1
         stats.bytes_sent += wire
-        stats.busy_time += tx
         if stats.max_queue_bytes < wire:
             stats.max_queue_bytes = wire
         link._in_flight.append((msg, wire))
@@ -658,4 +689,13 @@ class FastForwarder:
             "flushes": self.flushes,
             "truncations": self.truncations,
             "events_credited": self.sim.credited,
+            # why a workload does (not) coalesce: a counter per way a scan
+            # declines or a flight survives a competing send, and the gate
+            "refused_debt": self.refused_debt,
+            "refused_first_hop": self.refused_first_hop,
+            "refused_short": self.refused_short,
+            "released": self.released,
+            "tolerated": self.tolerated,
+            "bat_scan_ok": self.bat_scan_ok,
+            "population": self._population,
         }

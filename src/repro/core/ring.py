@@ -274,16 +274,25 @@ class DataCyclotron:
         if self.resilience is not None:
             self.resilience.start()
 
+    # Both ticks follow work: on a large, mostly idle ring the calls into
+    # nodes that cannot act were the cost of the tick.  The skips are
+    # exact -- each names a state in which the callee returns unchanged.
     def _tick_load_all(self) -> None:
         for node in self.nodes:
-            if not node.crashed:
+            # DataLoader.load_all starts nothing unless a load is pending
+            if node.s1.pending_count and not node.crashed:
                 node.tick_load_all()
         self.sim.post(self.config.load_all_interval, self._tick_load_all)
 
     def _tick_loit(self) -> None:
-        for node in self.nodes:
-            if not node.crashed:
-                node.tick_loit()
+        # LoitController.observe cannot move a static threshold, nor step
+        # up from an empty queue (load 0), nor down from level 0
+        if self.config.loit_static is None:
+            for node in self.nodes:
+                if (
+                    node.out_data.link._queued_bytes or node.loit.level
+                ) and not node.crashed:
+                    node.tick_loit()
         self.sim.post(self.config.loit_adapt_interval, self._tick_loit)
 
     def run(self, until: float) -> None:

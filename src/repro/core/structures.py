@@ -57,6 +57,7 @@ class OwnedCatalog:
     """S1: all BATs owned by the local node."""
 
     def __init__(self) -> None:
+        # never rebound: the fast-forward request lane holds it by reference
         self._bats: Dict[int, OwnedBat] = {}
         # entries with the pending flag up; lets the loadAll tick skip
         # the full catalog scan when nothing is waiting (the common case)
@@ -174,6 +175,8 @@ class RequestTable:
     """
 
     def __init__(self) -> None:
+        # mutated in place, never rebound: the fast-forward scan lanes
+        # hold this dict by reference (repro.core.fastforward)
         self._requests: Dict[int, OutstandingRequest] = {}
         self._by_query: Dict[int, List[int]] = {}
 

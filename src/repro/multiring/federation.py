@@ -490,6 +490,10 @@ class RingFederation(FederationHost):
         return rows
 
     def summary(self) -> dict:
+        # land every ring's coalesced flights first, as
+        # DataCyclotron.summary() does: their event credits are still owed
+        for ring in self.rings:
+            ring.ff.flush_all()
         out = {
             "n_rings": len(self.rings),
             "active_rings": list(self.active_rings),

@@ -124,7 +124,10 @@ class Channel:
         """Apply a link-degradation fault; returns the pre-fault settings.
 
         Bandwidth and delay changes affect messages serialised after the
-        call; messages already on the wire keep their old timing.
+        call; messages already on the wire keep their old timing.  Only
+        the flight holding *this* link is landed here; a deployment with
+        a fast-forwarder disables it first (``DataCyclotron.degrade_link``),
+        so no other flight still owes this link a hop at the old bandwidth.
         """
         if bandwidth_factor <= 0:
             raise ValueError("bandwidth_factor must be positive")
@@ -136,7 +139,7 @@ class Channel:
             "delay": self.link.delay,
             "loss_rate": self.loss_rate,
         }
-        self.link.bandwidth = self.link.bandwidth * bandwidth_factor
+        self.link.set_bandwidth(self.link.bandwidth * bandwidth_factor)
         self.link.delay = self.link.delay + extra_delay
         if loss_rate is not None:
             # unlike the constructor, a blackout (1.0) is allowed here:
@@ -150,7 +153,7 @@ class Channel:
         """Undo a :meth:`degrade`, restoring the saved settings."""
         if self.link.ff_transit is not None:
             self.link.ff_transit.flush()
-        self.link.bandwidth = settings["bandwidth"]
+        self.link.set_bandwidth(settings["bandwidth"])
         self.link.delay = settings["delay"]
         self.loss_rate = settings["loss_rate"]
 

@@ -41,7 +41,6 @@ class LinkStats:
     bytes_sent: int = 0
     bytes_delivered: int = 0
     bytes_dropped: int = 0
-    busy_time: float = 0.0
     # queue high-water mark in bytes
     max_queue_bytes: int = field(default=0)
 
@@ -100,7 +99,13 @@ class Link:
         self._wants_tx = False
         self._wants_rx = False
         self._wants_drop = False
+        # mutated in place, never rebound: the fast-forwarder's lanes cache
+        # this object per hop (repro.core.fastforward)
         self.stats = LinkStats()
+        # busy_time is derived, not accumulated: seconds folded at the last
+        # bandwidth change, and ``stats.bytes_sent`` at that fold
+        self._busy_base = 0.0
+        self._busy_mark = 0
         self._queue: Deque[Tuple[Any, int]] = deque()
         self._queued_bytes = 0
         self._busy = False
@@ -112,6 +117,8 @@ class Link:
         # if any (repro.core.fastforward); a competing send flushes it
         # back into real link state before queueing behind it
         self.ff_transit = None
+        # ring position of the sending node, written by the forwarder
+        self.ring_pos = -1
         # messages serialising or propagating (popped from the queue but
         # not yet delivered); fault injection needs to see what is on the
         # wire to account for crash-time losses and ring-byte conservation
@@ -167,6 +174,23 @@ class Link:
         """Serialisation + propagation time for an unqueued message."""
         return size / self.bandwidth + self.delay
 
+    @property
+    def busy_time(self) -> float:
+        """Seconds spent serialising: bytes sent over bandwidth, summed per
+        bandwidth epoch.  Integer sums and one division per epoch, so the
+        value does not depend on the order messages were accounted in --
+        a fast-forwarded run reads bit-identical to a classic one."""
+        return self._busy_base + (self.stats.bytes_sent - self._busy_mark) / self.bandwidth
+
+    def set_bandwidth(self, bandwidth: float) -> None:
+        """Change the bandwidth for messages serialised from now on,
+        closing the busy-time epoch of the old one."""
+        if bandwidth <= 0:
+            raise ValueError("bandwidth must be positive")
+        self._busy_base = self.busy_time
+        self._busy_mark = self.stats.bytes_sent
+        self.bandwidth = bandwidth
+
     # ------------------------------------------------------------------
     def send(self, message: Any, size: int) -> bool:
         """Enqueue ``message`` of ``size`` bytes; False if DropTail dropped it."""
@@ -214,7 +238,6 @@ class Link:
         self._busy_until = self.sim.now + tx_time
         self.stats.messages_sent += 1
         self.stats.bytes_sent += size
-        self.stats.busy_time += tx_time
         bus = self.bus
         if bus is not None:
             if bus.version != self._bus_version:

@@ -273,7 +273,9 @@ def test_crash_empties_the_request_index_and_restart_starts_clean():
     node.request(1, [5, 6])
     fut = node.pin(1, 5)
     assert node.s2.bats_of(1) == [5, 6]
-    scanned = dc.ff._s2maps[0]  # the fast-forward scan's view of S2
+    # the fast-forward scan's view of node 0's S2: lane entries hold
+    # (channel, link, stats, receiver id, receiver's S2 map, S1 map)
+    scanned = next(entry[4] for entry in dc.ff._bat_lane if entry[3] == 0)
     dc.crash_node(0)
     assert fut.done and fut.value.error == NODE_CRASHED
     assert node.s2._by_query == {} and len(node.s2) == 0

@@ -101,8 +101,8 @@ def test_flush_bat_rematerialises_the_flight():
 def test_passed_hop_release_keeps_the_flight_alive():
     dc = sparse_ring()
     flight = launch_flight(dc)
-    first_link, _enq, _tx, _s_end, first_arrival = flight.hops[0]
-    last_arrival = flight.hops[-1][4]
+    first_link, _enq, _tx, _s_end, first_arrival = flight.hop(0)
+    last_arrival = flight.arrivals[-1]
     assert first_link.ff_transit is flight
 
     checked = []
@@ -129,7 +129,7 @@ def test_passed_hop_release_keeps_the_flight_alive():
 def test_touch_on_future_hop_tolerates_non_overlapping_sends():
     dc = sparse_ring()
     flight = launch_flight(dc)
-    last_link, last_enqueue = flight.hops[-1][0], flight.hops[-1][1]
+    last_link, last_enqueue = flight.hop(len(flight.arrivals) - 1)[:2]
     before = dc.ff.flushes
     # the message has not reached the final reserved hop, and a small
     # competing transmission drains before it analytically would: the
@@ -144,7 +144,7 @@ def test_touch_on_future_hop_tolerates_non_overlapping_sends():
 def test_touch_on_future_hop_flushes_on_overlap():
     dc = sparse_ring()
     flight = launch_flight(dc)
-    last_link, last_enqueue = flight.hops[-1][0], flight.hops[-1][1]
+    last_link, last_enqueue = flight.hop(len(flight.arrivals) - 1)[:2]
     before = dc.ff.flushes
     # a competing send still serialising at the flight's analytic
     # enqueue invalidates the precomputed hop times: flush

@@ -1,6 +1,8 @@
 """System-level integration tests of the DataCyclotron facade."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import QuerySpec
 
@@ -201,6 +203,74 @@ def test_loit_adapts_under_pressure():
     dc.run_until_done(max_time=60.0)
     assert any(len(n.loit_history) > 1 for n in dc.nodes)
     assert dc.metrics.loit_changes > 0
+
+
+# ----------------------------------------------------------------------
+# the periodic ticks follow work: a skipped node is one whose tick would
+# have returned unchanged (exact, not approximate)
+# ----------------------------------------------------------------------
+def ticked_nodes(dc, tick: str, facade_tick) -> set:
+    """Run one facade tick; which nodes did it call into?"""
+    called = set()
+    for node in dc.nodes:
+        setattr(node, tick, lambda node=node: called.add(node.node_id))
+    facade_tick()
+    return called
+
+
+node_states = st.lists(
+    st.tuples(
+        st.integers(0, 3 * MB) | st.just(0),  # bytes queued on the data link
+        st.integers(0, 2),                    # LOIT level
+        st.booleans(),                        # crashed
+    ),
+    min_size=5, max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    states=node_states,
+    static=st.none() | st.floats(0.0, 2.0),
+    low=st.floats(0.0, 0.5),
+    gap=st.floats(0.01, 0.5),
+)
+def test_loit_tick_skips_only_nodes_observe_cannot_move(states, static, low, gap):
+    dc = build_dc(
+        n_nodes=5, bat_queue_capacity=2 * MB, loit_static=static,
+        loit_low_watermark=low, loit_high_watermark=low + gap,
+    )
+    for node, (queued, level, crashed) in zip(dc.nodes, states):
+        node.out_data.link._queued_bytes = queued
+        node.loit.level = level
+        node.crashed = crashed
+    called = ticked_nodes(dc, "tick_loit", dc._tick_loit)
+    for node, (queued, level, crashed) in zip(dc.nodes, states):
+        if node.node_id in called:
+            assert not crashed  # never ticks a corpse, as before
+            continue
+        if crashed:
+            continue
+        # skipped: the real tick would have observed this load and left
+        # both the threshold and the ladder position where they were
+        before = node.loit.threshold
+        assert node.loit.observe(queued / dc.config.bat_queue_capacity) == before
+        assert node.loit.level == level
+        assert node.loit.adjustments_up == node.loit.adjustments_down == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=5, max_size=5))
+def test_load_all_tick_skips_only_nodes_with_nothing_pending(states):
+    dc = build_dc(n_nodes=5)
+    for node, (pending, crashed) in zip(dc.nodes, states):
+        node.s1.pending_count = pending
+        node.crashed = crashed
+    called = ticked_nodes(dc, "tick_load_all", dc._tick_load_all)
+    assert called == {
+        node.node_id for node, (pending, crashed) in zip(dc.nodes, states)
+        if pending and not crashed
+    }
 
 
 def test_run_until_done_times_out_honestly():

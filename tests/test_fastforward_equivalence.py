@@ -7,13 +7,17 @@ every link counter and the processed-event count must match a classic
 run byte for byte -- floats included, because the closed-form per-hop
 times are computed with the same stepwise arithmetic the classic path
 uses.  This suite sweeps seeds, workload shapes, the resilience
-detector and a shared-clock federation; any drift is a correctness bug
-in the fast path, never an acceptable approximation.
+detector, a shared-clock federation and a sparse 64-node ring with mixed
+BAT sizes in both request directions; any drift is a correctness bug in
+the fast path, never an acceptable approximation.
 """
+
+import random
 
 import pytest
 
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
+from repro.core.query import QuerySpec
 from repro.multiring import MultiRingConfig, RingFederation
 from repro.workloads.base import UniformDataset, populate_ring
 from repro.workloads.gaussian import GaussianWorkload
@@ -49,12 +53,16 @@ def run_summary(seed: int, workload: str, fast_forward: bool,
         wl = UniformWorkload(dataset, **kwargs)
     wl.submit_to(dc)
     assert dc.run_until_done(max_time=300.0)
+    return observables(dc)
+
+
+def observables(dc: DataCyclotron) -> dict:
+    """``summary()`` plus the non-summary observables that must also agree."""
     summary = dc.summary()
-    # stash non-summary observables that must also agree
     summary["_processed"] = dc.sim.processed
     summary["_link_stats"] = [
         (ch.link.stats.messages_sent, ch.link.stats.bytes_sent,
-         ch.link.stats.messages_delivered, repr(ch.link.stats.busy_time),
+         ch.link.stats.messages_delivered, repr(ch.link.busy_time),
          ch.link.stats.max_queue_bytes)
         for ch in (*dc.ring.data, *dc.ring.request)
     ]
@@ -103,12 +111,13 @@ def run_federation_summary(seed: int, fast_forward: bool) -> dict:
     assert fed.run_until_done(max_time=60.0)
     if fast_forward:
         assert sum(ring.ff.stats()["flights"] for ring in fed.rings) > 0
-    # unlike DataCyclotron.summary(), the federation's does not land
-    # its rings' open flights: their credits are still owed
-    for ring in fed.rings:
-        ring.ff.flush_all()
     summary = fed.summary()
     assert summary["fetches_served"] > 0, "no cross-ring traffic"
+    # summary() landed every ring's open flights itself: an explicit
+    # flush finds nothing left to credit
+    for ring in fed.rings:
+        ring.ff.flush_all()
+    assert summary["events_processed"] == fed.sim.processed
     summary["_processed"] = fed.sim.processed
     return summary
 
@@ -116,3 +125,43 @@ def run_federation_summary(seed: int, fast_forward: bool) -> dict:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_federation_summary_bit_identical(seed: int):
     assert run_federation_summary(seed, True) == run_federation_summary(seed, False)
+
+
+def run_sparse_mixed(seed: int, fast_forward: bool, requests_clockwise: bool,
+                     attached: bool):
+    """64 nodes, 8 BATs alternating 1 MB / 2 MB, two of them hot, Poisson
+    3 q/s x 120 s: long flights (tens of hops) of two wire sizes, so the
+    hops a link accounts at *landing* interleave differently from the
+    ones it accounts at *transmit*."""
+    dc = DataCyclotron(DataCyclotronConfig(
+        n_nodes=64, seed=seed, fast_forward=fast_forward,
+        requests_clockwise=requests_clockwise,
+    ))
+    if not attached:
+        dc.detach_metrics()
+    for bat_id in range(8):
+        dc.add_bat(bat_id, (1 + bat_id % 2) * MB)
+    rng = random.Random(seed)
+    arrival, query_id = rng.expovariate(3.0), 0
+    while arrival < 120.0:
+        dc.submit(QuerySpec.simple(
+            query_id, rng.randrange(64), arrival, [rng.randrange(2)], [0.002]
+        ))
+        arrival += rng.expovariate(3.0)
+        query_id += 1
+    assert dc.run_until_done(max_time=3600.0)
+    return observables(dc), dc.ff.stats()
+
+
+# seeds on which the parent of the derived ``Link.busy_time`` differed
+# between on and off, in ``repr(busy_time)`` of 7-25 links and nothing else
+@pytest.mark.parametrize("attached", [True, False], ids=["attached", "detached"])
+@pytest.mark.parametrize("requests_clockwise", [False, True], ids=["anti", "clockwise"])
+@pytest.mark.parametrize("seed", [5, 7])
+def test_sparse_mixed_sizes_bit_identical(seed, requests_clockwise, attached):
+    on, stats = run_sparse_mixed(seed, True, requests_clockwise, attached)
+    off, _ = run_sparse_mixed(seed, False, requests_clockwise, attached)
+    assert on == off
+    # every path that re-derives a hop from the arc ran in the ``on`` leg
+    for path in ("flights", "flushes", "truncations", "released", "tolerated"):
+        assert stats[path] > 0, path

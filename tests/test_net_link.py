@@ -86,7 +86,24 @@ def test_stats_accumulate():
     assert link.stats.messages_sent == 2
     assert link.stats.bytes_sent == 1_000_000
     assert link.stats.messages_delivered == 2
-    assert link.stats.busy_time == pytest.approx(1.0)
+    assert link.busy_time == pytest.approx(1.0)
+
+
+def test_busy_time_is_bytes_over_bandwidth_per_bandwidth_epoch():
+    # derived, not accumulated: one division per epoch, so the value
+    # cannot depend on the order the messages were accounted in
+    sim, link, _ = make_link(bandwidth=1e6, delay=0.0)
+    for size in (300_000, 100_000, 200_000):
+        link.send("x", size)
+    sim.run()
+    assert link.busy_time == 600_000 / 1e6
+    link.set_bandwidth(4e6)  # a degrade/restore closes the epoch
+    assert link.busy_time == 600_000 / 1e6
+    link.send("y", 1_000_000)
+    sim.run()
+    assert link.busy_time == 600_000 / 1e6 + 1_000_000 / 4e6
+    with pytest.raises(ValueError):
+        link.set_bandwidth(0.0)
 
 
 def test_zero_size_message():
