@@ -19,61 +19,30 @@ the direction of the effect:
 """
 
 import statistics
+from dataclasses import replace
 
 from bench_utils import write_result
-from repro.core import DataCyclotron, DataCyclotronConfig, MB, new_loi
+from repro import experiments
+from repro.core import MB, new_loi
 from repro.metrics.report import render_table
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.skewed import SkewedWorkload, paper_phases
-from repro.workloads.uniform import UniformWorkload
 
-
-def build(seed=21, **overrides):
-    dataset = UniformDataset(n_bats=150, min_size=MB, max_size=2 * MB, seed=seed)
-    defaults = {
-        "n_nodes": 4,
-        "bandwidth": 40 * MB,
-        "bat_queue_capacity": 15 * MB,
-        "resend_timeout": 5.0,
-        "seed": seed,
-    }
-    defaults.update(overrides)
-    dc = DataCyclotron(DataCyclotronConfig(**defaults))
-    populate_ring(dc, dataset)
-    return dc, dataset
-
-
-def submit_uniform(dc, dataset, seed=21):
-    workload = UniformWorkload(
-        dataset, n_nodes=4, queries_per_second=20, duration=10,
-        min_bats=1, max_bats=3, min_proc_time=0.05, max_proc_time=0.1, seed=seed,
-    )
-    return workload.submit_to(dc)
+SEED = 21
 
 
 # ----------------------------------------------------------------------
-def test_ablation_loi_formula(benchmark):
+def test_ablation_loi_formula():
     """Eq. 1 vs exponential decay on a renewed-interest sequence."""
 
-    def run():
-        # a BAT pinned at 3 of 10 nodes on every cycle
-        eq1, exp = 1.0, 1.0
-        eq1_floor, exp_values = None, []
-        for cycle in range(1, 101):
-            eq1 = new_loi(eq1, copies=3, hops=10, cycles=cycle)
-            exp = 0.5 * exp + 0.3  # decay-based alternative
-            exp_values.append(exp)
-            eq1_floor = eq1
-        # and a BAT never touched again
-        eq1_cold, exp_cold = 1.0, 1.0
-        for cycle in range(1, 101):
-            eq1_cold = new_loi(eq1_cold, copies=0, hops=10, cycles=cycle)
-            exp_cold = 0.5 * exp_cold
-        return eq1_floor, exp_values[-1], eq1_cold, exp_cold
-
-    eq1_hot, exp_hot, eq1_cold, exp_cold = benchmark.pedantic(
-        run, rounds=1, iterations=1
-    )
+    # a BAT pinned at 3 of 10 nodes on every cycle
+    eq1_hot, exp_hot = 1.0, 1.0
+    for cycle in range(1, 101):
+        eq1_hot = new_loi(eq1_hot, copies=3, hops=10, cycles=cycle)
+        exp_hot = 0.5 * exp_hot + 0.3  # decay-based alternative
+    # and a BAT never touched again
+    eq1_cold, exp_cold = 1.0, 1.0
+    for cycle in range(1, 101):
+        eq1_cold = new_loi(eq1_cold, copies=0, hops=10, cycles=cycle)
+        exp_cold = 0.5 * exp_cold
     write_result(
         "ablation_loi_formula",
         render_table(
@@ -98,37 +67,20 @@ def test_ablation_loi_formula(benchmark):
     assert eq1_gap > exp_gap
 
 
-def test_ablation_adaptive_vs_static_loit(benchmark):
+def test_ablation_adaptive_vs_static_loit():
     """The watermark controller vs the extreme static levels on the
     turbulent skewed scenario."""
 
     def run_one(loit_static):
-        dataset = UniformDataset(n_bats=200, min_size=MB, max_size=2 * MB, seed=11)
-        dc = DataCyclotron(
-            DataCyclotronConfig(
-                n_nodes=4, bandwidth=40 * MB, bat_queue_capacity=15 * MB,
-                resend_timeout=5.0, loit_static=loit_static,
-                loit_adapt_interval=0.1, seed=11,
-            )
-        )
-        workload = SkewedWorkload(
-            dataset, paper_phases(time_scale=0.2, rate_scale=0.15),
-            n_nodes=4, min_bats=1, max_bats=3,
-            min_proc_time=0.05, max_proc_time=0.1, seed=11,
-        )
-        populate_ring(dc, dataset, tags=workload.bat_tags())
-        workload.submit_to(dc)
-        assert dc.run_until_done(max_time=600)
-        return statistics.mean(dc.metrics.lifetimes())
+        run = experiments.fig8("quick", loit_static=loit_static)
+        assert run.finished
+        return statistics.mean(run.metrics.lifetimes())
 
-    def run():
-        return {
-            "adaptive": run_one(None),
-            "static 0.1": run_one(0.1),
-            "static 1.1": run_one(1.1),
-        }
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {
+        "adaptive": run_one(None),
+        "static 0.1": run_one(0.1),
+        "static 1.1": run_one(1.1),
+    }
     write_result(
         "ablation_adaptive_loit",
         render_table(
@@ -140,19 +92,17 @@ def test_ablation_adaptive_vs_static_loit(benchmark):
     assert results["adaptive"] <= 1.05 * results["static 0.1"]
 
 
-def test_ablation_request_absorption(benchmark):
+def test_ablation_request_absorption():
     """Outcome 5 on vs off: upstream request traffic."""
 
     def run_one(absorption):
-        dc, dataset = build(request_absorption=absorption)
-        submit_uniform(dc, dataset)
-        assert dc.run_until_done(max_time=600)
-        return dc.metrics.requests_forwarded
+        run = experiments.build_ring(
+            "quick", SEED, request_absorption=absorption
+        ).go()
+        assert run.finished
+        return run.metrics.requests_forwarded
 
-    def run():
-        return run_one(True), run_one(False)
-
-    with_abs, without_abs = benchmark.pedantic(run, rounds=1, iterations=1)
+    with_abs, without_abs = run_one(True), run_one(False)
     write_result(
         "ablation_absorption",
         render_table(
@@ -163,32 +113,21 @@ def test_ablation_request_absorption(benchmark):
     assert with_abs < without_abs
 
 
-def test_ablation_load_priority(benchmark):
+def test_ablation_load_priority():
     """age+size loadAll order vs FIFO under a size-skewed backlog."""
 
+    # big BATs against small queues, so the backlog is size-skewed
+    setup = replace(
+        experiments.QUICK, n_bats=120, max_size=6 * MB,
+        bat_queue_capacity=10 * MB, max_time=900.0,
+    )
+
     def run_one(priority):
-        dataset = UniformDataset(n_bats=120, min_size=MB, max_size=6 * MB, seed=23)
-        dc = DataCyclotron(
-            DataCyclotronConfig(
-                n_nodes=4, bandwidth=40 * MB, bat_queue_capacity=10 * MB,
-                resend_timeout=5.0, load_priority=priority, seed=23,
-            )
-        )
-        populate_ring(dc, dataset)
-        workload = UniformWorkload(
-            dataset, n_nodes=4, queries_per_second=20, duration=10,
-            min_bats=1, max_bats=3, min_proc_time=0.05, max_proc_time=0.1,
-            seed=23,
-        )
-        workload.submit_to(dc)
-        assert dc.run_until_done(max_time=900)
-        lifetimes = dc.metrics.lifetimes()
-        return statistics.mean(lifetimes), dc.now
+        run = experiments.build_ring(setup, 23, load_priority=priority).go()
+        assert run.finished
+        return statistics.mean(run.metrics.lifetimes()), run.dc.now
 
-    def run():
-        return {"age_size": run_one("age_size"), "fifo": run_one("fifo")}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {"age_size": run_one("age_size"), "fifo": run_one("fifo")}
     write_result(
         "ablation_load_priority",
         render_table(
@@ -201,24 +140,22 @@ def test_ablation_load_priority(benchmark):
     assert results["age_size"][0] <= 1.10 * results["fifo"][0]
 
 
-def test_ablation_request_direction(benchmark):
+def test_ablation_request_direction():
     """Anti-clockwise requests (paper) vs clockwise ("chasing")."""
 
     def run_one(clockwise):
-        dc, dataset = build(requests_clockwise=clockwise)
-        submit_uniform(dc, dataset)
-        assert dc.run_until_done(max_time=600)
+        run = experiments.build_ring(
+            "quick", SEED, requests_clockwise=clockwise
+        ).go()
+        assert run.finished
         latencies = [
             s.max_request_latency
-            for s in dc.metrics.bats.values()
+            for s in run.metrics.bats.values()
             if s.max_request_latency > 0
         ]
-        return statistics.mean(latencies), statistics.mean(dc.metrics.lifetimes())
+        return statistics.mean(latencies), statistics.mean(run.metrics.lifetimes())
 
-    def run():
-        return {"anti-clockwise": run_one(False), "clockwise": run_one(True)}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {"anti-clockwise": run_one(False), "clockwise": run_one(True)}
     write_result(
         "ablation_request_direction",
         render_table(
@@ -230,7 +167,7 @@ def test_ablation_request_direction(benchmark):
     assert results["anti-clockwise"][1] <= 1.05 * results["clockwise"][1]
 
 
-def test_ablation_result_caching(benchmark):
+def test_ablation_result_caching():
     """Section 6.2 intermediate circulation on vs off: repeated analytic
     queries reuse each other's join work."""
     import numpy as np
@@ -258,10 +195,7 @@ def test_ablation_result_caching(benchmark):
         cpu = sum(node.cpu_seconds for node in ring.dc.nodes)
         return cpu
 
-    def run():
-        return {"cached": run_one(True), "uncached": run_one(False)}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    results = {"cached": run_one(True), "uncached": run_one(False)}
     write_result(
         "ablation_result_cache",
         render_table(
@@ -273,7 +207,7 @@ def test_ablation_result_caching(benchmark):
     assert results["cached"] < results["uncached"]
 
 
-def test_ablation_dataflow_interpreter(benchmark):
+def test_ablation_dataflow_interpreter():
     """Linear vs dataflow-concurrent interpretation of the same plans:
     concurrent pins overlap ring waits, so gross query time shrinks."""
     import numpy as np
@@ -303,13 +237,10 @@ def test_ablation_dataflow_interpreter(benchmark):
         rows = handles[0].result.rows()
         return statistics.mean(lifetimes), rows
 
-    def run():
-        linear_mean, linear_rows = run_one(False)
-        dataflow_mean, dataflow_rows = run_one(True)
-        assert linear_rows == dataflow_rows  # identical answers
-        return {"linear": linear_mean, "dataflow": dataflow_mean}
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    linear_mean, linear_rows = run_one(False)
+    dataflow_mean, dataflow_rows = run_one(True)
+    assert linear_rows == dataflow_rows  # identical answers
+    results = {"linear": linear_mean, "dataflow": dataflow_mean}
     write_result(
         "ablation_dataflow",
         render_table(
@@ -321,25 +252,20 @@ def test_ablation_dataflow_interpreter(benchmark):
     assert results["dataflow"] <= results["linear"] * 1.001
 
 
-def test_ablation_rdma_vs_legacy_stack(benchmark):
+def test_ablation_rdma_vs_legacy_stack():
     """Section 2's argument made end-to-end: the same TPC-H replay with
     RDMA transfers vs a legacy TCP stack that burns host CPU per BAT.
     "Thus only RDMA is able to deliver a high throughput at negligible
     CPU load" -- with the legacy stack, network processing steals core
     time from the query operators and the replay slows down."""
-    from repro.workloads.tpch import TpchExperiment
-
-    def run():
-        experiment = TpchExperiment(scale_factor=0.005, seed=1)
-        results = {}
-        for mode in ("rdma", "legacy"):
-            row = experiment.run(
-                4, queries_per_node=100, size_scale=200.0, transfer_mode=mode
-            )
-            results[mode] = row
-        return results
-
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
+    experiment = experiments.tpch_experiment("quick")
+    results = {
+        mode: experiment.run(
+            4, queries_per_node=100, transfer_mode=mode,
+            size_scale=experiments.TAB4["quick"].size_scale,
+        )
+        for mode in ("rdma", "legacy")
+    }
     write_result(
         "ablation_rdma",
         render_table(

@@ -21,93 +21,31 @@ Claims asserted:
 
 import statistics
 
-from bench_utils import FULL, write_result
-from repro.baselines import BroadcastDisks, DataCycle
-from repro.core import DataCyclotron, DataCyclotronConfig, MB
+from bench_utils import SCALE, write_result
+from repro import experiments
 from repro.metrics.report import render_table
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.gaussian import GaussianWorkload
 
 
-def build_workload(n_nodes: int, dataset: UniformDataset, seed: int):
-    if FULL:
-        return GaussianWorkload(
-            dataset, n_nodes=n_nodes, queries_per_second=80, duration=60,
-            mean=dataset.n_bats / 2, std=dataset.n_bats / 20, seed=seed,
-        )
-    return GaussianWorkload(
-        dataset, n_nodes=n_nodes, queries_per_second=15, duration=8,
-        mean=dataset.n_bats / 2, std=dataset.n_bats / 20,
-        min_bats=1, max_bats=2, min_proc_time=0.03, max_proc_time=0.06,
-        seed=seed,
-    )
-
-
-def run():
-    seed = 19
-    if FULL:
-        dataset = UniformDataset(n_bats=1000, seed=seed)
-        n_nodes, bandwidth, queue = 10, 10 * 1e9 / 8, 200 * MB
-        max_time = 2000.0
-    else:
-        dataset = UniformDataset(n_bats=300, min_size=MB, max_size=2 * MB, seed=seed)
-        n_nodes, bandwidth, queue = 4, 40 * MB, 15 * MB
-        max_time = 900.0
-
-    results = {}
-
-    # --- the Data Cyclotron ------------------------------------------
-    dc = DataCyclotron(DataCyclotronConfig(
-        n_nodes=n_nodes, bandwidth=bandwidth, bat_queue_capacity=queue,
-        resend_timeout=5.0, seed=seed,
-    ))
-    populate_ring(dc, dataset)
-    workload = build_workload(n_nodes, dataset, seed)
-    total = workload.submit_to(dc)
-    assert dc.run_until_done(max_time=max_time)
-    results["data cyclotron"] = dc.metrics.lifetimes()
-
-    # --- DataCycle: broadcast everything ------------------------------
-    pump = DataCycle(bandwidth=bandwidth)
-    for bat_id, size in dataset.sizes.items():
-        pump.add_bat(bat_id, size)
-    workload = build_workload(n_nodes, dataset, seed)
-    assert workload.submit_to(pump) == total
-    assert pump.run_until_done(max_time=max_time * 4)
-    results["datacycle"] = pump.metrics.lifetimes()
-
-    # --- Broadcast Disks with ORACLE popularity -----------------------
-    import math
-
-    disks = BroadcastDisks(bandwidth=bandwidth, rel_freqs=(8, 2, 1))
-    centre, std = dataset.n_bats / 2, dataset.n_bats / 20
-    for bat_id, size in dataset.sizes.items():
-        # the true Gaussian access density, unavailable to real systems
-        popularity = math.exp(-((bat_id - centre) ** 2) / (2 * std**2))
-        disks.add_bat(bat_id, size, popularity=popularity)
-    workload = build_workload(n_nodes, dataset, seed)
-    assert workload.submit_to(disks) == total
-    assert disks.run_until_done(max_time=max_time * 4)
-    results["broadcast disks"] = disks.metrics.lifetimes()
-
-    return {name: statistics.mean(v) for name, v in results.items()}, {
-        name: max(v) for name, v in results.items()
-    }
-
-
-def test_baseline_comparison(benchmark):
-    means, maxima = benchmark.pedantic(run, rounds=1, iterations=1)
+def test_baseline_comparison():
+    systems = experiments.baselines(SCALE)
+    lifetimes = {name: s.metrics.lifetimes() for name, s in systems.items()}
+    means = {name: statistics.mean(v) for name, v in lifetimes.items()}
     write_result(
         "baseline_comparison",
         render_table(
             ["system", "mean lifetime (s)", "max lifetime (s)"],
             [
-                (name, round(means[name], 3), round(maxima[name], 2))
-                for name in ("data cyclotron", "broadcast disks", "datacycle")
+                (name, round(means[name], 3), round(max(v), 2))
+                for name, v in lifetimes.items()
             ],
             title="Gaussian workload: Data Cyclotron vs broadcast baselines",
         ),
     )
+    # every system drained the same stream
+    total = len(lifetimes["data cyclotron"])
+    for name, system in systems.items():
+        assert system.metrics.all_finished(), f"{name} left queries pending"
+        assert len(lifetimes[name]) == total
     # the self-organising hot set beats broadcasting the whole database
     assert means["data cyclotron"] < 0.5 * means["datacycle"]
     # oracle-tiered broadcasting improves on flat broadcasting

@@ -13,68 +13,13 @@ reproduced here:
   leaves the big ring, so worst-case re-load waits shrink.
 """
 
-from bench_utils import FULL, write_result
-from repro.core import MB
-from repro.metrics.report import render_distribution, render_table
-from repro.xtn.pulsating import RingSizeSweep
+from bench_utils import SCALE, write_results
+from repro import experiments
 
 
-def run():
-    if FULL:
-        sweep = RingSizeSweep(seed=3)  # paper defaults: 1000 BATs, 1-10 MB
-        sizes = (5, 10, 15, 20)
-    else:
-        sweep = RingSizeSweep(
-            n_bats=120,
-            min_size=MB,
-            max_size=2 * MB,
-            total_rate=80.0,
-            duration=10.0,
-            min_proc_time=0.05,
-            max_proc_time=0.10,
-            bat_queue_capacity=10 * MB,
-            seed=3,
-        )
-        sizes = (3, 6, 9)
-    return sizes, sweep.run(sizes=sizes)
-
-
-def test_fig10_fig11_ring_size_sweep(benchmark):
-    sizes, outcomes = benchmark.pedantic(run, rounds=1, iterations=1)
-
-    rows = [
-        (
-            o.n_nodes,
-            round(o.mean_cycle_duration * 1e3, 1),
-            round(o.peak_latency, 2),
-            o.peak_cycles,
-            o.finished,
-        )
-        for o in outcomes
-    ]
-    write_result(
-        "fig10_fig11_summary",
-        render_table(
-            ["#nodes", "cycle(ms)", "max req latency(s)", "max cycles", "finished"],
-            rows,
-            title="Ring-size sweep (Figures 10 & 11)",
-        ),
-    )
-    for o in outcomes:
-        write_result(
-            f"fig10_latency_{o.n_nodes}nodes",
-            render_distribution(
-                f"max request latency, {o.n_nodes} nodes",
-                o.max_request_latency,
-            ),
-        )
-        write_result(
-            f"fig11_cycles_{o.n_nodes}nodes",
-            render_distribution(
-                f"max cycles per BAT, {o.n_nodes} nodes",
-                {b: float(c) for b, c in o.max_cycles.items()},
-            ),
-        )
+def test_fig10_fig11_ring_size_sweep():
+    outcomes = experiments.fig10_11(SCALE)
+    write_results(experiments.render_fig10_11(outcomes))
 
     # cycle duration grows with ring size (the 75%-per-5-nodes effect:
     # here, proportional to the node count)

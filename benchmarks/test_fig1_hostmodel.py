@@ -6,52 +6,15 @@ because intermediate data copying dominates; and the rule of thumb that
 1 GHz of CPU is needed per 1 Gb/s of legacy throughput [12].
 """
 
-from bench_utils import write_result
-from repro.metrics.report import render_table
-from repro.net.hostmodel import HostCostModel, TransferMode
+from bench_utils import write_results
+from repro import experiments
+from repro.net.hostmodel import TransferMode
 
 
-def run():
-    model = HostCostModel(cpu_ghz=2.33 * 4)  # the paper's quad-core host
-    gbps = 10.0
-    rows = []
-    for mode in (TransferMode.LEGACY, TransferMode.OFFLOAD, TransferMode.RDMA):
-        breakdown = model.breakdown(mode, gbps)
-        rows.append(
-            (
-                mode.value,
-                round(100 * breakdown.data_copying, 1),
-                round(100 * breakdown.context_switches, 1),
-                round(100 * breakdown.driver, 1),
-                round(100 * breakdown.network_stack, 1),
-                round(100 * breakdown.total, 1),
-                round(model.max_throughput_gbps(mode, gbps), 2),
-                model.bus_crossings(mode),
-            )
-        )
-    return model, rows
-
-
-def test_fig1_cpu_breakdown(benchmark):
-    model, rows = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "fig1_hostmodel",
-        render_table(
-            [
-                "mode",
-                "copy%",
-                "ctx%",
-                "drv%",
-                "stack%",
-                "total%",
-                "achievable Gb/s",
-                "bus crossings",
-            ],
-            rows,
-            title="Figure 1: CPU load at 10 Gb/s",
-        ),
-    )
-    legacy, offload, rdma = rows
+def test_fig1_cpu_breakdown():
+    load = experiments.fig1()
+    write_results(experiments.render_fig1(load))
+    legacy, offload, rdma = load.rows
     # only RDMA collapses the overhead
     assert rdma[5] < 0.05 * legacy[5]
     # offload alone is not sufficient: copying still dominates
@@ -59,5 +22,5 @@ def test_fig1_cpu_breakdown(benchmark):
     # ~1 GHz per Gb/s: the host is (barely) saturated by 10 Gb/s legacy
     assert 90 <= legacy[5] <= 130
     # RDMA reaches the wire; legacy cannot exceed what the CPU sustains
-    assert rows[2][6] == 10.0
-    assert model.max_throughput_gbps(TransferMode.LEGACY, 40.0) < 40.0
+    assert rdma[6] == 10.0
+    assert load.model.max_throughput_gbps(TransferMode.LEGACY, 40.0) < 40.0

@@ -10,88 +10,41 @@ Paper claims reproduced here:
   long tail of stragglers waiting for pending (large) BATs.
 """
 
-from bench_utils import (
-    FULL,
-    loit_sweep_levels,
-    run_loit_level,
-    uniform_params,
-    write_result,
-)
-from repro.metrics.report import render_series, render_table
+from bench_utils import SCALE
 
 
-def sweep():
-    return {loit: run_loit_level(loit) for loit in loit_sweep_levels()}
-
-
-def test_fig6a_throughput_monotone_in_loit(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    p = uniform_params()
-    checkpoint = p["duration"] * 2  # mid-run, before everything drains
-    lines = []
-    finished_at_checkpoint = {}
-    for loit, metrics in results.items():
-        times, counts = metrics.throughput_series(end=checkpoint * 2, step=1.0)
-        finished_at_checkpoint[loit] = metrics.finished_count() and sum(
-            1 for t in metrics.finished_times() if t <= checkpoint
-        )
-        lines.append(render_series(f"LoiT {loit}", times, [float(c) for c in counts]))
-    reg_times, reg_counts = next(iter(results.values())).registered_series(
-        end=checkpoint * 2, step=1.0
-    )
-    lines.insert(0, render_series("registered", reg_times, [float(c) for c in reg_counts]))
-    write_result("fig6a_throughput", "\n".join(lines))
-
-    levels = sorted(results)
+def test_fig6a_throughput_monotone_in_loit(loit_sweep):
+    levels = sorted(loit_sweep)
     low, high = levels[0], levels[-1]
+    # mid-run, before everything drains
+    checkpoint = loit_sweep[low].setup.duration * 2
+    finished_at_checkpoint = {
+        loit: sum(1 for t in run.metrics.finished_times() if t <= checkpoint)
+        for loit, run in loit_sweep.items()
+    }
     # the headline claim: higher LOIT -> more queries finished early
     assert finished_at_checkpoint[high] > finished_at_checkpoint[low]
     # and broadly monotone: top level at least matches every level
     assert finished_at_checkpoint[high] >= max(finished_at_checkpoint.values())
-    # everything eventually completes at every level (at paper scale the
-    # lowest thresholds have stragglers beyond the bounded horizon, as
-    # in the paper's own Figure 6a tail -- accept 90% there)
-    for loit, metrics in results.items():
-        if FULL:
+    # everything eventually completes at every level
+    for loit, run in loit_sweep.items():
+        if SCALE == "paper":
             # the paper's own Fig. 6a shows low thresholds with large
             # pending tails; accept a straggler remainder at the bounded
             # horizon while the bulk completed
-            total = len(metrics.queries)
-            assert metrics.finished_count() >= 0.8 * total, (
+            assert run.metrics.finished_count() >= 0.8 * run.submitted, (
                 f"too many pending queries at LoiT {loit}"
             )
         else:
-            assert metrics.all_finished(), f"queries pending at LoiT {loit}"
+            assert run.metrics.all_finished(), f"queries pending at LoiT {loit}"
 
 
-def test_fig6b_lifetime_distribution(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    levels = sorted(results)
-    low, high = levels[0], levels[-1]
-    p = uniform_params()
-    bin_width = p["duration"] / 2
-    rows = []
-    for loit in (low, levels[len(levels) // 2], high):
-        hist = results[loit].lifetime_histogram(bin_width=bin_width)
-        rows.append(
-            (
-                f"LoiT {loit}",
-                round(hist.mean, 2),
-                round(hist.quantile(0.5), 1),
-                round(hist.quantile(0.95), 1),
-                round(hist.max, 1),
-            )
-        )
-    write_result(
-        "fig6b_lifetime",
-        render_table(
-            ["level", "mean", "p50", "p95", "max"],
-            rows,
-            title="query life time (seconds)",
-        ),
-    )
-    low_hist = results[low].lifetime_histogram(bin_width=bin_width)
-    high_hist = results[high].lifetime_histogram(bin_width=bin_width)
+def test_fig6b_lifetime_distribution(loit_sweep):
+    levels = sorted(loit_sweep)
+    low, high = loit_sweep[levels[0]], loit_sweep[levels[-1]]
+    bin_width = low.setup.duration / 2
+    low_hist = low.metrics.lifetime_histogram(bin_width=bin_width)
+    high_hist = high.metrics.lifetime_histogram(bin_width=bin_width)
     # "a high LOITn leads to lower life time of a query"
     assert high_hist.mean < low_hist.mean
     # the low level's long tail: its slowest queries wait far longer

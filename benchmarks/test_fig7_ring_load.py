@@ -6,58 +6,36 @@ more small BATs" -- so the mean size of circulating BATs sinks over the
 run, and low LOIT levels keep the ring fuller (in bytes) for longer.
 """
 
-from bench_utils import loit_sweep_levels, run_loit_level, uniform_params, write_result
-from repro.metrics.report import render_series
-
-
-def sweep():
-    return {loit: run_loit_level(loit) for loit in loit_sweep_levels()}
-
 
 def _grids(metrics, end, step=1.0):
-    times, load_bytes = metrics.ring_bytes.grid(end, step)
+    _, load_bytes = metrics.ring_bytes.grid(end, step)
     _, load_bats = metrics.ring_bats.grid(end, step)
-    return times, load_bytes, load_bats
+    return load_bytes, load_bats
 
 
-def test_fig7_ring_load_bytes_and_bats(benchmark):
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    p = uniform_params()
-    end = p["duration"] * 3
-    lines_bytes, lines_bats = [], []
-    for loit, metrics in sorted(results.items()):
-        times, in_bytes, in_bats = _grids(metrics, end)
-        lines_bytes.append(
-            render_series(f"LoiT {loit} (MB)", times, [b / 2**20 for b in in_bytes])
-        )
-        lines_bats.append(render_series(f"LoiT {loit} (#BATs)", times, in_bats))
-    write_result("fig7a_ring_load_bytes", "\n".join(lines_bytes))
-    write_result("fig7b_ring_load_bats", "\n".join(lines_bats))
-
-    levels = sorted(results)
-    low, high = levels[0], levels[-1]
+def test_fig7_ring_load_bytes_and_bats(loit_sweep):
+    levels = sorted(loit_sweep)
+    low, high = loit_sweep[levels[0]], loit_sweep[levels[-1]]
+    setup = low.setup
+    end = setup.duration * 3
 
     # ring occupancy approaches (but respects) the configured capacity
-    capacity = p["n_nodes"] * p["queue_capacity"]
-    for loit, metrics in results.items():
-        peak = metrics.ring_bytes.maximum()
+    capacity = setup.n_nodes * setup.bat_queue_capacity
+    for loit, run in loit_sweep.items():
+        peak = run.metrics.ring_bytes.maximum()
         assert peak > 0.2 * capacity, f"ring barely used at LoiT {loit}"
 
     # a low threshold keeps data in rotation longer: time-integrated
     # ring load is higher than at the high threshold
-    def integral(metrics):
-        times, in_bytes, _ = _grids(metrics, end)
-        return sum(in_bytes)
+    def integral(run):
+        return sum(_grids(run.metrics, end)[0])
 
-    assert integral(results[low]) > integral(results[high])
+    assert integral(low) > integral(high)
 
     # the small-BAT bias: the mean circulating BAT size at the end of
     # the loaded phase is below the dataset mean
-    dataset_mean = (p["min_size"] + p["max_size"]) / 2
-    times, in_bytes, in_bats = _grids(results[low], end)
-    loaded = [
-        (b, n) for b, n in zip(in_bytes, in_bats) if n >= 5
-    ]
+    dataset_mean = (setup.min_size + setup.max_size) / 2
+    loaded = [(b, n) for b, n in zip(*_grids(low.metrics, end)) if n >= 5]
     if loaded:
         late_bytes, late_bats = loaded[-1]
         assert late_bytes / late_bats < 1.15 * dataset_mean

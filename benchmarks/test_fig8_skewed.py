@@ -11,76 +11,15 @@ Paper claims reproduced here:
 * Every phase's queries complete despite the turbulence.
 """
 
-
-from bench_utils import FULL, write_result
-from repro.core import DataCyclotron, DataCyclotronConfig, MB
-from repro.metrics.report import render_series
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.skewed import SkewedWorkload, paper_phases
+from bench_utils import SCALE, write_results
+from repro import experiments
 
 
-def build():
-    if FULL:
-        dataset = UniformDataset(n_bats=1000, seed=11)
-        config = DataCyclotronConfig(n_nodes=10, seed=11)
-        phases = paper_phases()
-        workload = SkewedWorkload(dataset, phases, n_nodes=10, seed=11)
-        max_time = 1200.0
-    else:
-        dataset = UniformDataset(n_bats=200, min_size=MB, max_size=2 * MB, seed=11)
-        config = DataCyclotronConfig(
-            n_nodes=4,
-            bandwidth=40 * MB,
-            bat_queue_capacity=15 * MB,
-            resend_timeout=5.0,
-            loit_adapt_interval=0.1,
-            seed=11,
-        )
-        phases = paper_phases(time_scale=0.2, rate_scale=0.15)
-        workload = SkewedWorkload(
-            dataset,
-            phases,
-            n_nodes=4,
-            min_bats=1,
-            max_bats=3,
-            min_proc_time=0.05,
-            max_proc_time=0.1,
-            seed=11,
-        )
-        max_time = 600.0
-    dc = DataCyclotron(config)
-    populate_ring(dc, dataset, tags=workload.bat_tags())
-    workload.submit_to(dc)
-    return dc, workload, phases, max_time
-
-
-def run():
-    dc, workload, phases, max_time = build()
-    finished = dc.run_until_done(max_time=max_time)
-    return dc, workload, phases, finished
-
-
-def test_fig8_skewed_workloads(benchmark):
-    dc, workload, phases, finished = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert finished, "skewed workload did not complete"
-    metrics = dc.metrics
-    end = phases[-1].end * 1.3
-
-    # Figure 8(a): ring bytes per DH set over time
-    lines = []
-    times, total = metrics.ring_bytes.grid(end, step=end / 60)
-    lines.append(render_series("total (MB)", times, [b / 2**20 for b in total]))
-    for tag in sorted(metrics.ring_bytes_by_tag):
-        t, series = metrics.ring_bytes_by_tag[tag].grid(end, step=end / 60)
-        lines.append(render_series(f"{tag} (MB)", t, [b / 2**20 for b in series]))
-    write_result("fig8a_ring_space_per_dh", "\n".join(lines))
-
-    # Figure 8(b): queries finished per workload over time
-    lines = []
-    for phase in phases:
-        t, counts = metrics.throughput_series(end, step=end / 60, tag=phase.name)
-        lines.append(render_series(phase.name, t, [float(c) for c in counts]))
-    write_result("fig8b_queries_per_workload", "\n".join(lines))
+def test_fig8_skewed_workloads():
+    run = experiments.fig8(SCALE)
+    write_results(experiments.render_fig8(run))
+    assert run.finished, "skewed workload did not complete"
+    metrics, phases = run.metrics, run.workload.phases
 
     # --- reactive behavior: DH_i bytes appear shortly after SW_i starts
     for phase in phases[1:]:

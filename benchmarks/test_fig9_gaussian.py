@@ -15,67 +15,21 @@ Paper claims reproduced here:
   request messages per touch, not more.
 """
 
-from bench_utils import FULL, write_result
-from repro.core import DataCyclotron, DataCyclotronConfig, MB
-from repro.metrics.report import render_distribution
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.gaussian import GaussianWorkload
+from bench_utils import SCALE, write_results
+from repro import experiments
 
 
-def build():
-    if FULL:
-        n_bats, nodes = 1000, 10
-        dataset = UniformDataset(n_bats=n_bats, seed=13)
-        config = DataCyclotronConfig(n_nodes=nodes, seed=13)
-        workload = GaussianWorkload(
-            dataset, n_nodes=nodes, queries_per_second=80, duration=60,
-            mean=500, std=50, seed=13,
-        )
-        max_time = 2000.0
-    else:
-        n_bats, nodes = 150, 4
-        dataset = UniformDataset(n_bats=n_bats, min_size=MB, max_size=2 * MB, seed=13)
-        config = DataCyclotronConfig(
-            n_nodes=nodes, bandwidth=40 * MB, bat_queue_capacity=15 * MB,
-            resend_timeout=5.0, seed=13,
-        )
-        workload = GaussianWorkload(
-            dataset, n_nodes=nodes, queries_per_second=40, duration=15,
-            mean=n_bats / 2, std=n_bats / 20, min_bats=1, max_bats=3,
-            min_proc_time=0.05, max_proc_time=0.1, seed=13,
-        )
-        max_time = 600.0
-    dc = DataCyclotron(config)
-    populate_ring(dc, dataset)
-    workload.submit_to(dc)
-    return dc, n_bats, max_time
-
-
-def run():
-    dc, n_bats, max_time = build()
-    finished = dc.run_until_done(max_time=max_time)
-    return dc, n_bats, finished
-
-
-def test_fig9_gaussian_access(benchmark):
-    dc, n, finished = benchmark.pedantic(run, rounds=1, iterations=1)
-    assert finished
-    metrics = dc.metrics
+def test_fig9_gaussian_access():
+    run = experiments.fig9(SCALE)
+    write_results(experiments.render_fig9(run))
+    assert run.finished
+    n = run.setup.n_bats
     centre, std = n / 2, n / 20
 
-    touches = {b: float(s.pins) for b, s in metrics.bats.items()}
-    requests = {b: float(s.requests) for b, s in metrics.bats.items()}
-    loads = {b: float(s.loads) for b, s in metrics.bats.items()}
-    write_result(
-        "fig9a_touches_requests",
-        render_distribution("touches", touches, key_range=(0, n - 1))
-        + "\n"
-        + render_distribution("requests", requests, key_range=(0, n - 1)),
-    )
-    write_result(
-        "fig9b_loads",
-        render_distribution("loads", loads, key_range=(0, n - 1)),
-    )
+    bats = run.metrics.bats
+    touches = {b: float(s.pins) for b, s in bats.items()}
+    requests = {b: float(s.requests) for b, s in bats.items()}
+    loads = {b: float(s.loads) for b, s in bats.items()}
 
     def zone(b):
         d = abs(b - centre)

@@ -16,70 +16,37 @@ a 4-ring federation -- at two scales, and asserts:
   per-BAT request latency strictly slower than the single ring's,
 * absolute: at the larger scale the federation's worst-case latency
   beats the single ring's.
-
-Written without the pytest-benchmark fixture so the quick version runs
-in the plain CI test matrix.
 """
 
-from bench_utils import (
-    FULL,
-    build_federation,
-    federation_peak_request_latency,
-    gaussian_workload,
-    write_result,
-)
-from repro.core import MB
+from bench_utils import SCALE, write_result
+from repro import experiments
 from repro.metrics.report import render_table
-from repro.workloads.base import UniformDataset
-from repro.xtn.pulsating import RingSizeSweep
+from repro.multiring import MultiRingConfig, RingFederation
 
-SEED = 3
 N_RINGS = 4
-
-if FULL:
-    SIZES = (8, 16, 20)
-    PARAMS = {
-        "n_bats": 1000, "min_size": 1 * MB, "max_size": 10 * MB, "total_rate": 800.0,
-        "duration": 60.0, "min_proc_time": 0.100, "max_proc_time": 0.200,
-        "bat_queue_capacity": 200 * MB,
-    }
-    MAX_TIME = 3600.0
-else:
-    SIZES = (8, 16)
-    PARAMS = {
-        "n_bats": 120, "min_size": MB, "max_size": 2 * MB, "total_rate": 80.0,
-        "duration": 10.0, "min_proc_time": 0.05, "max_proc_time": 0.10,
-        "bat_queue_capacity": 10 * MB,
-    }
-    MAX_TIME = 600.0
+SIZES = (8, 16, 20) if SCALE == "paper" else (8, 16)
+MAX_TIME = 3600.0
 
 
 def run_single_ring(n_nodes: int):
     """One point of the classic Figure 10 curve."""
-    sweep = RingSizeSweep(seed=SEED, **PARAMS)
-    return sweep.run_size(n_nodes, max_time=MAX_TIME)
+    return experiments.ring_size_sweep(SCALE).run_size(n_nodes, max_time=MAX_TIME)
 
 
 def run_federation(total_nodes: int) -> dict:
     """The same workload over ``total_nodes`` split into N_RINGS rings."""
-    dataset = UniformDataset(
-        n_bats=PARAMS["n_bats"], min_size=PARAMS["min_size"],
-        max_size=PARAMS["max_size"], seed=SEED,
-    )
-    fed = build_federation(
-        dataset, total_nodes, N_RINGS, PARAMS["bat_queue_capacity"], SEED,
+    sweep = experiments.ring_size_sweep(SCALE)
+    nodes_per_ring = total_nodes // N_RINGS
+    fed = RingFederation(MultiRingConfig(
+        base=sweep.config(nodes_per_ring),
+        n_rings=N_RINGS,
+        nodes_per_ring=nodes_per_ring,
         splitmerge_interval=0.0,  # fixed topology: measure routing, not resizing
-    )
-    workload = gaussian_workload(
-        dataset,
-        total_nodes=total_nodes,
-        total_rate=PARAMS["total_rate"],
-        duration=PARAMS["duration"],
-        min_proc=PARAMS["min_proc_time"],
-        max_proc=PARAMS["max_proc_time"],
-        seed=SEED,
-    )
-    workload.submit_to(fed)
+    ))
+    dataset = sweep.dataset()
+    for bat_id, size in dataset.sizes.items():
+        fed.add_bat(bat_id, size)
+    sweep.workload(dataset, total_nodes).submit_to(fed)
     completed = fed.run_until_done(max_time=MAX_TIME)
     return {
         "total_nodes": total_nodes,
@@ -87,6 +54,20 @@ def run_federation(total_nodes: int) -> dict:
         "peak_latency": federation_peak_request_latency(fed),
         "summary": fed.summary(),
     }
+
+
+def federation_peak_request_latency(fed: RingFederation) -> float:
+    """Worst wait for any BAT anywhere: the slowest in-ring request or
+    the slowest cross-ring fetch (a remote pin waits for both paths)."""
+    peak = 0.0
+    for ring in fed.rings:
+        for s in ring.metrics.bats.values():
+            if s.max_request_latency > peak:
+                peak = s.max_request_latency
+    for latency in fed.router.fetch_latency_max.values():
+        if latency > peak:
+            peak = latency
+    return peak
 
 
 def test_federation_caps_the_figure10_latency_curve():

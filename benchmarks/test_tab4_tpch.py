@@ -12,45 +12,13 @@ core-seconds mean, see DESIGN.md):
   ("came slowly down ... for 8 nodes ring").
 """
 
-from bench_utils import FULL, write_result
-from repro.metrics.report import render_table
-from repro.workloads.tpch import TpchExperiment
+from bench_utils import SCALE, write_results
+from repro import experiments
 
 
-def run():
-    if FULL:
-        experiment = TpchExperiment(scale_factor=0.01, seed=1)
-        queries_per_node = 1200
-        sizes = [1, 2, 3, 4, 5, 6, 7, 8]
-        size_scale = 500.0  # emulate SF-5 data volumes on SF-0.01 traces
-    else:
-        experiment = TpchExperiment(scale_factor=0.005, seed=1)
-        queries_per_node = 150
-        sizes = [1, 2, 3, 4, 6, 8]
-        size_scale = 200.0
-    results = []
-    single = experiment.run(
-        1, queries_per_node=queries_per_node, size_scale=size_scale
-    )
-    results.append(experiment.monetdb_row(single))
-    results.append(single)
-    results.extend(
-        experiment.run(n, queries_per_node=queries_per_node, size_scale=size_scale)
-        for n in sizes[1:]
-    )
-    return results
-
-
-def test_tab4_tpch_scaling(benchmark):
-    results = benchmark.pedantic(run, rounds=1, iterations=1)
-    write_result(
-        "tab4_tpch",
-        render_table(
-            ["#nodes", "exec(sec)", "throughput", "throughP/node", "CPU%"],
-            [r.row() for r in results],
-            title="Table 4: TPC-H trace replay",
-        ),
-    )
+def test_tab4_tpch_scaling():
+    results = experiments.tab4(SCALE)
+    write_results(experiments.render_tab4(results))
     monetdb, single, *scaled = results
 
     # the simulated single node is CPU-bound and beats measured MonetDB

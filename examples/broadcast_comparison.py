@@ -10,62 +10,24 @@ three systems at the same link bandwidth.
 Run:  python examples/broadcast_comparison.py
 """
 
-import math
 import statistics
 
-from repro.baselines import BroadcastDisks, DataCycle
-from repro.core import DataCyclotron, DataCyclotronConfig, MB
+from repro import experiments
 from repro.metrics.report import render_table
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.gaussian import GaussianWorkload
-
-
-def build_workload(dataset: UniformDataset, n_nodes: int, seed: int) -> GaussianWorkload:
-    return GaussianWorkload(
-        dataset, n_nodes=n_nodes, queries_per_second=15, duration=8,
-        mean=dataset.n_bats / 2, std=dataset.n_bats / 20,
-        min_bats=1, max_bats=2, min_proc_time=0.03, max_proc_time=0.06,
-        seed=seed,
-    )
 
 
 def main() -> None:
-    seed = 19
-    n_nodes, bandwidth = 4, 40 * MB
-    dataset = UniformDataset(n_bats=300, min_size=MB, max_size=2 * MB, seed=seed)
+    systems = experiments.baselines("quick")
+    ring, pump = systems["data cyclotron"], systems["datacycle"]
+    dataset = ring.dataset
+    centre, std = dataset.n_bats / 2, dataset.n_bats / 20
     hot_bytes = sum(
         size for bat_id, size in dataset.sizes.items()
-        if abs(bat_id - 150) <= 30
+        if abs(bat_id - centre) <= 2 * std
     )
     print(f"database: {dataset.total_bytes / 2**20:.0f} MB in {dataset.n_bats} BATs; "
           f"the Gaussian hot set (±2σ) is only ~{hot_bytes / 2**20:.0f} MB")
-
-    results = {}
-
-    dc = DataCyclotron(DataCyclotronConfig(
-        n_nodes=n_nodes, bandwidth=bandwidth, bat_queue_capacity=15 * MB,
-        resend_timeout=5.0, seed=seed,
-    ))
-    populate_ring(dc, dataset)
-    build_workload(dataset, n_nodes, seed).submit_to(dc)
-    assert dc.run_until_done(max_time=900.0)
-    results["data cyclotron"] = dc.metrics.lifetimes()
-
-    pump = DataCycle(bandwidth=bandwidth)
-    for bat_id, size in dataset.sizes.items():
-        pump.add_bat(bat_id, size)
-    build_workload(dataset, n_nodes, seed).submit_to(pump)
-    assert pump.run_until_done(max_time=3600.0)
-    results["datacycle"] = pump.metrics.lifetimes()
-    print(f"\nDataCycle cycle time (whole DB broadcast): {pump.cycle_time:.1f}s")
-
-    disks = BroadcastDisks(bandwidth=bandwidth, rel_freqs=(8, 2, 1))
-    for bat_id, size in dataset.sizes.items():
-        popularity = math.exp(-((bat_id - 150) ** 2) / (2 * 15**2))
-        disks.add_bat(bat_id, size, popularity=popularity)
-    build_workload(dataset, n_nodes, seed).submit_to(disks)
-    assert disks.run_until_done(max_time=3600.0)
-    results["broadcast disks (oracle)"] = disks.metrics.lifetimes()
+    print(f"DataCycle cycle time (whole DB broadcast): {pump.cycle_time:.1f}s")
 
     print()
     print(render_table(
@@ -77,7 +39,9 @@ def main() -> None:
                 round(sorted(v)[int(0.95 * len(v))], 2),
                 round(max(v), 2),
             )
-            for name, v in results.items()
+            for name, v in (
+                (name, system.metrics.lifetimes()) for name, system in systems.items()
+            )
         ],
         title="identical Gaussian query stream, identical link bandwidth:",
     ))
@@ -85,7 +49,7 @@ def main() -> None:
           "\ncentral pump -- and still wins (paper section 7's contrast).")
 
     print("\n=== ring summary ===")
-    for key, value in dc.summary().items():
+    for key, value in ring.dc.summary().items():
         print(f"  {key:>24}: {value}")
 
 

@@ -1,71 +1,43 @@
 #!/usr/bin/env python3
 """Hot-set dynamics under a turbulent workload (paper section 5.2).
 
-Replays a scaled-down version of the paper's skewed scenario: four
-workload phases SW1..SW4 (Table 3) with overlapping time windows and
-disjoint hot sets DH1..DH4.  Watch the ring replace one phase's data
-with the next one's while in-flight queries keep being served, and the
-per-node LOIT thresholds ride the buffer-load watermarks.
+Replays the quick-scale Figure 8 experiment: four workload phases
+SW1..SW4 (Table 3) with overlapping time windows and disjoint hot sets
+DH1..DH4.  Watch the ring replace one phase's data with the next one's
+while in-flight queries keep being served, and the per-node LOIT
+thresholds ride the buffer-load watermarks.
 
 Run:  python examples/hot_set_dynamics.py
 """
 
-from repro.core import DataCyclotron, DataCyclotronConfig, MB
-from repro.metrics.report import render_series
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.skewed import SkewedWorkload, paper_phases
+from repro import experiments
 
 
 def main() -> None:
-    dataset = UniformDataset(n_bats=200, min_size=MB, max_size=2 * MB, seed=11)
-    config = DataCyclotronConfig(
-        n_nodes=4,
-        bandwidth=40 * MB,          # scaled with the data volume
-        bat_queue_capacity=15 * MB,
-        resend_timeout=5.0,
-        loit_adapt_interval=0.1,
-        seed=11,
-    )
-    phases = paper_phases(time_scale=0.2, rate_scale=0.15)
-    workload = SkewedWorkload(
-        dataset, phases, n_nodes=4,
-        min_bats=1, max_bats=3, min_proc_time=0.05, max_proc_time=0.1, seed=11,
-    )
-
-    dc = DataCyclotron(config)
-    populate_ring(dc, dataset, tags=workload.bat_tags())
-    total = workload.submit_to(dc)
-    print(f"submitted {total} queries across phases:")
-    for phase in phases:
+    run = experiments.fig8("quick")
+    workload = run.workload
+    print(f"submitted {run.submitted} queries across phases:")
+    for phase in workload.phases:
         subset = workload.disjoint_subset(phase)
         print(
             f"  {phase.name}: skew {phase.skew}, window "
             f"[{phase.start:.1f}s, {phase.end:.1f}s), "
             f"{phase.queries_per_second:.0f} q/s, |DH|={len(subset)} BATs"
         )
+    assert run.finished
 
-    assert dc.run_until_done(max_time=600.0)
-    metrics = dc.metrics
-    end = phases[-1].end * 1.3
-
+    rendered = experiments.render_fig8(run)
     print("\n=== ring space per disjoint hot set (paper Figure 8a) ===")
-    times, series = metrics.ring_bytes.grid(end, step=end / 40)
-    print(render_series("total MB", times, [b / 2**20 for b in series]))
-    for tag in sorted(metrics.ring_bytes_by_tag):
-        t, s = metrics.ring_bytes_by_tag[tag].grid(end, step=end / 40)
-        print(render_series(f"{tag} MB", t, [b / 2**20 for b in s]))
-
+    print(rendered["fig8a_ring_space_per_dh"])
     print("\n=== queries finished per workload (paper Figure 8b) ===")
-    for phase in phases:
-        t, counts = metrics.throughput_series(end, step=end / 40, tag=phase.name)
-        print(render_series(phase.name, t, [float(c) for c in counts]))
+    print(rendered["fig8b_queries_per_workload"])
 
     print("\n=== adaptive LOIT at node 0 ===")
-    for time, threshold in dc.nodes[0].loit_history:
+    for time, threshold in run.dc.nodes[0].loit_history:
         print(f"  t={time:6.2f}s  LOIT -> {threshold}")
 
-    print(f"\nall {metrics.finished_count()} queries finished;"
-          f" {metrics.loit_changes} LOIT adjustments across the ring")
+    print(f"\nall {run.metrics.finished_count()} queries finished;"
+          f" {run.metrics.loit_changes} LOIT adjustments across the ring")
 
 
 if __name__ == "__main__":

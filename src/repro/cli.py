@@ -17,8 +17,11 @@ Usage::
     python -m repro frontdoor                       # serving tier demo (docs/frontdoor.md)
     python -m repro stats                           # statistics catalog + accuracy
 
-Each command prints the same rows/series the paper reports.  ``--full``
-switches to the paper's exact parameters (slow; see EXPERIMENTS.md).
+The paper artefacts (``fig1`` ... ``sweep``) are defined in
+:mod:`repro.experiments`; each command runs one, renders it and prints
+the texts ``benchmarks/results/*.txt`` hold -- verbatim at the default
+``--seed``.  ``--full`` switches to the paper's exact parameters (slow;
+see EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -26,202 +29,73 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from typing import List, Optional
+from dataclasses import replace
+from typing import Dict, List, Optional
 
-from repro.core import DataCyclotron, DataCyclotronConfig, MB
-from repro.metrics.report import render_distribution, render_series, render_table
-from repro.net.hostmodel import HostCostModel, TransferMode
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.gaussian import GaussianWorkload
-from repro.workloads.skewed import SkewedWorkload, paper_phases
-from repro.workloads.uniform import UniformWorkload
-from repro.xtn.pulsating import RingSizeSweep
+from repro import experiments
+from repro.core import DataCyclotronConfig, MB
+from repro.metrics.report import render_table
 
 __all__ = ["main"]
 
 
-# ----------------------------------------------------------------------
-# shared scale handling
-# ----------------------------------------------------------------------
-def _uniform_setup(full: bool, seed: int):
-    if full:
-        dataset = UniformDataset(n_bats=1000, seed=seed)
-        config = {"n_nodes": 10, "seed": seed}
-        workload = {
-            "n_nodes": 10, "queries_per_second": 80.0, "duration": 60.0,
-            "min_bats": 1, "max_bats": 5, "min_proc_time": 0.1, "max_proc_time": 0.2,
-        }
-        max_time = 2000.0
-    else:
-        dataset = UniformDataset(n_bats=150, min_size=MB, max_size=2 * MB, seed=seed)
-        config = {
-            "n_nodes": 4, "bandwidth": 40 * MB, "bat_queue_capacity": 15 * MB,
-            "resend_timeout": 5.0, "seed": seed,
-        }
-        workload = {
-            "n_nodes": 4, "queries_per_second": 20.0, "duration": 10.0,
-            "min_bats": 1, "max_bats": 3, "min_proc_time": 0.05, "max_proc_time": 0.1,
-        }
-        max_time = 600.0
-    return dataset, config, workload, max_time
+def _scale(args: argparse.Namespace) -> str:
+    return "paper" if args.full else "quick"
+
+
+def _print(rendered: Dict[str, str]) -> None:
+    """The texts ``benchmarks/results/<name>.txt`` hold, under their names."""
+    for name, text in rendered.items():
+        print(f"=== {name} ===\n{text}")
 
 
 # ----------------------------------------------------------------------
 # commands
 # ----------------------------------------------------------------------
 def cmd_fig6(args: argparse.Namespace) -> int:
-    levels = (
-        [round(0.1 * i, 1) for i in range(1, 12)] if args.full else [0.1, 0.5, 1.1]
-    )
-    print(f"LOIT sweep over {levels} ({'paper' if args.full else 'quick'} scale)")
-    for loit in levels:
-        dataset, config, wl_kwargs, max_time = _uniform_setup(args.full, args.seed)
-        dc = DataCyclotron(DataCyclotronConfig(loit_static=loit, **config))
-        populate_ring(dc, dataset)
-        workload = UniformWorkload(dataset, seed=args.seed, **wl_kwargs)
-        total = workload.submit_to(dc)
-        dc.run_until_done(max_time=max_time)
-        lifetimes = dc.metrics.lifetimes()
+    runs = experiments.fig6(_scale(args), args.seed)
+    _print(experiments.render_fig6(runs))
+    for loit, run in runs.items():
         print(
-            f"  LoiT {loit}: {dc.metrics.finished_count()}/{total} finished "
-            f"by t={dc.now:.0f}s, mean life time "
-            f"{statistics.mean(lifetimes):.2f}s, "
-            f"peak ring load {dc.metrics.ring_bytes.maximum() / MB:.0f} MB"
+            f"LoiT {loit}: {run.metrics.finished_count()}/{run.submitted} "
+            f"finished by t={run.dc.now:.0f}s, mean life time "
+            f"{statistics.mean(run.metrics.lifetimes()):.2f}s, "
+            f"peak ring load {run.metrics.ring_bytes.maximum() / MB:.0f} MB"
         )
     return 0
 
 
 def cmd_fig8(args: argparse.Namespace) -> int:
-    if args.full:
-        dataset = UniformDataset(n_bats=1000, seed=args.seed)
-        config = DataCyclotronConfig(n_nodes=10, seed=args.seed)
-        phases = paper_phases()
-        workload = SkewedWorkload(dataset, phases, n_nodes=10, seed=args.seed)
-        max_time = 2000.0
-    else:
-        dataset = UniformDataset(n_bats=200, min_size=MB, max_size=2 * MB, seed=args.seed)
-        config = DataCyclotronConfig(
-            n_nodes=4, bandwidth=40 * MB, bat_queue_capacity=15 * MB,
-            resend_timeout=5.0, loit_adapt_interval=0.1, seed=args.seed,
-        )
-        phases = paper_phases(time_scale=0.2, rate_scale=0.15)
-        workload = SkewedWorkload(
-            dataset, phases, n_nodes=4, min_bats=1, max_bats=3,
-            min_proc_time=0.05, max_proc_time=0.1, seed=args.seed,
-        )
-        max_time = 600.0
-    dc = DataCyclotron(config)
-    populate_ring(dc, dataset, tags=workload.bat_tags())
-    total = workload.submit_to(dc)
-    dc.run_until_done(max_time=max_time)
-    end = phases[-1].end * 1.3
-    metrics = dc.metrics
-    times, series = metrics.ring_bytes.grid(end, step=end / 40)
-    print(render_series("total MB", times, [b / 2**20 for b in series]))
-    for tag in sorted(metrics.ring_bytes_by_tag):
-        t, s = metrics.ring_bytes_by_tag[tag].grid(end, step=end / 40)
-        print(render_series(f"{tag} MB", t, [b / 2**20 for b in s]))
-    print(f"{metrics.finished_count()}/{total} queries finished; "
-          f"{metrics.loit_changes} LOIT adjustments")
+    run = experiments.fig8(_scale(args), args.seed)
+    _print(experiments.render_fig8(run))
+    print(f"{run.metrics.finished_count()}/{run.submitted} queries finished; "
+          f"{run.metrics.loit_changes} LOIT adjustments")
     return 0
 
 
 def cmd_fig9(args: argparse.Namespace) -> int:
-    dataset, config, wl_kwargs, max_time = _uniform_setup(args.full, args.seed)
-    dc = DataCyclotron(DataCyclotronConfig(**config))
-    populate_ring(dc, dataset)
-    n = dataset.n_bats
-    workload = GaussianWorkload(
-        dataset, mean=n / 2, std=n / 20, seed=args.seed, **wl_kwargs
-    )
-    workload.submit_to(dc)
-    dc.run_until_done(max_time=max_time)
-    metrics = dc.metrics
-    print(render_distribution(
-        "touches", {b: float(s.pins) for b, s in metrics.bats.items()},
-        key_range=(0, n - 1),
-    ))
-    print(render_distribution(
-        "requests", {b: float(s.requests) for b, s in metrics.bats.items()},
-        key_range=(0, n - 1),
-    ))
-    print(render_distribution(
-        "loads", {b: float(s.loads) for b, s in metrics.bats.items()},
-        key_range=(0, n - 1),
-    ))
+    _print(experiments.render_fig9(experiments.fig9(_scale(args), args.seed)))
     return 0
 
 
 def cmd_tab4(args: argparse.Namespace) -> int:
-    from repro.workloads.tpch import TpchExperiment
-
-    scale = 0.01 if args.full else 0.005
-    queries = 1200 if args.full else 150
-    print(f"calibrating TPC-H traces (SF {scale})...")
-    # partition the tables so every scaled BAT fits a 200 MB queue
-    rows_per_partition = 10_000 if args.full else None
-    experiment = TpchExperiment(
-        scale_factor=scale, seed=args.seed, rows_per_partition=rows_per_partition
-    )
-    rows = []
-    single = experiment.run(args.nodes[0], queries_per_node=queries,
-                            size_scale=args.size_scale,
-                            transfer_mode=args.transfer_mode)
-    if args.nodes[0] == 1:
-        rows.append(experiment.monetdb_row(single))
-    rows.append(single)
-    rows.extend(experiment.run(n, queries_per_node=queries,
-                               size_scale=args.size_scale,
-                               transfer_mode=args.transfer_mode)
-                for n in args.nodes[1:])
-    print(render_table(
-        ["#nodes", "exec(sec)", "throughput", "throughP/node", "CPU%"],
-        [r.row() for r in rows],
-        title="Table 4: TPC-H trace replay",
-    ))
+    print(f"calibrating TPC-H traces ({_scale(args)} scale)...")
+    _print(experiments.render_tab4(experiments.tab4(
+        _scale(args), args.seed, nodes=args.nodes, size_scale=args.size_scale,
+        transfer_mode=args.transfer_mode,
+    )))
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.full:
-        sweep = RingSizeSweep(seed=args.seed)
-    else:
-        sweep = RingSizeSweep(
-            n_bats=120, min_size=MB, max_size=2 * MB, total_rate=80.0,
-            duration=10.0, min_proc_time=0.05, max_proc_time=0.10,
-            bat_queue_capacity=10 * MB, seed=args.seed,
-        )
-    outcomes = sweep.run(sizes=tuple(args.sizes))
-    print(render_table(
-        ["#nodes", "cycle(ms)", "max req latency(s)", "max cycles", "finished"],
-        [
-            (o.n_nodes, round(o.mean_cycle_duration * 1e3, 1),
-             round(o.peak_latency, 2), o.peak_cycles, o.finished)
-            for o in outcomes
-        ],
-        title="Ring-size sweep (Figures 10 & 11)",
+    _print(experiments.render_fig10_11(
+        experiments.fig10_11(_scale(args), args.seed, sizes=args.sizes)
     ))
     return 0
 
 
 def cmd_fig1(args: argparse.Namespace) -> int:
-    model = HostCostModel(cpu_ghz=args.cpu_ghz)
-    rows = []
-    for mode in TransferMode:
-        bd = model.breakdown(mode, args.gbps)
-        rows.append((
-            mode.value,
-            round(100 * bd.data_copying, 1),
-            round(100 * bd.context_switches, 1),
-            round(100 * bd.driver, 1),
-            round(100 * bd.network_stack, 1),
-            round(100 * bd.total, 1),
-        ))
-    print(render_table(
-        ["mode", "copy%", "ctx%", "drv%", "stack%", "total%"],
-        rows,
-        title=f"Figure 1: CPU load at {args.gbps} Gb/s on a {args.cpu_ghz} GHz host",
-    ))
+    _print(experiments.render_fig1(experiments.fig1(args.gbps, args.cpu_ghz)))
     return 0
 
 
@@ -239,18 +113,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"converted {count} events -> {args.out}")
         return 0
 
-    dataset, config, wl_kwargs, max_time = _uniform_setup(args.full, args.seed)
-    dc = DataCyclotron(DataCyclotronConfig(**config))
     try:
         tracer = Tracer(jsonl_path=args.jsonl)
     except OSError as exc:
         print(f"repro trace: cannot open JSONL output: {exc}", file=sys.stderr)
         return 2
-    tracer.attach(dc.bus)
-    populate_ring(dc, dataset)
-    workload = UniformWorkload(dataset, seed=args.seed, **wl_kwargs)
-    total = workload.submit_to(dc)
-    dc.run_until_done(max_time=max_time)
+    run = experiments.build_ring(_scale(args), args.seed)
+    tracer.attach(run.dc.bus)
+    run.go()
     tracer.close()
     try:
         count = tracer.to_chrome(args.out)
@@ -258,7 +128,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         print(f"repro trace: cannot write {args.out}: {exc}", file=sys.stderr)
         return 2
     print(
-        f"{total} queries, {count} events -> {args.out}"
+        f"{run.submitted} queries, {count} events -> {args.out}"
         + (f" (JSONL: {args.jsonl})" if args.jsonl else "")
     )
     return 0
@@ -346,35 +216,33 @@ def cmd_multiring(args: argparse.Namespace) -> int:
                 failures += 1
         return 1 if failures else 0
 
-    # the demo run: the section 5.3 Gaussian workload over a federation
-    base = DataCyclotronConfig(
-        n_nodes=args.nodes_per_ring, bandwidth=40 * MB,
-        bat_queue_capacity=10 * MB, seed=args.seed,
-    )
+    # the demo run: the section 5.3 Gaussian workload, its total volume
+    # held constant, over a federation of quick rings with 10 MB queues
+    quick = experiments.QUICK
     try:
         config = MultiRingConfig(
-            base=base, n_rings=args.rings, nodes_per_ring=args.nodes_per_ring,
+            base=quick.config(
+                args.seed, n_nodes=args.nodes_per_ring,
+                bat_queue_capacity=10 * MB, resend_timeout=None,
+            ),
+            n_rings=args.rings, nodes_per_ring=args.nodes_per_ring,
         )
     except ValueError as exc:
         print(f"repro multiring: invalid parameters: {exc}", file=sys.stderr)
         return 2
     fed = RingFederation(config)
-    n_bats = 1000 if args.full else 120
-    dataset = UniformDataset(
-        n_bats=n_bats, min_size=MB, max_size=2 * MB, seed=args.seed
-    )
-    for bat_id, size in dataset.sizes.items():
-        fed.add_bat(bat_id, size)
-    workload = GaussianWorkload(
-        dataset,
+    stream = replace(
+        quick,
         n_nodes=fed.total_nodes,
+        n_bats=1000 if args.full else 120,
         queries_per_second=(800.0 if args.full else 80.0) / fed.total_nodes,
         duration=60.0 if args.full else args.duration,
-        mean=n_bats / 2, std=n_bats / 20,
-        min_proc_time=0.05, max_proc_time=0.10,
-        seed=args.seed,
+        max_bats=5,
     )
-    total = workload.submit_to(fed)
+    dataset = stream.dataset(args.seed)
+    for bat_id, size in dataset.sizes.items():
+        fed.add_bat(bat_id, size)
+    total = experiments.gaussian(stream, dataset, args.seed).submit_to(fed)
     done = fed.run_until_done(max_time=2000.0 if args.full else 600.0)
     print(render_federation_report(fed))
     print(f"{fed.completed_queries}/{total} queries terminal by t={fed.sim.now:.0f}s")
@@ -514,8 +382,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
     import pstats
     import time as _time
 
-    dataset, config, wl_kwargs, max_time = _uniform_setup(args.full, args.seed)
-    dc = DataCyclotron(DataCyclotronConfig(**config))
+    run = experiments.build_ring(_scale(args), args.seed)
+    dc = run.dc
 
     counts: dict = {}
     walls: dict = {}
@@ -529,15 +397,13 @@ def cmd_profile(args: argparse.Namespace) -> int:
         last[0] = now
 
     dc.bus.subscribe_all(observe)
-    populate_ring(dc, dataset)
-    workload = UniformWorkload(dataset, seed=args.seed, **wl_kwargs)
-    total = workload.submit_to(dc)
+    total = run.workload.submit_to(dc)
 
     profiler = cProfile.Profile()
     last[0] = _time.perf_counter()
     start = last[0]
     profiler.enable()
-    dc.run_until_done(max_time=max_time)
+    dc.run_until_done(max_time=run.setup.max_time)
     profiler.disable()
     wall = _time.perf_counter() - start
 
@@ -832,17 +698,19 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         p.add_argument("--full", action="store_true",
                        help="paper-scale parameters (slow)")
-        p.add_argument("--seed", type=int, default=7)
+        p.add_argument("--seed", type=int, default=experiments.SEEDS.get(name, 7))
         if name == "tab4":
             p.add_argument("--nodes", type=int, nargs="+",
-                           default=[1, 2, 3, 4, 6, 8])
-            p.add_argument("--size-scale", type=float, default=200.0,
+                           default=list(experiments.TAB4["quick"].nodes))
+            p.add_argument("--size-scale", type=float,
+                           default=experiments.TAB4["quick"].size_scale,
                            dest="size_scale")
             p.add_argument("--transfer-mode", default="rdma",
                            choices=("rdma", "offload", "legacy"),
                            dest="transfer_mode")
         if name == "sweep":
-            p.add_argument("--sizes", type=int, nargs="+", default=[3, 6, 9])
+            p.add_argument("--sizes", type=int, nargs="+",
+                           default=list(experiments.SWEEP_SIZES["quick"]))
         if name == "shell":
             p.add_argument("--nodes", type=int, default=4)
         if name == "chaos":

@@ -10,17 +10,14 @@ harness runs with identical parameters produce byte-identical reports
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
-from repro.core.config import MB, DataCyclotronConfig
-from repro.core.ring import DataCyclotron
 from repro.events.tracer import Tracer
+from repro.experiments import FAULT_ENVELOPE, QUICK, build_ring
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import InvariantMonitor, check_terminal
 from repro.faults.scenario import ChaosScenario
-from repro.workloads.base import UniformDataset, populate_ring
-from repro.workloads.uniform import UniformWorkload
 
 __all__ = ["ChaosHarness", "ChaosResult"]
 
@@ -82,39 +79,23 @@ class ChaosHarness:
         self.duration = duration
         self.resilience = resilience
         self.trace_path = trace
-        config = {
-            "n_nodes": n_nodes,
-            "seed": seed,
-            "bandwidth": 40 * MB,
-            "bat_queue_capacity": 15 * MB,
-            "resend_timeout": 0.5,
-            # escalation keeps chaos runs terminating: backed-off resends,
-            # then DATA_UNAVAILABLE
-            "resend_backoff_base": 2.0,
-            "max_resends": 6,
-            "rehome_policy": rehome_policy,
-            "disk_latency": 1e-4,
-            "load_all_interval": 0.02,
-        }
+        setup = replace(
+            QUICK,
+            n_nodes=n_nodes,
+            n_bats=n_bats,
+            queries_per_second=queries_per_second,
+            duration=duration,
+            min_proc_time=0.02,
+            max_proc_time=0.05,
+        )
+        config = dict(FAULT_ENVELOPE, rehome_policy=rehome_policy)
         if resilience:
             config.update(resilience=True, replication_k=replication)
         config.update(config_overrides)
-        self.dc = DataCyclotron(DataCyclotronConfig(**config))
-        self.dataset = UniformDataset(
-            n_bats=n_bats, min_size=MB, max_size=2 * MB, seed=seed
-        )
-        populate_ring(self.dc, self.dataset)
-        self.workload = UniformWorkload(
-            self.dataset,
-            n_nodes=n_nodes,
-            queries_per_second=queries_per_second,
-            duration=duration,
-            min_bats=1,
-            max_bats=3,
-            min_proc_time=0.02,
-            max_proc_time=0.05,
-            seed=seed,
-        )
+        run = build_ring(setup, seed, **config)
+        self.dc = run.dc
+        self.dataset = run.dataset
+        self.workload = run.workload
         self.scenario = (
             scenario
             if scenario is not None

@@ -18,7 +18,7 @@ from repro.metrics.report import render_table
 if TYPE_CHECKING:  # pragma: no cover
     from repro.multiring.federation import RingFederation
 
-__all__ = ["federation_summary", "render_federation_report"]
+__all__ = ["render_federation_report"]
 
 # counters shown in the traffic section, in display order
 _TRAFFIC_KEYS = (
@@ -45,11 +45,6 @@ _TRAFFIC_KEYS = (
     "serves_handed_off",
     "events_processed",
 )
-
-
-def federation_summary(fed: "RingFederation") -> dict:
-    """The federation's headline numbers (same dict the CLI prints)."""
-    return fed.summary()
 
 
 def render_federation_report(fed: "RingFederation") -> str:

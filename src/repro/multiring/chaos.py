@@ -19,15 +19,14 @@ submitted query reached a terminal state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List
 
-from repro.core.config import MB, DataCyclotronConfig
+from repro.core.config import MB
+from repro.experiments import FAULT_ENVELOPE, QUICK, uniform
 from repro.faults.invariants import InvariantMonitor, check_terminal
 from repro.multiring.config import MultiRingConfig
 from repro.multiring.federation import RingFederation
-from repro.workloads.base import UniformDataset
-from repro.workloads.uniform import UniformWorkload
 
 __all__ = ["MultiRingChaosHarness", "MultiRingChaosResult", "run_multiring_chaos"]
 
@@ -89,16 +88,19 @@ class MultiRingChaosHarness:
         self.seed = seed
         self.resilience = resilience
         self.duration = duration
-        base = DataCyclotronConfig(
+        setup = replace(
+            QUICK,
+            n_nodes=n_rings * nodes_per_ring,
+            n_bats=n_bats,
+            queries_per_second=queries_per_second,
+            duration=duration,
+            min_proc_time=0.02,
+            max_proc_time=0.05,
+        )
+        base = setup.config(
+            seed,
             n_nodes=nodes_per_ring,  # replaced per ring by MultiRingConfig
-            seed=seed,
-            bandwidth=40 * MB,
-            bat_queue_capacity=15 * MB,
-            resend_timeout=0.5,
-            resend_backoff_base=2.0,
-            max_resends=6,
-            disk_latency=1e-4,
-            load_all_interval=0.02,
+            **FAULT_ENVELOPE,
             resilience=resilience,
             replication_k=2 if resilience else 1,
         )
@@ -111,9 +113,7 @@ class MultiRingChaosHarness:
             splitmerge_interval=0.0,  # keep the topology fixed under faults
         )
         self.fed = RingFederation(self.config)
-        self.dataset = UniformDataset(
-            n_bats=n_bats, min_size=MB, max_size=2 * MB, seed=seed
-        )
+        self.dataset = setup.dataset(seed)
         for bat_id, size in sorted(self.dataset.sizes.items()):
             self.fed.add_bat(bat_id, size)
         # the migration probe: a fragment no query ever touches, so the
@@ -121,17 +121,7 @@ class MultiRingChaosHarness:
         # placement tick after the request
         self.probe_bat = n_bats
         self.fed.add_bat(self.probe_bat, 2 * MB, ring=0)
-        self.workload = UniformWorkload(
-            self.dataset,
-            n_nodes=n_rings * nodes_per_ring,
-            queries_per_second=queries_per_second,
-            duration=duration,
-            min_bats=1,
-            max_bats=3,
-            min_proc_time=0.02,
-            max_proc_time=0.05,
-            seed=seed,
-        )
+        self.workload = uniform(setup, self.dataset, seed)
         self.specs = {spec.query_id: spec for spec in self.workload.queries()}
         self.monitors = [InvariantMonitor(ring) for ring in self.fed.rings]
         self.fault_log: List[str] = []

@@ -79,5 +79,10 @@ class Workload:
     def queries(self) -> Iterator[QuerySpec]:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def bat_tags(self) -> Dict[int, str]:
+        """Tags for :func:`populate_ring`; only a workload that names
+        data subsets (section 5.2's DH1..DH4) has any."""
+        return {}
+
     def submit_to(self, dc: DataCyclotron) -> int:
         return dc.submit_all(self.queries())

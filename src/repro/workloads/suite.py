@@ -37,6 +37,7 @@ from repro.core.config import MB, DataCyclotronConfig
 from repro.core.query import QuerySpec
 from repro.core.ring import DataCyclotron
 from repro.dbms.executor import RingDatabase
+from repro.experiments import FAST_DISK, FAULT_ENVELOPE, QUICK
 from repro.metrics.slo import (
     EngineSloTarget,
     SloCollector,
@@ -94,16 +95,13 @@ class ScenarioSpec:
 # ----------------------------------------------------------------------
 # shared deployment builders
 # ----------------------------------------------------------------------
+def _classic_config(seed: int) -> DataCyclotronConfig:
+    """The quick ring with a fast disk and the derived resend timeout."""
+    return QUICK.config(seed, resend_timeout=None, **FAST_DISK)
+
+
 def _classic_ring(dataset: UniformDataset, seed: int) -> DataCyclotron:
-    """A 4-node classic ring with the quick-benchmark speed knobs."""
-    dc = DataCyclotron(DataCyclotronConfig(
-        n_nodes=4,
-        seed=seed,
-        bandwidth=40 * MB,
-        bat_queue_capacity=15 * MB,
-        disk_latency=1e-4,
-        load_all_interval=0.02,
-    ))
+    dc = DataCyclotron(_classic_config(seed))
     populate_ring(dc, dataset)
     return dc
 
@@ -140,16 +138,10 @@ def _block_federation(
     """A federation with *contiguous block* data placement: BAT ids map
     to rings in order, so a drifting interest centre walks from one
     ring's data into the next (the locality-shift premise)."""
-    base = DataCyclotronConfig(
+    base = QUICK.config(
+        seed,
         n_nodes=nodes_per_ring,  # replaced per ring by MultiRingConfig
-        seed=seed,
-        bandwidth=40 * MB,
-        bat_queue_capacity=15 * MB,
-        disk_latency=1e-4,
-        load_all_interval=0.02,
-        resend_timeout=0.5,
-        resend_backoff_base=2.0,
-        max_resends=6,
+        **FAULT_ENVELOPE,
         resilience=resilience,
         replication_k=2 if resilience else 1,
     )
@@ -421,16 +413,10 @@ def _overload_ring(
     even more traffic.  The controlled run adds the retry-budget token
     bucket; everything else is identical between the two runs.
     """
-    dc = DataCyclotron(DataCyclotronConfig(
-        n_nodes=4,
-        seed=seed,
-        bandwidth=40 * MB,
+    dc = DataCyclotron(QUICK.config(
+        seed,
         bat_queue_capacity=8 * MB,
-        disk_latency=1e-4,
-        load_all_interval=0.02,
-        max_resends=3,
-        resend_timeout=0.5,
-        resend_backoff_base=2.0,
+        **dict(FAULT_ENVELOPE, max_resends=3),
         resilience=True,
         retry_max_attempts=4,
         retry_backoff_initial=0.2,
@@ -774,14 +760,7 @@ def _run_mixed_engine(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, 
             duration=12.0, seed=seed,
         )
     rdb = RingDatabase(
-        DataCyclotronConfig(
-            n_nodes=4,
-            seed=seed,
-            bandwidth=40 * MB,
-            bat_queue_capacity=15 * MB,
-            disk_latency=1e-4,
-            load_all_interval=0.02,
-        ),
+        _classic_config(seed),
         lifecycle_events=True,  # tags queries with their engine class
     )
     slo = SloCollector().attach(rdb.dc.bus)
@@ -874,11 +853,11 @@ def _door_summary(door, duration: float) -> Dict:
 
 
 def _frontdoor_once(
-    seed: int, quick: bool, estimate: bool
+    seed: int, quick: bool, estimate: bool, tag_tiers: bool, **workload_overrides
 ) -> Tuple[SloCollector, "FrontDoor", FrontDoorWorkload, bool]:
     from repro.frontdoor import FrontDoor, FrontDoorPolicy
 
-    wl = _frontdoor_workload(seed, quick)
+    wl = _frontdoor_workload(seed, quick, **workload_overrides)
     rdb = _frontdoor_ring(seed, quick)
     wl.load_into(rdb)
     slo = SloCollector().attach(rdb.dc.bus)
@@ -887,14 +866,14 @@ def _frontdoor_once(
         # statistics-driven: tier-sliced valve over *predicted* bytes
         door = FrontDoor(rdb, policy=FrontDoorPolicy(
             tier_boundaries=FRONTDOOR_TIERS, byte_budget=budget,
-            admission="estimate", tag_tiers=True,
+            admission="estimate", tag_tiers=tag_tiers,
         ))
     else:
         # blind twin: same tiers/deadlines/tickets, but admission falls
         # to the dispatcher's post-compile byte valve with the same cap
         door = FrontDoor(rdb, policy=FrontDoorPolicy(
             tier_boundaries=FRONTDOOR_TIERS, admission="none",
-            tag_tiers=True,
+            tag_tiers=tag_tiers,
         ))
         rdb.byte_budget = budget
     wl.offer_to(door)
@@ -903,8 +882,12 @@ def _frontdoor_once(
 
 
 def _run_frontdoor(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
-    slo_on, door_on, wl, completed = _frontdoor_once(seed, quick, True)
-    slo_off, door_off, _, _ = _frontdoor_once(seed, quick, False)
+    slo_on, door_on, wl, completed = _frontdoor_once(
+        seed, quick, estimate=True, tag_tiers=True
+    )
+    slo_off, door_off, _, _ = _frontdoor_once(
+        seed, quick, estimate=False, tag_tiers=True
+    )
     verdict = slo_on.verdict("frontdoor", seed, target)
     verdict_off = slo_off.verdict("frontdoor", seed, target)
     duration = wl.duration
@@ -941,42 +924,18 @@ FRONTDOOR_ENGINE_TARGETS: Dict[str, EngineSloTarget] = {
 }
 
 
-def _mixed_overload_once(
-    seed: int, quick: bool, estimate: bool
-) -> Tuple[SloCollector, "FrontDoor", FrontDoorWorkload, bool]:
-    from repro.frontdoor import FrontDoor, FrontDoorPolicy
-
-    # the burst floods all three engine classes at once: wide scans,
-    # cold probes, grouped folds over the cold wide columns
-    wl = _frontdoor_workload(
-        seed, quick, burst_kv_rate=40.0, burst_stream_rate=4.0
-    )
-    rdb = _frontdoor_ring(seed, quick)
-    wl.load_into(rdb)
-    slo = SloCollector().attach(rdb.dc.bus)
-    budget = _frontdoor_budget(quick)
-    if estimate:
-        # tag_tiers stays off: registrations keep their engine tags so
-        # the per-engine-class verdicts reuse the mixed-engine machinery
-        door = FrontDoor(rdb, policy=FrontDoorPolicy(
-            tier_boundaries=FRONTDOOR_TIERS, byte_budget=budget,
-            admission="estimate",
-        ))
-    else:
-        door = FrontDoor(rdb, policy=FrontDoorPolicy(
-            tier_boundaries=FRONTDOOR_TIERS, admission="none",
-        ))
-        rdb.byte_budget = budget
-    wl.offer_to(door)
-    completed = rdb.run_until_done(max_time=MAX_TIME)
-    return slo, door, wl, completed
-
-
 def _run_mixed_engine_overload(
     seed: int, quick: bool, target: SloTarget
 ) -> Tuple[Dict, Dict]:
-    slo_on, door_on, wl, completed = _mixed_overload_once(seed, quick, True)
-    slo_off, door_off, _, _ = _mixed_overload_once(seed, quick, False)
+    # the burst floods all three engine classes at once: wide scans,
+    # cold probes, grouped folds over the cold wide columns.  tag_tiers
+    # stays off: registrations keep their engine tags so the
+    # per-engine-class verdicts reuse the mixed-engine machinery
+    burst = {"tag_tiers": False, "burst_kv_rate": 40.0, "burst_stream_rate": 4.0}
+    slo_on, door_on, wl, completed = _frontdoor_once(
+        seed, quick, estimate=True, **burst
+    )
+    slo_off, door_off, _, _ = _frontdoor_once(seed, quick, estimate=False, **burst)
     duration = wl.duration
     verdict = slo_on.verdict("mixed-engine-overload", seed, target)
     verdict["engine_classes"] = slo_on.engine_verdicts(

@@ -160,22 +160,24 @@ class RingSizeSweep:
         self.bat_queue_capacity = bat_queue_capacity
         self.seed = seed
 
-    def run_size(self, n_nodes: int, max_time: float = 3600.0) -> SweepOutcome:
-        """Run the stable workload on a ring of ``n_nodes``."""
-        dataset = UniformDataset(
+    def dataset(self) -> UniformDataset:
+        return UniformDataset(
             n_bats=self.n_bats,
             min_size=self.min_size,
             max_size=self.max_size,
             seed=self.seed,
         )
-        config = DataCyclotronConfig(
+
+    def config(self, n_nodes: int) -> DataCyclotronConfig:
+        return DataCyclotronConfig(
             n_nodes=n_nodes,
             bat_queue_capacity=self.bat_queue_capacity,
             seed=self.seed,
         )
-        dc = DataCyclotron(config)
-        populate_ring(dc, dataset)
-        workload = GaussianWorkload(
+
+    def workload(self, dataset: UniformDataset, n_nodes: int) -> GaussianWorkload:
+        """The stable stream: ``total_rate`` spread over ``n_nodes``."""
+        return GaussianWorkload(
             dataset,
             n_nodes=n_nodes,
             queries_per_second=self.total_rate / n_nodes,
@@ -186,6 +188,14 @@ class RingSizeSweep:
             max_proc_time=self.max_proc_time,
             seed=self.seed,
         )
+
+    def run_size(self, n_nodes: int, max_time: float = 3600.0) -> SweepOutcome:
+        """Run the stable workload on a ring of ``n_nodes``."""
+        dataset = self.dataset()
+        config = self.config(n_nodes)
+        dc = DataCyclotron(config)
+        populate_ring(dc, dataset)
+        workload = self.workload(dataset, n_nodes)
         workload.submit_to(dc)
         dc.run_until_done(max_time=max_time)
 

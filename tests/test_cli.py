@@ -1,8 +1,20 @@
 """Tests for the experiment CLI."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+RESULTS = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
+
+
+def assert_prints(out, *names):
+    """``out`` holds each named ``benchmarks/results`` file verbatim: the
+    command and the benchmark that wrote the file share one definition
+    (``repro.experiments``), default seed and parameters included."""
+    for name in names:
+        assert (RESULTS / f"{name}.txt").read_text() in out, name
 
 
 def test_list_command(capsys):
@@ -17,11 +29,12 @@ def test_fig1_command(capsys):
     out = capsys.readouterr().out
     assert "rdma" in out
     assert "everything-on-cpu" in out
+    assert_prints(out, "fig1_hostmodel")
 
 
 def test_fig1_custom_host(capsys):
     assert main(["fig1", "--gbps", "5", "--cpu-ghz", "10"]) == 0
-    assert "5.0 Gb/s" in capsys.readouterr().out
+    assert "CPU load at 5 Gb/s" in capsys.readouterr().out
 
 
 def test_sweep_command_small(capsys):
@@ -29,6 +42,13 @@ def test_sweep_command_small(capsys):
     out = capsys.readouterr().out
     assert "cycle(ms)" in out
     assert "Figures 10" in out
+    assert main(["sweep"]) == 0
+    assert_prints(
+        capsys.readouterr().out,
+        "fig10_fig11_summary",
+        *(f"fig10_latency_{n}nodes" for n in (3, 6, 9)),
+        *(f"fig11_cycles_{n}nodes" for n in (3, 6, 9)),
+    )
 
 
 def test_unknown_command_rejected():
@@ -48,6 +68,12 @@ def test_fig6_command_quick(capsys):
     out = capsys.readouterr().out
     assert "LoiT 0.1" in out and "LoiT 1.1" in out
     assert "finished" in out
+    assert main(["fig6"]) == 0
+    assert_prints(
+        capsys.readouterr().out,
+        "fig6a_throughput", "fig6b_lifetime",
+        "fig7a_ring_load_bytes", "fig7b_ring_load_bats",
+    )
 
 
 def test_fig8_command_quick(capsys):
@@ -55,12 +81,19 @@ def test_fig8_command_quick(capsys):
     out = capsys.readouterr().out
     assert "dh2" in out
     assert "LOIT adjustments" in out
+    assert main(["fig8"]) == 0
+    assert_prints(
+        capsys.readouterr().out,
+        "fig8a_ring_space_per_dh", "fig8b_queries_per_workload",
+    )
 
 
 def test_fig9_command_quick(capsys):
     assert main(["fig9", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert "touches" in out and "loads" in out
+    assert main(["fig9"]) == 0
+    assert_prints(capsys.readouterr().out, "fig9a_touches_requests", "fig9b_loads")
 
 
 def test_tab4_command_two_rings(capsys):
@@ -68,6 +101,8 @@ def test_tab4_command_two_rings(capsys):
     out = capsys.readouterr().out
     assert "MonetDB" in out
     assert "throughP/node" in out
+    assert main(["tab4"]) == 0
+    assert_prints(capsys.readouterr().out, "tab4_tpch")
 
 
 def test_shell_command_reads_stdin(monkeypatch, capsys):
