@@ -25,7 +25,13 @@ send time and replaces them with **one** analytically computed arrival:
 Safety is conservative: a hop is only coalesced when the intervening
 channel is pristine (no loss injection, nothing queued or serialising,
 capacity admits the message) and the next node is provably
-disinterested (not the owner/origin, no S2 entry).  Anything that could
+disinterested (not the owner/origin, no S2 entry).  Neither is asked
+hop by hop: the ring keeps, per BAT, a bitmask of the positions that
+would stop it (:class:`~repro.core.structures.RingIndex`) and, per
+direction, bitmasks of the links that are busy, lossy or reserved
+(:class:`~repro.net.link.Lane`), so the length of the run is a shift
+and a lowest-set-bit, a reservation is one mask, and what a flight costs
+does not depend on how far it flies.  Anything that could
 invalidate a flight mid-air *flushes* it back into real link state
 first: a competing send on a reserved channel, a new S2 registration
 for the flight's BAT, a topology fault, a link degradation, or a
@@ -39,6 +45,8 @@ default on) and injects it into every :class:`NodeRuntime` as
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.events import types as ev
@@ -48,6 +56,7 @@ from repro.events.types import (
     RotationFastForwarded,
     SimEventFired,
 )
+from repro.net.link import Lane
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.messages import BATMessage, RequestMessage
@@ -61,40 +70,43 @@ class Flight:
     """One coalesced multi-hop traversal, pending its arrival event.
 
     An arc of the ring, not a list of hops.  Hop ``i`` crosses
-    ``lane[at + i]`` -- the link out of node ``(start + i*step) % n``
-    into node ``(start + (i+1)*step) % n``, the ``i``-th *skipped* node
-    -- is enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and arrives
-    at ``arrivals[i]``.  Only the arrivals are stored; :meth:`hop`
-    re-derives the rest with the float operations of the scan, in the
-    scan's order, so the result is bit-identical to what the scan saw
-    (link bandwidths only change under a fault, which lands every
-    flight first).  The last skipped node performs the real final send
-    when the flight completes (or is flushed past it).
+    ``lane.travel[at + i]`` -- the link out of node ``(start + i*step) %
+    n`` into node ``(start + (i+1)*step) % n``, the ``i``-th *skipped*
+    node -- is enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and
+    arrives at ``arrivals[i]``.  Only the arrivals are stored;
+    :meth:`hop` re-derives the rest with the float operations of the
+    scan, in the scan's order, so the result is bit-identical to what
+    the scan saw (link bandwidths only change under a fault, which lands
+    every flight first).  ``held`` is the part of the arc still reserved
+    for the flight, as a mask over the lane's doubled positions.  The
+    last skipped node performs the real final send when the flight
+    completes (or is flushed past it).
     """
 
     __slots__ = (
         "ff", "kind", "msg", "wire", "bat_id", "lane", "at", "start", "step",
-        "t0", "arrivals", "event",
+        "t0", "arrivals", "held", "event",
     )
 
     def __init__(self, ff: "FastForwarder", kind: str, msg, wire: int,
-                 lane: list, start: int, step: int, t0: float, arrivals: list):
+                 lane: Lane, start: int, t0: float, arrivals: list):
         self.ff = ff
         self.kind = kind  # "bat" | "request"
         self.msg = msg
         self.wire = wire
         self.bat_id = msg.bat_id
         self.lane = lane
-        self.at = (start * step) % ff.n
+        self.at = (start * lane.step) % ff.n
         self.start = start
-        self.step = step
+        self.step = lane.step
         self.t0 = t0
         self.arrivals = arrivals
+        self.held = 0
         self.event = None
 
     def hop(self, i: int) -> tuple:
         """``(link, enqueue, tx, serialise_end, arrival)`` of hop ``i``."""
-        link = self.lane[self.at + i][1]
+        link = self.lane.travel[self.at + i]
         enqueue = self.arrivals[i - 1] if i else self.t0
         tx = self.wire / link.bandwidth
         return link, enqueue, tx, enqueue + tx, self.arrivals[i]
@@ -102,7 +114,7 @@ class Flight:
     def hop_of_link(self, link) -> Optional[int]:
         """Index of the hop that crosses ``link``; None off the arc."""
         i = ((link.ring_pos - self.start) * self.step) % self.ff.n
-        if i < len(self.arrivals) and self.lane[self.at + i][1] is link:
+        if i < len(self.arrivals) and self.lane.travel[self.at + i] is link:
             return i
         return None
 
@@ -144,13 +156,21 @@ class FastForwarder:
         # liveness monitors on the request channels; the facade clears
         # this when a detector is attached.  BAT flights are unaffected.
         self.request_enabled = True
-        self._req_step = 1 if self.config.requests_clockwise else -1
         # Node ids are ring positions by construction -- verified here,
         # never assumed: every arc formula below depends on it.
         if any(node.node_id != i for i, node in enumerate(dc.nodes)):
             self.active = False  # pragma: no cover - facade always ids in order
-        self._bat_lane = self._lane(dc.ring.data, 1)
-        self._req_lane = self._lane(dc.ring.request, self._req_step)
+        # Built whether or not the fast path is on: the facade's LOIT
+        # tick finds the nodes with traffic in ``data_lane.busy``.
+        self.data_lane = self._lane(dc.ring.data, 1)
+        self.request_lane = self._lane(
+            dc.ring.request, 1 if self.config.requests_clockwise else -1
+        )
+        # the stops of a BAT: who holds an S2 entry, who owns it, and the
+        # doubled bit of a position (the message's own owner / origin)
+        self._requested = dc.index.requested
+        self._owned = dc.index.owned
+        self._bits = dc.index.bits
         # Longest run of hops one flight may coalesce.  A flight longer
         # than the gap to the next circulating BAT is guaranteed to be
         # flushed by that BAT's next forward (it enters one of the
@@ -197,30 +217,17 @@ class FastForwarder:
         self.released = 0
         self.tolerated = 0
 
-    def _lane(self, channels: list, step: int) -> list:
-        """The scan lane of messages stepping ``step`` around the ring.
-
-        Entry ``j`` is the hop out of node ``(j*step) % n`` -- travel
-        order -- as ``(channel, link, link.stats, receiver id, receiver's
-        S2 map, receiver's S1 map)``, doubled so a slice of up to n-1
-        hops never wraps.  The scan runs on every forward, so its per-hop
-        cost decides whether coalescing pays at all: one tuple unpack
-        replaces the attribute chains (node.s2.get, ring.data[i].link,
-        ...) of the classic path.  Everything is held by reference for
-        the life of the deployment: rewires only re-point channel
-        receivers, and ``RequestTable._requests``, ``OwnedCatalog._bats``
-        and ``Link.stats`` are mutated in place, never rebound.
-        """
-        n = self.n
-        lane = []
-        for j in range(n):
-            pos = (j * step) % n
-            receiver = self.nodes[(pos + step) % n]
-            link = channels[pos].link
-            link.ring_pos = pos
-            lane.append((channels[pos], link, link.stats, receiver.node_id,
-                         receiver.s2._requests, receiver.s1._bats))
-        return lane * 2
+    @staticmethod
+    def _lane(channels: list, step: int) -> Lane:
+        """The links of ``channels`` as the lane of messages stepping
+        ``step`` around the ring.  Everything in it is held by reference
+        for the life of the deployment: rewires only re-point channel
+        receivers."""
+        lane = Lane([ch.link for ch in channels], step)
+        for ch in channels:
+            if ch.loss_rate != 0.0:
+                lane.lossy |= ch.link.lane_bit
+        return lane
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -236,13 +243,17 @@ class FastForwarder:
 
         ``count`` is what the facade registered (``add_bat`` /
         ``remove_bat``): an upper bound on what circulates, not the hot
-        set.  A small ring whose catalog outnumbers its nodes is taken
-        to keep its data links busy serialising -- flights would be
-        overrun before landing, and the per-forward scan is wasted work
-        -- so 10 nodes under a 1000-BAT catalog never scan a BAT forward,
-        however few of the BATs are hot.  Large rings keep scanning: even
-        dense interest leaves multi-hop disinterested runs worth
-        coalescing.
+        set.  On a small ring whose catalog outnumbers its nodes the
+        gate saves the calls, nothing more: such a ring coalesces no BAT
+        hop because every data link is serialising (``Lane.busy`` is
+        full), and a busy link is never pristine whatever the gate
+        says.  Measured, so nobody "feeds it the hot set": with the gate
+        forced open on ``ring_dense`` seed 1 (10 nodes, 1000 BATs)
+        flights go 3 959 -> 4 031, ``refused_short`` 19 093 -> 57 642,
+        ``refused_first_hop`` 19 011 -> 32 032, and the run phase is no
+        faster (docs/performance.md section 9).  Large rings keep
+        scanning: even dense interest leaves multi-hop disinterested
+        runs worth coalescing.
         """
         self._population = count
         self.bat_scan_ok = self.active and not (
@@ -328,43 +339,16 @@ class FastForwarder:
             self._refresh_bus_caches()
         if not self._lazy_ok:
             return False
-        owner = msg.owner
-        bat_id = msg.bat_id
-        lane = self._bat_lane
-        start = node.node_id  # step +1: the lane index is the position
+        # a BAT stops at its owner and wherever S2 asks for it
+        stops = self._requested.get(msg.bat_id, 0) | self._bits[msg.owner]
+        start = node.node_id
         # Most forwards happen *inside* an interested run -- the next
-        # node stops the message -- so the dominant scan outcome is a
-        # first-hop failure.  Check it before paying for the full setup.
-        first = lane[start]
-        if first[3] == owner or bat_id in first[4]:
+        # node stops the message -- so the dominant outcome is a
+        # first-hop failure.  Check it before anything else.
+        if stops >> (start + 1) & 1:
             self.refused_first_hop += 1
             return False
-        t = s_end = t0 = self.sim.now
-        arrivals: list = []
-        arrived = arrivals.append
-        for ch, link, _stats, nxt, s2, _s1 in lane[start:start + self.scan_limit]:
-            if nxt == owner or bat_id in s2:
-                break
-            ft = link.ff_transit
-            if ft is not None and not self._release_if_passed(ft, link):
-                break
-            if (
-                ch.loss_rate != 0.0
-                or link._busy
-                or link._queue
-                or (link.queue_capacity is not None and wire > link.queue_capacity)
-            ):
-                break
-            s_end = t + wire / link.bandwidth
-            t = s_end + link.delay
-            arrived(t)
-        if len(arrivals) < self.min_flight:
-            # a short flight saves a couple of net events but pays for
-            # the whole flight machinery; let the classic path handle it
-            self.refused_short += 1
-            return False
-        self._launch(Flight(self, "bat", msg, wire, lane, start, 1, t0, arrivals), s_end)
-        return True
+        return self._fly("bat", msg, wire, self.data_lane, start, stops)
 
     def send_request(self, node: "NodeRuntime", msg: "RequestMessage") -> bool:
         """Try to coalesce a request forward; False -> classic send."""
@@ -378,49 +362,110 @@ class FastForwarder:
             self._refresh_bus_caches()
         if not self._lazy_ok:
             return False
-        origin = msg.origin
+        # a request stops back at its origin, where S2 absorbs it, and
+        # at the BAT's owner
         bat_id = msg.bat_id
-        lane = self._req_lane
+        stops = (
+            self._requested.get(bat_id, 0)
+            | self._owned.get(bat_id, 0)
+            | self._bits[msg.origin]
+        )
+        lane = self.request_lane
         start = node.node_id
-        step = self._req_step
-        at = (start * step) % self.n
-        # first-hop failure is the common case; check before full setup
-        first = lane[at]
-        owned = first[5].get(bat_id)
-        if first[3] == origin or bat_id in first[4] or (
-            owned is not None and not owned.deleted
-        ):
+        if stops >> (start + 1 if lane.step > 0 else start + self.n - 1) & 1:
             self.refused_first_hop += 1
             return False
-        wire = self.config.request_message_size
-        t = s_end = t0 = self.sim.now
-        arrivals: list = []
-        arrived = arrivals.append
-        for ch, link, _stats, nxt, s2, s1 in lane[at:at + self.scan_limit]:
-            if nxt == origin or bat_id in s2:
-                break
-            owned = s1.get(bat_id)
-            if owned is not None and not owned.deleted:  # s1.owns, inlined
-                break
-            ft = link.ff_transit
-            if ft is not None and not self._release_if_passed(ft, link):
-                break
-            if (
-                ch.loss_rate != 0.0
-                or link._busy
-                or link._queue
-                or (link.queue_capacity is not None and wire > link.queue_capacity)
-            ):
-                break
-            s_end = t + wire / link.bandwidth
-            t = s_end + link.delay
-            arrived(t)
-        if len(arrivals) < self.min_flight:
+        return self._fly(
+            "request", msg, self.config.request_message_size, lane, start, stops
+        )
+
+    def _fly(self, kind: str, msg, wire: int, lane: Lane, start: int,
+             stops: int) -> bool:
+        """Launch a flight out of ``start`` if the run of pristine links
+        into disinterested nodes is long enough (the next node is known
+        to be one).
+
+        ``stops`` has a (doubled) bit per position that would keep the
+        message; it always includes the owner / origin, so a nearest
+        stop exists: the nearest set bit in travel direction is how far
+        the message could ``reach``.  The links it would cross to get
+        there are indexed by their senders; the nearest one that is
+        busy or lossy cuts the run short at ``k``.
+        """
+        limit = self.scan_limit
+        if lane.step > 0:
+            ahead = stops >> (start + 1)
+            reach = (ahead & -ahead).bit_length() - 1
+            if reach > limit:
+                reach = limit
+            cut = ((lane.busy | lane.lossy) >> start) | (1 << reach)
+            k = (cut & -cut).bit_length() - 1
+        else:
+            top = start + self.n
+            below = (1 << top) - 1
+            reach = top - (stops & below).bit_length()
+            if reach > limit:
+                reach = limit
+            cut = ((lane.busy | lane.lossy) >> 1 & below) | (1 << (top - 1 - reach))
+            k = top - cut.bit_length()
+        if wire > lane.capacity:
+            k = 0
+        if lane.reserved:
+            # Reservations are looked at hop by hop, up to and including
+            # the hop a non-pristine link ended the run on -- but only
+            # those there are: the walk visits reserved links, not hops.
+            extent = k + (k < reach)
+            low = start if lane.step > 0 else start + self.n - extent + 1
+            owed = lane.reserved >> low & ((1 << extent) - 1)
+            if owed:
+                k = self._unreserved_run(lane, start, k, extent, owed)
+        if k < self.min_flight:
+            # a short flight saves a couple of net events but pays for
+            # the whole flight machinery; let the classic path handle it
             self.refused_short += 1
             return False
-        flight = Flight(self, "request", msg, wire, lane, start, step, t0, arrivals)
-        self._launch(flight, s_end)
+        # What is left per hop is the wire's own float recurrence, s_end
+        # = t + wire/bandwidth; t = s_end + delay: a running sum over the
+        # lane's per-link steps, which yields every serialise-end (odd
+        # places) and every arrival (even places) from the launch instant.
+        steps = lane.steps.get(wire) or lane.time(wire)
+        at = 2 * ((start * lane.step) % self.n)
+        now = self.sim.now
+        clock = list(accumulate(steps[at:at + 2 * k], initial=now))
+        self._launch(
+            Flight(self, kind, msg, wire, lane, start, now, clock[2::2]), clock[-2]
+        )
         return True
+
+    def _unreserved_run(self, lane: Lane, start: int, k: int, extent: int,
+                        owed: int) -> int:
+        """How many of the ``k`` hops out of ``start`` are free of other
+        flights.  ``owed`` marks the reserved ones among the first
+        ``extent`` hops; they are examined in hop order: a reservation
+        whose holder already left the link lapses
+        (:meth:`_release_if_passed`), the first one that does not ends
+        the run."""
+        travel = lane.travel
+        holders = lane.holders
+        forward = lane.step > 0
+        at = (start * lane.step) % self.n
+        while owed:
+            if forward:
+                bit = owed & -owed
+                i = bit.bit_length() - 1
+            else:
+                i = extent - owed.bit_length()
+                bit = 1 << (extent - 1 - i)
+            link = travel[at + i]
+            # Lane.holder, inlined: 8-node rings meet a reservation on
+            # every fourth scan
+            for holder in holders:
+                if holder.held & link.lane_bit:
+                    break
+            if not self._release_if_passed(holder, link):
+                return i if i < k else k
+            owed ^= bit
+        return k
 
     # ------------------------------------------------------------------
     # flight mechanics
@@ -429,9 +474,10 @@ class FastForwarder:
         """Reserve the arc and schedule the landing; ``s_end`` is the
         last hop's serialise-end, carried out of the scan."""
         arrivals = flight.arrivals
-        at = flight.at
-        for entry in flight.lane[at:at + len(arrivals)]:
-            entry[1].ff_transit = flight
+        lane = flight.lane
+        flight.held = lane.arc(flight.start, 0, len(arrivals))
+        lane.reserved |= flight.held
+        lane.holders.append(flight)
         self._by_bat.setdefault(flight.bat_id, []).append(flight)
         # the completion stands in for the classic delivery into the last
         # skipped node, which the wire would have scheduled at that hop's
@@ -455,13 +501,13 @@ class FastForwarder:
         a classic run.  At an exact serialise-end tie the wire is free
         only if the classic serialise-end event (scheduled at the hop's
         enqueue) would have dispatched before the running one."""
-        # hop_of_link + hop, inlined: runs per reserved link per scan
         i = ((link.ring_pos - flight.start) * flight.step) % self.n
         enqueue = flight.arrivals[i - 1] if i else flight.t0
         s_end = enqueue + flight.wire / link.bandwidth
         now = self.sim.now
         if s_end < now or (s_end == now and self.sim.dispatch_origin > enqueue):
-            link.ff_transit = None
+            flight.held ^= link.lane_bit
+            flight.lane.reserved ^= link.lane_bit
             self.released += 1
             return True
         return False
@@ -528,29 +574,22 @@ class FastForwarder:
         )
 
     def _release(self, flight: Flight, since: int = 0) -> None:
-        """Clear the reservations of hops ``since`` onwards that the
-        flight still holds: released links may have been re-claimed by
-        a younger flight."""
-        at = flight.at
-        for entry in flight.lane[at + since:at + len(flight.arrivals)]:
-            if entry[1].ff_transit is flight:
-                entry[1].ff_transit = None
+        """Free what the flight still holds of hops ``since`` onwards:
+        links it released earlier may be held by a younger flight."""
+        freed = flight.held
+        if since:
+            freed &= flight.lane.arc(
+                flight.start, since, len(flight.arrivals) - since
+            )
+        flight.held ^= freed
+        flight.lane.reserved ^= freed
 
     def _forget(self, flight: Flight) -> None:
-        flights = self._by_bat.get(flight.bat_id)
-        if flights is not None:
-            flights.remove(flight)
-            if not flights:
-                del self._by_bat[flight.bat_id]
-
-    def _account_hop(self, stats, wire: int) -> None:
-        """Closed form of one completed hop's link accounting."""
-        stats.messages_sent += 1
-        stats.messages_delivered += 1
-        stats.bytes_sent += wire
-        stats.bytes_delivered += wire
-        if stats.max_queue_bytes < wire:
-            stats.max_queue_bytes = wire
+        flight.lane.holders.remove(flight)
+        flights = self._by_bat[flight.bat_id]
+        flights.remove(flight)
+        if not flights:
+            del self._by_bat[flight.bat_id]
 
     def _publish_forwards(self, flight: Flight, count: int) -> None:
         """The forwards of the first ``count`` skipped nodes, at their
@@ -558,13 +597,19 @@ class FastForwarder:
         publish = self.bus.publish
         event = ev.BatForwarded if flight.kind == "bat" else ev.RequestForwarded
         bat_id = flight.bat_id
-        at = flight.at
-        for when, entry in zip(flight.arrivals, flight.lane[at:at + count]):
-            publish(event(when, bat_id, entry[3]))
+        n = self.n
+        node = flight.start
+        step = flight.step
+        for when in flight.arrivals[:count]:
+            node = (node + step) % n
+            publish(event(when, bat_id, node))
+
+    def _last_skipped(self, flight: Flight) -> int:
+        return (flight.start + len(flight.arrivals) * flight.step) % self.n
 
     def _final_send(self, flight: Flight) -> None:
         """The real send into the stop node, by the last skipped runtime."""
-        last = self.nodes[flight.lane[flight.at + len(flight.arrivals) - 1][3]]
+        last = self.nodes[self._last_skipped(flight)]
         if flight.kind == "bat":
             last.forward_bat(flight.msg)
         else:
@@ -575,24 +620,17 @@ class FastForwarder:
             last._ship_request(flight.msg)
 
     def _complete(self, flight: Flight) -> None:
-        """The flight's arrival event: apply the closed form, send on."""
+        """The flight's arrival event: apply the closed form, send on.
+
+        Nothing here walks the arc: the reservation goes in one mask
+        operation, and the link statistics of all ``k`` hops are two
+        writes the lane folds in when somebody reads them."""
         if self._debt > 0:
             self._debt -= 1
-        wire = flight.wire
-        arrivals = flight.arrivals
-        k = len(arrivals)
+        k = len(flight.arrivals)
         lane = flight.lane
-        at = flight.at
-        # one pass per hop: _release and _account_hop, inlined
-        for _ch, link, stats, _nxt, _s2, _s1 in lane[at:at + k]:
-            if link.ff_transit is flight:
-                link.ff_transit = None
-            stats.messages_sent += 1
-            stats.messages_delivered += 1
-            stats.bytes_sent += wire
-            stats.bytes_delivered += wire
-            if stats.max_queue_bytes < wire:
-                stats.max_queue_bytes = wire
+        lane.reserved ^= flight.held  # _release, whole arc
+        lane.account(flight.wire, flight.start, k)
         self._forget(flight)
         flight.msg.hops += k
         # every skipped node but the last: it forwards live via _final_send
@@ -603,7 +641,8 @@ class FastForwarder:
         if self._wants_ff:
             self.bus.publish(
                 RotationFastForwarded(
-                    self.sim.now, flight.kind, flight.bat_id, lane[at + k - 1][3], k
+                    self.sim.now, flight.kind, flight.bat_id,
+                    self._last_skipped(flight), k,
                 )
             )
         self._final_send(flight)
@@ -638,19 +677,15 @@ class FastForwarder:
         msg = flight.msg
         arrivals = flight.arrivals
         k = len(arrivals)
-        lane = flight.lane
-        at = flight.at
-        done = 0
-        while done < k and arrivals[done] < now:
-            done += 1
+        done = bisect_left(arrivals, now)
         if (
             done < k
             and arrivals[done] == now
             and sim.dispatch_origin > flight.hop(done)[3]
         ):
             done += 1
-        for entry in lane[at:at + done]:
-            self._account_hop(entry[2], wire)
+        if done:
+            flight.lane.account(wire, flight.start, done)
         msg.hops += done
         if self.bus.active:
             # past every analytic hop only the live final send remains,
@@ -663,7 +698,7 @@ class FastForwarder:
         # the message is crossing hop ``done``: sender-side accounting
         # happened at enqueue time in the classic run, delivery has not
         link, enq, _tx, s_end, arrival = flight.hop(done)
-        stats = link.stats
+        stats = link._stats
         stats.messages_sent += 1
         stats.bytes_sent += wire
         if stats.max_queue_bytes < wire:
@@ -675,6 +710,7 @@ class FastForwarder:
         if now < s_end or (now == s_end and sim.dispatch_origin < enq):
             link._busy = True
             link._busy_until = s_end
+            flight.lane.busy |= link.lane_bit
             sim.post_backdated(s_end, enq, link._serialised, msg, wire)
             sim.credit(2 * done)
         else:
@@ -698,4 +734,8 @@ class FastForwarder:
             "tolerated": self.tolerated,
             "bat_scan_ok": self.bat_scan_ok,
             "population": self._population,
+            # what the O(1) structures hold: folds of lazy link statistics
+            # into the links' records, and BATs the stop index lists
+            "stat_folds": self.data_lane.folds + self.request_lane.folds,
+            "index_entries": len(self._requested) + len(self._owned),
         }

@@ -25,6 +25,7 @@ from repro.core.config import DataCyclotronConfig
 from repro.core.fastforward import FastForwarder
 from repro.core.query import QuerySpec, query_process
 from repro.core.runtime import NodeRuntime
+from repro.core.structures import RingIndex
 from repro.events import types as ev
 from repro.events.bridge import attach_metrics
 from repro.events.bus import Bus
@@ -83,6 +84,9 @@ class DataCyclotron:
             bus=self.bus,
         )
 
+        # what the facade and the fast-forwarder ask of all nodes at
+        # once, kept current by the nodes' own S1/S2 mutators
+        self.index = RingIndex(self.config.n_nodes)
         self.nodes: List[NodeRuntime] = [
             NodeRuntime(
                 node_id=i,
@@ -91,6 +95,7 @@ class DataCyclotron:
                 bus=self.bus,
                 out_data=self.ring.data_channel(i),
                 out_request=self.ring.request_channel(i),
+                index=self.index,
             )
             for i in range(self.config.n_nodes)
         ]
@@ -132,6 +137,10 @@ class DataCyclotron:
         self._next_owner = 0
         self._submitted = 0
         self._ticks_started = False
+        # nodes whose LOIT sits above level 0; only _tick_loit moves it
+        self._loit_raised = (
+            (1 << self.config.n_nodes) - 1 if self.config.loit_initial_level else 0
+        )
         # failed-but-unrepaired nodes (fail_node without repair_after_failure)
         self._unrepaired: set = set()
         self._failed_at: Dict[int, float] = {}
@@ -274,26 +283,38 @@ class DataCyclotron:
         if self.resilience is not None:
             self.resilience.start()
 
-    # Both ticks follow work: on a large, mostly idle ring the calls into
-    # nodes that cannot act were the cost of the tick.  The skips are
+    # Both ticks follow work, not positions: they visit the nodes that
+    # can act, found in a ring-level mask, in node order.  The skips are
     # exact -- each names a state in which the callee returns unchanged.
     def _tick_load_all(self) -> None:
-        for node in self.nodes:
-            # DataLoader.load_all starts nothing unless a load is pending
-            if node.s1.pending_count and not node.crashed:
-                node.tick_load_all()
+        # DataLoader.load_all starts nothing unless a load is pending
+        for node in self._nodes_in(self.index.pending_nodes):
+            node.tick_load_all()
         self.sim.post(self.config.load_all_interval, self._tick_load_all)
 
     def _tick_loit(self) -> None:
         # LoitController.observe cannot move a static threshold, nor step
-        # up from an empty queue (load 0), nor down from level 0
+        # up from an empty queue (load 0), nor down from level 0 -- and a
+        # queue is only non-empty behind a busy link
         if self.config.loit_static is None:
-            for node in self.nodes:
-                if (
-                    node.out_data.link._queued_bytes or node.loit.level
-                ) and not node.crashed:
+            busy = self.ff.data_lane.busy & ((1 << self.config.n_nodes) - 1)
+            for node in self._nodes_in(self._loit_raised | busy):
+                if node.out_data.link._queued_bytes or node.loit.level:
                     node.tick_loit()
+                    if node.loit.level:
+                        self._loit_raised |= 1 << node.node_id
+                    else:
+                        self._loit_raised &= ~(1 << node.node_id)
         self.sim.post(self.config.loit_adapt_interval, self._tick_loit)
+
+    def _nodes_in(self, mask: int) -> Iterable[NodeRuntime]:
+        """The live nodes whose bit is set in ``mask``, in node order."""
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            node = self.nodes[bit.bit_length() - 1]
+            if not node.crashed:
+                yield node
 
     def run(self, until: float) -> None:
         """Advance the simulation to absolute time ``until``."""
@@ -576,7 +597,7 @@ class DataCyclotron:
 
     @property
     def completed_queries(self) -> int:
-        return sum(n.queries_finished + n.queries_failed for n in self.nodes)
+        return self.index.completed
 
     @property
     def ring_load_bytes(self) -> float:

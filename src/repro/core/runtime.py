@@ -37,6 +37,7 @@ from repro.core.structures import (
     PinTable,
     PinWait,
     RequestTable,
+    RingIndex,
 )
 from repro.events import types as ev
 from repro.events.bus import Bus
@@ -92,6 +93,7 @@ class NodeRuntime:
         bus: Bus,
         out_data: Channel,
         out_request: Channel,
+        index: Optional[RingIndex] = None,
     ):
         self.node_id = node_id
         self.sim = sim
@@ -100,9 +102,11 @@ class NodeRuntime:
         self.out_data = out_data          # clockwise, to the successor
         self.out_request = out_request    # anti-clockwise, to the predecessor
 
-        # the three catalog structures of Figure 2
-        self.s1 = OwnedCatalog()
-        self.s2 = RequestTable()
+        # the three catalog structures of Figure 2; S1 and S2 keep the
+        # ring's view of them (which node owns, wants, has a load pending)
+        self.ring_index = index if index is not None else RingIndex(node_id + 1)
+        self.s1 = OwnedCatalog(self.ring_index, node_id)
+        self.s2 = RequestTable(self.ring_index, node_id)
         self.s3 = PinTable()
 
         self.loader = DataLoader(self)
@@ -246,6 +250,7 @@ class NodeRuntime:
     def finish_query(self, query_id: int, failed: bool = False, error: str = "") -> None:
         """:meth:`release_query` plus the query-lifecycle event."""
         self.release_query(query_id)
+        self.ring_index.completed += 1
         if failed:
             self.queries_failed += 1
             if self.bus.active:

@@ -14,6 +14,12 @@ last unpin (Fig. 4 line 09) is the one lookup by *query*, and S2 keeps
 the inverse index for it: per query, the BATs it registered.  The index
 is an over-approximation that is allowed to go stale -- see
 :class:`RequestTable`.
+
+The ring asks the opposite question on every forward -- *which nodes*
+hold an S2 entry for this BAT, which own it, which have a load pending
+-- and :class:`RingIndex` answers it without visiting a node: the
+tables of all nodes of a ring share one, and keep it exact from inside
+their own mutators.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.sim.process import Future
 
 __all__ = [
+    "RingIndex",
     "OwnedBat",
     "OwnedCatalog",
     "OutstandingRequest",
@@ -31,6 +38,50 @@ __all__ = [
     "PinWait",
     "PinTable",
 ]
+
+
+# ----------------------------------------------------------------------
+# the ring-level view of S1 and S2
+# ----------------------------------------------------------------------
+class RingIndex:
+    """Per BAT, the ring positions that would stop it; per ring, the
+    nodes with work for a tick.
+
+    ``requested[bat]`` has a bit per position holding an S2 entry for
+    the BAT, ``owned[bat]`` one per position whose S1 owns it (deleted
+    stubs do not).  Both are *doubled* like the fast-forward lane --
+    position ``p`` sets bits ``p`` and ``p + n`` -- so "the next stop
+    after node ``s``" is one shift and a lowest-set-bit, whichever way
+    the message travels and wherever the run wraps.  A BAT nobody asks
+    for has no entry.  ``pending_nodes`` (plain, one bit per node) are
+    the nodes whose S1 has a load pending, ``completed`` the queries
+    finished or failed anywhere on the ring.
+
+    The tables write it from the only places their membership changes;
+    a table built alone gets a private one-position index, so none of
+    those places needs a branch.
+    """
+
+    __slots__ = ("bits", "requested", "owned", "pending_nodes", "completed")
+
+    def __init__(self, n: int = 1):
+        self.bits = [(1 << p) | (1 << (p + n)) for p in range(n)]
+        self.requested: Dict[int, int] = {}
+        self.owned: Dict[int, int] = {}
+        self.pending_nodes = 0
+        self.completed = 0
+
+
+def _mark(masks: Dict[int, int], key: int, bit: int) -> None:
+    masks[key] = masks.get(key, 0) | bit
+
+
+def _unmark(masks: Dict[int, int], key: int, bit: int) -> None:
+    left = masks.get(key, 0) & ~bit
+    if left:
+        masks[key] = left
+    else:
+        masks.pop(key, None)
 
 
 # ----------------------------------------------------------------------
@@ -56,25 +107,33 @@ class OwnedBat:
 class OwnedCatalog:
     """S1: all BATs owned by the local node."""
 
-    def __init__(self) -> None:
-        # never rebound: the fast-forward request lane holds it by reference
+    def __init__(self, index: Optional[RingIndex] = None, pos: int = 0) -> None:
         self._bats: Dict[int, OwnedBat] = {}
         # entries with the pending flag up; lets the loadAll tick skip
         # the full catalog scan when nothing is waiting (the common case)
         self.pending_count = 0
+        self._index = index if index is not None else RingIndex()
+        self._bit = self._index.bits[pos]
+        self._node = 1 << pos
 
     def add(self, bat_id: int, size: int) -> OwnedBat:
         if bat_id in self._bats:
             raise ValueError(f"BAT {bat_id} already owned")
         entry = OwnedBat(bat_id=bat_id, size=size)
         self._bats[bat_id] = entry
+        _mark(self._index.owned, bat_id, self._bit)
         return entry
 
     def remove(self, bat_id: int) -> None:
         entry = self._bats.pop(bat_id, None)
-        if entry is not None and entry.pending:
-            entry.pending = False
-            self.pending_count -= 1
+        if entry is not None:
+            _unmark(self._index.owned, bat_id, self._bit)
+            self.note_unpending(entry)
+
+    def mark_deleted(self, entry: OwnedBat) -> None:
+        """Drop the BAT from the database: the stub stays, ownership ends."""
+        entry.deleted = True
+        _unmark(self._index.owned, entry.bat_id, self._bit)
 
     def note_pending(self, entry: OwnedBat) -> bool:
         """Raise the pending flag; returns False if it was already up."""
@@ -82,12 +141,15 @@ class OwnedCatalog:
             return False
         entry.pending = True
         self.pending_count += 1
+        self._index.pending_nodes |= self._node
         return True
 
     def note_unpending(self, entry: OwnedBat) -> None:
         if entry.pending:
             entry.pending = False
             self.pending_count -= 1
+            if not self.pending_count:
+                self._index.pending_nodes &= ~self._node
 
     def owns(self, bat_id: int) -> bool:
         entry = self._bats.get(bat_id)
@@ -114,8 +176,7 @@ class OwnedCatalog:
                 continue
             if b.deleted:
                 # deletion does not clear the flag itself; repair lazily
-                b.pending = False
-                self.pending_count -= 1
+                self.note_unpending(b)
                 continue
             pending.append(b)
         if mode == "fifo":
@@ -172,13 +233,18 @@ class RequestTable:
     may name a BAT whose entry is gone, was re-created by other queries,
     or (unregister, then register again) appears twice.
     :meth:`drop_query` skips all three.
+
+    ``_requests`` gains and loses keys in :meth:`register`,
+    :meth:`unregister`, :meth:`drop_query` and :meth:`clear` only, and
+    each of the four tells the ring's :class:`RingIndex`.
     """
 
-    def __init__(self) -> None:
-        # mutated in place, never rebound: the fast-forward scan lanes
-        # hold this dict by reference (repro.core.fastforward)
+    def __init__(self, index: Optional[RingIndex] = None, pos: int = 0) -> None:
         self._requests: Dict[int, OutstandingRequest] = {}
         self._by_query: Dict[int, List[int]] = {}
+        index = index if index is not None else RingIndex()
+        self._interest = index.requested
+        self._bit = index.bits[pos]
 
     def register(self, bat_id: int, query_id: int, now: float) -> OutstandingRequest:
         """Attach ``query_id`` to the request for ``bat_id``, creating it.
@@ -191,13 +257,15 @@ class RequestTable:
         if entry is None:
             entry = OutstandingRequest(bat_id=bat_id, registered_at=now)
             self._requests[bat_id] = entry
+            _mark(self._interest, bat_id, self._bit)
         if query_id not in entry.queries:
             entry.queries[query_id] = False
             self._by_query.setdefault(query_id, []).append(bat_id)
         return entry
 
     def unregister(self, bat_id: int) -> None:
-        self._requests.pop(bat_id, None)
+        if self._requests.pop(bat_id, None) is not None:
+            _unmark(self._interest, bat_id, self._bit)
 
     def has(self, bat_id: int) -> bool:
         return bat_id in self._requests
@@ -247,15 +315,14 @@ class RequestTable:
             del entry.queries[query_id]
             if not entry.queries:
                 del requests[bat_id]
+                _unmark(self._interest, bat_id, self._bit)
                 empty.append(bat_id)
         return empty
 
     def clear(self) -> None:
-        """Forget every request and the whole index (node crash).
-
-        Empties the table in place: the fast-forward scan holds
-        ``_requests`` by reference.
-        """
+        """Forget every request and the whole index (node crash)."""
+        for bat_id in self._requests:
+            _unmark(self._interest, bat_id, self._bit)
         self._requests.clear()
         self._by_query.clear()
 

@@ -25,6 +25,7 @@ __all__ = [
     "InvariantMonitor",
     "check_invariants",
     "check_request_index",
+    "check_stop_index",
     "check_terminal",
 ]
 
@@ -177,6 +178,42 @@ def check_request_index(dc: DataCyclotron) -> List[str]:
     return violations
 
 
+def check_stop_index(dc: DataCyclotron) -> List[str]:
+    """The ring-level view of S1 and S2 (``RingIndex``) is exact: per
+    BAT, the positions listed as holding an S2 entry / owning it are
+    those whose tables say so (and a BAT nobody lists has no entry);
+    the nodes listed with a pending load are those with a non-zero
+    pending count."""
+    violations = []
+    index = dc.index
+    for name, masks, in_table in (
+        ("S2", index.requested, lambda node, bat_id: node.s2.has(bat_id)),
+        ("S1", index.owned, lambda node, bat_id: node.s1.owns(bat_id)),
+    ):
+        bat_ids = set(masks)
+        for node in dc.nodes:
+            bat_ids.update(
+                node.s2.bat_ids() if name == "S2" else (b.bat_id for b in node.s1)
+            )
+        for bat_id in sorted(bat_ids):
+            actual = 0
+            for node in dc.nodes:
+                if in_table(node, bat_id):
+                    actual |= index.bits[node.node_id]
+            if masks.get(bat_id) != (actual or None):
+                violations.append(
+                    f"stop index: BAT {bat_id} listed at {name} positions "
+                    f"{masks.get(bat_id)}, tables say {actual:#x}"
+                )
+    pending = sum(1 << node.node_id for node in dc.nodes if node.s1.pending_count)
+    if pending != index.pending_nodes:
+        violations.append(
+            f"stop index: pending nodes listed {index.pending_nodes:#x}, "
+            f"catalogs say {pending:#x}"
+        )
+    return violations
+
+
 def check_invariants(dc: DataCyclotron) -> List[str]:
     """All fault-point invariants; empty list = the ring is consistent."""
     return (
@@ -186,6 +223,7 @@ def check_invariants(dc: DataCyclotron) -> List[str]:
         + check_ownership(dc)
         + check_pin_accounting(dc)
         + check_request_index(dc)
+        + check_stop_index(dc)
     )
 
 

@@ -131,9 +131,7 @@ class Channel:
         """
         if bandwidth_factor <= 0:
             raise ValueError("bandwidth_factor must be positive")
-        if self.link.ff_transit is not None:
-            # freeze the pre-fault timing of anything fast-forwarded here
-            self.link.ff_transit.flush()
+        self._land_holder()
         before = {
             "bandwidth": self.link.bandwidth,
             "delay": self.link.delay,
@@ -146,16 +144,26 @@ class Channel:
             # degradations are bounded by the fault's duration
             if not 0.0 <= loss_rate <= 1.0:
                 raise ValueError("loss_rate must be in [0, 1]")
-            self.loss_rate = loss_rate
+            self._set_loss_rate(loss_rate)
         return before
 
     def restore(self, settings: dict) -> None:
         """Undo a :meth:`degrade`, restoring the saved settings."""
-        if self.link.ff_transit is not None:
-            self.link.ff_transit.flush()
+        self._land_holder()
         self.link.set_bandwidth(settings["bandwidth"])
         self.link.delay = settings["delay"]
-        self.loss_rate = settings["loss_rate"]
+        self._set_loss_rate(settings["loss_rate"])
+
+    def _land_holder(self) -> None:
+        """Freeze the pre-fault timing of anything fast-forwarded here."""
+        holder = self.link.lane.holder(self.link)
+        if holder is not None:
+            holder.flush()
+
+    def _set_loss_rate(self, loss_rate: float) -> None:
+        self.loss_rate = loss_rate
+        lane, bit = self.link.lane, self.link.lane_bit
+        lane.lossy = lane.lossy | bit if loss_rate else lane.lossy & ~bit
 
     # ------------------------------------------------------------------
     def _arrived(self, message: Any, size: int) -> None:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Deque, Optional, Tuple
+from itertools import accumulate
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.events.types import LinkDelivered, LinkDropped, LinkTransmit
 from repro.sim.engine import Simulator
@@ -26,7 +27,7 @@ from repro.sim.engine import Simulator
 if TYPE_CHECKING:  # pragma: no cover
     from repro.events.bus import Bus
 
-__all__ = ["Link", "LinkStats"]
+__all__ = ["Lane", "Link", "LinkStats"]
 
 GBIT = 1e9 / 8  # bytes per second in one gigabit per second
 
@@ -43,6 +44,130 @@ class LinkStats:
     bytes_dropped: int = 0
     # queue high-water mark in bytes
     max_queue_bytes: int = field(default=0)
+
+
+class Lane:
+    """The links of one direction of a ring, seen whole.
+
+    ``links[p]`` leaves ring position ``p`` for position ``p + step``;
+    ``travel`` lists them in the order a message crosses them from
+    position 0, twice over, so up to ``n`` consecutive hops from any
+    start are one slice.  What the rotation fast path
+    (:mod:`repro.core.fastforward`) asks of every link of a run at once
+    is kept as one integer per question, *doubled* like ``travel``
+    (link ``p`` is bits ``p`` and ``p + n``), so a run is a shift and a
+    mask wherever it wraps:
+
+    * ``busy`` -- serialising (a queued message implies it); each link
+      flips its bit on the idle <-> busy transition, not per message;
+    * ``lossy`` -- behind a channel that injects loss;
+    * ``reserved`` -- owed a hop by a coalesced flight.  Who holds which
+      link is the flight's own ``held`` mask (``holders`` lists the
+      flights in the air), so reserving and freeing an arc are one
+      integer operation each;
+    * ``pending`` -- link statistics of landed flights not yet applied:
+      per message size a difference array over the doubled positions,
+      two writes per flight (:meth:`account`), summed into the links'
+      records when somebody reads one (:meth:`fold`).  Every counter is
+      an integer sum or a maximum, so when it is applied cannot matter;
+    * ``steps`` -- per message size, what each link of ``travel`` adds
+      to the clock of a message that finds it idle: its serialisation
+      time, then its delay.  A running sum over a slice *is* the wire's
+      own float recurrence (``s_end = t + size/bandwidth; t = s_end +
+      delay``), operation for operation.  Dropped whenever a link's
+      bandwidth or delay is set.
+
+    A link outside any ring belongs to the empty ``_NO_LANE`` with bit
+    0: the same code runs and changes nothing.
+    """
+
+    __slots__ = (
+        "links", "travel", "n", "step", "full", "capacity",
+        "busy", "lossy", "reserved", "holders", "pending", "folds", "steps",
+    )
+
+    def __init__(self, links: Sequence["Link"] = (), step: int = 1):
+        n = len(links)
+        self.links = list(links)
+        self.travel = [self.links[(j * step) % n] for j in range(n)] * 2
+        self.n = n
+        self.step = step
+        self.full = (1 << 2 * n) - 1
+        # the tightest transmit queue: a message larger than it is dropped
+        capacities = [
+            link.queue_capacity for link in links if link.queue_capacity is not None
+        ]
+        self.capacity = min(capacities) if capacities else float("inf")
+        self.busy = 0
+        self.lossy = 0
+        self.reserved = 0
+        self.holders: list = []
+        self.pending: Dict[int, List[int]] = {}
+        self.folds = 0
+        self.steps: Dict[int, List[float]] = {}
+        for pos, link in enumerate(links):
+            link.lane = self
+            link.ring_pos = pos
+            link.lane_bit = (1 << pos) | (1 << (pos + n))
+            if link._busy:
+                self.busy |= link.lane_bit
+
+    def arc(self, start: int, first: int, count: int) -> int:
+        """The ``count`` links a message that left position ``start``
+        crosses from its hop ``first`` on, as a doubled mask."""
+        n = self.n
+        low = start + first if self.step > 0 else start + n - first - count + 1
+        run = ((1 << count) - 1) << low
+        return (run | run << n | run >> n) & self.full
+
+    def holder(self, link: "Link"):
+        """The flight owed a hop over ``link``, if any."""
+        bit = link.lane_bit
+        if self.reserved & bit:
+            for flight in self.holders:
+                if flight.held & bit:
+                    return flight
+        return None
+
+    def time(self, wire: int) -> List[float]:
+        """``steps[wire]``, built on first use."""
+        steps = self.steps[wire] = [
+            step
+            for link in self.travel
+            for step in (wire / link.bandwidth, link.delay)
+        ]
+        return steps
+
+    def account(self, wire: int, start: int, count: int) -> None:
+        """One ``wire``-byte message crossed the first ``count`` links
+        out of position ``start``, queueing nowhere."""
+        diff = self.pending.get(wire)
+        if diff is None:
+            diff = self.pending[wire] = [0] * (2 * self.n + 1)
+        low = start if self.step > 0 else start + self.n - count + 1
+        diff[low] += 1
+        diff[low + count] -= 1
+
+    def fold(self) -> None:
+        """Apply the pending statistics to the links' records."""
+        n = self.n
+        for wire, diff in self.pending.items():
+            crossings = list(accumulate(diff))
+            for pos, link in enumerate(self.links):
+                count = crossings[pos] + crossings[pos + n]
+                if count:
+                    stats = link._stats
+                    stats.messages_sent += count
+                    stats.messages_delivered += count
+                    stats.bytes_sent += count * wire
+                    stats.bytes_delivered += count * wire
+                    if stats.max_queue_bytes < wire:
+                        stats.max_queue_bytes = wire
+        self.pending.clear()
+        self.folds += 1
+
+
+_NO_LANE = Lane()
 
 
 class Link:
@@ -86,8 +211,10 @@ class Link:
         if delay < 0:
             raise ValueError("delay cannot be negative")
         self.sim = sim
+        # ``set_bandwidth`` and the ``delay`` setter are the only writers
+        # once the link is in use: both re-time the lane
         self.bandwidth = bandwidth
-        self.delay = delay
+        self._delay = delay
         self.queue_capacity = queue_capacity
         self.on_receive = on_receive
         self.on_drop = on_drop
@@ -99,9 +226,9 @@ class Link:
         self._wants_tx = False
         self._wants_rx = False
         self._wants_drop = False
-        # mutated in place, never rebound: the fast-forwarder's lanes cache
-        # this object per hop (repro.core.fastforward)
-        self.stats = LinkStats()
+        # what the link itself counted; ``stats`` adds what its lane
+        # still owes it
+        self._stats = LinkStats()
         # busy_time is derived, not accumulated: seconds folded at the last
         # bandwidth change, and ``stats.bytes_sent`` at that fold
         self._busy_base = 0.0
@@ -113,11 +240,11 @@ class Link:
         # ``_busy``); the fast-forward tolerance predicate uses it to
         # bound when current traffic drains
         self._busy_until = 0.0
-        # the rotation fast-forward flight currently crossing this link,
-        # if any (repro.core.fastforward); a competing send flushes it
-        # back into real link state before queueing behind it
-        self.ff_transit = None
-        # ring position of the sending node, written by the forwarder
+        # the ring direction this link is part of, its doubled bit in
+        # the lane's masks and the sending node's ring position -- all
+        # three written by Lane
+        self.lane = _NO_LANE
+        self.lane_bit = 0
         self.ring_pos = -1
         # messages serialising or propagating (popped from the queue but
         # not yet delivered); fault injection needs to see what is on the
@@ -125,6 +252,14 @@ class Link:
         self._in_flight: list[Tuple[Any, int]] = []
 
     # ------------------------------------------------------------------
+    @property
+    def stats(self) -> LinkStats:
+        """The link's counters, landed fast-forward flights included."""
+        lane = self.lane
+        if lane.pending:
+            lane.fold()
+        return self._stats
+
     @property
     def queued_bytes(self) -> int:
         """Bytes currently waiting in the transmit queue."""
@@ -170,9 +305,21 @@ class Link:
         self._wants_rx = bus.wants(LinkDelivered)
         self._wants_drop = bus.wants(LinkDropped)
 
+    @property
+    def delay(self) -> float:
+        """Propagation delay in seconds."""
+        return self._delay
+
+    @delay.setter
+    def delay(self, delay: float) -> None:
+        if delay < 0:
+            raise ValueError("delay cannot be negative")
+        self._delay = delay
+        self.lane.steps.clear()
+
     def transfer_time(self, size: int) -> float:
         """Serialisation + propagation time for an unqueued message."""
-        return size / self.bandwidth + self.delay
+        return size / self.bandwidth + self._delay
 
     @property
     def busy_time(self) -> float:
@@ -190,21 +337,24 @@ class Link:
         self._busy_base = self.busy_time
         self._busy_mark = self.stats.bytes_sent
         self.bandwidth = bandwidth
+        self.lane.steps.clear()
 
     # ------------------------------------------------------------------
     def send(self, message: Any, size: int) -> bool:
         """Enqueue ``message`` of ``size`` bytes; False if DropTail dropped it."""
-        ft = self.ff_transit
-        if ft is not None:
-            ft.touch(self, size)
+        lane = self.lane
+        if lane.reserved and lane.reserved & self.lane_bit:
+            # a coalesced flight is owed this link: it yields (lands in
+            # real link state) unless it provably does not interact
+            lane.holder(self).touch(self, size)
         if size < 0:
             raise ValueError("message size cannot be negative")
         if (
             self.queue_capacity is not None
             and self._queued_bytes + size > self.queue_capacity
         ):
-            self.stats.messages_dropped += 1
-            self.stats.bytes_dropped += size
+            self._stats.messages_dropped += 1
+            self._stats.bytes_dropped += size
             bus = self.bus
             if bus is not None:
                 if bus.version != self._bus_version:
@@ -220,24 +370,30 @@ class Link:
             return False
         self._queue.append((message, size))
         self._queued_bytes += size
-        self.stats.max_queue_bytes = max(self.stats.max_queue_bytes, self._queued_bytes)
+        stats = self._stats
+        if stats.max_queue_bytes < self._queued_bytes:
+            stats.max_queue_bytes = self._queued_bytes
         if not self._busy:
+            self._busy = True
+            lane.busy |= self.lane_bit
             self._transmit_next()
         return True
 
     # ------------------------------------------------------------------
     def _transmit_next(self) -> None:
+        # called busy: by send() off an idle wire, or at a serialise-end
         if not self._queue:
             self._busy = False
+            self.lane.busy ^= self.lane_bit
             return
-        self._busy = True
         message, size = self._queue.popleft()
         self._queued_bytes -= size
         self._in_flight.append((message, size))
         tx_time = size / self.bandwidth
         self._busy_until = self.sim.now + tx_time
-        self.stats.messages_sent += 1
-        self.stats.bytes_sent += size
+        stats = self._stats
+        stats.messages_sent += 1
+        stats.bytes_sent += size
         bus = self.bus
         if bus is not None:
             if bus.version != self._bus_version:
@@ -251,13 +407,14 @@ class Link:
         self.sim.post(tx_time, self._serialised, message, size)
 
     def _serialised(self, message: Any, size: int) -> None:
-        self.sim.post(self.delay, self._deliver, message, size)
+        self.sim.post(self._delay, self._deliver, message, size)
         self._transmit_next()
 
     def _deliver(self, message: Any, size: int) -> None:
         self._in_flight.remove((message, size))
-        self.stats.messages_delivered += 1
-        self.stats.bytes_delivered += size
+        stats = self._stats
+        stats.messages_delivered += 1
+        stats.bytes_delivered += size
         bus = self.bus
         if bus is not None:
             if bus.version != self._bus_version:

@@ -111,9 +111,10 @@ class ResultCache:
         entry = self._by_key.pop(key, None)
         if entry is None:
             return
-        owned = self.dc.nodes[entry.owner].s1.maybe(entry.bat_id)
+        s1 = self.dc.nodes[entry.owner].s1
+        owned = s1.maybe(entry.bat_id)
         if owned is not None:
-            owned.deleted = True
+            s1.mark_deleted(owned)
 
     # ------------------------------------------------------------------
     @property

@@ -273,13 +273,15 @@ def test_crash_empties_the_request_index_and_restart_starts_clean():
     node.request(1, [5, 6])
     fut = node.pin(1, 5)
     assert node.s2.bats_of(1) == [5, 6]
-    # the fast-forward scan's view of node 0's S2: lane entries hold
-    # (channel, link, stats, receiver id, receiver's S2 map, S1 map)
-    scanned = next(entry[4] for entry in dc.ff._bat_lane if entry[3] == 0)
+    # the fast-forward scan's view of node 0's S2: its bit in the ring's
+    # per-BAT stop masks, which the scan holds by reference
+    scanned, bit = dc.ff._requested, dc.index.bits[0]
+    assert scanned is dc.index.requested
+    assert scanned[5] & bit and scanned[6] & bit
     dc.crash_node(0)
     assert fut.done and fut.value.error == NODE_CRASHED
     assert node.s2._by_query == {} and len(node.s2) == 0
-    assert node.s2._requests is scanned
+    assert scanned is dc.index.requested and 5 not in scanned and 6 not in scanned
     assert check_invariants(dc) == []
     # the blocked query's process tears down against the emptied tables
     node.release_query(1)

@@ -103,7 +103,7 @@ def test_passed_hop_release_keeps_the_flight_alive():
     flight = launch_flight(dc)
     first_link, _enq, _tx, _s_end, first_arrival = flight.hop(0)
     last_arrival = flight.arrivals[-1]
-    assert first_link.ff_transit is flight
+    assert first_link.lane.holder(first_link) is flight
 
     checked = []
 
@@ -113,7 +113,7 @@ def test_passed_hop_release_keeps_the_flight_alive():
         # the lapsed reservation instead of flushing the whole flight
         assert dc.sim.now > first_arrival
         flight.touch(first_link)
-        checked.append(first_link.ff_transit is None)
+        checked.append(first_link.lane.holder(first_link) is None)
         checked.append(flight in dc.ff._by_bat.get(flight.bat_id, []))
 
     mid = (first_arrival + last_arrival) / 2
@@ -137,7 +137,7 @@ def test_touch_on_future_hop_tolerates_non_overlapping_sends():
     small = int(last_link.bandwidth * (last_enqueue - dc.sim.now) / 2)
     flight.touch(last_link, small)
     assert dc.ff.flushes == before
-    assert last_link.ff_transit is flight
+    assert last_link.lane.holder(last_link) is flight
     assert dc.run_until_done(max_time=120.0)
 
 

@@ -165,3 +165,58 @@ def test_sparse_mixed_sizes_bit_identical(seed, requests_clockwise, attached):
     # every path that re-derives a hop from the arc ran in the ``on`` leg
     for path in ("flights", "flushes", "truncations", "released", "tolerated"):
         assert stats[path] > 0, path
+
+
+ALL_STATS = (
+    "messages_sent", "messages_delivered", "messages_dropped",
+    "bytes_sent", "bytes_delivered", "bytes_dropped", "max_queue_bytes",
+)
+
+
+def run_stats_mid_run(seed: int, fast_forward: bool):
+    """The 64-node mixed-size ring again, but its link statistics are
+    read *while it runs* -- landed flights still owe the links their
+    lazily folded hops at those instants -- and across a bandwidth epoch
+    (a degradation closes ``busy_time``'s old one, then heals)."""
+    dc = DataCyclotron(DataCyclotronConfig(
+        n_nodes=64, seed=seed, fast_forward=fast_forward,
+    ))
+    dc.detach_metrics()
+    for bat_id in range(8):
+        dc.add_bat(bat_id, (1 + bat_id % 2) * MB)
+    rng = random.Random(seed)
+    arrival, query_id = rng.expovariate(3.0), 0
+    while arrival < 60.0:
+        dc.submit(QuerySpec.simple(
+            query_id, rng.randrange(64), arrival, [rng.randrange(2)], [0.002]
+        ))
+        arrival += rng.expovariate(3.0)
+        query_id += 1
+    links = [ch.link for ch in (*dc.ring.data, *dc.ring.request)]
+    reads, owed = [], 0
+    for instant in (7.3, 19.0, 33.3, 41.0, 44.5, 52.0):
+        if instant == 41.0:
+            dc.degrade_link(9, "data", bandwidth_factor=0.5, duration=5.0)
+        dc.run(until=instant)
+        dc.ff.flush_all()  # flights still in the air are not classic state
+        owed += any(link.lane.pending for link in links)
+        reads.append([
+            tuple(getattr(link.stats, name) for name in ALL_STATS)
+            + (repr(link.busy_time),)
+            for link in links
+        ])
+        assert not any(link.lane.pending for link in links)  # folded by the read
+    assert dc.run_until_done(max_time=3600.0)
+    reads.append(observables(dc))
+    return reads, owed, dc.ff.stats()
+
+
+@pytest.mark.parametrize("seed", [5, 7])
+def test_link_stats_read_mid_run_bit_identical(seed):
+    on, owed, stats = run_stats_mid_run(seed, True)
+    off, never_owed, off_stats = run_stats_mid_run(seed, False)
+    assert on == off
+    # the read barrier had something to fold before the fault pinned the
+    # classic path, and nothing ever when the fast path is off
+    assert owed >= 3 and stats["stat_folds"] >= owed
+    assert never_owed == 0 and off_stats["stat_folds"] == 0

@@ -1,6 +1,7 @@
-"""Perf-contract tests for the engine fast lane and the zero-observer bus.
+"""Perf-contract tests for the engine fast lane, the zero-observer bus
+and the rotation fast path.
 
-Three promises the hot path makes (docs/performance.md):
+Four promises the hot path makes (docs/performance.md):
 
 * cancel-heavy timer churn cannot grow the heap without bound -- lazy
   compaction keeps dead entries below the live count,
@@ -8,16 +9,23 @@ Three promises the hot path makes (docs/performance.md):
   no-cancel epoch-guard pattern,
 * a zero-observer run never constructs a single event object: the
   ``bus.active`` / ``bus.wants`` probes keep the instrumentation
-  entirely off the allocation profile.
+  entirely off the allocation profile,
+* a coalesced flight costs the same whether it skips 6 nodes or 60:
+  launch and landing make a fixed number of Python-level calls and of
+  ``Link`` / ``LinkStats`` attribute writes, so a per-hop loop cannot
+  come back unnoticed.
 """
 
 import dataclasses
+import sys
 import tracemalloc
 
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
+from repro.core.messages import BATMessage, RequestMessage
 from repro.core.query import QuerySpec
 from repro.events import types as ev_types
 from repro.events.bus import Bus
+from repro.net.link import Link, LinkStats
 from repro.sim.engine import Simulator
 
 N_NODES = 8
@@ -153,3 +161,68 @@ def test_zero_observer_run_constructs_no_event_objects(monkeypatch):
     dc.submit(QuerySpec.simple(1, 0, 0.0, [0, 1], [0.01, 0.01]))
     assert dc.run_until_done(max_time=60.0)
     assert counter["constructed"] == 0
+
+
+def flight_cost(monkeypatch, kind: str, hops: int) -> dict:
+    """Launch one ``hops``-hop flight on an idle 64-node ring and land
+    it; count Python-level calls and link-record writes on the way."""
+    dc = DataCyclotron(DataCyclotronConfig(n_nodes=64, seed=1))
+    dc.detach_metrics()
+    ff = dc.ff
+    step = 1 if kind == "bat" else -1
+    stop = (step * (hops + 1)) % 64  # the owner / origin ends the run
+
+    def launch(bat_id):
+        if kind == "bat":
+            msg = BATMessage(owner=stop, bat_id=bat_id, size=MB, loi=1.0)
+            assert ff.send_bat(dc.nodes[0], msg, msg.wire_size(dc.config.bat_header_size))
+        else:
+            assert ff.send_request(dc.nodes[0], RequestMessage(stop, bat_id))
+        (flight,) = ff._by_bat[bat_id]
+        assert len(flight.arrivals) == hops
+        return flight
+
+    def land(flight):
+        dc.sim.run(until=flight.arrivals[-1])
+        assert not ff._by_bat
+
+    land(launch(1))  # warm: the lane's per-size step table, the bus caches
+    dc.sim.run(until=dc.sim.now + 1.0)  # drain the live final hop
+
+    counts = {"calls": 0, "link_writes": 0, "stats_writes": 0}
+
+    def count_writes(cls, key):
+        def setattr_(self, name, value):
+            counts[key] += 1
+            object.__setattr__(self, name, value)
+        monkeypatch.setattr(cls, "__setattr__", setattr_, raising=False)
+
+    count_writes(Link, "link_writes")
+    count_writes(LinkStats, "stats_writes")
+
+    def on_call(_frame, event, _arg):
+        if event == "call":
+            counts["calls"] += 1
+
+    sys.setprofile(on_call)
+    try:
+        land(launch(2))
+    finally:
+        sys.setprofile(None)
+    monkeypatch.undo()
+    # ... and nothing was lost by not walking the arc: every skipped
+    # link reads one more message once somebody looks
+    lane = ff.data_lane if kind == "bat" else ff.request_lane
+    crossed = [link for link in lane.links if link.stats.messages_sent == 2]
+    assert len(crossed) >= hops
+    return counts
+
+
+def test_a_flight_costs_the_same_at_6_hops_and_at_60(monkeypatch):
+    for kind in ("bat", "request"):
+        short = flight_cost(monkeypatch, kind, 6)
+        long_ = flight_cost(monkeypatch, kind, 60)
+        assert short == long_, kind
+        # the only link records written are the live final hop's
+        assert short["stats_writes"] <= 3 and short["link_writes"] <= 6
+        assert short["calls"] < 60

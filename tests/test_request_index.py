@@ -12,13 +12,15 @@ cases pin the ways it goes stale, and a spy counts what a drop touches.
 from typing import Dict, List
 
 from hypothesis import settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.core.structures import (
     OutstandingRequest,
+    OwnedCatalog,
     PinTable,
     PinWait,
     RequestTable,
+    RingIndex,
 )
 
 
@@ -261,14 +263,143 @@ def test_emptied_bats_come_back_in_registration_order():
 
 
 def test_clear_empties_the_table_in_place():
-    """The fast-forward scan holds ``_requests`` by reference."""
-    s2 = RequestTable()
+    """Nothing is rebound by a crash, and the ring's index forgets the
+    node along with the table."""
+    index = RingIndex(4)
+    s2, other = RequestTable(index, 2), RequestTable(index, 0)
     held = s2._requests
     s2.register(7, 1, 0.0)
+    other.register(7, 5, 0.0)
+    assert index.requested == {7: index.bits[2] | index.bits[0]}
     s2.clear()
     assert s2._requests is held and held == {}
     assert s2._by_query == {}
     assert s2.drop_query(1) == []
+    assert index.requested == {7: index.bits[0]}
+
+
+# ----------------------------------------------------------------------
+# the ring's view of all its nodes' S1 and S2 against looking at each node
+# ----------------------------------------------------------------------
+def walk_to_stop(stops_at, n, start, step):
+    """Hops a message out of ``start`` makes before the node it is
+    delivered into satisfies ``stops_at`` -- the per-hop question the
+    fast-forward scan used to ask; ``n`` if nobody does."""
+    for hops in range(n):
+        if stops_at((start + step * (hops + 1)) % n):
+            return hops
+    return n
+
+
+def shift_to_stop(mask, n, start, step):
+    """The same from a doubled mask: a shift and a lowest set bit one
+    way, a mask and a highest set bit the other."""
+    if not mask:
+        return n
+    if step > 0:
+        ahead = mask >> (start + 1)
+        return (ahead & -ahead).bit_length() - 1
+    top = start + n
+    return top - (mask & ((1 << top) - 1)).bit_length()
+
+
+ring_bats = st.integers(min_value=0, max_value=3)
+positions = st.integers(min_value=0, max_value=63)
+
+
+class RingIndexVersusNodes(RuleBasedStateMachine):
+    """Every way S1 / S2 membership changes, on 3-64 nodes sharing one
+    :class:`RingIndex`; the index must equal a walk over the nodes."""
+
+    @initialize(n=st.integers(3, 64))
+    def build(self, n):
+        self.n = n
+        self.index = RingIndex(n)
+        self.s1 = [OwnedCatalog(self.index, p) for p in range(n)]
+        self.s2 = [RequestTable(self.index, p) for p in range(n)]
+
+    def node(self, pos):
+        return pos % self.n
+
+    @rule(pos=positions, bat=ring_bats, query=queries)
+    def register(self, pos, bat, query):
+        self.s2[self.node(pos)].register(bat, query, 0.0)
+
+    @rule(pos=positions, bat=ring_bats)
+    def unregister(self, pos, bat):
+        self.s2[self.node(pos)].unregister(bat)
+
+    @rule(pos=positions, query=queries)
+    def drop_query(self, pos, query):
+        self.s2[self.node(pos)].drop_query(query)
+
+    @rule(pos=positions, bat=ring_bats, query=queries)
+    def mark_served(self, pos, bat, query):
+        table = self.s2[self.node(pos)]
+        entry = table.get(bat)
+        if entry is not None:
+            table.mark_served(entry, query)
+
+    @rule(pos=positions)
+    def crash(self, pos):
+        self.s2[self.node(pos)].clear()
+
+    @rule(pos=positions, bat=ring_bats)
+    def add_bat(self, pos, bat):
+        s1 = self.s1[self.node(pos)]
+        if s1.maybe(bat) is None:
+            s1.add(bat, 1)
+
+    @rule(pos=positions, bat=ring_bats)
+    def remove_bat(self, pos, bat):
+        self.s1[self.node(pos)].remove(bat)
+
+    @rule(pos=positions, bat=ring_bats)
+    def delete_bat(self, pos, bat):
+        s1 = self.s1[self.node(pos)]
+        if s1.maybe(bat) is not None:
+            s1.mark_deleted(s1.get(bat))
+
+    @rule(pos=positions, bat=ring_bats, up=st.booleans())
+    def pending(self, pos, bat, up):
+        s1 = self.s1[self.node(pos)]
+        entry = s1.maybe(bat)
+        if entry is not None:
+            (s1.note_pending if up else s1.note_unpending)(entry)
+
+    @rule(pos=positions)
+    def load_all(self, pos):
+        self.s1[self.node(pos)].pending_oldest_first()  # repairs deleted stubs
+
+    @invariant()
+    def index_equals_a_walk_over_the_nodes(self):
+        n, index = self.n, self.index
+        for masks, tables, has in (
+            (index.requested, self.s2, lambda table, bat: bat in table._requests),
+            (index.owned, self.s1, lambda table, bat: table.owns(bat)),
+        ):
+            assert 0 not in masks.values()  # nobody left: no entry
+            for bat in range(4):
+                mask = masks.get(bat, 0)
+                assert mask == sum(
+                    index.bits[p] for p in range(n) if has(tables[p], bat)
+                )
+                for start in (0, n // 2, n - 1):
+                    for step in (1, -1):
+                        assert shift_to_stop(mask, n, start, step) == walk_to_stop(
+                            lambda p: has(tables[p], bat), n, start, step
+                        )
+        assert index.pending_nodes == sum(
+            1 << p for p in range(n) if self.s1[p].pending_count
+        )
+        for s1 in self.s1:
+            assert s1.pending_count == sum(b.pending for b in s1)
+
+
+RingIndexVersusNodes.TestCase.settings = settings(
+    max_examples=150, stateful_step_count=40, deadline=None
+)
+TestRingIndexVersusNodes = RingIndexVersusNodes.TestCase
 
 
 # ----------------------------------------------------------------------
