@@ -582,8 +582,9 @@ def cmd_frontdoor(args: argparse.Namespace) -> int:
 def cmd_stats(args: argparse.Namespace) -> int:
     """Print the statistics catalog and the estimator accuracy report.
 
-    Loads the front-door workload table, dumps the per-column catalog
-    the :class:`~repro.dbms.statistics.QueryEstimator` prices against,
+    Loads the front-door workload table, dumps the database's per-column
+    catalog its :class:`~repro.dbms.statistics.QueryEstimator` prices
+    against,
     then replays the workload through a :class:`~repro.frontdoor.FrontDoor`
     and reports predicted-vs-actual footprint accuracy per query class.
     """
@@ -606,7 +607,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     ))
 
     rows = []
-    for table in door.stats.tables():
+    for table in rdb.estimator.stats.tables():
         for col in table.columns.values():
             hist = col.histogram
             rows.append((

@@ -2,8 +2,9 @@
 
 This module closes the loop of the paper's architecture (Figure 2), but
 since the QPU refactor (docs/qpu.md) it owns only the *ring side* of
-query processing: admission, query-id assignment, registration,
-completion and the intermediate-result cache.  The processing itself
+query processing: pricing, admission, query-id assignment,
+registration, completion and the intermediate-result cache.  The
+processing itself
 lives behind the :class:`~repro.dbms.qpu.QueryProcessingUnit` protocol
 -- :class:`RingDatabase` is a thin dispatcher that routes each submitted
 request to the first accepting engine:
@@ -43,6 +44,12 @@ from repro.dbms.qpu import (
     StreamingAggQpu,
 )
 from repro.dbms.sql.planner import PlannedQuery
+from repro.dbms.statistics import (
+    EstimateError,
+    QueryEstimate,
+    QueryEstimator,
+    StatisticsCatalog,
+)
 from repro.sim.process import Process
 
 __all__ = [
@@ -153,6 +160,14 @@ class RingDatabase:
         self._inflight = 0
         self._inflight_bytes = 0
         self._inflight_engine_bytes: Dict[str, int] = {}
+        # the one statistics-driven estimator the valves and the front
+        # door price with, built on first use (see ``estimator``), and
+        # what pricing did at the dispatcher (``plan_cache_stats``)
+        self._estimator: Optional[QueryEstimator] = None
+        self._stats_version = -1
+        self._priced = 0
+        self._refused_before_compile = 0
+        self._unpriced = 0
         # section 6.2: intermediates circulate as first-class ring data
         self.result_cache = None
         self.cache_min_bytes = cache_min_bytes
@@ -240,13 +255,43 @@ class RingDatabase:
     def compile(self, sql: str) -> PlannedQuery:
         return self._mal.compile_sql(sql)
 
+    @property
+    def estimator(self) -> QueryEstimator:
+        """The database's one :class:`QueryEstimator` (docs/frontdoor.md).
+
+        Its :class:`StatisticsCatalog` is built on first use -- a
+        database that no valve or front door prices never summarises
+        its tables -- and rebuilt whenever ``Catalog.version`` moves,
+        as the plan cache is.  The estimator object itself stays, so
+        its accuracy feedback survives a late load.
+        """
+        version = self.catalog.version
+        if self._stats_version != version:
+            stats = StatisticsCatalog.from_catalog(self.catalog)
+            if self._estimator is None:
+                self._estimator = QueryEstimator(
+                    stats, self.cost_model, schema=self.schema
+                )
+            else:
+                self._estimator.stats = stats
+            self._stats_version = version
+        return self._estimator
+
     def plan_cache_stats(self) -> Dict[str, int]:
-        """The MAL engine's compile-once cache: hits, misses, size, bound.
+        """The MAL engine's compile-once cache -- hits, misses, size,
+        bound -- and what pricing before compile did at the valves:
+        ``priced`` requests, ``refused_before_compile`` (refused on
+        their estimate, never compiled) and ``unpriced`` (the estimator
+        could not price them, so they were compiled first).
 
         Deliberately not part of ``metrics.summary()``: host-side cache
         behaviour is not simulated behaviour.
         """
-        return self._mal.plan_cache_stats()
+        stats = self._mal.plan_cache_stats()
+        stats["priced"] = self._priced
+        stats["refused_before_compile"] = self._refused_before_compile
+        stats["unpriced"] = self._unpriced
+        return stats
 
     def submit(
         self, sql: str, node: int = 0, arrival: Optional[float] = None
@@ -263,6 +308,11 @@ class RingDatabase:
     ) -> QueryHandle:
         """Route any engine request to its QPU and schedule it.
 
+        Route, price, valve, compile: when a valve is set the request is
+        priced with :attr:`estimator` first and a refused one is never
+        compiled (docs/qpu.md section 7).  With every valve off nothing
+        is priced and the request compiles straight away.
+
         ``arrival`` defaults to the current simulated time.  ``tag``
         overrides the registration tag (default: the engine class, or
         the legacy ``"sql"`` on the golden-pinned MAL path) -- the
@@ -273,13 +323,37 @@ class RingDatabase:
         if not 0 <= node < self.dc.config.n_nodes:
             raise ValueError(f"node {node} out of range")
         qpu = self.route(request)
-        compiled = qpu.compile(request)
+        engine = qpu.engine_class
+        valved = (
+            self.max_inflight is not None
+            or self.byte_budget is not None
+            or bool(self.engine_byte_budgets)
+        )
+        estimate = self._price(qpu, request) if valved else None
+        compiled = None if estimate is not None else qpu.compile(request)
+        # the ledger books the bytes the decision was made on
+        weight = (
+            compiled.footprint_bytes if estimate is None
+            else estimate.footprint_bytes
+        )
+        reason = self._shed(engine, weight)
+        if compiled is None and not reason:
+            compiled = qpu.compile(request)
         query_id = self._next_query_id
         self._next_query_id += 1
+        if reason:
+            if compiled is None:
+                self._refused_before_compile += 1
+                return self._shed_handle(
+                    request, query_id, node, estimate.engine, reason,
+                    estimate.description, estimate.cost,
+                )
+            return self._shed_handle(
+                request, query_id, node, compiled.engine, reason,
+                compiled.description, qpu.estimate_cost(compiled),
+            )
         runtime = self.dc.nodes[node]
         estimated = qpu.estimate_cost(compiled)
-        if self._shed(query_id, node, qpu.engine_class, compiled.footprint_bytes):
-            return self._shed_handle(request, compiled, query_id, node, estimated)
         ctx = QpuContext(
             runtime=runtime,
             query_id=query_id,
@@ -307,7 +381,7 @@ class RingDatabase:
                 runtime.finish_query(query_id)
                 return result
             finally:
-                self._leave(qpu.engine_class, compiled.footprint_bytes)
+                self._leave(engine, weight)
 
         delay = arrival - self.dc.sim.now
         if delay < 0:
@@ -325,7 +399,7 @@ class RingDatabase:
             footprint_bytes=compiled.footprint_bytes,
         )
         self.handles.append(handle)
-        self._enter(qpu.engine_class, compiled.footprint_bytes)
+        self._enter(engine, weight)
         return handle
 
     # ------------------------------------------------------------------
@@ -359,43 +433,56 @@ class RingDatabase:
             # zero-observer runs still keep query records for reports
             self.dc.metrics.query_registered(now, query_id, node, tag=label)
 
-    def _shed(
-        self, query_id: int, node: int, engine: str, footprint_bytes: int
-    ) -> bool:
-        """Admission valves: inflight count, then inflight bytes.
+    def _price(
+        self, qpu: QueryProcessingUnit, request: Any
+    ) -> Optional[QueryEstimate]:
+        """The request's estimate, or None when it must be compiled to
+        be weighed: the estimator cannot price it, or prices it for
+        another engine than the one the router chose."""
+        try:
+            estimate = self.estimator.estimate(request)
+        except EstimateError:
+            estimate = None
+        if estimate is None or estimate.engine != qpu.engine_class:
+            self._unpriced += 1
+            return None
+        self._priced += 1
+        return estimate
+
+    def _shed(self, engine: str, footprint_bytes: int) -> str:
+        """Admission valves: inflight count, then inflight bytes.  The
+        refusal reason, or ``""`` to admit.
 
         The count valve is the historical behaviour; the byte valves
-        weigh each query by ``CompiledQuery.footprint_bytes`` so one
-        wide analytic scan can't hide behind the same count slot as a
-        point lookup.  Per-engine budgets shed only their own class.
-        An empty valve always admits, so progress is guaranteed even
-        for a query wider than the whole budget.
+        weigh each query by its *estimated* footprint bytes -- what
+        :attr:`estimator` predicts the engine will bind, which on every
+        workload in the repo is ``CompiledQuery.footprint_bytes`` to the
+        byte -- so one wide analytic scan can't hide behind the same
+        count slot as a point lookup, and a refused request is never
+        compiled.  A request the estimator cannot price is weighed by
+        its compiled footprint instead.  Per-engine budgets shed only
+        their own class.  An empty valve always admits, so progress is
+        guaranteed even for a query wider than the whole budget.
         """
-        over = False
-        reason = ""
-        if self.max_inflight is not None:
-            over = self._inflight >= self.max_inflight
-            if over:
-                reason = "count-valve"
-        if not over and (self.byte_budget is not None or self.engine_byte_budgets):
-            if (
-                self._inflight
-                and self.byte_budget is not None
-                and self._inflight_bytes + footprint_bytes > self.byte_budget
-            ):
-                over = True
-            cap = self.engine_byte_budgets.get(engine)
+        if self.max_inflight is not None and self._inflight >= self.max_inflight:
+            return "count-valve"
+        if (
+            self._inflight
+            and self.byte_budget is not None
+            and self._inflight_bytes + footprint_bytes > self.byte_budget
+        ):
+            return "byte-valve"
+        cap = self.engine_byte_budgets.get(engine)
+        if cap is not None:
             per_engine = self._inflight_engine_bytes.get(engine, 0)
-            if (
-                cap is not None
-                and per_engine > 0
-                and per_engine + footprint_bytes > cap
-            ):
-                over = True
-            if over:
-                reason = "byte-valve"
-        if not over:
-            return False
+            if per_engine > 0 and per_engine + footprint_bytes > cap:
+                return "byte-valve"
+        return ""
+
+    def _shed_handle(
+        self, request, query_id: int, node: int, engine: str, reason: str,
+        description: str, estimated: float,
+    ) -> QueryHandle:
         bus = self.dc.bus
         if bus.active:
             bus.publish(
@@ -404,27 +491,23 @@ class RingDatabase:
                     reason=reason,
                 )
             )
-        return True
 
-    def _shed_handle(
-        self, request, compiled, query_id: int, node: int, estimated: float
-    ) -> QueryHandle:
         def refused() -> Generator:
-            self._leave(compiled.engine, 0)
+            self._leave(engine, 0)
             return None
             yield  # pragma: no cover - makes this a generator
 
         handle = QueryHandle(
             query_id=query_id,
             node=node,
-            sql=compiled.description,
+            sql=description,
             process=Process(self.dc.sim, refused()),
-            engine=compiled.engine,
+            engine=engine,
             request=request,
             estimated_cost=estimated,
         )
         self.handles.append(handle)
-        self._enter(compiled.engine, 0)  # weighs nothing, but is busy
+        self._enter(engine, 0)  # weighs nothing, but is busy
         return handle
 
     # The ledger moves in the handle's own generator, never through

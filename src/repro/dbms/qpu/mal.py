@@ -36,7 +36,11 @@ __all__ = ["MalQpu", "dc_registry"]
 #: compiled statements one engine keeps (least recently used go first).
 #: A plan holds ~340 bytes per instruction -- 67 KB for a two-column
 #: scan of 24 partitions, 200 KB for a six-column ``SELECT *`` -- so the
-#: bound is what the cache may retain: ~10-25 MB of plans.
+#: bound is what the cache may retain: ~10-25 MB of plans.  Behind a
+#: dispatcher valve a request is priced on its estimated footprint
+#: before it is compiled and a refused one never reaches ``compile``, so
+#: the one-off texts a full valve turns away do not fill the cache
+#: (docs/qpu.md section 7).
 PLAN_CACHE_SIZE = 128
 
 

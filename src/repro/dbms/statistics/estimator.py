@@ -91,16 +91,37 @@ class QueryEstimator:
         self,
         stats: StatisticsCatalog,
         cost_model: Optional[OperatorCostModel] = None,
+        schema: str = "sys",
     ):
         self.stats = stats
         self.cost_model = cost_model or default_cost_model()
+        self.schema = schema  # of a KV / stream request naming none
         self._accuracy: Dict[str, _ClassAccuracy] = {}
+        # (request, stats, estimate) of the last answer
+        self._last: Tuple[object, Optional[StatisticsCatalog], object] = (
+            None, None, None
+        )
 
     # ==================================================================
     # estimation
     # ==================================================================
     def estimate(self, request) -> QueryEstimate:
-        """Predict engine / footprint / cost for any supported request."""
+        """Predict engine / footprint / cost for any supported request.
+
+        The last answer is kept by identity: the front door prices an
+        arrival and the dispatcher's valve prices the same object a
+        moment later, so the second is a lookup.  An estimate is a pure
+        function of the request and the statistics, and both are
+        compared, so a rebuilt catalog is never answered from before.
+        """
+        last_request, last_stats, last = self._last
+        if request is last_request and self.stats is last_stats:
+            return last
+        estimate = self._estimate(request)
+        self._last = (request, self.stats, estimate)
+        return estimate
+
+    def _estimate(self, request) -> QueryEstimate:
         if isinstance(request, KvLookup):
             return self._estimate_kv(request)
         if isinstance(request, StreamAggregate):
@@ -112,7 +133,7 @@ class QueryEstimator:
 
     # ------------------------------------------------------------------
     def _estimate_kv(self, request: KvLookup) -> QueryEstimate:
-        ts = self._table(request.schema or "sys", request.table)
+        ts = self._table(self._schema_of(request), request.table)
         cs = self._column(ts, request.column)
         hit = 0 <= request.key < ts.n_rows
         if hit:
@@ -139,7 +160,7 @@ class QueryEstimator:
             raise EstimateError(
                 f"aggregate {request.func!r} is not decomposable"
             )
-        ts = self._table(request.schema or "sys", request.table)
+        ts = self._table(self._schema_of(request), request.table)
         nbytes = self._column(ts, request.value_column).total_bytes
         bats = ts.n_partitions
         if request.group_column is not None:
@@ -232,6 +253,10 @@ class QueryEstimator:
     # ------------------------------------------------------------------
     # AST walks (mirror repro.dbms.sql.planner resolution rules)
     # ------------------------------------------------------------------
+    def _schema_of(self, request) -> str:
+        """The KV and streaming engines' own default-schema rule."""
+        return request.schema if request.schema is not None else self.schema
+
     def _table(self, schema: str, name: str) -> TableStats:
         try:
             return self.stats.table(schema, name)

@@ -2,20 +2,22 @@
 
 The workload generators used to post fully-formed requests straight
 into the simulator; cost knowledge only existed *after* a QPU compiled.
-The front door inverts that: every arrival is priced by the
-:class:`~repro.dbms.statistics.QueryEstimator` first, and the
-*predicted* footprint drives three decisions the paper assumes are
-made before a query rides the ring:
+The front door inverts that: every arrival is priced by the database's
+:class:`~repro.dbms.statistics.QueryEstimator` first
+(``RingDatabase.estimator``, the one the dispatcher's valves price
+with), and the *predicted* footprint drives three decisions the paper
+assumes are made before a query rides the ring:
 
 * **tier** -- smaller predicted footprint = higher tier = more
   protected.  A point probe should never die behind a full scan.
 * **deadline** -- proportional to the predicted bytes over the ring
   bandwidth, floored for fixed costs.
 * **admission** -- a tier-sliced valve over *estimated* inflight bytes
-  (the blind dispatcher valves weigh queries only after compilation,
-  and count a refused monster the same as a refused probe), optionally
-  behind the :class:`~repro.resilience.overload.OverloadController`'s
-  brownout level.
+  (the blind dispatcher valves weigh the same estimate but know no
+  tiers, and count a refused monster the same as a refused probe),
+  optionally behind the
+  :class:`~repro.resilience.overload.OverloadController`'s brownout
+  level.
 
 Every decision is published as typed events (``QueryEstimated``,
 ``FrontDoorAdmitted`` / ``FrontDoorRejected`` + ``QueryShed`` with
@@ -35,12 +37,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import repro.events.types as ev
 from repro.dbms.executor import QueryHandle, RingDatabase
-from repro.dbms.statistics import (
-    EstimateError,
-    QueryEstimate,
-    QueryEstimator,
-    StatisticsCatalog,
-)
+from repro.dbms.statistics import EstimateError, QueryEstimate, QueryEstimator
 
 __all__ = ["FrontDoor", "FrontDoorPolicy", "Ticket"]
 
@@ -111,16 +108,12 @@ class FrontDoor:
         self,
         rdb: RingDatabase,
         policy: Optional[FrontDoorPolicy] = None,
-        stats: Optional[StatisticsCatalog] = None,
-        estimator: Optional[QueryEstimator] = None,
         controller=None,
     ):
         self.rdb = rdb
         self.policy = policy or FrontDoorPolicy()
-        self.stats = stats or StatisticsCatalog.from_catalog(rdb.catalog)
-        self.estimator = estimator or QueryEstimator(
-            self.stats, rdb.cost_model
-        )
+        # summarise the loaded tables now rather than at the first arrival
+        _ = rdb.estimator
         self.controller = controller
         self.tickets: Dict[int, Ticket] = {}
         self.offered = 0
@@ -137,6 +130,12 @@ class FrontDoor:
         bus.subscribe(ev.QueryFinished, self._on_finished)
         bus.subscribe(ev.QueryFailed, self._on_failed)
         bus.subscribe(ev.QueryShed, self._on_shed)
+
+    @property
+    def estimator(self) -> QueryEstimator:
+        """The database's estimator: the door and the dispatcher's
+        valves price on one statistics catalog."""
+        return self.rdb.estimator
 
     # ------------------------------------------------------------------
     # the open-loop arrival surface
@@ -315,11 +314,7 @@ class FrontDoor:
     # reporting
     # ------------------------------------------------------------------
     def summary(self) -> dict:
-        """Deterministic headline numbers for scenario extras.
-
-        (Named ``summary`` because ``self.stats`` is the statistics
-        catalog the door prices against.)
-        """
+        """Deterministic headline numbers for scenario extras."""
         return {
             "offered": self.offered,
             "admitted": self.admitted,

@@ -870,7 +870,7 @@ def _frontdoor_once(
         ))
     else:
         # blind twin: same tiers/deadlines/tickets, but admission falls
-        # to the dispatcher's post-compile byte valve with the same cap
+        # to the dispatcher's tier-blind byte valve with the same cap
         door = FrontDoor(rdb, policy=FrontDoorPolicy(
             tier_boundaries=FRONTDOOR_TIERS, admission="none",
             tag_tiers=tag_tiers,

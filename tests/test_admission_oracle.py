@@ -1,0 +1,439 @@
+"""Route, price, valve, compile: the dispatcher against its own past.
+
+``RingDatabase.submit_request`` prices every request with the
+database's estimator when a valve is set, weighs the estimate, and
+compiles only what it admits (docs/qpu.md section 7).  The oracle below
+is the compile-then-shed dispatcher it replaced -- ``submit_request``,
+``_shed`` and ``_shed_handle`` kept verbatim -- and hypothesis drives
+both over random mixes of repeated, one-off and unpriceable kv / MAL /
+stream requests, count / byte / per-engine budgets and finish orders.
+After every step both sides agree on the query ids, the admit/shed
+decision and its ``QueryShed.reason``, every ``QueryHandle`` field, and
+the inflight ledger.
+
+The valve's own properties ride along: an empty valve always admits,
+every admitted query settles exactly once, and the ledger returns to
+zero at quiescence.  The unit tests after the property pin what pricing
+first buys and what it costs: a refused request is never compiled, no
+valve means no statistics catalog, the front door and the valves share
+one estimator, a request the door priced is not priced again, and a
+text the estimator cannot price falls back to compile-then-shed,
+counted.
+"""
+
+from dataclasses import fields
+from typing import Any, Generator, Optional
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.events.types as ev
+from repro.core import DataCyclotronConfig
+from repro.dbms.executor import QueryHandle, RingDatabase
+from repro.dbms.qpu import KvLookup, MalQuery, QpuContext, QueryAbort, StreamAggregate
+from repro.dbms.sql import SqlError
+from repro.dbms.statistics import QueryEstimator
+from repro.frontdoor import FrontDoor, FrontDoorPolicy
+from repro.sim.process import Process
+
+N_ROWS = 1200
+
+
+class CompileThenShed(RingDatabase):
+    """The dispatcher before pricing: every request is compiled, then
+    weighed by ``CompiledQuery.footprint_bytes``."""
+
+    def submit_request(
+        self,
+        request: Any,
+        node: int = 0,
+        arrival: Optional[float] = None,
+        tag: Optional[str] = None,
+    ) -> QueryHandle:
+        """Route any engine request to its QPU and schedule it.
+
+        ``arrival`` defaults to the current simulated time.  ``tag``
+        overrides the registration tag (default: the engine class, or
+        the legacy ``"sql"`` on the golden-pinned MAL path) -- the
+        front door uses it to label serving tiers for SLO accounting.
+        """
+        if arrival is None:
+            arrival = self.dc.sim.now
+        if not 0 <= node < self.dc.config.n_nodes:
+            raise ValueError(f"node {node} out of range")
+        qpu = self.route(request)
+        compiled = qpu.compile(request)
+        query_id = self._next_query_id
+        self._next_query_id += 1
+        runtime = self.dc.nodes[node]
+        estimated = qpu.estimate_cost(compiled)
+        if self._shed(query_id, node, qpu.engine_class, compiled.footprint_bytes):
+            return self._shed_handle(request, compiled, query_id, node, estimated)
+        ctx = QpuContext(
+            runtime=runtime,
+            query_id=query_id,
+            catalog=self.catalog,
+            cost_model=self.cost_model,
+        )
+        # the default MAL path keeps the pre-refactor direct metrics
+        # call (no bus event), pinned by the golden bit-identity suite
+        legacy = qpu is self._mal and not self.lifecycle_events and tag is None
+
+        def process() -> Generator:
+            try:
+                now = runtime.sim.now
+                if legacy:
+                    self.dc.metrics.query_registered(now, query_id, node, tag="sql")
+                else:
+                    self._register(now, query_id, node, qpu.engine_class,
+                                   compiled, estimated, tag=tag)
+                try:
+                    result = yield from qpu.execute(compiled, ctx)
+                except QueryAbort as abort:
+                    self._release_pins(ctx, runtime, query_id)
+                    runtime.finish_query(query_id, failed=True, error=str(abort))
+                    return None
+                runtime.finish_query(query_id)
+                return result
+            finally:
+                self._leave(qpu.engine_class, compiled.footprint_bytes)
+
+        delay = arrival - self.dc.sim.now
+        if delay < 0:
+            raise ValueError("arrival is in the past")
+        self.dc._submitted += 1
+        proc = Process(self.dc.sim, process(), start_delay=delay)
+        handle = QueryHandle(
+            query_id=query_id,
+            node=node,
+            sql=compiled.description,
+            process=proc,
+            engine=qpu.engine_class,
+            request=request,
+            estimated_cost=estimated,
+            footprint_bytes=compiled.footprint_bytes,
+        )
+        self.handles.append(handle)
+        self._enter(qpu.engine_class, compiled.footprint_bytes)
+        return handle
+
+    def _shed(
+        self, query_id: int, node: int, engine: str, footprint_bytes: int
+    ) -> bool:
+        """Admission valves: inflight count, then inflight bytes.
+
+        The count valve is the historical behaviour; the byte valves
+        weigh each query by ``CompiledQuery.footprint_bytes`` so one
+        wide analytic scan can't hide behind the same count slot as a
+        point lookup.  Per-engine budgets shed only their own class.
+        An empty valve always admits, so progress is guaranteed even
+        for a query wider than the whole budget.
+        """
+        over = False
+        reason = ""
+        if self.max_inflight is not None:
+            over = self._inflight >= self.max_inflight
+            if over:
+                reason = "count-valve"
+        if not over and (self.byte_budget is not None or self.engine_byte_budgets):
+            if (
+                self._inflight
+                and self.byte_budget is not None
+                and self._inflight_bytes + footprint_bytes > self.byte_budget
+            ):
+                over = True
+            cap = self.engine_byte_budgets.get(engine)
+            per_engine = self._inflight_engine_bytes.get(engine, 0)
+            if (
+                cap is not None
+                and per_engine > 0
+                and per_engine + footprint_bytes > cap
+            ):
+                over = True
+            if over:
+                reason = "byte-valve"
+        if not over:
+            return False
+        bus = self.dc.bus
+        if bus.active:
+            bus.publish(
+                ev.QueryShed(
+                    self.dc.sim.now, query_id, node, engine=engine,
+                    reason=reason,
+                )
+            )
+        return True
+
+    def _shed_handle(
+        self, request, compiled, query_id: int, node: int, estimated: float
+    ) -> QueryHandle:
+        def refused() -> Generator:
+            self._leave(compiled.engine, 0)
+            return None
+            yield  # pragma: no cover - makes this a generator
+
+        handle = QueryHandle(
+            query_id=query_id,
+            node=node,
+            sql=compiled.description,
+            process=Process(self.dc.sim, refused()),
+            engine=compiled.engine,
+            request=request,
+            estimated_cost=estimated,
+        )
+        self.handles.append(handle)
+        self._enter(compiled.engine, 0)  # weighs nothing, but is busy
+        return handle
+
+
+def table_data():
+    rng = np.random.default_rng(11)
+    return {
+        "id": np.arange(N_ROWS, dtype=np.int64),
+        "v": np.round(rng.uniform(0.0, 10.0, N_ROWS), 3),
+        "g": rng.integers(0, 4, N_ROWS),
+    }
+
+
+def make(cls=RingDatabase, **kwargs) -> RingDatabase:
+    rdb = cls(DataCyclotronConfig(n_nodes=4, seed=7), **kwargs)
+    rdb.load_table("t", table_data(), rows_per_partition=100)
+    return rdb
+
+
+# ----------------------------------------------------------------------
+# the request mix
+# ----------------------------------------------------------------------
+REPEATED = [
+    "SELECT v FROM t",                 # binds id too, as the scan universe
+    "SELECT g, max(v) m FROM t GROUP BY g",
+    "SELECT v FROM t WHERE id < 300",
+    "SELECT g, sum(v) s FROM t WHERE id >= 200 GROUP BY g",
+    "SELECT * FROM t",
+    MalQuery("SELECT count(*) c FROM t WHERE g = 2"),
+    KvLookup(table="t", key=5, column="v"),
+    KvLookup(table="t", key=1150, column="g"),
+    KvLookup(table="t", key=-3, column="v"),          # a miss weighs nothing
+    KvLookup(table="t", key=N_ROWS, column="v"),      # one past the last row
+    StreamAggregate(table="t", value_column="v"),
+    StreamAggregate(table="t", value_column="v", func="avg", group_column="g"),
+]
+
+# the estimator cannot price these, and compiling them raises
+UNPRICEABLE = [
+    "SELECT nope FROM t",
+    "SELECT v FROM nowhere",
+    "THIS IS NOT SQL",
+    KvLookup(table="t", key=1, column="nope"),
+    StreamAggregate(table="t", value_column="v", func="median"),
+]
+
+one_off = st.builds(
+    lambda lo, width, column: (
+        f"SELECT {column} FROM t WHERE id >= {lo} AND id < {lo + width}"
+    ),
+    st.integers(0, N_ROWS), st.integers(1, 600), st.sampled_from(["v", "g", "v, g"]),
+)
+probes = st.builds(
+    lambda k: KvLookup(table="t", key=k, column="v"), st.integers(-50, 1300)
+)
+# one_of draws its branches about evenly: listing one twice doubles its share
+requests = st.one_of(
+    st.sampled_from(REPEATED), st.sampled_from(REPEATED),
+    one_off, one_off, probes, st.sampled_from(UNPRICEABLE),
+)
+submits = st.tuples(
+    st.just("submit"), requests, st.integers(0, 3),
+    st.sampled_from([None, 0.0, 0.01, 0.05]),
+)
+ops = st.lists(
+    st.one_of(submits, submits, st.tuples(st.just("advance"), st.floats(0.0, 0.08))),
+    min_size=12, max_size=48,
+)
+valves = st.fixed_dictionaries({
+    "max_inflight": st.one_of(st.none(), st.integers(1, 6)),
+    "byte_budget": st.one_of(st.none(), st.integers(1, 60_000)),
+    "engine_byte_budgets": st.dictionaries(
+        st.sampled_from(["mal", "kv", "stream"]), st.integers(1, 40_000), max_size=3
+    ),
+})
+
+
+def ledger(rdb):
+    return rdb._inflight, rdb._inflight_bytes, dict(rdb._inflight_engine_bytes)
+
+
+def handle_fields(handle):
+    out = {f.name: getattr(handle, f.name) for f in fields(handle) if f.name != "process"}
+    out["done"] = handle.done
+    return out
+
+
+def outcome(result):
+    return result.rows() if hasattr(result, "rows") else result
+
+
+def submit(rdb, request, node, delay):
+    arrival = None if delay is None else rdb.dc.sim.now + delay
+    try:
+        return rdb.submit_request(request, node=node, arrival=arrival)
+    except Exception as exc:  # the error itself is what both sides must agree on
+        return (type(exc), str(exc))
+
+
+class Recorder:
+    """Sheds by query id and reason; settlements per query id."""
+
+    def __init__(self, rdb):
+        self.shed = []
+        self.settled = {}
+        bus = rdb.dc.bus
+        bus.subscribe(ev.QueryShed, lambda e: self.shed.append(
+            (e.t, e.query_id, e.node, e.engine, e.reason)))
+        bus.subscribe(ev.QueryFinished, self._settle)
+        bus.subscribe(ev.QueryFailed, self._settle)
+
+    def _settle(self, e):
+        self.settled[e.query_id] = self.settled.get(e.query_id, 0) + 1
+
+
+SETTINGS = {
+    "deadline": None,
+    "max_examples": 40,
+    "suppress_health_check": [HealthCheck.too_slow],
+}
+
+
+@settings(**SETTINGS)
+@given(valve=valves, steps=ops, lifecycle=st.booleans())
+def test_pricing_first_decides_exactly_as_compile_then_shed(valve, steps, lifecycle):
+    new = make(lifecycle_events=lifecycle)
+    old = make(CompileThenShed, lifecycle_events=lifecycle)
+    sides = [(new, Recorder(new)), (old, Recorder(old))]
+    for rdb, _ in sides:
+        for knob, value in valve.items():
+            setattr(rdb, knob, dict(value) if isinstance(value, dict) else value)
+    for step in steps:
+        if step[0] == "advance":
+            for rdb, _ in sides:
+                rdb.dc.sim.run(until=rdb.dc.sim.now + step[1])
+        else:
+            _, request, node, delay = step
+            empty = new._inflight == 0
+            got = [submit(rdb, request, node, delay) for rdb, _ in sides]
+            assert type(got[0]) is type(got[1])
+            if isinstance(got[0], tuple):
+                assert got[0] == got[1]                 # same error, same type
+            elif empty:
+                refused = {qid for _, qid, *_ in sides[0][1].shed}
+                assert got[0].query_id not in refused, "an empty valve refused"
+        assert new._next_query_id == old._next_query_id
+        assert sides[0][1].shed == sides[1][1].shed     # decisions + reasons
+        assert ledger(new) == ledger(old)
+        assert [handle_fields(h) for h in new.handles] == [
+            handle_fields(h) for h in old.handles
+        ]
+    for rdb, _ in sides:
+        assert rdb.run_until_done(max_time=600.0)
+    assert [outcome(h.result) for h in new.handles] == [
+        outcome(h.result) for h in old.handles
+    ]
+    # quiescence: every admitted query settled exactly once, no shed
+    # query settled at all, and the ledger is back to zero
+    recorder = sides[0][1]
+    refused = {qid for _, qid, *_ in recorder.shed}
+    admitted = {h.query_id for h in new.handles} - refused
+    assert recorder.settled == dict.fromkeys(admitted, 1)
+    assert new._inflight == new._inflight_bytes == 0
+    assert not any(new._inflight_engine_bytes.values())
+    # an unpriceable request raises at compile, so every refusal was
+    # decided on an estimate
+    assert new.plan_cache_stats()["refused_before_compile"] == len(refused)
+
+
+# ----------------------------------------------------------------------
+# what pricing first buys, and what it costs
+# ----------------------------------------------------------------------
+def test_a_refused_request_is_never_compiled():
+    rdb = make()
+    rdb.byte_budget = 1
+    rdb.submit("SELECT v FROM t WHERE id < 100")       # empty valve: admitted
+    misses = rdb.plan_cache_stats()["misses"]
+    handle = rdb.submit("SELECT v FROM t WHERE id < 200")
+    stats = rdb.plan_cache_stats()
+    assert stats["misses"] == misses                     # no compile
+    assert stats["refused_before_compile"] == 1
+    assert stats["priced"] == 2 and stats["unpriced"] == 0
+    assert handle.sql == "SELECT v FROM t WHERE id < 200"
+    assert handle.footprint_bytes == 0
+    assert rdb.run_until_done()
+    assert handle.result is None
+
+
+def test_without_a_valve_nothing_is_priced_and_no_catalog_is_built():
+    rdb = make()
+    rdb.submit("SELECT v FROM t")
+    rdb.submit_request(KvLookup(table="t", key=3, column="v"))
+    assert rdb.run_until_done()
+    assert rdb._estimator is None
+    stats = rdb.plan_cache_stats()
+    assert stats["priced"] == stats["unpriced"] == stats["refused_before_compile"] == 0
+
+
+def test_door_and_valves_share_one_estimator_and_price_once(monkeypatch):
+    calls = []
+    inner = QueryEstimator._estimate
+    monkeypatch.setattr(
+        QueryEstimator, "_estimate",
+        lambda self, request: calls.append(request) or inner(self, request),
+    )
+    rdb = make()
+    rdb.byte_budget = 1 << 40
+    door = FrontDoor(rdb, policy=FrontDoorPolicy(admission="none"))
+    assert door.estimator is rdb.estimator
+    for request in ("SELECT v FROM t WHERE id < 7", KvLookup(table="t", key=9, column="g")):
+        door.offer(request)
+    assert len(calls) == 2                 # the door priced, the valve looked up
+    assert rdb.plan_cache_stats()["priced"] == 2
+    assert rdb.run_until_done()
+
+
+def test_a_catalog_change_rebuilds_the_statistics_not_the_estimator():
+    rdb = make()
+    estimator = rdb.estimator
+    stats = estimator.stats
+    star = "SELECT * FROM t"
+    before = estimator.estimate(star)
+    assert estimator.estimate(star) is before          # the identity memo
+    rdb.load_table("u", {"w": np.arange(50)}, rows_per_partition=10)
+    assert rdb.estimator is estimator and estimator.stats is not stats
+    assert estimator.estimate(star) is not before      # not answered from before
+    sql = "SELECT w FROM u"
+    compiled = rdb._mal.compile(sql)
+    assert estimator.estimate(sql).footprint_bytes == compiled.footprint_bytes > 0
+
+
+def test_an_unpriceable_request_falls_back_to_compile_and_is_counted():
+    rdb = make()
+    rdb.max_inflight = 4
+    with pytest.raises(SqlError):
+        rdb.submit("SELECT nope FROM t")
+    assert rdb._next_query_id == 0                       # no id consumed
+    stats = rdb.plan_cache_stats()
+    assert stats["unpriced"] == 1 and stats["priced"] == 0
+
+
+def test_a_text_the_planner_rejects_is_refused_unseen_by_a_full_valve():
+    """The one thing pricing first changes: the planner's own checks run
+    at compile, so a priceable text it would reject raises only when
+    the valve admits it; a full valve refuses it like any other."""
+    bad = "SELECT v, count(*) c FROM t"   # aggregate beside a plain column
+    rdb = make()
+    rdb.max_inflight = 1
+    with pytest.raises(SqlError):
+        rdb.submit(bad)                                   # admitted: compiles
+    rdb.submit("SELECT v FROM t")
+    handle = rdb.submit(bad)                              # full: refused
+    assert handle.sql == bad and rdb.plan_cache_stats()["refused_before_compile"] == 1
+    assert rdb.run_until_done()

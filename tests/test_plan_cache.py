@@ -57,6 +57,7 @@ def test_second_compile_is_a_hit_and_returns_the_same_plan():
     first = rdb.compile(SQL)
     assert rdb.plan_cache_stats() == {
         "hits": 0, "misses": 1, "size": 1, "bound": PLAN_CACHE_SIZE,
+        "priced": 0, "refused_before_compile": 0, "unpriced": 0,
     }
     second = rdb.compile(SQL)
     assert second is first
