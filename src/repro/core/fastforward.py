@@ -13,14 +13,20 @@ send time and replaces them with **one** analytically computed arrival:
   ``arrival = serialise_end + delay``), so the coalesced trajectory is
   bit-identical to the classic one,
 * link statistics, ``BatForwarded`` / ``RequestForwarded`` bus events
-  (with their original per-hop timestamps) and the message's ``hops``
-  field are applied lazily when the flight lands, and the elided
-  simulator events are *credited* so ``Simulator.processed`` -- and
-  therefore ``DataCyclotron.summary()`` -- match a classic run,
-* the **last** hop into the first interested node is executed as a real
-  channel send at its exact classic time, so absorption, pin service,
-  loss injection and DropTail at the stop node run unmodified protocol
-  code.
+  and the message's ``hops`` field are applied lazily when the flight
+  lands, and the elided simulator events are *credited* so
+  ``Simulator.processed`` -- and therefore ``DataCyclotron.summary()``
+  -- match a classic run.  The forwards are published at their original
+  per-hop timestamps; where every subscriber of the type only counts
+  them (:meth:`repro.events.bus.Bus.counters`, the metrics bridge) the
+  run is added in one step instead,
+* the hop into the first interested node (the *stop*) joins the arc
+  when its link is pristine at launch too: the flight's completion *is*
+  the stop's delivery, at the classic instant, through the link's own
+  ``on_receive``, so absorption and pin service at the stop run
+  unmodified protocol code.  Only when that link is busy, lossy or
+  reserved by another flight is the last hop a real channel send from
+  the last skipped node, at its exact classic time.
 
 Safety is conservative: a hop is only coalesced when the intervening
 channel is pristine (no loss injection, nothing queued or serialising,
@@ -72,24 +78,29 @@ class Flight:
     An arc of the ring, not a list of hops.  Hop ``i`` crosses
     ``lane.travel[at + i]`` -- the link out of node ``(start + i*step) %
     n`` into node ``(start + (i+1)*step) % n``, the ``i``-th *skipped*
-    node -- is enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and
+    node or, for the last hop of a flight that ``lands``, the stop -- is
+    enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and
     arrives at ``arrivals[i]``.  Only the arrivals are stored;
     :meth:`hop` re-derives the rest with the float operations of the
     scan, in the scan's order, so the result is bit-identical to what
     the scan saw (link bandwidths only change under a fault, which lands
     every flight first).  ``held`` is the part of the arc still reserved
-    for the flight, as a mask over the lane's doubled positions.  The
-    last skipped node performs the real final send when the flight
-    completes (or is flushed past it).
+    for the flight, as a mask over the lane's doubled positions.
+
+    ``lands`` says the arc's last hop delivers into the stop node rather
+    than into a skipped one: the flight completes *in* the stop.
+    Otherwise the last skipped node performs the real final send when
+    the flight completes (or is flushed past it).
     """
 
     __slots__ = (
         "ff", "kind", "msg", "wire", "bat_id", "lane", "at", "start", "step",
-        "t0", "arrivals", "held", "event",
+        "t0", "arrivals", "lands", "held", "event",
     )
 
     def __init__(self, ff: "FastForwarder", kind: str, msg, wire: int,
-                 lane: Lane, start: int, t0: float, arrivals: list):
+                 lane: Lane, start: int, t0: float, arrivals: list,
+                 lands: bool):
         self.ff = ff
         self.kind = kind  # "bat" | "request"
         self.msg = msg
@@ -101,6 +112,7 @@ class Flight:
         self.step = lane.step
         self.t0 = t0
         self.arrivals = arrivals
+        self.lands = lands
         self.held = 0
         self.event = None
 
@@ -189,6 +201,9 @@ class FastForwarder:
         self._bus_version = -1
         self._lazy_ok = True
         self._wants_ff = False
+        # the forwards' subscribers when all of them only count (else None)
+        self._bat_counters: Optional[list] = None
+        self._request_counters: Optional[list] = None
         # Flush-churn backoff: every flush adds debt, every clean landing
         # pays some back.  Above the threshold the scans refuse to launch
         # (the classic path is always correct), decaying slowly so probe
@@ -216,6 +231,8 @@ class FastForwarder:
         self.refused_short = 0
         self.released = 0
         self.tolerated = 0
+        self.landed_in_stop = 0
+        self.forwards_counted = 0
 
     @staticmethod
     def _lane(channels: list, step: int) -> Lane:
@@ -278,7 +295,8 @@ class FastForwarder:
         truncated to land just short of the node instead of being torn
         down (:meth:`_truncate`); the final real send then enters the
         node at its exact classic time, so absorption and pin service
-        run unmodified protocol code.
+        run unmodified protocol code.  A registration at the flight's own
+        stop changes nothing: the stop takes a real delivery either way.
 
         Without ``node_id`` (BAT added/removed, topology change) every
         flight for the BAT is flushed.
@@ -294,8 +312,8 @@ class FastForwarder:
         now = self.sim.now
         for flight in list(flights):
             i = flight.hop_into(node_id)
-            if i is None:
-                continue
+            if i is None or (flight.lands and i == len(flight.arrivals) - 1):
+                continue  # off the arc, or its stop: that delivery is real
             _link, enqueue, _tx, s_end, arrival = flight.hop(i)
             # At an exact tie (arrival == now) the classic run's order
             # is decided by heap seq: the delivery was scheduled at the
@@ -323,6 +341,8 @@ class FastForwarder:
             or bus.wants(SimEventFired)
         )
         self._wants_ff = bus.wants(RotationFastForwarded)
+        self._bat_counters = bus.counters(ev.BatForwarded)
+        self._request_counters = bus.counters(ev.RequestForwarded)
 
     # ------------------------------------------------------------------
     # send-time interception
@@ -387,39 +407,44 @@ class FastForwarder:
 
         ``stops`` has a (doubled) bit per position that would keep the
         message; it always includes the owner / origin, so a nearest
-        stop exists: the nearest set bit in travel direction is how far
-        the message could ``reach``.  The links it would cross to get
-        there are indexed by their senders; the nearest one that is
-        busy or lossy cuts the run short at ``k``.
+        stop exists: the nearest set bit in travel direction is how many
+        nodes the message could skip (``reach``), and hop ``reach`` is
+        the one into the stop.  The links of those ``end`` hops are
+        indexed by their senders; the nearest one that is busy or lossy
+        cuts the arc short at ``k`` hops.  An arc that keeps the hop
+        into the stop lands there.
         """
         limit = self.scan_limit
         if lane.step > 0:
             ahead = stops >> (start + 1)
             reach = (ahead & -ahead).bit_length() - 1
+            end = reach + 1
             if reach > limit:
-                reach = limit
-            cut = ((lane.busy | lane.lossy) >> start) | (1 << reach)
+                end = reach = limit
+            cut = ((lane.busy | lane.lossy) >> start) | (1 << end)
             k = (cut & -cut).bit_length() - 1
         else:
+            # hop i leaves position start - i: doubled bit top - i
             top = start + self.n
-            below = (1 << top) - 1
-            reach = top - (stops & below).bit_length()
+            reach = top - (stops & ((1 << top) - 1)).bit_length()
+            end = reach + 1
             if reach > limit:
-                reach = limit
-            cut = ((lane.busy | lane.lossy) >> 1 & below) | (1 << (top - 1 - reach))
-            k = top - cut.bit_length()
+                end = reach = limit
+            cut = ((lane.busy | lane.lossy) & ((2 << top) - 1)) | (1 << (top - end))
+            k = top + 1 - cut.bit_length()
         if wire > lane.capacity:
             k = 0
         if lane.reserved:
             # Reservations are looked at hop by hop, up to and including
             # the hop a non-pristine link ended the run on -- but only
             # those there are: the walk visits reserved links, not hops.
-            extent = k + (k < reach)
+            extent = k + (k < end)
             low = start if lane.step > 0 else start + self.n - extent + 1
             owed = lane.reserved >> low & ((1 << extent) - 1)
             if owed:
                 k = self._unreserved_run(lane, start, k, extent, owed)
-        if k < self.min_flight:
+        lands = k > reach
+        if k - lands < self.min_flight:
             # a short flight saves a couple of net events but pays for
             # the whole flight machinery; let the classic path handle it
             self.refused_short += 1
@@ -433,7 +458,8 @@ class FastForwarder:
         now = self.sim.now
         clock = list(accumulate(steps[at:at + 2 * k], initial=now))
         self._launch(
-            Flight(self, kind, msg, wire, lane, start, now, clock[2::2]), clock[-2]
+            Flight(self, kind, msg, wire, lane, start, now, clock[2::2], lands),
+            clock[-2],
         )
         return True
 
@@ -479,14 +505,15 @@ class FastForwarder:
         lane.reserved |= flight.held
         lane.holders.append(flight)
         self._by_bat.setdefault(flight.bat_id, []).append(flight)
-        # the completion stands in for the classic delivery into the last
-        # skipped node, which the wire would have scheduled at that hop's
-        # serialise-end: stamped so, same-instant ties dispatch classically
+        # the completion stands in for the classic delivery over the last
+        # hop (into the stop, or into the last skipped node), which the
+        # wire would have scheduled at that hop's serialise-end: stamped
+        # so, same-instant ties dispatch classically
         flight.event = self.sim.schedule_backdated_at(
             arrivals[-1], s_end, self._complete, flight
         )
         self.flights += 1
-        self.hops_coalesced += len(arrivals)
+        self.hops_coalesced += len(arrivals) - flight.lands
 
     def _release_if_passed(self, flight: Flight, link) -> bool:
         """Release ``link``'s reservation if ``flight``, which holds it,
@@ -561,12 +588,14 @@ class FastForwarder:
         release their reservations, and the completion event moves up to
         the arrival at the new last skipped node; its live final send
         then enqueues on hop ``stop``'s link at exactly that arrival,
-        the time the classic message would have entered it.
+        the time the classic message would have entered it.  A flight
+        that was to land in its stop no longer does.
         """
         arrivals = flight.arrivals
         self._release(flight, stop)
-        self.hops_coalesced -= len(arrivals) - stop
+        self.hops_coalesced -= len(arrivals) - flight.lands - stop
         self.truncations += 1
+        flight.lands = False
         del arrivals[stop:]
         flight.event.cancel()
         flight.event = self.sim.schedule_backdated_at(
@@ -592,10 +621,22 @@ class FastForwarder:
             del self._by_bat[flight.bat_id]
 
     def _publish_forwards(self, flight: Flight, count: int) -> None:
-        """The forwards of the first ``count`` skipped nodes, at their
-        original per-hop timestamps, in hop order."""
+        """The forwards of the first ``count`` skipped nodes: added in one
+        step where every subscriber only counts them, else published at
+        their original per-hop timestamps, in hop order."""
+        if self.bus.version != self._bus_version:
+            self._refresh_bus_caches()
+        if flight.kind == "bat":
+            counters, event = self._bat_counters, ev.BatForwarded
+        else:
+            counters, event = self._request_counters, ev.RequestForwarded
+        if counters is not None:
+            for counter in counters:
+                counter.add(count)
+            if counters:
+                self.forwards_counted += count
+            return
         publish = self.bus.publish
-        event = ev.BatForwarded if flight.kind == "bat" else ev.RequestForwarded
         bat_id = flight.bat_id
         n = self.n
         node = flight.start
@@ -605,10 +646,17 @@ class FastForwarder:
             publish(event(when, bat_id, node))
 
     def _last_skipped(self, flight: Flight) -> int:
-        return (flight.start + len(flight.arrivals) * flight.step) % self.n
+        skipped = len(flight.arrivals) - flight.lands
+        return (flight.start + skipped * flight.step) % self.n
 
-    def _final_send(self, flight: Flight) -> None:
-        """The real send into the stop node, by the last skipped runtime."""
+    def _hand_over(self, flight: Flight) -> None:
+        """The message enters the stop node: delivered over the arc's
+        last link if the flight lands there, else sent for real by the
+        last skipped runtime."""
+        if flight.lands:
+            link = flight.lane.travel[flight.at + len(flight.arrivals) - 1]
+            link.on_receive(flight.msg, flight.wire)
+            return
         last = self.nodes[self._last_skipped(flight)]
         if flight.kind == "bat":
             last.forward_bat(flight.msg)
@@ -620,7 +668,7 @@ class FastForwarder:
             last._ship_request(flight.msg)
 
     def _complete(self, flight: Flight) -> None:
-        """The flight's arrival event: apply the closed form, send on.
+        """The flight's arrival event: apply the closed form, hand over.
 
         Nothing here walks the arc: the reservation goes in one mask
         operation, and the link statistics of all ``k`` hops are two
@@ -632,8 +680,10 @@ class FastForwarder:
         lane.reserved ^= flight.held  # _release, whole arc
         lane.account(flight.wire, flight.start, k)
         self._forget(flight)
-        flight.msg.hops += k
-        # every skipped node but the last: it forwards live via _final_send
+        skipped = k - flight.lands
+        flight.msg.hops += skipped
+        # k - 1 forwards either way: a flight that lands in its stop has
+        # k - 1 skipped nodes, one that does not forwards its last live
         if self.bus.active:
             self._publish_forwards(flight, k - 1)
         # k analytic hops cost 2k classic events; this callback was one
@@ -642,10 +692,11 @@ class FastForwarder:
             self.bus.publish(
                 RotationFastForwarded(
                     self.sim.now, flight.kind, flight.bat_id,
-                    self._last_skipped(flight), k,
+                    self._last_skipped(flight), skipped,
                 )
             )
-        self._final_send(flight)
+        self.landed_in_stop += flight.lands
+        self._hand_over(flight)
 
     def _flush_flight(self, flight: Flight) -> None:
         """Re-materialise a flight into real link state, bit-exactly.
@@ -686,14 +737,15 @@ class FastForwarder:
             done += 1
         if done:
             flight.lane.account(wire, flight.start, done)
-        msg.hops += done
+        # the nodes it reached, the stop excepted: its own handler counts
+        msg.hops += done - (done == k and flight.lands)
         if self.bus.active:
-            # past every analytic hop only the live final send remains,
-            # and _final_send publishes the last node's forward itself
+            # past every analytic hop only the hand-over remains: into the
+            # stop, or a live final send that publishes its own forward
             self._publish_forwards(flight, done - 1 if done == k else done)
         if done == k:
             sim.credit(2 * k)
-            self._final_send(flight)
+            self._hand_over(flight)
             return
         # the message is crossing hop ``done``: sender-side accounting
         # happened at enqueue time in the classic run, delivery has not
@@ -734,6 +786,11 @@ class FastForwarder:
             "tolerated": self.tolerated,
             "bat_scan_ok": self.bat_scan_ok,
             "population": self._population,
+            # the landing's two savings: flights whose completion was the
+            # stop's own delivery (no live final send), and skipped-node
+            # forwards added in one step to counting subscribers
+            "landed_in_stop": self.landed_in_stop,
+            "forwards_counted": self.forwards_counted,
             # what the O(1) structures hold: folds of lazy link statistics
             # into the links' records, and BATs the stop index lists
             "stat_folds": self.data_lane.folds + self.request_lane.folds,

@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Callable
 
 from repro.events import types as ev
-from repro.events.bus import Bus
+from repro.events.bus import Bus, Counter
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.metrics.collector import MetricsCollector
@@ -64,10 +64,10 @@ def attach_metrics(bus: Bus, metrics: "MetricsCollector") -> Callable[[], None]:
         lambda e: metrics.request_unavailable(e.t, e.bat_id))
 
     # --- pure counters -------------------------------------------------
+    # subscribed as counters, so a producer holding a run of them (a
+    # landed fast-forward flight) may add the run in one step
     def _count(attr):
-        def bump(_event, _m=metrics, _attr=attr):
-            setattr(_m, _attr, getattr(_m, _attr) + 1)
-        return bump
+        return Counter(metrics, attr).bump
 
     sub(ev.RequestForwarded, _count("requests_forwarded"))
     sub(ev.RequestAbsorbed, _count("requests_absorbed"))

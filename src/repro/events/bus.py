@@ -10,18 +10,42 @@ a consistent point of the protocol state machine).
 Performance contract: publishing to an event type nobody subscribed to
 is a single dict probe, and producers can skip building the event object
 entirely by guarding with :meth:`Bus.wants` -- the pattern the network
-and engine layers use for their high-frequency events.
+and engine layers use for their high-frequency events.  A subscriber
+that only counts its events says so by subscribing a :class:`Counter`'s
+``bump``; where every subscriber of a type is one (:meth:`Bus.counters`),
+a producer holding a run of ``n`` such events adds ``n`` in one step
+instead of building ``n`` objects.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Type
+from typing import Any, Callable, Dict, List, Optional, Type
 
-__all__ = ["Bus"]
+__all__ = ["Bus", "Counter"]
 
 Handler = Callable[[Any], None]
 
 _NO_HANDLERS: tuple = ()
+
+
+class Counter:
+    """A subscriber that never looks at its events: each one adds 1 to
+    ``target.<attr>``.  Subscribe ``counter.bump``; a producer handed
+    the counter by :meth:`Bus.counters` may add a whole run at once."""
+
+    __slots__ = ("target", "attr")
+
+    def __init__(self, target: Any, attr: str):
+        self.target = target
+        self.attr = attr
+
+    def bump(self, _event: Any) -> None:
+        target = self.target
+        setattr(target, self.attr, getattr(target, self.attr) + 1)
+
+    def add(self, count: int) -> None:
+        target = self.target
+        setattr(target, self.attr, getattr(target, self.attr) + count)
 
 
 class Bus:
@@ -104,6 +128,19 @@ class Bus:
         constructing the event object when nobody is listening.
         """
         return bool(self._wildcard) or event_type in self._subs
+
+    def counters(self, event_type: Type) -> Optional[List[Counter]]:
+        """The :class:`Counter` of every subscriber of ``event_type`` --
+        empty when nobody listens -- or None if any handler (a wildcard
+        included) looks at the event.  Producers cache it on ``version``."""
+        if self._wildcard:
+            return None
+        out = []
+        for handler in self._subs.get(event_type, _NO_HANDLERS):
+            if getattr(handler, "__func__", None) is not Counter.bump:
+                return None
+            out.append(handler.__self__)
+        return out
 
     def publish(self, event: Any) -> None:
         """Deliver ``event`` to its type's subscribers, then wildcards."""

@@ -893,8 +893,9 @@ class RotationFastForwarded:
     """A flight coalesced ``hops`` disinterested ring hops into one event.
 
     Published when a rotation fast-forward flight lands (docs/performance.md);
-    ``node`` is the last skipped node, the one that performs the real
-    send into the stop node.
+    ``node`` is the last skipped node.  The message then enters the stop
+    node: delivered by the landing itself, or by a real send from
+    ``node`` where the link into the stop was not pristine at launch.
     """
 
     t: float

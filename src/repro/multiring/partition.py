@@ -134,6 +134,10 @@ class RingPartition(FederationHost):
         self._xinbound = 0   # delivered cross messages not yet fired
         self._submitted = 0
         self._started = False
+        # bus.wants(TimeGrantIssued), cached on the bus version: the
+        # bound is asked once per partition per window
+        self._bus_version = -1
+        self._wants_grant = False
 
     # ------------------------------------------------------------------
     # build-time API
@@ -255,8 +259,12 @@ class RingPartition(FederationHost):
         else:
             bound, base = "idle", INFINITY
         eot = base + lookahead if base != INFINITY else INFINITY
-        if self.bus.active:
-            self.bus.publish(ev.TimeGrantIssued(now, self.ring_id, eot, bound))
+        bus = self.bus
+        if bus.version != self._bus_version:
+            self._bus_version = bus.version
+            self._wants_grant = bus.wants(ev.TimeGrantIssued)
+        if self._wants_grant:
+            bus.publish(ev.TimeGrantIssued(now, self.ring_id, eot, bound))
         return eot
 
     # ------------------------------------------------------------------

@@ -146,7 +146,14 @@ class ParallelKernel:
             target = min(horizon, until)
             final = until <= horizon
             for p in parts:
-                p.sim.run(until=target, inclusive=final)
+                sim = p.sim
+                # a partition with nothing due before the edge only has
+                # its clock moved there, as Simulator.run would do
+                due = sim.peek()
+                if due is not None and (due < target or (final and due == target)):
+                    sim.run(until=target, inclusive=final)
+                elif sim.now < target:
+                    sim.now = target
             out: List[CrossPartitionMessage] = []
             for p in parts:
                 out.extend(p.collect_outbox())

@@ -71,8 +71,8 @@ class UniformWorkload(Workload):
             return self.dataset.bat_ids()
         return [b for b in self.dataset.bat_ids() if b % self.n_nodes != node]
 
-    def pick_bats(self, rng: random.Random, node: int) -> List[int]:
-        eligible = self._eligible_bats(node)
+    def pick_bats(self, rng: random.Random, eligible: List[int]) -> List[int]:
+        """One query's BATs out of its node's :meth:`_eligible_bats`."""
         count = rng.randint(self.min_bats, min(self.max_bats, len(eligible)))
         return rng.sample(eligible, count)
 
@@ -86,8 +86,10 @@ class UniformWorkload(Workload):
         query_id = self.first_query_id
         for node in range(self.n_nodes):
             rng = self._rng.stream(f"node-{node}")
+            # one list per node, not per query: it is the same every time
+            eligible = self._eligible_bats(node)
             for k in range(per_node):
-                bats = self.pick_bats(rng, node)
+                bats = self.pick_bats(rng, eligible)
                 times = [
                     rng.uniform(self.min_proc_time, self.max_proc_time)
                     for _ in bats

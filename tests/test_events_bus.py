@@ -3,7 +3,7 @@
 import pytest
 
 from repro.events import types as ev
-from repro.events.bus import Bus
+from repro.events.bus import Bus, Counter
 
 
 def _loaded(t=1.0, bat_id=7, size=100, node=0):
@@ -150,6 +150,31 @@ def test_version_moves_on_every_subscription_change():
     bus.unsubscribe(ev.BatLoaded, lambda e: None)
     bus.unsubscribe_all(lambda e: None)
     assert bus.version == v2
+
+
+def test_counters_are_handed_out_only_when_nobody_looks():
+    class Tally:
+        loads = 0
+
+    bus = Bus()
+    tally = Tally()
+    assert bus.counters(ev.BatLoaded) == []  # nobody listens
+    counter = Counter(tally, "loads")
+    bus.subscribe(ev.BatLoaded, counter.bump)
+    assert bus.counters(ev.BatLoaded) == [counter]
+    bus.publish(_loaded())
+    counter.add(4)
+    assert tally.loads == 5
+    # a handler that looks at the event, or a wildcard, takes them away
+    seen = bus.subscribe(ev.BatLoaded, lambda e: None)
+    assert bus.counters(ev.BatLoaded) is None
+    bus.unsubscribe(ev.BatLoaded, seen)
+    bus.subscribe_all(lambda e: None)
+    assert bus.counters(ev.BatLoaded) is None
+    assert bus.counters(ev.BatDropped) is None
+    # the bound method unsubscribes like any handler
+    bus.unsubscribe(ev.BatLoaded, counter.bump)
+    assert ev.BatLoaded not in bus._subs
 
 
 def test_event_types_are_slotted_value_objects():

@@ -17,6 +17,11 @@ here, verbatim, as the oracle:
   launch the same flight float for float, and after every launch,
   release, truncation, flush and landing the holder of every link must
   be the flight the parent would have written into ``link.ff_transit``.
+
+Since a flight may land in its stop node, both oracles carry one more
+step than the code they were copied from: where the scan stopped at the
+stop node, the hop into it joins the arc if its link passes the same
+per-hop checks (reservation first, then the link).
 """
 
 from hypothesis import given, settings
@@ -33,7 +38,9 @@ BAT_ID = 7
 def parent_scan(dc, kind, pos, step, stop_id, wire):
     """The tuple-building scan of PR 20 (``send_bat`` / ``send_request``
     differed only in the stop predicate); no other flight is in the air
-    where it is used, so no link is reserved."""
+    where it is used, so no link is reserved.  Returns the hops and the
+    nodes they enter: the skipped ones, then the stop if the hop into it
+    joined the arc."""
     n = len(dc.nodes)
     nodes = dc.nodes
     s1maps = [node.s1._bats for node in nodes]
@@ -41,17 +48,17 @@ def parent_scan(dc, kind, pos, step, stop_id, wire):
     channels = dc.ring.data if kind == "bat" else dc.ring.request
     hw = [(ch, ch.link) for ch in channels]
     hops: list = []
-    skipped: list = []
+    entered: list = []
     t = dc.sim.now
     limit = dc.ff.scan_limit
-    while len(skipped) < limit:
+    while True:
         nxt = (pos + step) % n
-        if nxt == stop_id or s2maps[nxt].get(BAT_ID) is not None:
-            break
+        stop = nxt == stop_id or s2maps[nxt].get(BAT_ID) is not None
         if kind == "request":
             owned = s1maps[nxt].get(BAT_ID)
-            if owned is not None and not owned.deleted:
-                break
+            stop = stop or (owned is not None and not owned.deleted)
+        if not stop and len(entered) == limit:
+            break
         ch, link = hw[pos]
         if (
             ch.loss_rate != 0.0
@@ -64,10 +71,12 @@ def parent_scan(dc, kind, pos, step, stop_id, wire):
         s_end = t + tx
         arrival = s_end + link.delay
         hops.append((link, t, tx, s_end, arrival))
-        skipped.append(nodes[nxt])
+        entered.append(nodes[nxt])
         t = arrival
         pos = nxt
-    return hops, skipped
+        if stop:
+            break
+    return hops, entered
 
 
 def landing(dc, flight):
@@ -127,21 +136,23 @@ def test_arc_rederives_the_parent_scan_float_for_float(arc):
         dc.nodes[stop_node].s1.add(BAT_ID, MB)
 
     wire = arc["wire"]
-    hops, skipped = parent_scan(dc, kind, start, step, stop_id, wire)
-    assert len(hops) == k
+    hops, entered = parent_scan(dc, kind, start, step, stop_id, wire)
+    # every link is idle and loss-free: the hop into the stop joins the arc
+    assert len(hops) == k + 1 and entered[-1].node_id == stop_node
     if kind == "bat":
         msg = BATMessage(owner=stop_id, bat_id=BAT_ID, size=wire, loi=1.0)
         assert ff.send_bat(dc.nodes[start], msg, wire)
     else:
         assert ff.send_request(dc.nodes[start], RequestMessage(stop_id, BAT_ID))
     (flight,) = ff._by_bat[BAT_ID]
+    assert flight.lands
 
-    def check(hops, skipped):
+    def check(hops, entered):
         k = len(hops)
         assert len(flight.arrivals) == k
         assert [flight.hop(i) for i in range(k)] == hops
         receivers = [(start + (i + 1) * step) % n for i in range(k)]
-        assert receivers == [rt.node_id for rt in skipped]
+        assert receivers == [rt.node_id for rt in entered]
         # the landing stands in for the last hop's delivery, stamped with
         # the serialise-end the scan carried out of its loop
         assert landing(dc, flight) == (hops[-1][4], hops[-1][3])
@@ -150,16 +161,17 @@ def test_arc_rederives_the_parent_scan_float_for_float(arc):
             i = on_arc.get(id(ch.link))
             assert flight.hop_of_link(ch.link) == i
             assert (ch.link.lane.holder(ch.link) is flight) == (i is not None)
-        into = {rt.node_id: i for i, rt in enumerate(skipped)}
+        into = {rt.node_id: i for i, rt in enumerate(entered)}
         for node_id in range(n):
             assert flight.hop_into(node_id) == into.get(node_id)
 
-    check(hops, skipped)
+    check(hops, entered)
     if k >= 2:
         # an S2 registration ahead of the message: land short of it
         stop = 1 + int(arc["cut"] * (k - 2))
         ff._truncate(flight, stop)
-        check(hops[:stop], skipped[:stop])
+        assert not flight.lands
+        check(hops[:stop], entered[:stop])
 
 
 def test_lanes_hold_live_objects_by_reference():
@@ -215,7 +227,7 @@ class ParentShadow:
         self.transit = {}          # link -> flight | None  (Link.ff_transit)
         self.released = 0
         self.in_live_scan = False
-        self.scans = self.launches = self.lapses = 0
+        self.scans = self.launches = self.lapses = self.landings = 0
         nodes = dc.nodes
         # the parent's lanes: (channel, link, -, receiver id, S2 map, S1 map)
         self.lanes = {}
@@ -255,32 +267,18 @@ class ParentShadow:
         return False
 
     def parent_send_bat(self, node, msg, wire):
-        """None: refused on the first hop; else the arrivals scanned."""
+        """None: refused on the first hop; else the arrivals scanned and
+        whether the last of them is the stop's."""
         lane, _step = self.lanes["bat"]
         owner, bat_id = msg.owner, msg.bat_id
         start = node.node_id
         first = lane[start]
         if first[3] == owner or bat_id in first[4]:
             return None
-        t = self.dc.sim.now
-        arrivals = []
-        for ch, link, _stats, nxt, s2, _s1 in lane[start:start + self.ff.scan_limit]:
-            if nxt == owner or bat_id in s2:
-                break
-            ft = self.transit.get(link)
-            if ft is not None and not self.parent_release_if_passed(ft, link):
-                break
-            if (
-                ch.loss_rate != 0.0
-                or link._busy
-                or link._queue
-                or (link.queue_capacity is not None and wire > link.queue_capacity)
-            ):
-                break
-            s_end = t + wire / link.bandwidth
-            t = s_end + link.delay
-            arrivals.append(t)
-        return arrivals
+        return self.parent_run(
+            lane[start:start + self.ff.scan_limit + 1], wire,
+            lambda nxt, s2, _s1: nxt == owner or bat_id in s2,
+        )
 
     def parent_send_request(self, node, msg):
         lane, step = self.lanes["request"]
@@ -292,17 +290,30 @@ class ParentShadow:
             owned is not None and not owned.deleted
         ):
             return None
-        wire = self.dc.config.request_message_size
+
+        def stops(nxt, s2, s1):
+            owned = s1.get(bat_id)
+            return nxt == origin or bat_id in s2 or (
+                owned is not None and not owned.deleted
+            )
+
+        return self.parent_run(
+            lane[at:at + self.ff.scan_limit + 1],
+            self.dc.config.request_message_size, stops,
+        )
+
+    def parent_run(self, entries, wire, stops):
+        """The loop both parent scans shared, plus the hop into the stop."""
         t = self.dc.sim.now
         arrivals = []
-        for ch, link, _stats, nxt, s2, s1 in lane[at:at + self.ff.scan_limit]:
-            if nxt == origin or bat_id in s2:
-                break
-            owned = s1.get(bat_id)
-            if owned is not None and not owned.deleted:
+        lands = False
+        for ch, link, _stats, nxt, s2, s1 in entries:
+            lands = stops(nxt, s2, s1)
+            if not lands and len(arrivals) == self.ff.scan_limit:
                 break
             ft = self.transit.get(link)
             if ft is not None and not self.parent_release_if_passed(ft, link):
+                lands = False
                 break
             if (
                 ch.loss_rate != 0.0
@@ -310,11 +321,14 @@ class ParentShadow:
                 or link._queue
                 or (link.queue_capacity is not None and wire > link.queue_capacity)
             ):
+                lands = False
                 break
             s_end = t + wire / link.bandwidth
             t = s_end + link.delay
             arrivals.append(t)
-        return arrivals
+            if lands:
+                break
+        return arrivals, lands
 
     # -- the wrapped entry points ------------------------------------------
     def _send(self, parent_scan, live_send, bat_id, *args):
@@ -336,14 +350,16 @@ class ParentShadow:
             first, short, flights = counters
             if expected is None:
                 outcome = (first + 1, short, flights)
-            elif len(expected) < ff.min_flight:
-                outcome = (first, short + 1, flights)
+            elif len(expected[0]) - expected[1] < ff.min_flight:
+                outcome = (first, short + 1, flights)  # skipped nodes count
             else:
                 outcome = (first, short, flights + 1)
             assert (ff.refused_first_hop, ff.refused_short, ff.flights) == outcome
             if launched:
                 (flight,) = [f for f in ff._by_bat[bat_id] if f not in before]
-                assert flight.arrivals == expected  # hop for hop, float for float
+                # hop for hop, float for float
+                assert (flight.arrivals, flight.lands) == expected
+                self.landings += flight.lands
         assert ff.released == self.released
         self.check_holders()
         return launched
@@ -377,8 +393,8 @@ class ParentShadow:
 
     def complete(self, flight):
         # the parent's landing cleared its links first, then sent on --
-        # and the live final send scans again, so the shadow must be
-        # current before it runs
+        # and the live hand-over (a final send, or the stop's handler
+        # forwarding) scans again, so the shadow must be current first
         self.parent_release(flight)
         self.live["_complete"](flight)
         self.check_holders()
@@ -441,6 +457,9 @@ def test_every_scan_and_every_holder_match_the_parents_per_hop_code():
         # every way a reservation ends was exercised
         assert shadow.scans > 1000 and shadow.launches == stats["flights"] > 300
         assert stats["flushes"] and stats["truncations"] and stats["tolerated"]
+        # most flights land in their stop, not all: some final links are
+        # taken, and a truncation lands short
+        assert 0 < stats["landed_in_stop"] <= shadow.landings < shadow.launches
         assert stats["released"] == shadow.released > 0 and shadow.lapses > 0
         assert not any(shadow.transit.values())
         assert dc.ff.data_lane.reserved == dc.ff.request_lane.reserved == 0

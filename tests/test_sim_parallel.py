@@ -172,6 +172,27 @@ class TestKernelProtocol:
         assert kernel.rounds == 1  # both grant infinity: single window
         assert all(p.sim.now == 10.0 for p in parts)
 
+    def test_a_partition_with_nothing_due_only_moves_its_clock(self):
+        # the first edge is 1.5 (A emits at 1.0) and B's own event sits
+        # at 3.0: B is not run in that window, only brought to its edge;
+        # in the final window both A's message and B's event are due
+        sender = FakePartition(0, sends=[(1.0, 1)])
+        idle = FakePartition(1)
+        idle.local_event(3.0, "late")
+        entered = []
+        run = idle.sim.run
+
+        def counted_run(*args, **kwargs):
+            entered.append(idle.sim.now)
+            run(*args, **kwargs)
+
+        idle.sim.run = counted_run
+        kernel = ParallelKernel([sender, idle], lookahead=LOOKAHEAD)
+        kernel.run(10.0)
+        assert kernel.rounds == 2 and entered == [1.5]
+        assert idle.log == [(1.5, 1.5, 0, 1), (3.0, "late")]
+        assert sender.sim.now == idle.sim.now == 10.0
+
     def test_no_overtake_past_a_peer_grant(self):
         # A emits at t=1.0 toward B (delivery 1.5).  B is otherwise
         # idle; without the grant protocol B's clock would reach 10.0
