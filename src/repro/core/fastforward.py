@@ -2,8 +2,9 @@
 
 A BAT "travels clockwise" (section 4.2.2) past nodes that, most of the
 time, neither own it nor hold a request for it -- each such hop costs
-two simulator events (serialisation end, delivery) plus a handler whose
-only effect is ``hops += 1`` and a re-send on the next channel.  A
+a delivery event (and a serialise-end event whenever traffic queues on
+the link, ``repro.net.link``) plus a handler whose only effect is
+``hops += 1`` and a re-send on the next channel.  A
 request forwarded anti-clockwise past disinterested nodes is the same
 story.  The :class:`FastForwarder` detects maximal runs of such hops at
 send time and replaces them with **one** analytically computed arrival:
@@ -415,6 +416,10 @@ class FastForwarder:
         into the stop lands there.
         """
         limit = self.scan_limit
+        # the link that cuts the run may only look busy: its serialise-end
+        # fired unpushed since the bit was set (Link._settle notices that,
+        # and the run is cut again)
+        first = (start * lane.step) % self.n
         if lane.step > 0:
             ahead = stops >> (start + 1)
             reach = (ahead & -ahead).bit_length() - 1
@@ -423,6 +428,9 @@ class FastForwarder:
                 end = reach = limit
             cut = ((lane.busy | lane.lossy) >> start) | (1 << end)
             k = (cut & -cut).bit_length() - 1
+            while k < end and lane.travel[first + k]._settle():
+                cut = ((lane.busy | lane.lossy) >> start) | (1 << end)
+                k = (cut & -cut).bit_length() - 1
         else:
             # hop i leaves position start - i: doubled bit top - i
             top = start + self.n
@@ -432,6 +440,9 @@ class FastForwarder:
                 end = reach = limit
             cut = ((lane.busy | lane.lossy) & ((2 << top) - 1)) | (1 << (top - end))
             k = top + 1 - cut.bit_length()
+            while k < end and lane.travel[first + k]._settle():
+                cut = ((lane.busy | lane.lossy) & ((2 << top) - 1)) | (1 << (top - end))
+                k = top + 1 - cut.bit_length()
         if wire > lane.capacity:
             k = 0
         if lane.reserved:
@@ -454,7 +465,7 @@ class FastForwarder:
         # lane's per-link steps, which yields every serialise-end (odd
         # places) and every arrival (even places) from the launch instant.
         steps = lane.steps.get(wire) or lane.time(wire)
-        at = 2 * ((start * lane.step) % self.n)
+        at = 2 * first
         now = self.sim.now
         clock = list(accumulate(steps[at:at + 2 * k], initial=now))
         self._launch(
@@ -570,7 +581,11 @@ class FastForwarder:
         if now >= enqueue:  # crossing it, or crossed
             return self._release_if_passed(flight, link)
         bandwidth = link.bandwidth
-        drain = link._busy_until if link._busy else now
+        # an idle wire -- or one whose serialise-end fired unpushed --
+        # freed at or before now
+        drain = link._busy_until
+        if drain < now:
+            drain = now
         if link._queue:
             drain += link._queued_bytes / bandwidth
         drain += size / bandwidth
@@ -662,9 +677,7 @@ class FastForwarder:
             last.forward_bat(flight.msg)
         else:
             if self.bus.active:
-                self.bus.publish(
-                    ev.RequestForwarded(self.sim.now, flight.bat_id, last.node_id)
-                )
+                last._forwarded(ev.RequestForwarded, flight.bat_id)
             last._ship_request(flight.msg)
 
     def _complete(self, flight: Flight) -> None:
@@ -755,17 +768,17 @@ class FastForwarder:
         stats.bytes_sent += wire
         if stats.max_queue_bytes < wire:
             stats.max_queue_bytes = wire
-        link._in_flight.append((msg, wire))
         # serialise-end was classically scheduled at the hop's enqueue;
         # at an exact tie (now == s_end) it has dispatched only if the
         # running event was scheduled after the enqueue
         if now < s_end or (now == s_end and sim.dispatch_origin < enq):
-            link._busy = True
-            link._busy_until = s_end
-            flight.lane.busy |= link.lane_bit
-            sim.post_backdated(s_end, enq, link._serialised, msg, wire)
+            # back on the wire as if sent at the enqueue: the link posts
+            # the delivery and reserves the serialise-end under that
+            # scheduling time
+            link._put_back(msg, wire, enq, s_end)
             sim.credit(2 * done)
         else:
+            link._in_flight.append((msg, wire))
             sim.post_backdated(arrival, s_end, link._deliver, msg, wire)
             sim.credit(2 * done + 1)
 

@@ -139,6 +139,11 @@ class NodeRuntime:
         # rotation fast-forwarding (repro.core.fastforward), injected by
         # the facade when config.fast_forward is on
         self._ff = None
+        # the subscribers of a forward when all of them only count it
+        # (Bus.counters), else None; cached on the bus version
+        self._bus_version = -1
+        self._bat_counters: Optional[list] = None
+        self._request_counters: Optional[list] = None
 
         # fault tolerance (docs/faults.md)
         self.crashed = False
@@ -338,7 +343,7 @@ class NodeRuntime:
 
         # Outcome 6: just forward it anti-clockwise.
         if self.bus.active:
-            self.bus.publish(ev.RequestForwarded(now, msg.bat_id, self.node_id))
+            self._forwarded(ev.RequestForwarded, msg.bat_id)
         self._ship_request(msg)
 
     def on_bat_message(self, msg: BATMessage, _size: int) -> None:
@@ -496,7 +501,7 @@ class NodeRuntime:
         stack processing), stealing core time from query execution --
         the cost the paper's RDMA design avoids.
         """
-        wire = msg.wire_size(self.config.bat_header_size)
+        wire = msg.size + self.config.bat_header_size  # msg.wire_size
         if self.network_cpu_factor > 1e-12:
             overhead = (wire / self.config.bandwidth) * self.network_cpu_factor
             self.network_cpu_seconds += overhead
@@ -507,15 +512,31 @@ class NodeRuntime:
         # drop kind from the boolean here double-counted DropTail drops
         # as loss drops whenever both mechanisms were active.
         ff = self._ff
-        if ff is not None and ff.bat_scan_ok and ff.send_bat(self, msg, wire):
-            # the flight's first hop is a pristine idle channel, so the
-            # classic send below would have succeeded
+        if (
+            ff is not None and ff.bat_scan_ok and ff.send_bat(self, msg, wire)
+        ) or self.out_data.send(msg, wire):
+            # (a flight's first hop is a pristine idle channel, so the
+            # classic send would have succeeded)
             if self.bus.active:
-                self.bus.publish(ev.BatForwarded(self.sim.now, msg.bat_id, self.node_id))
-            return
-        if self.out_data.send(msg, wire):
-            if self.bus.active:
-                self.bus.publish(ev.BatForwarded(self.sim.now, msg.bat_id, self.node_id))
+                self._forwarded(ev.BatForwarded, msg.bat_id)
+
+    def _forwarded(self, event_type: type, bat_id: int) -> None:
+        """Publish this node's forward of ``bat_id``, or only add 1 to
+        its counters where every subscriber of the type only counts."""
+        bus = self.bus
+        if bus.version != self._bus_version:
+            self._bus_version = bus.version
+            self._bat_counters = bus.counters(ev.BatForwarded)
+            self._request_counters = bus.counters(ev.RequestForwarded)
+        counters = (
+            self._bat_counters if event_type is ev.BatForwarded
+            else self._request_counters
+        )
+        if counters is None:
+            bus.publish(event_type(self.sim.now, bat_id, self.node_id))
+        else:
+            for counter in counters:
+                counter.add(1)
 
     def note_bat_forwarded(self, entry) -> None:
         entry.last_seen = self.sim.now

@@ -49,14 +49,20 @@ __all__ = ["EstimateError", "QueryEstimate", "QueryEstimator"]
 
 _MERGEABLE = ("sum", "count", "min", "max", "avg")
 
+# distinct SQL texts priced per catalog before the memo starts over
+_SQL_MEMO = 1024
+
 
 class EstimateError(ValueError):
     """The request cannot be costed (unknown table/column, bad SQL)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class QueryEstimate:
-    """What the front door knows about a request before compilation."""
+    """What the front door knows about a request before compilation.
+
+    Frozen: one estimate answers every request with the same SQL text
+    (:meth:`QueryEstimator.estimate`)."""
 
     engine: str            # predicted engine class: mal / kv / stream
     query_class: str       # feedback bucket, e.g. "mal:join", "kv"
@@ -101,6 +107,9 @@ class QueryEstimator:
         self._last: Tuple[object, Optional[StatisticsCatalog], object] = (
             None, None, None
         )
+        # SQL text -> estimate, priced from ``_sql_stats``
+        self._sql: Dict[str, QueryEstimate] = {}
+        self._sql_stats: Optional[StatisticsCatalog] = None
 
     # ==================================================================
     # estimation
@@ -110,9 +119,10 @@ class QueryEstimator:
 
         The last answer is kept by identity: the front door prices an
         arrival and the dispatcher's valve prices the same object a
-        moment later, so the second is a lookup.  An estimate is a pure
-        function of the request and the statistics, and both are
-        compared, so a rebuilt catalog is never answered from before.
+        moment later, so the second is a lookup.  SQL is also priced once
+        per text: a burst repeats a handful of statements.  An estimate
+        is a pure function of the request and the statistics, and both
+        are compared, so a rebuilt catalog is never answered from before.
         """
         last_request, last_stats, last = self._last
         if request is last_request and self.stats is last_stats:
@@ -129,7 +139,14 @@ class QueryEstimator:
         sql = request.sql if isinstance(request, MalQuery) else request
         if not isinstance(sql, str):
             raise EstimateError(f"cannot estimate request {request!r}")
-        return self._estimate_sql(sql)
+        memo = self._sql
+        if self.stats is not self._sql_stats or len(memo) >= _SQL_MEMO:
+            memo.clear()
+            self._sql_stats = self.stats
+        estimate = memo.get(sql)
+        if estimate is None:
+            estimate = memo[sql] = self._estimate_sql(sql)
+        return estimate
 
     # ------------------------------------------------------------------
     def _estimate_kv(self, request: KvLookup) -> QueryEstimate:

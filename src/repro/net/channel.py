@@ -5,7 +5,8 @@ guaranteed order of arrival" (paper, section 4.3).  A :class:`Channel`
 wraps a :class:`~repro.net.link.Link` and adds:
 
 * a stable receiver callback (set after construction, so rings can be
-  wired before node logic exists),
+  wired before node logic exists) -- installed as the link's own
+  ``on_receive``, so a delivery lands straight in the node,
 * probabilistic loss injection, used by the fault-injection tests to
   exercise the ``resend()`` recovery path of section 4.2.3,
 * per-message-kind accounting.
@@ -63,11 +64,13 @@ class Channel:
             name=name,
             bus=bus,
         )
+        self._set_loss_rate(loss_rate)
 
     # ------------------------------------------------------------------
     def set_receiver(self, fn: Callable[[Any, int], None]) -> None:
         """Install the function invoked for every delivered message."""
         self._receiver = fn
+        self.link.on_receive = fn
 
     def set_drop_handler(self, fn: Callable[[Any, int], None]) -> None:
         """Install the DropTail notification handler on the wrapped link."""
@@ -83,7 +86,12 @@ class Channel:
         self._loss_handler = fn
 
     def send(self, message: Any, size: int) -> bool:
-        """Send a message; returns False if dropped (loss or DropTail)."""
+        """Send a message; returns False if dropped (loss or DropTail).
+
+        A loss-free channel draws no random number, so it sends through
+        its link directly: :meth:`_set_loss_rate` shadows this method
+        with ``link.send`` on the instance while the loss rate is zero.
+        """
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.dropped_by_loss += 1
             bus = self.bus
@@ -164,9 +172,12 @@ class Channel:
         self.loss_rate = loss_rate
         lane, bit = self.link.lane, self.link.lane_bit
         lane.lossy = lane.lossy | bit if loss_rate else lane.lossy & ~bit
+        if loss_rate:
+            vars(self).pop("send", None)
+        else:
+            self.send = self.link.send
 
     # ------------------------------------------------------------------
     def _arrived(self, message: Any, size: int) -> None:
-        if self._receiver is None:
-            raise RuntimeError(f"channel {self.name!r} has no receiver installed")
-        self._receiver(message, size)
+        # the link's receiver until set_receiver installs the real one
+        raise RuntimeError(f"channel {self.name!r} has no receiver installed")

@@ -12,10 +12,39 @@ Transmission of a message of ``size`` bytes occupies the link for
 overflow the transmit queue are dropped from the tail and reported to an
 optional callback -- the event the DC ``resend()`` timeout recovers from
 (section 4.2.3).
+
+A message crossing the link is three steps: enqueue, serialise-end,
+delivery.  The delivery is always an event.  The serialise-end is one
+only when a message waits behind it: when a message starts serialising,
+the link posts its delivery at once (at ``s_end + delay``, stamped with
+origin ``s_end``, where the serialise-end would have posted it) and
+merely *reserves* the serialise-end's heap key, ``(s_end, now, seq)``.
+A second send that finds that key still ahead of the engine pushes the
+end under it (*materialises* it), and it then pops the queue as a
+classic serialise-end does; one that finds it passed finds the wire
+idle.  Either way the end sorts exactly where a pushed serialise-end
+would have, and one that fires unpushed is credited to
+:attr:`~repro.sim.engine.Simulator.processed`.  Two cases keep the
+classic serialise-end event: a link with zero delay (its delivery falls
+on the end's own instant, where the early post would run it ahead of
+what that instant's earlier events post for it), and a delay change
+while a message serialises (it reads the new delay, as the classic end
+would).
+
+The delivery's seq is drawn at transmit start instead of at the
+serialise-end, which is invisible except in one float coincidence: an
+event running at the serialise-end instant, ahead of the serialise-end,
+that schedules something for exactly ``delay`` later (another link's
+serialise-end lasting exactly this delay, say).  Classically that entry
+ran first; here the delivery does.  Byte counts over bandwidths do not
+meet the paper's delays in any workload here, and
+``tests/test_link_fold_oracle.py`` holds every other tie to the
+three-event link.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import accumulate
@@ -59,7 +88,9 @@ class Lane:
     mask wherever it wraps:
 
     * ``busy`` -- serialising (a queued message implies it); each link
-      flips its bit on the idle <-> busy transition, not per message;
+      flips its bit on the idle <-> busy transition, not per message.
+      A serialise-end that fires unpushed clears the bit only when
+      somebody looks (:meth:`Link._settle`), so a set bit may be stale;
     * ``lossy`` -- behind a channel that injects loss;
     * ``reserved`` -- owed a hop by a coalesced flight.  Who holds which
       link is the flight's own ``held`` mask (``holders`` lists the
@@ -106,6 +137,7 @@ class Lane:
         self.folds = 0
         self.steps: Dict[int, List[float]] = {}
         for pos, link in enumerate(links):
+            link._settle()  # while its busy bit is still its old lane's
             link.lane = self
             link.ring_pos = pos
             link.lane_bit = (1 << pos) | (1 << (pos + n))
@@ -235,11 +267,24 @@ class Link:
         self._busy_mark = 0
         self._queue: Deque[Tuple[Any, int]] = deque()
         self._queued_bytes = 0
+        # serialising, as of the last look: an unpushed serialise-end
+        # that has fired since is noticed by ``_settle``
         self._busy = False
         # when the in-progress serialisation frees the wire (valid while
         # ``_busy``); the fast-forward tolerance predicate uses it to
         # bound when current traffic drains
         self._busy_until = 0.0
+        # the heap key reserved for the in-progress serialisation's end
+        # (None if a classic serialise-end event finishes it), and the
+        # same key while it is not pushed (see the module docstring)
+        self._key: Optional[tuple] = None
+        self._end: Optional[tuple] = None
+        sim.hold_reservations(self)
+        # observability only (no summary reads them): serialise-ends left
+        # unpushed at transmit start, and those of them pushed later (a
+        # message came to wait, or the delay changed)
+        self.ends_folded = 0
+        self.ends_materialised = 0
         # the ring direction this link is part of, its doubled bit in
         # the lane's masks and the sending node's ring position -- all
         # three written by Lane
@@ -247,9 +292,10 @@ class Link:
         self.lane_bit = 0
         self.ring_pos = -1
         # messages serialising or propagating (popped from the queue but
-        # not yet delivered); fault injection needs to see what is on the
-        # wire to account for crash-time losses and ring-byte conservation
-        self._in_flight: list[Tuple[Any, int]] = []
+        # not yet delivered), in transmit order; fault injection needs to
+        # see what is on the wire to account for crash-time losses and
+        # ring-byte conservation
+        self._in_flight: Deque[Tuple[Any, int]] = deque()
 
     # ------------------------------------------------------------------
     @property
@@ -272,7 +318,25 @@ class Link:
     @property
     def busy(self) -> bool:
         """True while a message is being serialised onto the wire."""
+        self._settle()
         return self._busy
+
+    def _settle(self) -> bool:
+        """Notice an unpushed serialise-end the engine has passed; True
+        if there was one (the link looked busy and is idle)."""
+        end = self._end
+        if end is not None and end < self.sim._entry:
+            self._end_fired()
+            return True
+        return False
+
+    def _end_fired(self) -> None:
+        """The unpushed serialise-end has fired: credit it; the wire is
+        idle (a queued message would have had it pushed)."""
+        self._end = self._key = None
+        self._busy = False
+        self.lane.busy ^= self.lane_bit
+        self.sim.credit(1)
 
     @property
     def in_flight_bytes(self) -> int:
@@ -314,8 +378,29 @@ class Link:
     def delay(self, delay: float) -> None:
         if delay < 0:
             raise ValueError("delay cannot be negative")
+        self._settle()
+        if self._key is not None:
+            self._unfold()
         self._delay = delay
         self.lane.steps.clear()
+
+    def _unfold(self) -> None:
+        """Hand the message serialising now back to a classic
+        serialise-end event, which reads the delay when it fires: its
+        delivery, posted at transmit start, is withdrawn.  The delivery
+        drew the seq right after the reserved key's, and the key holds
+        a pushed end unless ``_end`` still has it.  Rare (a link
+        degradation), so a heap scan."""
+        key = self._key
+        seq = key[2]
+        heap = self.sim._heap
+        (delivery,) = [entry for entry in heap if entry[2] == seq + 1]
+        heap[:] = [entry for entry in heap if entry[2] not in (seq, seq + 1)]
+        heapq.heapify(heap)
+        heapq.heappush(heap, key + (self._serialised, delivery[4], None))
+        if self._end is not None:
+            self.ends_materialised += 1
+        self._key = self._end = None
 
     def transfer_time(self, size: int) -> float:
         """Serialisation + propagation time for an unqueued message."""
@@ -368,29 +453,48 @@ class Link:
             if self.on_drop is not None:
                 self.on_drop(message, size)
             return False
+        end = self._end
+        if end is not None:
+            self._end = None
+            sim = self.sim
+            if end < sim._entry:
+                # the unpushed serialise-end has fired: the wire went
+                # idle then and takes this message now
+                sim._processed += 1
+                sim._credited += 1
+            else:
+                # the message waits behind it: the end becomes an event
+                self.ends_materialised += 1
+                heapq.heappush(sim._heap, end + (self._transmit_next, (), None))
+                self._enqueue(message, size)
+                return True
+        elif self._busy:
+            self._enqueue(message, size)
+            return True
+        else:
+            self._busy = True
+            lane.busy |= self.lane_bit
+        # straight onto the idle wire: through an empty queue
+        stats = self._stats
+        if stats.max_queue_bytes < size:
+            stats.max_queue_bytes = size
+        self._start(message, size)
+        return True
+
+    def _enqueue(self, message: Any, size: int) -> None:
         self._queue.append((message, size))
         self._queued_bytes += size
         stats = self._stats
         if stats.max_queue_bytes < self._queued_bytes:
             stats.max_queue_bytes = self._queued_bytes
-        if not self._busy:
-            self._busy = True
-            lane.busy |= self.lane_bit
-            self._transmit_next()
-        return True
 
     # ------------------------------------------------------------------
-    def _transmit_next(self) -> None:
-        # called busy: by send() off an idle wire, or at a serialise-end
-        if not self._queue:
-            self._busy = False
-            self.lane.busy ^= self.lane_bit
-            return
-        message, size = self._queue.popleft()
-        self._queued_bytes -= size
+    def _start(self, message: Any, size: int) -> None:
+        """Put ``message`` on the (busy-marked) wire."""
         self._in_flight.append((message, size))
-        tx_time = size / self.bandwidth
-        self._busy_until = self.sim.now + tx_time
+        now = self.sim.now
+        s_end = now + size / self.bandwidth
+        self._busy_until = s_end
         stats = self._stats
         stats.messages_sent += 1
         stats.bytes_sent += size
@@ -400,18 +504,74 @@ class Link:
                 self._refresh_wants()
             if self._wants_tx:
                 bus.publish(
-                    LinkTransmit(self.sim.now, self.name, size, type(message).__name__)
+                    LinkTransmit(now, self.name, size, type(message).__name__)
                 )
-        # Serialisation finishes after tx_time; the wire is then free for
-        # the next message while this one propagates for ``delay`` more.
-        self.sim.post(tx_time, self._serialised, message, size)
+        self._serialise(message, size, now, s_end)
+
+    def _serialise(self, message: Any, size: int, start: float, s_end: float) -> None:
+        """Schedule the crossing of a message serialising from ``start``
+        to ``s_end``: post its delivery and reserve its serialise-end
+        (pushed at once if a message already waits), or on a zero-delay
+        link push the classic serialise-end, which posts the delivery."""
+        sim = self.sim
+        seq = sim._seq
+        key = (s_end, start, next(seq))
+        heap = sim._heap
+        delay = self._delay
+        if not delay:
+            self._key = None
+            heapq.heappush(heap, key + (self._serialised, (message, size), None))
+            return
+        self._key = key
+        heapq.heappush(
+            heap,
+            (s_end + delay, s_end, next(seq), self._deliver, (message, size), None),
+        )
+        if self._queue:
+            heapq.heappush(heap, key + (self._transmit_next, (), None))
+        else:
+            self._end = key
+            self.ends_folded += 1
+
+    def _put_back(self, message: Any, size: int, start: float, s_end: float) -> None:
+        """Re-enter a crossing a coalesced flight was making: serialising
+        on this link since ``start``, until ``s_end``.  The link is idle
+        then, though an unpushed serialise-end of traffic the flight let
+        pass may not have been noticed yet.  Its sender-side counters
+        are the caller's."""
+        self._settle()
+        self._in_flight.append((message, size))
+        self._busy = True
+        self._busy_until = s_end
+        self.lane.busy |= self.lane_bit
+        self._serialise(message, size, start, s_end)
+
+    def _transmit_next(self) -> None:
+        # a serialise-end event: the next queued message, or an idle wire
+        if self._queue:
+            message, size = self._queue.popleft()
+            self._queued_bytes -= size
+            self._start(message, size)
+        else:
+            self._busy = False
+            self._key = None
+            self.lane.busy ^= self.lane_bit
 
     def _serialised(self, message: Any, size: int) -> None:
+        # the classic serialise-end: the wire is free for the next message
+        # while this one propagates for ``delay`` more
         self.sim.post(self._delay, self._deliver, message, size)
         self._transmit_next()
 
     def _deliver(self, message: Any, size: int) -> None:
-        self._in_flight.remove((message, size))
+        in_flight = self._in_flight
+        head = in_flight[0]
+        if head[0] is message and head[1] == size:
+            in_flight.popleft()
+        else:
+            # overtaken: a later message on a shorter delay, or a
+            # crossing a fast-forward flush put back behind later traffic
+            in_flight.remove((message, size))
         stats = self._stats
         stats.messages_delivered += 1
         stats.bytes_delivered += size

@@ -18,6 +18,18 @@ Two scheduling lanes share one heap:
   a bare tuple -- and heap ordering compares plain ``(time, seq)``
   tuple prefixes in C instead of calling ``Event.__lt__``.
 
+A third kind of entry is *reserved, not pushed*: a
+:class:`~repro.net.link.Link` starting a serialisation draws the heap
+key its serialise-end would have had and pushes it only if a message
+comes to wait behind it (:meth:`Simulator.hold_reservations`).  Such a
+*folded* event never dispatches.  It has fired once the engine has
+passed its key: the engine keeps the running heap entry (``_entry``,
+whose scheduling time is :attr:`Simulator.dispatch_origin`), and after
+a ``run(until=...)`` or :meth:`Simulator.skip_to` the edge it stopped
+at.  A fired one is credited like a fast-forwarded hop when somebody
+looks, so :attr:`Simulator.processed` reads what a run that pushed
+every serialise-end would read, at any moment.
+
 The engine can publish a :class:`~repro.events.types.SimEventFired`
 event onto an attached :class:`~repro.events.bus.Bus` for every callback
 it dispatches; the publish is skipped entirely (a single int compare)
@@ -40,6 +52,8 @@ __all__ = ["Event", "Simulator", "SimulationError"]
 
 # A cancelled backlog below this size is never worth compacting.
 _COMPACT_MIN_CANCELLED = 16
+
+_INF = float("inf")
 
 # Heap entry layout: (time, sched, seq, fn, args, event_or_None).  The
 # ``sched`` slot records *when the entry was scheduled* -- for ordinary
@@ -125,10 +139,15 @@ class Simulator:
         self.bus = bus
         self._heap: list[tuple] = []
         self._seq = itertools.count()
-        # scheduling time of the entry currently being dispatched; lets
-        # observers (rotation fast-forwarding) resolve same-instant ties
-        # against events a classic run would have scheduled earlier
-        self._origin: float = 0.0
+        # How far dispatch has got, as a heap key: the entry running now
+        # (or last run), or the edge a ``run(until=...)`` stopped at.
+        # Every key below it has fired.  Its scheduling time is
+        # ``dispatch_origin``, which lets observers (rotation
+        # fast-forwarding) resolve same-instant ties against events a
+        # classic run would have scheduled earlier.
+        self._entry: tuple = (0.0, 0.0, -1)
+        # whoever holds reserved keys (links): see hold_reservations
+        self._holders: list = []
         self._running = False
         self._processed = 0
         self._credited = 0  # events accounted for analytically, not dispatched
@@ -210,6 +229,37 @@ class Simulator:
         heapq.heappush(self._heap, (time, origin, seq, fn, args, event))
         return event
 
+    def hold_reservations(self, holder: Any) -> None:
+        """Register ``holder``: an object whose ``_end`` attribute is a
+        reserved key it has not pushed (or None) and whose
+        ``_end_fired()`` credits it once it has fired.
+
+        A reserved key is what a :meth:`post_at` of ``time`` would have
+        pushed now, ``(time, now, next(sim._seq))``.  The holder either
+        pushes an entry under it later -- it then sorts exactly where the
+        post would have -- or lets it fire unpushed.
+        """
+        self._holders.append(holder)
+
+    def _settle(self) -> None:
+        """Credit every reserved key the engine has passed."""
+        entry = self._entry
+        for holder in self._holders:
+            end = holder._end
+            if end is not None and end < entry:
+                holder._end_fired()
+
+    def skip_to(self, time: float, inclusive: bool = True) -> None:
+        """Move the clock to ``time`` with nothing due before it: what
+        ``run(until=time, inclusive=inclusive)`` does on an empty
+        window, without entering the loop (the partitioned kernel's
+        idle partitions)."""
+        if self.now < time:
+            self.now = time
+        edge = (time, _INF, _INF) if inclusive else (time, -_INF, -_INF)
+        if self._entry < edge:
+            self._entry = edge
+
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent)."""
         event.cancel()
@@ -258,7 +308,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _fire(self, entry: tuple) -> None:
         self.now = entry[_TIME]
-        self._origin = entry[_SCHED]
+        self._entry = entry
         self._processed += 1
         bus = self.bus
         if bus is not None:
@@ -302,9 +352,11 @@ class Simulator:
         bounds the number of callbacks as a runaway-loop safety net.
 
         ``inclusive`` controls the boundary: by default events scheduled
-        at exactly ``until`` still fire.  The partitioned kernel
-        (``repro.sim.parallel``) runs windows with ``inclusive=False`` so
-        events *at* the window edge are deferred to the next window --
+        at exactly ``until`` still fire, and the dispatch edge is left
+        past them (a serialise-end reserved for ``until`` has fired).
+        The partitioned kernel (``repro.sim.parallel``) runs windows
+        with ``inclusive=False`` so events *at* the window edge are
+        deferred to the next window --
         after cross-partition messages timestamped at the edge have been
         delivered -- which is what makes the merged trace independent of
         worker scheduling.
@@ -313,6 +365,7 @@ class Simulator:
             raise SimulationError("simulator is not re-entrant")
         self._running = True
         count = 0
+        capped = False
         pop = heapq.heappop
         heap = self._heap
         bus = self.bus
@@ -334,7 +387,7 @@ class Simulator:
                     break
                 pop(heap)
                 self.now = time
-                self._origin = entry[1]
+                self._entry = entry
                 self._processed += 1
                 if bus is not None:
                     if bus.version != self._bus_version:
@@ -353,11 +406,15 @@ class Simulator:
                 heap = self._heap  # callbacks may cancel enough to compact
                 count += 1
                 if max_events is not None and count >= max_events:
+                    capped = True
                     break
         finally:
             self._running = False
-        if until is not None and self.now < until:
-            self.now = until
+        if until is not None:
+            if not capped:
+                self.skip_to(until, inclusive)
+            elif self.now < until:
+                self.now = until
 
     @property
     def dispatch_origin(self) -> float:
@@ -369,9 +426,11 @@ class Simulator:
         against a flight's precomputed hop times to decide whether the
         classic run's (elided) link event would have dispatched before
         or after the currently running one when both fall on the same
-        simulated instant.
+        simulated instant.  Outside a dispatch it describes the edge the
+        last run stopped at: ``+inf`` if every event at ``now`` has run,
+        ``-inf`` if none has (an exclusive ``until``).
         """
-        return self._origin
+        return self._entry[_SCHED]
 
     @property
     def pending(self) -> int:
@@ -380,17 +439,21 @@ class Simulator:
 
     @property
     def processed(self) -> int:
-        """Total events accounted for (dispatched plus fast-forward credits)."""
+        """Total events accounted for (dispatched plus credits)."""
+        self._settle()
         return self._processed
 
     @property
     def dispatched(self) -> int:
         """Events actually dispatched by the loop (excludes credits)."""
+        self._settle()
         return self._processed - self._credited
 
     @property
     def credited(self) -> int:
-        """Events accounted for in closed form by rotation fast-forwarding."""
+        """Events accounted for in closed form: fast-forwarded hops and
+        reserved keys that fired unpushed."""
+        self._settle()
         return self._credited
 
     def peek(self) -> Optional[float]:

@@ -152,8 +152,8 @@ class ParallelKernel:
                 due = sim.peek()
                 if due is not None and (due < target or (final and due == target)):
                     sim.run(until=target, inclusive=final)
-                elif sim.now < target:
-                    sim.now = target
+                else:
+                    sim.skip_to(target, final)
             out: List[CrossPartitionMessage] = []
             for p in parts:
                 out.extend(p.collect_outbox())

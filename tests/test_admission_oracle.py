@@ -16,9 +16,9 @@ every admitted query settles exactly once, and the ledger returns to
 zero at quiescence.  The unit tests after the property pin what pricing
 first buys and what it costs: a refused request is never compiled, no
 valve means no statistics catalog, the front door and the valves share
-one estimator, a request the door priced is not priced again, and a
-text the estimator cannot price falls back to compile-then-shed,
-counted.
+one estimator, a request the door priced is not priced again, a SQL
+text is priced once per statistics catalog, and a text the estimator
+cannot price falls back to compile-then-shed, counted.
 """
 
 from dataclasses import fields
@@ -412,6 +412,30 @@ def test_a_catalog_change_rebuilds_the_statistics_not_the_estimator():
     sql = "SELECT w FROM u"
     compiled = rdb._mal.compile(sql)
     assert estimator.estimate(sql).footprint_bytes == compiled.footprint_bytes > 0
+
+
+def test_a_sql_text_is_priced_once_per_catalog(monkeypatch):
+    calls = []
+    inner = QueryEstimator._estimate_sql
+    monkeypatch.setattr(
+        QueryEstimator, "_estimate_sql",
+        lambda self, sql: calls.append(sql) or inner(self, sql),
+    )
+    rdb = make()
+    estimator = rdb.estimator
+    star = "SELECT * FROM t"
+    first = estimator.estimate(star)
+    # another object with the same text, bare or as a MAL request
+    assert estimator.estimate(" ".join(["SELECT", "*", "FROM", "t"])) is first
+    assert estimator.estimate(MalQuery(star)) is first
+    assert calls == [star]
+    with pytest.raises(AttributeError):  # shared, so frozen
+        first.cost = 0.0
+    rdb.load_table("u", {"w": np.arange(50)}, rows_per_partition=10)
+    assert rdb.estimator is estimator  # rebuilds the statistics
+    again = estimator.estimate(MalQuery(star))
+    assert again == first and again is not first
+    assert calls == [star, star]  # the rebuilt catalog priced it afresh
 
 
 def test_an_unpriceable_request_falls_back_to_compile_and_is_counted():

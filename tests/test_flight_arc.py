@@ -21,7 +21,10 @@ here, verbatim, as the oracle:
 Since a flight may land in its stop node, both oracles carry one more
 step than the code they were copied from: where the scan stopped at the
 stop node, the hop into it joins the arc if its link passes the same
-per-hop checks (reservation first, then the link).
+per-hop checks (reservation first, then the link).  And since a link's
+serialise-end may fire without an event, they read whether it is
+serialising from ``Link.busy``, which notices that, where the parent's
+``Link._busy`` was always current.
 """
 
 from hypothesis import given, settings
@@ -62,7 +65,7 @@ def parent_scan(dc, kind, pos, step, stop_id, wire):
         ch, link = hw[pos]
         if (
             ch.loss_rate != 0.0
-            or link._busy
+            or link.busy
             or link._queue
             or (link.queue_capacity is not None and wire > link.queue_capacity)
         ):
@@ -317,7 +320,7 @@ class ParentShadow:
                 break
             if (
                 ch.loss_rate != 0.0
-                or link._busy
+                or link.busy
                 or link._queue
                 or (link.queue_capacity is not None and wire > link.queue_capacity)
             ):
