@@ -293,6 +293,18 @@ class RingDatabase:
         stats["unpriced"] = self._unpriced
         return stats
 
+    @property
+    def next_query_id(self) -> int:
+        """The id the next dispatched request will get."""
+        return self._next_query_id
+
+    def skip_query_id(self) -> None:
+        """Consume :attr:`next_query_id` for a request refused before it
+        reached the dispatcher (the front door's refusals).  A refusal
+        consumes an id wherever it happens, as a dispatcher refusal
+        does, so twins that refuse at different stages agree on ids."""
+        self._next_query_id += 1
+
     def submit(
         self, sql: str, node: int = 0, arrival: Optional[float] = None
     ) -> QueryHandle:

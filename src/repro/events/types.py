@@ -543,15 +543,13 @@ class OverloadStateChanged:
     ``level`` is the new shed level (queries with ``tier < level`` are
     refused); ``state`` is the coarse label (``normal`` / ``brownout``
     / ``overload``); ``p99`` is the rolling windowed p99 that drove the
-    transition and ``inflight_bytes`` the byte reservation at that
-    instant.
+    transition.
     """
 
     t: float
     level: int
     state: str
     p99: float
-    inflight_bytes: int
 
 
 @dataclass(slots=True)

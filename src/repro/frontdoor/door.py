@@ -12,8 +12,8 @@ assumes are made before a query rides the ring:
   protected.  A point probe should never die behind a full scan.
 * **deadline** -- proportional to the predicted bytes over the ring
   bandwidth, floored for fixed costs.
-* **admission** -- a tier-sliced valve over *estimated* inflight bytes
-  (the blind dispatcher valves weigh the same estimate but know no
+* **admission** -- a tier-sliced valve over the database's inflight
+  bytes (the blind dispatcher valves weigh the same bytes but know no
   tiers, and count a refused monster the same as a refused probe),
   optionally behind the
   :class:`~repro.resilience.overload.OverloadController`'s brownout
@@ -49,11 +49,10 @@ class FrontDoorPolicy:
     ``tier_boundaries`` are ascending predicted-bytes thresholds, one
     fewer than ``n_tiers``: a prediction at or below ``boundaries[i]``
     lands in tier ``n_tiers - 1 - i`` (the smallest queries get the
-    highest, most-protected tier).  ``byte_budget`` caps *estimated*
-    inflight bytes with tier-proportional slices, mirroring the
-    overload controller's backstop: tier ``k`` may fill
-    ``(k + 1) / n_tiers`` of the budget, so best-effort scans run out
-    of room first.  An empty valve always admits.
+    highest, most-protected tier).  ``byte_budget`` caps the
+    database's inflight bytes with tier-proportional slices: tier ``k``
+    may fill ``(k + 1) / n_tiers`` of the budget, so best-effort scans
+    run out of room first.  An empty valve always admits.
     """
 
     n_tiers: int = 3
@@ -120,7 +119,6 @@ class FrontDoor:
         self.admitted = 0
         self.rejected = 0
         self.rejected_by_cause: Dict[str, int] = {}
-        self.estimated_inflight_bytes = 0
         self.peak_estimated_inflight_bytes = 0
         self.by_tier: Dict[int, _TierTally] = {
             t: _TierTally() for t in range(self.policy.n_tiers)
@@ -136,6 +134,13 @@ class FrontDoor:
         """The database's estimator: the door and the dispatcher's
         valves price on one statistics catalog."""
         return self.rdb.estimator
+
+    @property
+    def estimated_inflight_bytes(self) -> int:
+        """The dispatcher's ledger, the door's only book: footprint
+        bytes of every query whose process has not ended (estimated
+        or compiled, which agree byte for byte)."""
+        return self.rdb._inflight_bytes
 
     # ------------------------------------------------------------------
     # the open-loop arrival surface
@@ -164,13 +169,11 @@ class FrontDoor:
         bus = self.rdb.dc.bus
         now = sim.now
         self.offered += 1
-        # reserve the id the dispatcher would assign: refused queries
-        # consume it too, so SLO tracks never collide across twins
-        query_id = self.rdb._next_query_id
+        # the id the dispatcher will assign; a refusal consumes it too
+        query_id = self.rdb.next_query_id
         try:
             est = self.estimator.estimate(request)
         except EstimateError:
-            self.rdb._next_query_id += 1
             self._reject(query_id, node, None, 0, "estimate-error")
             return
         tier = self.policy.tier_for(est.footprint_bytes)
@@ -185,9 +188,8 @@ class FrontDoor:
                 footprint_bytes=est.footprint_bytes, cost=est.cost,
                 selectivity=est.selectivity, tier=tier, deadline=deadline,
             ))
-        cause = self._admission_cause(query_id, node, est, tier)
+        cause = self._admission_cause(est, tier)
         if cause is not None:
-            self.rdb._next_query_id += 1
             self._reject(query_id, node, est, tier, cause)
             return
         # the ticket must exist *before* the dispatcher sees the query:
@@ -200,9 +202,9 @@ class FrontDoor:
         self.tickets[query_id] = ticket
         self.admitted += 1
         self.by_tier[tier].admitted += 1
-        self.estimated_inflight_bytes += est.footprint_bytes
         self.peak_estimated_inflight_bytes = max(
-            self.peak_estimated_inflight_bytes, self.estimated_inflight_bytes
+            self.peak_estimated_inflight_bytes,
+            self.estimated_inflight_bytes + est.footprint_bytes,
         )
         if bus.active:
             bus.publish(ev.FrontDoorAdmitted(
@@ -215,9 +217,7 @@ class FrontDoor:
         assert handle.query_id == query_id
         ticket.handle = handle
 
-    def _admission_cause(
-        self, query_id: int, node: int, est: QueryEstimate, tier: int
-    ) -> Optional[str]:
+    def _admission_cause(self, est: QueryEstimate, tier: int) -> Optional[str]:
         """None admits; otherwise the rejection cause."""
         pol = self.policy
         if pol.admission != "estimate":
@@ -230,12 +230,10 @@ class FrontDoor:
         if self.controller is not None:
             if tier < self.controller.effective_level():
                 return "controller"
-        if pol.byte_budget is not None and self.tickets:
+        if pol.byte_budget is not None:
+            inflight = self.estimated_inflight_bytes
             cap = pol.byte_budget * (tier + 1) / pol.n_tiers
-            if (
-                self.estimated_inflight_bytes
-                and self.estimated_inflight_bytes + est.footprint_bytes > cap
-            ):
+            if inflight and inflight + est.footprint_bytes > cap:
                 return "budget"
         return None
 
@@ -243,6 +241,7 @@ class FrontDoor:
         self, query_id: int, node: int, est: Optional[QueryEstimate],
         tier: int, cause: str,
     ) -> None:
+        self.rdb.skip_query_id()
         self.rejected += 1
         self.rejected_by_cause[cause] = (
             self.rejected_by_cause.get(cause, 0) + 1
@@ -263,14 +262,13 @@ class FrontDoor:
             ))
 
     # ------------------------------------------------------------------
-    # completion: release the valve, close the feedback loop
+    # completion: settle the ticket, close the feedback loop
     # ------------------------------------------------------------------
     def _settle(self, query_id: int, t: float, outcome: str) -> None:
         ticket = self.tickets.get(query_id)
         if ticket is None or ticket.outcome != "inflight":
             return
         ticket.outcome = outcome
-        self.estimated_inflight_bytes -= ticket.estimate.footprint_bytes
         tally = self.by_tier[ticket.tier]
         if outcome == "shed":
             tally.shed_downstream += 1
@@ -306,9 +304,9 @@ class FrontDoor:
 
     def _on_shed(self, e: ev.QueryShed) -> None:
         # a downstream valve (dispatcher byte/count valve, controller)
-        # refused a query the door had already admitted
-        if e.reason != "front-door-estimate":
-            self._settle(e.query_id, e.t, "shed")
+        # refused a query the door had already admitted; the door's own
+        # refusals have no ticket, so _settle ignores them
+        self._settle(e.query_id, e.t, "shed")
 
     # ------------------------------------------------------------------
     # reporting

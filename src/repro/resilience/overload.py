@@ -18,9 +18,6 @@ the SLO target:
   first, the top tier last.  Recovery is hysteretic: the level steps
   down only after ``recover_patience`` consecutive ticks below
   ``recover_fraction`` of the target, so the valve does not flap.
-* **byte backstop** -- an optional inflight-byte budget; lower tiers
-  get proportionally smaller slices, and an empty valve always admits
-  so progress is guaranteed.
 * **topology guard** -- while fragment migrations are in flight (or
   just finished), the *effective* shed level is tightened by
   ``topology_guard_tiers``: a ring split already pays a migration tax,
@@ -39,7 +36,7 @@ bit-identical to the pre-controller goldens.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 from repro.core.query import QuerySpec
 from repro.events import types as ev
@@ -66,8 +63,6 @@ class OverloadPolicy:
     recover_fraction: float = 0.6
     # ... for this many consecutive ticks before the level steps down
     recover_patience: int = 4
-    # optional inflight-byte backstop (None = no byte valve)
-    byte_budget: Optional[int] = None
     # extra tiers shed while fragment migrations are in flight/recent
     topology_guard_tiers: int = 1
     # how long after the last migration the guard stays engaged, seconds
@@ -89,12 +84,7 @@ class OverloadPolicy:
 class OverloadController:
     """SLO-driven admission over one deployment (ring or federation)."""
 
-    def __init__(
-        self,
-        deployment,
-        policy: OverloadPolicy,
-        size_of: Optional[Callable[[int], int]] = None,
-    ) -> None:
+    def __init__(self, deployment, policy: OverloadPolicy) -> None:
         self.deployment = deployment
         self.policy = policy
         self.sim = deployment.sim
@@ -104,18 +94,12 @@ class OverloadController:
         # published (the federation bus for a federation, the ring bus
         # for a classic deployment)
         self.bus = deployment.bus
-        if size_of is None:
-            bat_size = getattr(deployment, "bat_size", None)
-            size_of = bat_size if callable(bat_size) else None
-        self._size_of = size_of
         self.health = WindowedHealth(policy.window)
 
         # admission state
         self.shed_level = 0
         self._healthy_ticks = 0
         self._overloaded_ticks = 0
-        self._inflight: Dict[int, int] = {}
-        self._inflight_bytes = 0
         self._migrations = 0
         self._last_migration_t = float("-inf")
         self._started = False
@@ -127,13 +111,10 @@ class OverloadController:
         self.level_changes = 0
         self.max_level = 0
 
-        # per-query records: query_id -> (registered_at, engine class)
+        # per-query records of registered queries: registration time
+        # (the Little's-law inflight count) and engine class
         self._registered: Dict[int, float] = {}
         self._engine_of: Dict[int, str] = {}
-        self._tier_of: Dict[int, int] = {}
-        # queries this controller refused: their QueryShed echo (the
-        # caller publishes it) must not be double-counted as health sheds
-        self._shed_ids: set = set()
 
         for bus in self._ring_buses:
             bus.subscribe(ev.QueryRegistered, self._on_registered)
@@ -160,10 +141,6 @@ class OverloadController:
 
     def _release(self, query_id: int) -> str:
         self._registered.pop(query_id, None)
-        self._tier_of.pop(query_id, None)
-        reserved = self._inflight.pop(query_id, None)
-        if reserved is not None:
-            self._inflight_bytes -= reserved
         return self._engine_of.pop(query_id, "")
 
     def _on_finished(self, e: ev.QueryFinished) -> None:
@@ -177,11 +154,10 @@ class OverloadController:
 
     def _on_shed_event(self, e: ev.QueryShed) -> None:
         # a downstream valve (executor count/byte valve, detector-driven
-        # shedding) refused a query: release any reservation and fold
-        # the shed into the health signal -- unless this controller was
-        # the refuser, in which case admit() already counted it
-        if e.query_id in self._shed_ids:
-            self._shed_ids.discard(e.query_id)
+        # shedding) refused a query: fold the shed into the health
+        # signal -- unless this controller was the refuser (its callers
+        # tag that echo "tier-shed"), in which case admit() counted it
+        if e.reason == "tier-shed":
             return
         cls = self._release(e.query_id)
         self.health.note_shed(e.t, cls or e.engine)
@@ -271,7 +247,7 @@ class OverloadController:
         self.max_level = max(self.max_level, level)
         if self.bus.active:
             self.bus.publish(ev.OverloadStateChanged(
-                self.sim.now, level, self.state, p99, self._inflight_bytes
+                self.sim.now, level, self.state, p99
             ))
 
     @property
@@ -326,38 +302,25 @@ class OverloadController:
         return level
 
     def admit(self, spec: QuerySpec) -> bool:
-        """Decide one query; reserves inflight bytes when admitted.
+        """Decide one query by its tier against the effective level.
 
         Publishes :class:`~repro.events.types.TierShed` on refusal but
         *not* :class:`QueryShed` -- the caller owns that event, so the
-        retrier path and the standalone gate each publish exactly one.
+        retrier path and the standalone gate each publish exactly one,
+        tagged ``reason="tier-shed"``.
         """
         tier = min(getattr(spec, "tier", 0), self.policy.n_tiers - 1)
         self.offered += 1
         self.offered_by_tier[tier] = self.offered_by_tier.get(tier, 0) + 1
-        if tier < self.effective_level():
-            self._shed_tier(spec, tier)
-            return False
-        if self.policy.byte_budget is not None and self._size_of is not None:
-            need = sum(self._size_of(b) for b in spec.bat_ids)
-            cap = self.policy.byte_budget * (tier + 1) / self.policy.n_tiers
-            # an empty valve always admits: progress beats the budget
-            if self._inflight and self._inflight_bytes + need > cap:
-                self._shed_tier(spec, tier)
-                return False
-            self._inflight[spec.query_id] = need
-            self._inflight_bytes += need
-        self._tier_of[spec.query_id] = tier
-        return True
-
-    def _shed_tier(self, spec: QuerySpec, tier: int) -> None:
+        if tier >= self.effective_level():
+            return True
         self.shed_by_tier[tier] = self.shed_by_tier.get(tier, 0) + 1
-        self._shed_ids.add(spec.query_id)
         self.health.note_shed(self.sim.now, "")
         if self.bus.active:
             self.bus.publish(
                 ev.TierShed(self.sim.now, spec.query_id, tier, spec.node)
             )
+        return False
 
     # ------------------------------------------------------------------
     # the standalone submission gate
@@ -409,7 +372,6 @@ class OverloadController:
             "level": self.shed_level,
             "max_level": self.max_level,
             "level_changes": self.level_changes,
-            "inflight_bytes": self._inflight_bytes,
             "predicted_latency": round(self.predicted_latency(), 6),
             "window_p99": round(self.health.p99(), 6),
             "window_throughput": round(self.health.throughput(now), 6),

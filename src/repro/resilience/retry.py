@@ -99,14 +99,17 @@ class QueryRetrier:
         state = RetryState(spec=spec, deadline=deadline)
         self.states[spec.query_id] = state
         overload = getattr(self.manager, "overload", None)
-        if self.manager.shedding or (
-            overload is not None and not overload.admit(spec)
-        ):
+        detector = self.manager.shedding
+        if detector or (overload is not None and not overload.admit(spec)):
             state.done = True
             state.shed = True
             state.error = "SHED"
             state.finished_at = self.sim.now
-            self.bus.publish(ev.QueryShed(self.sim.now, spec.query_id, spec.node))
+            # the controller skips its own refusals' echo by this reason
+            reason = "" if detector else "tier-shed"
+            self.bus.publish(
+                ev.QueryShed(self.sim.now, spec.query_id, spec.node, reason=reason)
+            )
             return state
         self._dispatch(state, preferred=spec.node, arrival=spec.arrival)
         return state

@@ -673,7 +673,6 @@ def _split_under_load_once(
                 topology_guard_window=0.5,
                 split_nudge_ticks=6,
             ),
-            size_of=fed.catalog.size,
         )
         ctrl.start()
         for spec in specs:

@@ -19,6 +19,17 @@ valve means no statistics catalog, the front door and the valves share
 one estimator, a request the door priced is not priced again, a SQL
 text is priced once per statistics catalog, and a text the estimator
 cannot price falls back to compile-then-shed, counted.
+
+The second oracle is the front door that kept its own books:
+``_arrive``, ``_admission_cause``, ``_reject`` and ``_settle`` kept
+verbatim, with the private ``estimated_inflight_bytes`` counter they
+moved.  The live door reads the dispatcher's ledger instead and takes
+its ids through ``RingDatabase.next_query_id`` / ``skip_query_id``.
+Hypothesis drives both doors over the same request mix, both admission
+modes, with and without dispatcher valves and under a moving brownout
+level; after every step they agree on every decision, ticket, tally and
+byte count, and at quiescence the ledger is back to zero with every
+ticket settled exactly once.
 """
 
 from dataclasses import fields
@@ -33,8 +44,9 @@ from repro.core import DataCyclotronConfig
 from repro.dbms.executor import QueryHandle, RingDatabase
 from repro.dbms.qpu import KvLookup, MalQuery, QpuContext, QueryAbort, StreamAggregate
 from repro.dbms.sql import SqlError
-from repro.dbms.statistics import QueryEstimator
+from repro.dbms.statistics import EstimateError, QueryEstimate, QueryEstimator
 from repro.frontdoor import FrontDoor, FrontDoorPolicy
+from repro.frontdoor.door import Ticket
 from repro.sim.process import Process
 
 N_ROWS = 1200
@@ -461,3 +473,260 @@ def test_a_text_the_planner_rejects_is_refused_unseen_by_a_full_valve():
     handle = rdb.submit(bad)                              # full: refused
     assert handle.sql == bad and rdb.plan_cache_stats()["refused_before_compile"] == 1
     assert rdb.run_until_done()
+
+
+# ----------------------------------------------------------------------
+# the front door against its own past
+# ----------------------------------------------------------------------
+class OwnBooksDoor(FrontDoor):
+    """The front door before it read the dispatcher's ledger: it kept
+    its own count of estimated inflight bytes, moved at admit and at
+    settle, and wrote the dispatcher's id counter itself."""
+
+    estimated_inflight_bytes = 0  # shadows the property: the private book
+
+    def _arrive(self, request: Any, node: int) -> None:
+        sim = self.rdb.dc.sim
+        bus = self.rdb.dc.bus
+        now = sim.now
+        self.offered += 1
+        # reserve the id the dispatcher would assign: refused queries
+        # consume it too, so SLO tracks never collide across twins
+        query_id = self.rdb._next_query_id
+        try:
+            est = self.estimator.estimate(request)
+        except EstimateError:
+            self.rdb._next_query_id += 1
+            self._reject(query_id, node, None, 0, "estimate-error")
+            return
+        tier = self.policy.tier_for(est.footprint_bytes)
+        deadline = (
+            self.policy.deadline_floor
+            + self.policy.deadline_scale * est.footprint_bytes / self._bandwidth
+        )
+        self.by_tier[tier].offered += 1
+        if bus.active:
+            bus.publish(ev.QueryEstimated(
+                t=now, query_id=query_id, node=node, engine=est.engine,
+                footprint_bytes=est.footprint_bytes, cost=est.cost,
+                selectivity=est.selectivity, tier=tier, deadline=deadline,
+            ))
+        cause = self._admission_cause(query_id, node, est, tier)
+        if cause is not None:
+            self.rdb._next_query_id += 1
+            self._reject(query_id, node, est, tier, cause)
+            return
+        # the ticket must exist *before* the dispatcher sees the query:
+        # its blind valves shed synchronously inside submit_request, and
+        # that QueryShed must find the ticket to settle
+        ticket = Ticket(
+            query_id=query_id, node=node, estimate=est, tier=tier,
+            deadline=deadline, admitted_at=now,
+        )
+        self.tickets[query_id] = ticket
+        self.admitted += 1
+        self.by_tier[tier].admitted += 1
+        self.estimated_inflight_bytes += est.footprint_bytes
+        self.peak_estimated_inflight_bytes = max(
+            self.peak_estimated_inflight_bytes, self.estimated_inflight_bytes
+        )
+        if bus.active:
+            bus.publish(ev.FrontDoorAdmitted(
+                t=now, query_id=query_id, node=node, engine=est.engine,
+                tier=tier, deadline=deadline,
+                estimated_bytes=est.footprint_bytes,
+            ))
+        tag = f"tier{tier}" if self.policy.tag_tiers else None
+        handle = self.rdb.submit_request(request, node=node, tag=tag)
+        assert handle.query_id == query_id
+        ticket.handle = handle
+
+    def _admission_cause(
+        self, query_id: int, node: int, est: QueryEstimate, tier: int
+    ) -> Optional[str]:
+        """None admits; otherwise the rejection cause."""
+        pol = self.policy
+        if pol.admission != "estimate":
+            return None
+        if (
+            pol.reject_above_bytes is not None
+            and est.footprint_bytes > pol.reject_above_bytes
+        ):
+            return "single-query-cap"
+        if self.controller is not None:
+            if tier < self.controller.effective_level():
+                return "controller"
+        if pol.byte_budget is not None and self.tickets:
+            cap = pol.byte_budget * (tier + 1) / pol.n_tiers
+            if (
+                self.estimated_inflight_bytes
+                and self.estimated_inflight_bytes + est.footprint_bytes > cap
+            ):
+                return "budget"
+        return None
+
+    def _reject(
+        self, query_id: int, node: int, est: Optional[QueryEstimate],
+        tier: int, cause: str,
+    ) -> None:
+        self.rejected += 1
+        self.rejected_by_cause[cause] = (
+            self.rejected_by_cause.get(cause, 0) + 1
+        )
+        self.by_tier[tier].rejected += 1
+        bus = self.rdb.dc.bus
+        now = self.rdb.dc.sim.now
+        engine = est.engine if est is not None else ""
+        nbytes = est.footprint_bytes if est is not None else 0
+        if bus.active:
+            bus.publish(ev.FrontDoorRejected(
+                t=now, query_id=query_id, node=node, engine=engine,
+                tier=tier, estimated_bytes=nbytes, cause=cause,
+            ))
+            bus.publish(ev.QueryShed(
+                now, query_id, node, engine=engine,
+                reason="front-door-estimate",
+            ))
+
+    def _settle(self, query_id: int, t: float, outcome: str) -> None:
+        ticket = self.tickets.get(query_id)
+        if ticket is None or ticket.outcome != "inflight":
+            return
+        ticket.outcome = outcome
+        self.estimated_inflight_bytes -= ticket.estimate.footprint_bytes
+        tally = self.by_tier[ticket.tier]
+        if outcome == "shed":
+            tally.shed_downstream += 1
+            return
+        ticket.service_time = t - ticket.admitted_at
+        if outcome == "failed":
+            tally.failed += 1
+            return
+        tally.finished += 1
+        ticket.within_deadline = ticket.service_time <= ticket.deadline
+        if ticket.within_deadline:
+            tally.good += 1
+        actual = ticket.handle.footprint_bytes if ticket.handle else 0
+        self.estimator.record(
+            ticket.estimate, actual, service_time=ticket.service_time
+        )
+        bus = self.rdb.dc.bus
+        if bus.active:
+            bus.publish(ev.EstimateFeedback(
+                t=t, query_id=query_id, engine=ticket.estimate.engine,
+                query_class=ticket.estimate.query_class,
+                predicted_bytes=ticket.estimate.footprint_bytes,
+                actual_bytes=actual,
+                predicted_cost=ticket.estimate.cost,
+                service_time=ticket.service_time,
+            ))
+
+
+class Brownout:
+    """A stand-in for the overload controller: a settable level."""
+
+    def __init__(self):
+        self.level = 0
+
+    def effective_level(self) -> int:
+        return self.level
+
+
+class DoorLog:
+    """Every door decision, in order; refusals on an empty byte book."""
+
+    def __init__(self, door):
+        self.decisions = []
+        self.refused_empty = 0
+        self._door = door
+        bus = door.rdb.dc.bus
+        bus.subscribe(ev.FrontDoorAdmitted, lambda e: self.decisions.append(
+            ("admit", e.t, e.query_id, e.node, e.engine, e.tier,
+             e.deadline, e.estimated_bytes)))
+        bus.subscribe(ev.FrontDoorRejected, self._rejected)
+
+    def _rejected(self, e):
+        self.decisions.append(("reject", e.t, e.query_id, e.node, e.engine,
+                               e.tier, e.cause, e.estimated_bytes))
+        if e.cause == "budget" and self._door.estimated_inflight_bytes == 0:
+            self.refused_empty += 1
+
+
+def door_state(door):
+    tickets = {
+        qid: (t.outcome, t.tier, t.deadline, t.admitted_at, t.service_time,
+              t.within_deadline, t.handle.query_id if t.handle else None)
+        for qid, t in door.tickets.items()
+    }
+    return (door.summary(), door.estimated_inflight_bytes, tickets,
+            door.rdb.next_query_id)
+
+
+door_policies = st.builds(
+    lambda admission, budget, cap, boundaries, tag: FrontDoorPolicy(
+        tier_boundaries=boundaries, byte_budget=budget,
+        reject_above_bytes=cap, admission=admission, tag_tiers=tag,
+    ),
+    st.sampled_from(["estimate", "estimate", "none"]),  # "none" only observes
+    # always set: the valve that reads the ledger; whole columns (9600 B)
+    # put the tier slices' edges where the footprints are
+    st.one_of(st.integers(1, 60_000), st.integers(1, 6).map(lambda k: k * 9600)),
+    st.one_of(st.none(), st.integers(1, 40_000)),
+    st.sampled_from([(64 * 1024, 1024 * 1024), (1000, 20_000), (100, 5000)]),
+    st.booleans(),
+)
+door_ops = st.lists(
+    st.one_of(
+        submits, submits,
+        st.tuples(st.just("advance"), st.floats(0.0, 0.08)),
+        st.tuples(st.just("level"), st.integers(0, 3)),
+    ),
+    min_size=12, max_size=48,
+)
+
+
+@settings(**{**SETTINGS, "max_examples": 100})  # the tier slices' edges are narrow
+@given(policy=door_policies, valve=st.one_of(st.just({}), valves),
+       steps=door_ops, controlled=st.booleans(), lifecycle=st.booleans())
+def test_the_door_on_the_ledger_decides_exactly_as_on_its_own_books(
+    policy, valve, steps, controlled, lifecycle
+):
+    brownout = Brownout() if controlled else None
+    sides = []
+    for door_cls in (FrontDoor, OwnBooksDoor):
+        rdb = make(lifecycle_events=lifecycle)
+        for knob, value in valve.items():
+            setattr(rdb, knob, dict(value) if isinstance(value, dict) else value)
+        door = door_cls(rdb, policy=policy, controller=brownout)
+        sides.append((door, DoorLog(door), Recorder(rdb)))
+    (new, new_log, recorder), (old, old_log, _) = sides
+    for step in steps:
+        if step[0] == "advance":
+            for door, _, _ in sides:
+                door.rdb.dc.sim.run(until=door.rdb.dc.sim.now + step[1])
+        elif step[0] == "level":
+            if brownout is not None:
+                brownout.level = step[1]
+        else:
+            _, request, node, delay = step
+            for door, _, _ in sides:
+                now = door.rdb.dc.sim.now
+                door.offer(request, node=node,
+                           arrival=None if delay is None else now + delay)
+        assert new_log.decisions == old_log.decisions
+        assert door_state(new) == door_state(old)
+    for door, _, _ in sides:
+        assert door.rdb.run_until_done(max_time=600.0)
+    assert new_log.decisions == old_log.decisions
+    assert door_state(new) == door_state(old)
+    # an empty byte book always admits, on either side
+    assert new_log.refused_empty == old_log.refused_empty == 0
+    # quiescence: the ledger is back to zero and every ticket settled
+    # exactly once (finished, failed, or shed downstream)
+    rdb = new.rdb
+    assert rdb._inflight == rdb._inflight_bytes == 0
+    assert not any(rdb._inflight_engine_bytes.values())
+    shed = [qid for _, qid, *_ in recorder.shed]
+    for qid, ticket in new.tickets.items():
+        assert ticket.outcome != "inflight"
+        assert recorder.settled.get(qid, 0) + shed.count(qid) == 1

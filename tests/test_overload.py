@@ -1,8 +1,8 @@
 """Unit tests for closed-loop overload control (docs/overload.md).
 
 Covers the streaming health window (:mod:`repro.metrics.window`), the
-:class:`OverloadController` brownout/recovery state machine, its byte
-valve and topology guard, the retry token bucket, the per-engine byte
+:class:`OverloadController` brownout/recovery state machine, its
+topology guard, the retry token bucket, the per-engine byte
 valves of :class:`RingDatabase`, and the cold-burst workload shape the
 overload scenarios are graded on.
 """
@@ -279,25 +279,6 @@ def test_queue_buildup_breaches_before_any_completion():
     assert ctrl.shed_level == 1
 
 
-def test_byte_valve_scales_caps_by_tier_and_always_admits_when_empty():
-    dep = FakeDeployment()
-    sizes = {0: 4 * MB, 1: 4 * MB, 2: 4 * MB}
-    ctrl = OverloadController(
-        dep, _policy(byte_budget=9 * MB), size_of=sizes.__getitem__
-    )
-    # empty valve: even a query wider than the whole budget is admitted
-    assert ctrl.admit(_spec(1, tier=0, bats=(0, 1, 2)))
-    assert ctrl._inflight_bytes == 12 * MB
-    # tier-0 cap is 9MB/3 = 3MB: refused while the valve is occupied
-    assert not ctrl.admit(_spec(2, tier=0, bats=(0,)))
-    # the top tier's cap is the full 9MB... which is already exceeded
-    assert not ctrl.admit(_spec(3, tier=2, bats=(0,)))
-    # completion releases the reservation
-    dep.bus.publish(ev.QueryFinished(0.1, 1, 0))
-    assert ctrl._inflight_bytes == 0
-    assert ctrl.admit(_spec(4, tier=0, bats=(0,)))
-
-
 def test_shed_echo_is_not_double_counted_in_health():
     """The caller republishes QueryShed for a query this controller
     refused; that echo must not land in the health window twice."""
@@ -306,11 +287,35 @@ def test_shed_echo_is_not_double_counted_in_health():
     ctrl.shed_level = 2
     assert not ctrl.admit(_spec(7, tier=0))
     assert len(ctrl.health._shed) == 1
-    dep.bus.publish(ev.QueryShed(0.0, 7, 0))
+    dep.bus.publish(ev.QueryShed(0.0, 7, 0, reason="tier-shed"))
     assert len(ctrl.health._shed) == 1
     # a shed from a *downstream* valve does count
     dep.bus.publish(ev.QueryShed(0.0, 8, 0))
     assert len(ctrl.health._shed) == 2
+
+
+def test_refusals_on_a_federation_leave_no_per_query_state():
+    """On a federation the gate publishes its QueryShed echo on the
+    federation bus, which the controller does not watch: a refusal must
+    not leave anything behind that only that echo would clear."""
+    dep = FakeDeployment(n_rings=2)
+    ctrl = OverloadController(dep, _policy())
+    echoes = []
+    dep.bus.subscribe(ev.QueryShed, echoes.append)
+    ctrl.shed_level = 2
+    ids = range(100, 120)  # clear of the tier keys of the counters
+    for query_id in ids:
+        assert ctrl.submit(_spec(query_id, tier=0)) is None
+    assert [e.query_id for e in echoes] == list(ids)
+    assert {e.reason for e in echoes} == {"tier-shed"}
+    assert ctrl.shed_by_tier == {0: len(ids)}
+    assert len(ctrl.health._shed) == len(ids)
+    held = {
+        name: value for name, value in vars(ctrl).items()
+        if isinstance(value, (set, frozenset, dict))
+        and any(query_id in value for query_id in ids)
+    }
+    assert held == {}
 
 
 def test_topology_guard_tightens_effective_level():
@@ -388,7 +393,7 @@ def test_stats_reports_headline_counters():
     assert stats["shed_by_tier"] == {0: 1}
     assert stats["level"] == 1
     assert set(stats) >= {
-        "max_level", "level_changes", "inflight_bytes", "predicted_latency",
+        "max_level", "level_changes", "predicted_latency",
         "window_p99", "window_throughput", "window_shed_rate", "per_class",
     }
 
