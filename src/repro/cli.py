@@ -588,23 +588,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     then replays the workload through a :class:`~repro.frontdoor.FrontDoor`
     and reports predicted-vs-actual footprint accuracy per query class.
     """
-    from repro.dbms.executor import RingDatabase
-    from repro.frontdoor import FrontDoor, FrontDoorPolicy
-    from repro.workloads.frontdoor import FrontDoorWorkload
-
-    wl = FrontDoorWorkload(seed=args.seed)
-    rdb = RingDatabase(
-        DataCyclotronConfig(
-            n_nodes=wl.n_nodes, bandwidth=3 * MB, seed=args.seed,
-            fast_forward=False,
-        ),
-        lifecycle_events=True,
+    from repro.workloads.suite import (
+        _frontdoor_door,
+        _frontdoor_ring,
+        _frontdoor_workload,
     )
+
+    # the quick frontdoor scenario's table, ring and estimate-valve door
+    wl = _frontdoor_workload(args.seed, quick=True)
+    rdb = _frontdoor_ring(args.seed, quick=True)
     wl.load_into(rdb)
-    door = FrontDoor(rdb, policy=FrontDoorPolicy(
-        tier_boundaries=(16 * 1024, 120 * 1024),
-        byte_budget=int(1.5 * MB), admission="estimate",
-    ))
+    door = _frontdoor_door(rdb, quick=True, estimate=True)
 
     rows = []
     for table in rdb.estimator.stats.tables():

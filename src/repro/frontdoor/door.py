@@ -64,6 +64,24 @@ class FrontDoorPolicy:
     admission: str = "estimate"  # "estimate" | "none" (observe only)
     tag_tiers: bool = False      # tag registrations tier<k> instead of engine
 
+    def __post_init__(self) -> None:
+        # a misspelt mode would otherwise switch admission off quietly,
+        # and a short or unsorted boundary list leaves tiers unreachable
+        if self.admission not in ("estimate", "none"):
+            raise ValueError(
+                f"admission must be 'estimate' or 'none', got {self.admission!r}"
+            )
+        bounds = tuple(self.tier_boundaries)
+        if len(bounds) != self.n_tiers - 1:
+            raise ValueError(
+                f"{self.n_tiers} tiers need {self.n_tiers - 1} tier "
+                f"boundaries, got {len(bounds)}"
+            )
+        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+            raise ValueError(
+                f"tier_boundaries must be strictly ascending, got {bounds}"
+            )
+
     def tier_for(self, footprint_bytes: int) -> int:
         tier = self.n_tiers - 1
         for bound in self.tier_boundaries:

@@ -3,24 +3,11 @@
 Each scenario builds a deployment (classic ring or federation), attaches
 an :class:`~repro.metrics.slo.SloCollector` to the query lifecycle,
 drives one of the :mod:`repro.workloads.scenarios` generators through
-it, and returns an SLO verdict plus scenario-specific extras:
-
-* ``diurnal`` -- day/night load swing on a classic ring,
-* ``flash-crowd`` -- a step burst far above ring capacity,
-* ``multi-tenant`` -- Zipf tenants with per-tenant SLOs and fairness,
-* ``locality-shift`` -- drifting interest over block-placed federation
-  data, triggering organic cross-ring fetches and migrations,
-* ``gateway-chaos`` -- a gateway crash mid-workload, run twice (serve
-  handoff on and off) so the p999 tail the handoff removes is measured
-  in the same report,
-* ``mixed-engine`` -- KV probes, MAL scans and streaming folds sharing
-  one ring economy, graded per engine class (docs/qpu.md): p99 for the
-  point lookups, sustained throughput for the streaming aggregates,
-* ``frontdoor`` -- a 3x-capacity open-loop burst priced by the
-  statistics estimator at the serving tier; the statistics-driven
-  valve is gated against a blind byte-valve twin (docs/frontdoor.md),
-* ``mixed-engine-overload`` -- the same burst through all three engine
-  classes at once, graded with per-engine-class SLO verdicts.
+it, and returns an SLO verdict plus scenario-specific extras.
+``SCENARIOS`` at the bottom is the catalogue (``repro scenarios
+--list`` prints it).  Five of the scenarios are on/off twins declared
+through :func:`_twin`: one function runs the workload with a mechanism
+on or off, and the twin reports both runs in one result.
 
 Everything is deterministic per seed: ``run_scenario(name, seed)``
 returns a bit-identical result dict on every call, which is what the
@@ -31,6 +18,7 @@ the gates in tests/test_scenario_gates.py rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.config import MB, DataCyclotronConfig
@@ -100,10 +88,13 @@ def _classic_config(seed: int) -> DataCyclotronConfig:
     return QUICK.config(seed, resend_timeout=None, **FAST_DISK)
 
 
-def _classic_ring(dataset: UniformDataset, seed: int) -> DataCyclotron:
-    dc = DataCyclotron(_classic_config(seed))
-    populate_ring(dc, dataset)
-    return dc
+def _run_extras(submitted: int, completed: bool, sim) -> Dict:
+    """The three extras every scenario reports about its own run."""
+    return {
+        "submitted": submitted,
+        "completed_in_time": completed,
+        "sim_time": round(sim.now, 6),
+    }
 
 
 def _run_classic(
@@ -113,17 +104,13 @@ def _run_classic(
     target: SloTarget,
     scenario: str,
 ) -> Tuple[Dict, Dict]:
-    dc = _classic_ring(dataset, seed)
+    dc = DataCyclotron(_classic_config(seed))
+    populate_ring(dc, dataset)
     slo = SloCollector().attach(dc.bus)
     submitted = workload.submit_to(dc)
     completed = dc.run_until_done(max_time=MAX_TIME)
     verdict = slo.verdict(scenario, seed, target)
-    extras = {
-        "submitted": submitted,
-        "completed_in_time": completed,
-        "sim_time": round(dc.sim.now, 6),
-    }
-    return verdict, extras
+    return verdict, _run_extras(submitted, completed, dc.sim)
 
 
 def _block_federation(
@@ -134,10 +121,11 @@ def _block_federation(
     resilience: bool = False,
     splitmerge_interval: float = 0.0,  # fixed topology: measure the workload
     **multiring_kwargs,
-) -> RingFederation:
+) -> Tuple[RingFederation, SloCollector]:
     """A federation with *contiguous block* data placement: BAT ids map
     to rings in order, so a drifting interest centre walks from one
-    ring's data into the next (the locality-shift premise)."""
+    ring's data into the next (the locality-shift premise).  One SLO
+    collector listens on every ring's bus."""
     base = QUICK.config(
         seed,
         n_nodes=nodes_per_ring,  # replaced per ring by MultiRingConfig
@@ -156,14 +144,10 @@ def _block_federation(
     n = dataset.n_bats
     for bat_id, size in sorted(dataset.sizes.items()):
         fed.add_bat(bat_id, size, ring=bat_id * n_rings // n)
-    return fed
-
-
-def _attach_federation(fed: RingFederation) -> SloCollector:
     slo = SloCollector()
     for ring in fed.rings:
         slo.attach(ring.bus)
-    return slo
+    return fed, slo
 
 
 # ----------------------------------------------------------------------
@@ -230,14 +214,13 @@ def _run_multi_tenant(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, 
 
 def _run_locality_shift(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
     dataset = _dataset(seed, quick)
-    fed = _block_federation(
+    fed, slo = _block_federation(
         dataset, seed,
         n_rings=3, nodes_per_ring=3,
         placement_interval=0.25,
         migration_patience=2,
         ship_threshold=0.0,  # fetch, don't ship: migrations must carry the load
     )
-    slo = _attach_federation(fed)
     # every query arrives at ring 0 (the clients live in one region);
     # the interest centre drifts out of ring 0's block into rings 1 and
     # 2, so the foreign-fetch pressure re-homes the hot set to ring 0
@@ -253,29 +236,54 @@ def _run_locality_shift(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict
     completed = fed.run_until_done(max_time=MAX_TIME)
     summary = fed.summary()
     verdict = slo.verdict("locality-shift", seed, target)
-    extras = {
-        "submitted": submitted,
-        "completed_in_time": completed,
-        "sim_time": round(fed.sim.now, 6),
-        "cross_ring_requests": summary["cross_ring_requests"],
-        "fetches_served": summary["fetches_served"],
-        "migrations_started": summary["migrations_started"],
-        "fragments_migrated": summary["fragments_migrated"],
-    }
+    extras = _run_extras(submitted, completed, fed.sim)
+    extras.update((key, summary[key]) for key in (
+        "cross_ring_requests", "fetches_served",
+        "migrations_started", "fragments_migrated",
+    ))
     return verdict, extras
+
+
+# ----------------------------------------------------------------------
+# on/off twins
+# ----------------------------------------------------------------------
+def _twin(
+    label: str, side: Callable[[int, bool, SloTarget, bool], Tuple[Dict, Dict, Dict]]
+) -> Callable[[int, bool, SloTarget], Tuple[Dict, Dict]]:
+    """A scenario runner that measures one mechanism on, then off.
+
+    ``side(seed, quick, target, on)`` runs the identical workload once
+    per setting and returns ``(verdict, stats, pair)``.  The twin
+    reports the on run's verdict and stats.  Each ``pair`` entry appears
+    once per run that reports it, as ``<key>_on`` / ``<key>_off``, so a
+    measure only the on run has (a controller's level) is a key the off
+    run leaves out.  The two tails appear as ``p999_<label>_on`` /
+    ``p999_<label>_off`` and the off run's whole verdict as
+    ``<label>_off_verdict``.
+    """
+    def run(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
+        verdict, extras, on = side(seed, quick, target, True)
+        verdict_off, _, off = side(seed, quick, target, False)
+        for suffix, pair in (("on", on), ("off", off)):
+            extras.update((f"{key}_{suffix}", value) for key, value in pair.items())
+        extras[f"p999_{label}_on"] = verdict["latency"]["p999"]
+        extras[f"p999_{label}_off"] = verdict_off["latency"]["p999"]
+        extras[f"{label}_off_verdict"] = verdict_off
+        return verdict, extras
+
+    return run
 
 
 def _gateway_chaos_once(
     seed: int, quick: bool, target: SloTarget, serve_handoff: bool
-) -> Tuple[Dict, Dict]:
-    """One gateway-crash run; the scenario runs this twice (handoff
-    on/off) and reports both tails."""
+) -> Tuple[Dict, Dict, Dict]:
+    """One gateway-crash run, serve handoff on or off."""
     dataset = (
         UniformDataset(n_bats=96, min_size=MB, max_size=2 * MB, seed=seed)
         if quick
         else UniformDataset(n_bats=300, min_size=MB, max_size=4 * MB, seed=seed)
     )
-    fed = _block_federation(
+    fed, slo = _block_federation(
         dataset, seed,
         n_rings=3, nodes_per_ring=3,
         resilience=True,
@@ -283,7 +291,6 @@ def _gateway_chaos_once(
         fetch_timeout=2.5,
         placement_interval=60.0,  # topology and placement stay fixed
     )
-    slo = _attach_federation(fed)
     # arrivals only on rings 0 and 2, interest drifting through ring
     # 1's block: a steady stream of first-touch fetches keeps serves in
     # flight on ring 1's (doomed) gateway for the whole run
@@ -331,27 +338,13 @@ def _gateway_chaos_once(
     completed = fed.run_until_done(max_time=MAX_TIME)
     summary = fed.summary()
     verdict = slo.verdict("gateway-chaos", seed, target)
-    extras = {
-        "submitted": submitted,
-        "completed_in_time": completed,
-        "sim_time": round(fed.sim.now, 6),
-        "serve_handoff": serve_handoff,
-        "crashed_at": round(crashed_at[0], 6),
-        "serves_handed_off": summary["serves_handed_off"],
-        "gateway_failures": summary["gateway_failures"],
-        "gateway_elections": summary["gateway_elections"],
-    }
-    return verdict, extras
-
-
-def _run_gateway_chaos(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
-    verdict_on, extras_on = _gateway_chaos_once(seed, quick, target, True)
-    verdict_off, extras_off = _gateway_chaos_once(seed, quick, target, False)
-    extras = dict(extras_on)
-    extras["p999_handoff_on"] = verdict_on["latency"]["p999"]
-    extras["p999_handoff_off"] = verdict_off["latency"]["p999"]
-    extras["handoff_off_verdict"] = verdict_off
-    return verdict_on, extras
+    extras = _run_extras(submitted, completed, fed.sim)
+    extras["serve_handoff"] = serve_handoff
+    extras["crashed_at"] = round(crashed_at[0], 6)
+    extras.update((key, summary[key]) for key in (
+        "serves_handed_off", "gateway_failures", "gateway_elections",
+    ))
+    return verdict, extras, {}
 
 
 # ----------------------------------------------------------------------
@@ -374,10 +367,15 @@ def _tiered_specs(workload: Workload, seed: int) -> List[QuerySpec]:
     return out
 
 
-def _goodput(slo: SloCollector, deadline: float, duration: float) -> float:
-    """Deadline-respecting completions per second of workload time."""
-    good = sum(1 for x in slo.latencies() if x <= deadline)
-    return round(good / duration, 6)
+# Deadline the overload goodput metric counts completions against:
+# *useful* work is a success the caller was still waiting for, not a
+# completion that limped home after the client gave up.
+OVERLOAD_DEADLINE = 2.0
+
+
+def _on_time(latencies) -> int:
+    """Completions within the overload deadline."""
+    return sum(1 for x in latencies if x <= OVERLOAD_DEADLINE)
 
 
 def _controller_extras(ctrl: OverloadController) -> Dict:
@@ -393,42 +391,6 @@ def _controller_extras(ctrl: OverloadController) -> Dict:
         "max_shed_level": stats["max_level"],
         "level_changes": stats["level_changes"],
     }
-
-
-# Deadline the overload goodput metric counts completions against:
-# *useful* work is a success the caller was still waiting for, not a
-# completion that limped home after the client gave up.
-OVERLOAD_DEADLINE = 2.0
-
-
-def _overload_ring(
-    dataset: UniformDataset, seed: int, controlled: bool
-) -> DataCyclotron:
-    """A resilient 4-node ring with a tight resend envelope.
-
-    Small BAT queues plus bounded resends are what make sustained
-    overload *lossy* here: once the cold-burst demand overflows the
-    queues, unserved requests exhaust their resends and queries fail
-    with ``DATA_UNAVAILABLE``, which the retrier then amplifies into
-    even more traffic.  The controlled run adds the retry-budget token
-    bucket; everything else is identical between the two runs.
-    """
-    dc = DataCyclotron(QUICK.config(
-        seed,
-        bat_queue_capacity=8 * MB,
-        **dict(FAULT_ENVELOPE, max_resends=3),
-        resilience=True,
-        retry_max_attempts=4,
-        retry_backoff_initial=0.2,
-        retry_backoff_base=2.0,
-        retry_backoff_cap=1.0,
-        retry_jitter=0.25,
-        retry_deadline=8.0,
-        retry_budget_capacity=40.0 if controlled else None,
-        retry_budget_refill=8.0 if controlled else 0.0,
-    ))
-    populate_ring(dc, dataset)
-    return dc
 
 
 def _retrier_verdict(retrier, scenario: str, seed: int, target: SloTarget) -> Dict:
@@ -465,30 +427,80 @@ def _tier_outcomes(retrier, deadline: float, duration: float) -> Dict[int, Dict]
                 d["good"] += 1
         elif state.done:
             d["failed"] += 1
-    out: Dict[int, Dict] = {}
-    for tier in sorted(per):
-        d = per[tier]
+    for d in per.values():
         d["goodput"] = round(d["good"] / duration, 6)
         d["shed_fraction"] = round(d["shed"] / d["offered"], 6)
-        out[tier] = d
-    return out
+    return dict(sorted(per.items()))
 
 
-def _overload_once(
-    seed: int, quick: bool, target: SloTarget, controlled: bool
-) -> Tuple[Dict, Dict, Optional[OverloadController]]:
-    """One cold-burst flood through the resilience manager, with or
-    without the closed-loop controller and retry budget."""
+def _cold_flood_once(
+    scenario: str, seed: int, quick: bool, target: SloTarget, controlled: bool
+) -> Tuple[Dict, Dict, Dict]:
+    """One tiered cold-burst flood, with or without the closed-loop
+    controller (and, on the ring, its retry budget).
+
+    ``overload`` floods a resilient 4-node ring through its resilience
+    manager, so failed queries retry.  ``split-under-load`` pins the
+    crowd on ring 0 of a two-ring federation with one standby ring and
+    the pulsating split/merge controller live, so the burst triggers a
+    ring split mid-overload.  The flood, its tiers, the closed-loop
+    clients, the controller and the grace ticks are shared; the
+    deployment and what is measured on it differ.
+    """
+    federated = scenario == "split-under-load"
     dataset = UniformDataset(
         n_bats=120 if quick else 240, min_size=MB, max_size=2 * MB, seed=seed
     )
-    dc = _overload_ring(dataset, seed, controlled)
-    mgr = dc.resilience
     duration = 8.0 if quick else 14.0
+    if federated:
+        host, slo = _block_federation(
+            dataset, seed,
+            n_rings=2, nodes_per_ring=3,
+            max_rings=3,
+            splitmerge_interval=0.25,
+            splitmerge_patience=2,
+            split_high_watermark=0.80,
+            placement_interval=0.25,
+            migration_patience=2,
+        )
+        slo.attach(host.bus)  # the admission gate publishes QueryShed here
+        n_nodes = host.config.total_nodes
+        entry = list(range(host.config.nodes_per_ring))  # the crowd's ring 0
+        base_rate, n_clients, max_bats = 25.0, (6 if quick else 12), 3
+        policy = dict(
+            target_p99=3.0, topology_guard_window=0.5, split_nudge_ticks=6,
+        )
+    else:
+        # a resilient 4-node ring with a tight resend envelope.  Small
+        # BAT queues plus bounded resends are what make sustained
+        # overload *lossy* here: once the cold-burst demand overflows
+        # the queues, unserved requests exhaust their resends and
+        # queries fail with DATA_UNAVAILABLE, which the retrier then
+        # amplifies into even more traffic.  The controlled run adds the
+        # retry-budget token bucket; nothing else differs.
+        host = DataCyclotron(QUICK.config(
+            seed,
+            bat_queue_capacity=8 * MB,
+            **dict(FAULT_ENVELOPE, max_resends=3),
+            resilience=True,
+            retry_max_attempts=4,
+            retry_backoff_initial=0.2,
+            retry_backoff_base=2.0,
+            retry_backoff_cap=1.0,
+            retry_jitter=0.25,
+            retry_deadline=8.0,
+            retry_budget_capacity=40.0 if controlled else None,
+            retry_budget_refill=8.0 if controlled else 0.0,
+        ))
+        populate_ring(host, dataset)
+        n_nodes, entry = host.config.n_nodes, None
+        base_rate, n_clients, max_bats = 30.0, 4, 2
+        policy = dict(target_p99=2.0)
     flash = ColdBurstWorkload(
         dataset,
-        n_nodes=4,
-        base_rate=30.0,
+        n_nodes=n_nodes,
+        nodes=entry,
+        base_rate=base_rate,
         burst_factor=10.0,
         burst_start=1.0,
         burst_duration=4.0 if quick else 8.0,
@@ -496,244 +508,93 @@ def _overload_once(
         duration=duration,
         seed=seed,
     )
+    if federated:
+        # the baseline hot set sits in the middle of ring 0's contiguous
+        # block (fast and stable); the burst floods *cold* data from every
+        # ring's block, so relief needs both shedding and a ring split
+        flash.hot_low = dataset.n_bats // 4
     specs = _tiered_specs(flash, seed)
     closed = ClosedLoopWorkload(
         dataset,
-        n_nodes=4,
-        n_clients=4,
+        n_nodes=n_nodes,
+        n_clients=n_clients,
         duration=duration,
-        think_min=0.05,
-        think_max=0.20,
-        max_bats=2,
+        max_bats=max_bats,
+        nodes=entry,
         seed=seed,
         tag="tier2",
         tier=2,
     )
     ctrl: Optional[OverloadController] = None
     if controlled:
-        ctrl = OverloadController(dc, OverloadPolicy(
-            target_p99=2.0,
-            window=2.0,
-            tick_interval=0.25,
-            n_tiers=3,
-            min_samples=8,
-            recover_fraction=0.7,
-            recover_patience=4,
+        ctrl = OverloadController(host, OverloadPolicy(
+            min_samples=8, recover_fraction=0.7, **policy,
         ))
         ctrl.start()
-        mgr.overload = ctrl
-    # admission decisions belong to arrival time, not enqueue time
-    for spec in specs:
-        dc.sim.post(spec.arrival, mgr.submit, spec)
-    closed.submit_to(dc, gate=ctrl)
-    dc.run(until=duration)
-    while dc.sim.now < MAX_TIME and not (
-        mgr.retrier.all_done and dc.completed_queries >= dc._submitted
-    ):
-        dc.sim.run(until=dc.sim.now + 0.5)
-    completed = mgr.retrier.all_done and dc.completed_queries >= dc._submitted
-    # grace ticks: the hysteretic valve should step back to level 0
-    dc.sim.run(until=dc.sim.now + 4.0)
-    verdict = _retrier_verdict(mgr.retrier, "overload", seed, target)
-    counts = mgr.retrier.counts()
-    tiers = _tier_outcomes(mgr.retrier, OVERLOAD_DEADLINE, duration)
-    top_tier = max(tiers)
-    closed_good = sum(1 for x in closed.latencies if x <= OVERLOAD_DEADLINE)
-    run_stats = {
-        "submitted": len(specs) + closed.issued,
-        "completed_in_time": completed,
-        "sim_time": round(dc.sim.now, 6),
-        "deadline": OVERLOAD_DEADLINE,
-        "p999": verdict["latency"]["p999"],
-        "failed": counts["failed"],
-        "attempts": counts["attempts"],
-        "budget_exhausted": mgr.retrier.budget_exhausted,
-        # protected goodput: top-tier open-loop queries plus the
-        # closed-loop client population, both graded on the deadline
-        "goodput": round(
-            (tiers[top_tier]["good"] + closed_good) / duration, 6
-        ),
-        "goodput_all": round(
-            (sum(d["good"] for d in tiers.values()) + closed_good) / duration,
-            6,
-        ),
-        "tiers": tiers,
-        "closed_issued": closed.issued,
-        "closed_shed": closed.shed,
-        "closed_failed": closed.failed,
-        "closed_good": closed_good,
-        "final_level": ctrl.shed_level if ctrl is not None else 0,
-    }
-    return verdict, run_stats, ctrl
-
-
-def _run_overload(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
-    verdict_on, stats_on, ctrl = _overload_once(seed, quick, target, True)
-    verdict_off, stats_off, _ = _overload_once(seed, quick, target, False)
-    extras = {
-        "submitted": stats_on["submitted"],
-        "completed_in_time": stats_on["completed_in_time"],
-        "sim_time": stats_on["sim_time"],
-        "deadline": stats_on["deadline"],
-        "p999_controller_on": stats_on["p999"],
-        "p999_controller_off": stats_off["p999"],
-        # goodput = deadline-respecting completions/s of the protected
-        # (top) tier -- the traffic a brownout exists to keep serving
-        "goodput_on": stats_on["goodput"],
-        "goodput_off": stats_off["goodput"],
-        "goodput_all_on": stats_on["goodput_all"],
-        "goodput_all_off": stats_off["goodput_all"],
-        "failed_on": stats_on["failed"],
-        "failed_off": stats_off["failed"],
-        "attempts_on": stats_on["attempts"],
-        "attempts_off": stats_off["attempts"],
-        "budget_exhausted_on": stats_on["budget_exhausted"],
-        "tiers_on": stats_on["tiers"],
-        "tiers_off": stats_off["tiers"],
-        "closed_issued_on": stats_on["closed_issued"],
-        "closed_shed_on": stats_on["closed_shed"],
-        "closed_good_on": stats_on["closed_good"],
-        "closed_failed_on": stats_on["closed_failed"],
-        "closed_issued_off": stats_off["closed_issued"],
-        "closed_good_off": stats_off["closed_good"],
-        "closed_failed_off": stats_off["closed_failed"],
-        "final_level_on": stats_on["final_level"],
-        "controller_off_verdict": verdict_off,
-    }
-    extras.update(_controller_extras(ctrl))
-    return verdict_on, extras
-
-
-def _split_under_load_once(
-    seed: int, quick: bool, target: SloTarget, controlled: bool
-) -> Tuple[Dict, Dict, Optional[OverloadController]]:
-    """A flash crowd pinned on ring 0 of a two-ring federation with one
-    standby ring; the pulsating split/merge controller is live, so the
-    burst triggers a ring split mid-overload."""
-    dataset = UniformDataset(
-        n_bats=120 if quick else 240, min_size=MB, max_size=2 * MB, seed=seed
-    )
-    fed = _block_federation(
-        dataset, seed,
-        n_rings=2, nodes_per_ring=3,
-        max_rings=3,
-        splitmerge_interval=0.25,
-        splitmerge_patience=2,
-        split_high_watermark=0.80,
-        placement_interval=0.25,
-        migration_patience=2,
-    )
-    slo = _attach_federation(fed)
-    slo.attach(fed.bus)  # the admission gate publishes QueryShed here
-    duration = 8.0 if quick else 14.0
-    npr = fed.config.nodes_per_ring
-    n = dataset.n_bats
-    flash = ColdBurstWorkload(
-        dataset,
-        n_nodes=fed.config.total_nodes,
-        nodes=list(range(npr)),  # the crowd arrives at ring 0
-        base_rate=25.0,
-        burst_factor=10.0,
-        burst_start=1.0,
-        burst_duration=4.0 if quick else 8.0,
-        hot_set_size=8,
-        duration=duration,
-        seed=seed,
-    )
-    # the baseline hot set sits in the middle of ring 0's contiguous
-    # block (fast and stable); the burst floods *cold* data from every
-    # ring's block, so relief needs both shedding and a ring split
-    flash.hot_low = n // 4
-    specs = _tiered_specs(flash, seed)
-    closed = ClosedLoopWorkload(
-        dataset,
-        n_nodes=fed.config.total_nodes,
-        n_clients=6 if quick else 12,
-        duration=duration,
-        think_min=0.05,
-        think_max=0.20,
-        nodes=list(range(npr)),
-        seed=seed,
-        tag="tier2",
-        tier=2,
-    )
-    ctrl: Optional[OverloadController] = None
-    if controlled:
-        ctrl = OverloadController(
-            fed,
-            OverloadPolicy(
-                target_p99=3.0,
-                window=2.0,
-                tick_interval=0.25,
-                n_tiers=3,
-                min_samples=8,
-                recover_fraction=0.7,
-                recover_patience=4,
-                topology_guard_tiers=1,
-                topology_guard_window=0.5,
-                split_nudge_ticks=6,
-            ),
-        )
-        ctrl.start()
+    if federated:
+        gate = ctrl if ctrl is not None else host
         for spec in specs:
-            ctrl.submit(spec)
-        closed.submit_to(fed, gate=ctrl)
+            gate.submit(spec)
     else:
+        mgr = host.resilience
+        mgr.overload = ctrl
+        # admission decisions belong to arrival time, not enqueue time
         for spec in specs:
-            fed.submit(spec)
-        closed.submit_to(fed)
-    fed.run(until=duration)
-    completed = fed.run_until_done(max_time=MAX_TIME)
+            host.sim.post(spec.arrival, mgr.submit, spec)
+    closed.submit_to(host, gate=ctrl)
+    host.run(until=duration)
+    if federated:
+        completed = host.run_until_done(max_time=MAX_TIME)
+    else:
+        def drained() -> bool:
+            return mgr.retrier.all_done and host.completed_queries >= host._submitted
+
+        while host.sim.now < MAX_TIME and not drained():
+            host.sim.run(until=host.sim.now + 0.5)
+        completed = drained()
     # grace ticks: the hysteretic valve should step back to level 0
-    fed.sim.run(until=fed.sim.now + 4.0)
-    summary = fed.summary()
-    verdict = slo.verdict("split-under-load", seed, target)
-    # tier2 tags both the protected open-loop slice and the closed-loop
-    # clients, so one tag filter covers the whole protected population
-    protected = slo.latencies("tier2")
-    run_stats = {
-        "submitted": len(specs) + closed.issued,
-        "completed_in_time": completed,
-        "sim_time": round(fed.sim.now, 6),
-        "p999": verdict["latency"]["p999"],
-        "goodput": round(
-            sum(1 for x in protected if x <= OVERLOAD_DEADLINE) / duration, 6
-        ),
-        "goodput_all": _goodput(slo, OVERLOAD_DEADLINE, duration),
-        "deadline": OVERLOAD_DEADLINE,
-        "ring_splits": summary["ring_splits"],
-        "migrations_started": summary["migrations_started"],
-        "fragments_migrated": summary["fragments_migrated"],
-        "final_level": ctrl.shed_level if ctrl is not None else 0,
-    }
-    return verdict, run_stats, ctrl
-
-
-def _run_split_under_load(
-    seed: int, quick: bool, target: SloTarget
-) -> Tuple[Dict, Dict]:
-    verdict_on, stats_on, ctrl = _split_under_load_once(seed, quick, target, True)
-    verdict_off, stats_off, _ = _split_under_load_once(seed, quick, target, False)
-    extras = {
-        "submitted": stats_on["submitted"],
-        "completed_in_time": stats_on["completed_in_time"],
-        "sim_time": stats_on["sim_time"],
-        "deadline": stats_on["deadline"],
-        "ring_splits_on": stats_on["ring_splits"],
-        "ring_splits_off": stats_off["ring_splits"],
-        "migrations_started": stats_on["migrations_started"],
-        "fragments_migrated": stats_on["fragments_migrated"],
-        "p999_controller_on": stats_on["p999"],
-        "p999_controller_off": stats_off["p999"],
-        "goodput_on": stats_on["goodput"],
-        "goodput_off": stats_off["goodput"],
-        "goodput_all_on": stats_on["goodput_all"],
-        "goodput_all_off": stats_off["goodput_all"],
-        "final_level_on": stats_on["final_level"],
-        "controller_off_verdict": verdict_off,
-    }
-    extras.update(_controller_extras(ctrl))
-    return verdict_on, extras
+    host.sim.run(until=host.sim.now + 4.0)
+    stats = _run_extras(len(specs) + closed.issued, completed, host.sim)
+    stats["deadline"] = OVERLOAD_DEADLINE
+    if federated:
+        summary = host.summary()
+        verdict = slo.verdict(scenario, seed, target)
+        # tier2 tags both the protected open-loop slice and the closed-loop
+        # clients, so one tag filter covers the whole protected population
+        pair = {
+            "goodput": round(_on_time(slo.latencies("tier2")) / duration, 6),
+            "goodput_all": round(_on_time(slo.latencies()) / duration, 6),
+            "ring_splits": summary["ring_splits"],
+        }
+        stats["migrations_started"] = summary["migrations_started"]
+        stats["fragments_migrated"] = summary["fragments_migrated"]
+    else:
+        verdict = _retrier_verdict(mgr.retrier, scenario, seed, target)
+        counts = mgr.retrier.counts()
+        tiers = _tier_outcomes(mgr.retrier, OVERLOAD_DEADLINE, duration)
+        closed_good = _on_time(closed.latencies)
+        pair = {
+            # protected goodput: top-tier open-loop queries plus the
+            # closed-loop client population, both graded on the deadline
+            "goodput": round((tiers[max(tiers)]["good"] + closed_good) / duration, 6),
+            "goodput_all": round(
+                (sum(d["good"] for d in tiers.values()) + closed_good) / duration,
+                6,
+            ),
+            "failed": counts["failed"],
+            "attempts": counts["attempts"],
+            "tiers": tiers,
+            "closed_issued": closed.issued,
+            "closed_good": closed_good,
+            "closed_failed": closed.failed,
+        }
+        if controlled:  # only the controlled run has a budget and a gate
+            pair["budget_exhausted"] = mgr.retrier.budget_exhausted
+            pair["closed_shed"] = closed.shed
+    if ctrl is not None:
+        pair["final_level"] = ctrl.shed_level
+        stats.update(_controller_extras(ctrl))
+    return verdict, stats, pair
 
 
 # per-engine-class objectives for the mixed-engine scenario: each QPU
@@ -746,18 +607,12 @@ MIXED_ENGINE_TARGETS: Dict[str, EngineSloTarget] = {
 
 
 def _run_mixed_engine(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
-    if quick:
-        workload = MixedEngineWorkload(
-            n_rows=6000, rows_per_partition=500,
-            kv_rate=30.0, mal_rate=5.0, stream_rate=1.0,
-            duration=5.0, seed=seed,
-        )
-    else:
-        workload = MixedEngineWorkload(
-            n_rows=24000, rows_per_partition=1000,
-            kv_rate=60.0, mal_rate=8.0, stream_rate=2.0,
-            duration=12.0, seed=seed,
-        )
+    # quick is the workload's own default mix
+    full = dict(
+        n_rows=24000, rows_per_partition=1000,
+        kv_rate=60.0, mal_rate=8.0, stream_rate=2.0, duration=12.0,
+    )
+    workload = MixedEngineWorkload(seed=seed, **({} if quick else full))
     rdb = RingDatabase(
         _classic_config(seed),
         lifecycle_events=True,  # tags queries with their engine class
@@ -770,17 +625,12 @@ def _run_mixed_engine(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, 
         MIXED_ENGINE_TARGETS, duration=rdb.dc.sim.now
     )
     metrics = rdb.metrics
-    extras = {
-        "submitted": submitted,
-        "submitted_by_engine": dict(workload.counts),
-        "completed_in_time": completed,
-        "sim_time": round(rdb.dc.sim.now, 6),
-        "queries_by_engine": dict(metrics.queries_by_engine),
-        "kv_probes": metrics.kv_probes,
-        "kv_misses": metrics.kv_misses,
-        "stream_bats_consumed": metrics.stream_bats_consumed,
-        "stream_rows_consumed": metrics.stream_rows_consumed,
-    }
+    extras = _run_extras(submitted, completed, rdb.dc.sim)
+    extras["submitted_by_engine"] = dict(workload.counts)
+    extras["queries_by_engine"] = dict(metrics.queries_by_engine)
+    extras.update((key, getattr(metrics, key)) for key in (
+        "kv_probes", "kv_misses", "stream_bats_consumed", "stream_rows_consumed",
+    ))
     return verdict, extras
 
 
@@ -790,27 +640,20 @@ def _run_mixed_engine(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, 
 def _frontdoor_workload(seed: int, quick: bool, **overrides) -> FrontDoorWorkload:
     """The sized front-door mix; capacity math lives in the workload.
 
-    Quick: 6000-row, 6-column table -> 48 KB columns, so a burst
-    ``SELECT *`` binds 288 KB while a probe costs one 4 KB partition.
-    With a 3 MB/s ring the offered footprint-byte rate is ~0.58x
-    capacity outside the burst window and ~3.3x inside it (the >= 3x
-    open-loop overload the acceptance gate requires;
-    ``capacity_ratio`` reports the exact figure in the extras).
+    Quick is the workload's own default: a 6000-row, 6-column table ->
+    48 KB columns, so a burst ``SELECT *`` binds 288 KB while a probe
+    costs one 4 KB partition.  With a 3 MB/s ring the offered
+    footprint-byte rate is ~0.58x capacity outside the burst window and
+    ~3.3x inside it (the >= 3x open-loop overload the acceptance gate
+    requires; ``capacity_ratio`` reports the exact figure in the
+    extras).  Full doubles the table and the run on a 6 MB/s ring.
     """
-    if quick:
-        params = dict(
-            n_rows=6000, rows_per_partition=500, kv_rate=40.0,
-            mal_rate=15.0, stream_rate=3.0, burst_rate=30.0,
-            burst_start=1.0, burst_end=5.0, duration=6.0, seed=seed,
-        )
-    else:
-        params = dict(
-            n_rows=12000, rows_per_partition=500, kv_rate=40.0,
-            mal_rate=15.0, stream_rate=3.0, burst_rate=30.0,
-            burst_start=2.0, burst_end=10.0, duration=12.0, seed=seed,
-        )
-    params.update(overrides)
-    return FrontDoorWorkload(**params)
+    if not quick:
+        overrides = {
+            "n_rows": 12000, "burst_start": 2.0, "burst_end": 10.0,
+            "duration": 12.0, **overrides,
+        }
+    return FrontDoorWorkload(seed=seed, **overrides)
 
 
 def _frontdoor_ring(seed: int, quick: bool) -> RingDatabase:
@@ -837,6 +680,28 @@ def _frontdoor_budget(quick: bool) -> int:
 FRONTDOOR_TIERS = (16 * 1024, 120 * 1024)
 
 
+def _frontdoor_door(
+    rdb: RingDatabase, quick: bool, estimate: bool, tag_tiers: bool = False
+) -> "FrontDoor":
+    """The door in front of ``rdb``, with the budget the ring is sized
+    for enforced by the estimate valve or by the dispatcher's blind one."""
+    from repro.frontdoor import FrontDoor, FrontDoorPolicy
+
+    budget = _frontdoor_budget(quick)
+    # statistics-driven: a tier-sliced valve over *predicted* bytes.  The
+    # blind twin keeps the tiers, deadlines and tickets, but admission
+    # falls to the dispatcher's tier-blind byte valve with the same cap
+    door = FrontDoor(rdb, policy=FrontDoorPolicy(
+        tier_boundaries=FRONTDOOR_TIERS,
+        byte_budget=budget if estimate else None,
+        admission="estimate" if estimate else "none",
+        tag_tiers=tag_tiers,
+    ))
+    if not estimate:
+        rdb.byte_budget = budget
+    return door
+
+
 def _door_summary(door, duration: float) -> Dict:
     stats = door.summary()
     top = door.policy.n_tiers - 1
@@ -851,67 +716,6 @@ def _door_summary(door, duration: float) -> Dict:
     }
 
 
-def _frontdoor_once(
-    seed: int, quick: bool, estimate: bool, tag_tiers: bool, **workload_overrides
-) -> Tuple[SloCollector, "FrontDoor", FrontDoorWorkload, bool]:
-    from repro.frontdoor import FrontDoor, FrontDoorPolicy
-
-    wl = _frontdoor_workload(seed, quick, **workload_overrides)
-    rdb = _frontdoor_ring(seed, quick)
-    wl.load_into(rdb)
-    slo = SloCollector().attach(rdb.dc.bus)
-    budget = _frontdoor_budget(quick)
-    if estimate:
-        # statistics-driven: tier-sliced valve over *predicted* bytes
-        door = FrontDoor(rdb, policy=FrontDoorPolicy(
-            tier_boundaries=FRONTDOOR_TIERS, byte_budget=budget,
-            admission="estimate", tag_tiers=tag_tiers,
-        ))
-    else:
-        # blind twin: same tiers/deadlines/tickets, but admission falls
-        # to the dispatcher's tier-blind byte valve with the same cap
-        door = FrontDoor(rdb, policy=FrontDoorPolicy(
-            tier_boundaries=FRONTDOOR_TIERS, admission="none",
-            tag_tiers=tag_tiers,
-        ))
-        rdb.byte_budget = budget
-    wl.offer_to(door)
-    completed = rdb.run_until_done(max_time=MAX_TIME)
-    return slo, door, wl, completed
-
-
-def _run_frontdoor(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, Dict]:
-    slo_on, door_on, wl, completed = _frontdoor_once(
-        seed, quick, estimate=True, tag_tiers=True
-    )
-    slo_off, door_off, _, _ = _frontdoor_once(
-        seed, quick, estimate=False, tag_tiers=True
-    )
-    verdict = slo_on.verdict("frontdoor", seed, target)
-    verdict_off = slo_off.verdict("frontdoor", seed, target)
-    duration = wl.duration
-    bandwidth = (3 if quick else 6) * MB
-    extras = {
-        "offered": door_on.offered,
-        "completed_in_time": completed,
-        "capacity_ratio_burst": round(wl.capacity_ratio(bandwidth), 6),
-        "capacity_ratio_base": round(
-            wl.capacity_ratio(bandwidth, in_burst=False), 6
-        ),
-        "byte_budget": _frontdoor_budget(quick),
-        # the acceptance pair: admitted tail and protected-tier goodput,
-        # statistics-driven valve vs the blind byte valve
-        "p999_estimate_on": verdict["latency"]["p999"],
-        "p999_estimate_off": verdict_off["latency"]["p999"],
-        "goodput_on": _door_summary(door_on, duration)["goodput_top_tier"],
-        "goodput_off": _door_summary(door_off, duration)["goodput_top_tier"],
-        "estimate_on": _door_summary(door_on, duration),
-        "estimate_off": _door_summary(door_off, duration),
-        "estimate_off_verdict": verdict_off,
-    }
-    return verdict, extras
-
-
 # per-engine objectives for the all-engines burst: probes must stay
 # fast, scans may stretch, folds must keep flowing
 FRONTDOOR_ENGINE_TARGETS: Dict[str, EngineSloTarget] = {
@@ -923,45 +727,50 @@ FRONTDOOR_ENGINE_TARGETS: Dict[str, EngineSloTarget] = {
 }
 
 
-def _run_mixed_engine_overload(
-    seed: int, quick: bool, target: SloTarget
-) -> Tuple[Dict, Dict]:
-    # the burst floods all three engine classes at once: wide scans,
-    # cold probes, grouped folds over the cold wide columns.  tag_tiers
-    # stays off: registrations keep their engine tags so the
-    # per-engine-class verdicts reuse the mixed-engine machinery
-    burst = {"tag_tiers": False, "burst_kv_rate": 40.0, "burst_stream_rate": 4.0}
-    slo_on, door_on, wl, completed = _frontdoor_once(
-        seed, quick, estimate=True, **burst
-    )
-    slo_off, door_off, _, _ = _frontdoor_once(seed, quick, estimate=False, **burst)
-    duration = wl.duration
-    verdict = slo_on.verdict("mixed-engine-overload", seed, target)
-    verdict["engine_classes"] = slo_on.engine_verdicts(
-        FRONTDOOR_ENGINE_TARGETS, duration=duration
-    )
-    verdict_off = slo_off.verdict("mixed-engine-overload", seed, target)
-    verdict_off["engine_classes"] = slo_off.engine_verdicts(
-        FRONTDOOR_ENGINE_TARGETS, duration=duration
-    )
-    bandwidth = (3 if quick else 6) * MB
-    extras = {
-        "offered": door_on.offered,
+def _frontdoor_once(
+    scenario: str, seed: int, quick: bool, target: SloTarget, estimate: bool
+) -> Tuple[Dict, Dict, Dict]:
+    """One burst through the door, estimate valve or blind byte valve.
+
+    ``frontdoor`` tags registrations by door tier and grades the
+    protected tier's goodput.  ``mixed-engine-overload`` floods all
+    three engine classes at once -- wide scans, cold probes, grouped
+    folds over the cold wide columns -- and keeps the engine tags, so
+    its per-engine-class verdicts reuse the mixed-engine machinery.
+    """
+    mixed = scenario == "mixed-engine-overload"
+    burst = {"burst_kv_rate": 40.0, "burst_stream_rate": 4.0} if mixed else {}
+    wl = _frontdoor_workload(seed, quick, **burst)
+    rdb = _frontdoor_ring(seed, quick)
+    wl.load_into(rdb)
+    slo = SloCollector().attach(rdb.dc.bus)
+    door = _frontdoor_door(rdb, quick, estimate, tag_tiers=not mixed)
+    wl.offer_to(door)
+    completed = rdb.run_until_done(max_time=MAX_TIME)
+    verdict = slo.verdict(scenario, seed, target)
+    bandwidth = rdb.dc.config.bandwidth
+    summary = _door_summary(door, wl.duration)
+    stats = {
+        "offered": door.offered,
         "completed_in_time": completed,
         "capacity_ratio_burst": round(wl.capacity_ratio(bandwidth), 6),
-        "p999_estimate_on": verdict["latency"]["p999"],
-        "p999_estimate_off": verdict_off["latency"]["p999"],
-        "engine_p99_on": {
-            eng: v["p99"] for eng, v in verdict["engine_classes"].items()
-        },
-        "engine_p99_off": {
-            eng: v["p99"] for eng, v in verdict_off["engine_classes"].items()
-        },
-        "estimate_on": _door_summary(door_on, duration),
-        "estimate_off": _door_summary(door_off, duration),
-        "estimate_off_verdict": verdict_off,
     }
-    return verdict, extras
+    pair = {"estimate": summary}
+    if mixed:
+        verdict["engine_classes"] = slo.engine_verdicts(
+            FRONTDOOR_ENGINE_TARGETS, duration=wl.duration
+        )
+        pair["engine_p99"] = {
+            eng: v["p99"] for eng, v in verdict["engine_classes"].items()
+        }
+    else:
+        stats["capacity_ratio_base"] = round(
+            wl.capacity_ratio(bandwidth, in_burst=False), 6
+        )
+        stats["byte_budget"] = _frontdoor_budget(quick)
+        # beside the p999 pair, the acceptance gate's protected-tier goodput
+        pair["goodput"] = summary["goodput_top_tier"]
+    return verdict, stats, pair
 
 
 SCENARIOS: Dict[str, ScenarioSpec] = {
@@ -995,7 +804,7 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
             "gateway-chaos",
             "gateway crash mid-workload, serve handoff on vs off",
             SloTarget(p50=1.0, p99=2.5, p999=4.5),
-            _run_gateway_chaos,
+            _twin("handoff", _gateway_chaos_once),
         ),
         ScenarioSpec(
             "mixed-engine",
@@ -1007,25 +816,25 @@ SCENARIOS: Dict[str, ScenarioSpec] = {
             "frontdoor",
             "statistics-driven admission vs blind byte valve, 3x overload",
             SloTarget(p50=1.0, p99=6.0, p999=8.0, max_failure_rate=0.6),
-            _run_frontdoor,
+            _twin("estimate", partial(_frontdoor_once, "frontdoor")),
         ),
         ScenarioSpec(
             "mixed-engine-overload",
             "all-engines cold burst through the front door, per-class SLOs",
             SloTarget(p50=1.0, p99=6.0, p999=8.0, max_failure_rate=0.6),
-            _run_mixed_engine_overload,
+            _twin("estimate", partial(_frontdoor_once, "mixed-engine-overload")),
         ),
         ScenarioSpec(
             "overload",
             "lossy cold-data flood with closed-loop admission on vs off",
             SloTarget(p50=2.5, p99=13.0, p999=16.0, max_failure_rate=0.92),
-            _run_overload,
+            _twin("controller", partial(_cold_flood_once, "overload")),
         ),
         ScenarioSpec(
             "split-under-load",
             "cold flood forcing a ring split, controller on vs off",
             SloTarget(p50=2.5, p99=14.0, p999=18.0, max_failure_rate=0.88),
-            _run_split_under_load,
+            _twin("controller", partial(_cold_flood_once, "split-under-load")),
         ),
     )
 }

@@ -46,6 +46,25 @@ class TestPolicy:
         assert pol.tier_for(100_001) == 0
         assert pol.tier_for(10**9) == 0
 
+    @pytest.mark.parametrize("admission", ["Estimate", "off", ""])
+    def test_unknown_admission_mode_is_refused(self, admission):
+        with pytest.raises(ValueError, match="admission"):
+            FrontDoorPolicy(admission=admission)
+
+    @pytest.mark.parametrize("n_tiers, bounds", [
+        (3, (1000,)),
+        (3, (1000, 20_000, 300_000)),
+        (2, (1000, 20_000)),
+    ])
+    def test_boundary_count_must_be_one_fewer_than_tiers(self, n_tiers, bounds):
+        with pytest.raises(ValueError, match="boundaries"):
+            FrontDoorPolicy(n_tiers=n_tiers, tier_boundaries=bounds)
+
+    @pytest.mark.parametrize("bounds", [(100_000, 1000), (1000, 1000)])
+    def test_boundaries_must_ascend(self, bounds):
+        with pytest.raises(ValueError, match="ascending"):
+            FrontDoorPolicy(n_tiers=3, tier_boundaries=bounds)
+
     def test_deadline_scales_with_predicted_bytes(self):
         rdb = make_rdb()
         door = FrontDoor(rdb, policy=FrontDoorPolicy(

@@ -9,16 +9,30 @@ organic migrations).
 
 Each ``(scenario, seed)`` runs once per session; determinism (the only
 reason to run one twice) is tests/test_workloads_determinism.py's job.
+The same cached runs are held to ``tests/data/golden_scenario_digests.json``:
+one sha256 per ``(scenario, seed)`` of the payload ``repro scenarios
+--out`` writes, so any edit that moves a number in any report fails
+here.  Seed 0 runs once more with fast-forward forced off, which must
+not move a number either.
 """
 
 import functools
+import hashlib
+import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from repro.core.config import DataCyclotronConfig
+from repro.core.ring import DataCyclotron
 from repro.metrics.slo import validate_verdict
 from repro.workloads.suite import SCENARIOS, run_scenario, scenario_names
 
 SEEDS = (0, 1, 2)
+GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "golden_scenario_digests.json").read_text()
+)
 
 scenario = functools.cache(run_scenario)
 by_seed = pytest.mark.parametrize("seed", SEEDS)
@@ -27,6 +41,38 @@ by_seed = pytest.mark.parametrize("seed", SEEDS)
 def test_suite_has_at_least_four_scenarios():
     assert len(scenario_names()) >= 4
     assert "gateway-chaos" in SCENARIOS
+
+
+def test_golden_covers_every_scenario_and_seed():
+    assert set(GOLDEN) == {f"{n}/{s}" for n in scenario_names() for s in SEEDS}
+
+
+@by_seed
+@pytest.mark.parametrize("name", scenario_names())
+def test_scenario_payload_matches_its_golden_digest(name, seed):
+    payload = json.dumps(scenario(name, seed), sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == GOLDEN[f"{name}/{seed}"]
+
+
+# the front-door ring is built with fast-forward off already
+FAST_FORWARD_PINNED_OFF = {"frontdoor", "mixed-engine-overload"}
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_fast_forward_off_leaves_the_scenario_unchanged(name, monkeypatch):
+    expected = scenario(name, 0)
+    was_on = []
+    init = DataCyclotron.__init__
+
+    def classic(self, config=None, *args, **kwargs):
+        config = config if config is not None else DataCyclotronConfig()
+        was_on.append(config.fast_forward)
+        init(self, replace(config, fast_forward=False), *args, **kwargs)
+
+    monkeypatch.setattr(DataCyclotron, "__init__", classic)
+    assert run_scenario(name, 0) == expected
+    assert was_on, "the scenario must build a ring"
+    assert any(was_on) == (name not in FAST_FORWARD_PINNED_OFF)
 
 
 @by_seed
