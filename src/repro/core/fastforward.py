@@ -413,7 +413,9 @@ class FastForwarder:
         the one into the stop.  The links of those ``end`` hops are
         indexed by their senders; the nearest one that is busy or lossy
         cuts the arc short at ``k`` hops.  An arc that keeps the hop
-        into the stop lands there.
+        into the stop lands there.  A flight skips ``k - lands <= reach``
+        nodes, so a stop nearer than ``min_flight`` refuses the scan
+        before any mask is read.
         """
         limit = self.scan_limit
         # the link that cuts the run may only look busy: its serialise-end
@@ -426,6 +428,9 @@ class FastForwarder:
             end = reach + 1
             if reach > limit:
                 end = reach = limit
+            if reach < self.min_flight:
+                self.refused_short += 1
+                return False
             cut = ((lane.busy | lane.lossy) >> start) | (1 << end)
             k = (cut & -cut).bit_length() - 1
             while k < end and lane.travel[first + k]._settle():
@@ -438,6 +443,9 @@ class FastForwarder:
             end = reach + 1
             if reach > limit:
                 end = reach = limit
+            if reach < self.min_flight:
+                self.refused_short += 1
+                return False
             cut = ((lane.busy | lane.lossy) & ((2 << top) - 1)) | (1 << (top - end))
             k = top + 1 - cut.bit_length()
             while k < end and lane.travel[first + k]._settle():

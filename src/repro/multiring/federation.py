@@ -320,13 +320,14 @@ class RingFederation(FederationHost):
         self._submitted += 1
         if not self.federated:
             return self.rings[self.active_rings[0]].submit(spec)
-        unknown = [b for b in spec.bat_ids if b not in self.catalog]
+        bats = spec.bat_ids
+        unknown = [b for b in bats if b not in self.catalog]
         if unknown:
             raise ValueError(f"query {spec.query_id} references unknown BATs {unknown}")
         if spec.arrival < self.sim.now:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         ring_id, local = self.locate(spec.node)
-        ring_id, spec = self._maybe_ship(spec, ring_id, local)
+        ring_id, spec = self._maybe_ship(spec, ring_id, local, bats)
         return self._admit(ring_id, spec)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
@@ -346,78 +347,84 @@ class RingFederation(FederationHost):
             self._schedulers[ring_id] = scheduler
         return scheduler
 
-    def _maybe_ship(self, spec: QuerySpec, ring_id: int, local: int):
+    def _maybe_ship(self, spec: QuerySpec, ring_id: int, local: int,
+                    bats: List[int]):
         """Ship-vs-transfer: move the query to the ring owning its data.
 
-        The section 6.1 nomadic phase at ring granularity: when one
-        remote ring holds at least ``ship_threshold`` of the query's
-        bytes, shipping the (tiny) query beats shipping the (large)
-        BATs.  The landing node is picked by the target ring's own cost
-        bids; the inter-ring hop is charged to the arrival time.
-
-        With ``ship_by_estimate`` on (docs/frontdoor.md), the fixed
-        fraction threshold is replaced by an estimated-bytes-moved
-        comparison: staying on ``ring_id`` costs the bytes homed
-        elsewhere (cross-ring fetches), shipping to ring *r* costs the
-        request message plus the bytes homed off *r*.  The query goes
-        wherever the estimate says fewer bytes cross ring boundaries,
-        with ties favouring staying put.
+        The section 6.1 nomadic phase at ring granularity
+        (:meth:`_ship_target` decides): shipping the (tiny) query can
+        beat shipping the (large) BATs.  The landing node is picked by
+        the target ring's own cost bids; the inter-ring hop is charged
+        to the arrival time.  ``bats`` are the query's distinct BATs,
+        derived once by :meth:`submit`; the dispatched spec is the one
+        copy of ``spec`` made on either path.
         """
-        spec = replace(spec, node=local)
-        threshold = self.config.ship_threshold
-        by_estimate = self.config.ship_by_estimate
-        if len(self.active_rings) < 2:
-            return ring_id, spec
-        if not by_estimate and not 0 < threshold <= 1:
-            return ring_id, spec
-        bytes_by_ring: Dict[int, int] = {}
-        total = 0
-        for bat_id in spec.bat_ids:
-            home = self.catalog.home(bat_id)
-            size = self.catalog.size(bat_id)
-            bytes_by_ring[home] = bytes_by_ring.get(home, 0) + size
-            total += size
-        if total == 0:
-            return ring_id, spec
-        if by_estimate:
-            request_bytes = self.config.base.request_message_size
-            stay_cost = total - bytes_by_ring.get(ring_id, 0)
-            candidates = [
-                r for r in sorted(bytes_by_ring)
-                if r != ring_id and r in self.active_rings
-            ]
-            best = None
-            best_cost = stay_cost
-            for r in candidates:
-                moved = request_bytes + total - bytes_by_ring[r]
-                if moved < best_cost:
-                    best, best_cost = r, moved
-            if best is None:
-                return ring_id, spec
-        else:
-            best = max(bytes_by_ring, key=lambda r: (bytes_by_ring[r], -r))
-            if best == ring_id or bytes_by_ring[best] / total < threshold:
-                return ring_id, spec
-            if best not in self.active_rings:
-                return ring_id, spec
+        best = self._ship_target(ring_id, bats)
+        if best == ring_id:
+            return ring_id, replace(spec, node=local)
         scheduler = self._scheduler(best)
-        bids = scheduler.collect_bids(spec)
-        winner = min(bids, key=lambda b: (b.price, b.node))
+        _price, node = scheduler.cheapest(bats)
+        scheduler.book(spec.query_id, node)
         travel = (
             self.config.link_delay()
             + self.config.base.request_message_size / self.config.link_bandwidth()
         )
-        shipped = scheduler.place_at(spec, winner.node, extra_travel=travel)
         if self.bus.active:
             self.bus.publish(ev.QueryShipped(
-                self.sim.now, spec.query_id, ring_id, best, winner.node
+                self.sim.now, spec.query_id, ring_id, best, node
             ))
-        return best, shipped
+        return best, replace(spec, node=node, arrival=spec.arrival + travel)
+
+    def _ship_target(self, ring_id: int, bats: List[int]) -> int:
+        """The ring a query entering ``ring_id`` should run on.
+
+        It ships when one remote active ring holds at least
+        ``ship_threshold`` of its bytes.  With ``ship_by_estimate`` on
+        (docs/frontdoor.md), the fixed fraction threshold is replaced by
+        an estimated-bytes-moved comparison: staying on ``ring_id``
+        costs the bytes homed elsewhere (cross-ring fetches), shipping
+        to ring *r* costs the request message plus the bytes homed off
+        *r*.  The query goes wherever the estimate says fewer bytes
+        cross ring boundaries, with ties favouring staying put.  The
+        decision reads the catalog of the submit instant.
+        """
+        threshold = self.config.ship_threshold
+        by_estimate = self.config.ship_by_estimate
+        if len(self.active_rings) < 2 or (
+            not by_estimate and not 0 < threshold <= 1
+        ):
+            return ring_id
+        # one pass over the catalog's own maps, not two lookups per BAT
+        home = self.catalog._home
+        size_of = self.catalog._size
+        bytes_by_ring: Dict[int, int] = {}
+        total = 0
+        for bat_id in bats:
+            ring = home[bat_id]
+            size = size_of[bat_id]
+            bytes_by_ring[ring] = bytes_by_ring.get(ring, 0) + size
+            total += size
+        if total == 0:
+            return ring_id
+        if by_estimate:
+            request_bytes = self.config.base.request_message_size
+            best, best_cost = ring_id, total - bytes_by_ring.get(ring_id, 0)
+            for r in sorted(bytes_by_ring):
+                if r == ring_id or r not in self.active_rings:
+                    continue
+                moved = request_bytes + total - bytes_by_ring[r]
+                if moved < best_cost:
+                    best, best_cost = r, moved
+            return best
+        heaviest = max(bytes_by_ring, key=lambda r: (bytes_by_ring[r], -r))
+        if bytes_by_ring[heaviest] / total < threshold or heaviest not in self.active_rings:
+            return ring_id
+        return heaviest
 
     def _query_ended(self, ring_id: int, spec: QuerySpec) -> None:
         scheduler = self._schedulers.get(ring_id)
         if scheduler is not None:
-            scheduler.query_finished(spec.node)
+            scheduler.query_finished(spec)
 
     @property
     def completed_queries(self) -> int:

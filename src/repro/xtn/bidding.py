@@ -13,12 +13,18 @@ cost of serving the query's BATs there (bytes owned elsewhere weighted
 by ring distance from the owner).  The query settles on the cheapest
 node; the nomadic hop itself costs one request-channel traversal per
 visited node, charged to the query's arrival time.
+
+A query is priced by one quote table: :meth:`BidScheduler.quote` walks
+its BATs once and fills in every node's load and data cost side by
+side, so the winner, a single :class:`NodeBid` and the full list of
+bids all read the same numbers from the same formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List
+from operator import add
+from typing import Dict, List, Set, Tuple
 
 from repro.core.query import QuerySpec
 from repro.core.ring import DataCyclotron
@@ -63,26 +69,60 @@ class BidScheduler:
         self.data_weight = data_weight
         self._outstanding: Dict[int, int] = {n: 0 for n in range(dc.config.n_nodes)}
         self.placements: Dict[int, int] = {}  # query_id -> chosen node
+        self._open: Set[int] = set()  # placed, not yet finished
 
     # ------------------------------------------------------------------
+    def quote(self, bat_ids: List[int]) -> Tuple[List[float], List[float]]:
+        """Every node's ``(load costs, data costs)`` for a query reading
+        ``bat_ids``, in one pass over the BATs.
+
+        Each BAT's owner and size are looked up once; a BAT owned ``h``
+        clockwise hops upstream of a node adds ``size * h * data_weight``
+        to that node's data cost, in BAT order, and nothing to its owner's
+        (local disk access: no ring traffic).  A federated query quotes
+        only the data homed on this ring; the cross-ring router fetches
+        the rest either way.
+        """
+        dc = self.dc
+        n = dc.config.n_nodes
+        weight = self.data_weight
+        data_cost = [0.0] * n
+        for bat_id in bat_ids:
+            if not dc.has_bat(bat_id):
+                continue
+            owner = dc.bat_owner(bat_id)
+            size = dc.bat_size(bat_id)
+            for hops in range(1, n):
+                node = (owner + hops) % n
+                data_cost[node] += size * hops * weight
+        outstanding = self._outstanding
+        load_cost = [outstanding[node] * self.load_weight for node in range(n)]
+        return load_cost, data_cost
+
+    def cheapest(self, bat_ids: List[int]) -> Tuple[float, int]:
+        """``(price, node)`` of the winning quote: least price, ties to
+        the least node index."""
+        load_cost, data_cost = self.quote(bat_ids)
+        return min(zip(map(add, load_cost, data_cost), range(len(load_cost))))
+
     def bid(self, node: int, spec: QuerySpec) -> NodeBid:
         """The node's quote: its workload plus the query's data needs."""
-        load_cost = self._outstanding[node] * self.load_weight
-        data_cost = 0.0
-        for bat_id in spec.bat_ids:
-            if not self.dc.has_bat(bat_id):
-                # a federated query quotes only the data homed on this
-                # ring; the cross-ring router fetches the rest either way
-                continue
-            owner = self.dc.bat_owner(bat_id)
-            if owner == node:
-                continue  # local disk access: no ring traffic
-            hops = self.dc.ring.hops_clockwise(owner, node)
-            data_cost += self.dc.bat_size(bat_id) * hops * self.data_weight
-        return NodeBid(node=node, load_cost=load_cost, data_cost=data_cost)
+        load_cost, data_cost = self.quote(spec.bat_ids)
+        return NodeBid(node=node, load_cost=load_cost[node], data_cost=data_cost[node])
 
     def collect_bids(self, spec: QuerySpec) -> List[NodeBid]:
-        return [self.bid(n, spec) for n in range(self.dc.config.n_nodes)]
+        load_cost, data_cost = self.quote(spec.bat_ids)
+        return [
+            NodeBid(node=n, load_cost=load, data_cost=data)
+            for n, (load, data) in enumerate(zip(load_cost, data_cost))
+        ]
+
+    def book(self, query_id: int, node: int) -> None:
+        """Count ``query_id`` as outstanding at ``node`` until
+        :meth:`query_finished` hears of it."""
+        self._outstanding[node] += 1
+        self.placements[query_id] = node
+        self._open.add(query_id)
 
     def place(self, spec: QuerySpec) -> QuerySpec:
         """The nomadic phase: pick the cheapest node, charge the travel.
@@ -91,34 +131,26 @@ class BidScheduler:
         node until it has seen every node; settling ``k`` hops away
         delays its start by ``k`` request-channel traversals.
         """
-        bids = self.collect_bids(spec)
-        best = min(bids, key=lambda b: (b.price, b.node))
-        hops = self.dc.ring.hops_anticlockwise(spec.node, best.node)
-        travel = hops * self.dc.config.link_delay
-        self._outstanding[best.node] += 1
-        self.placements[spec.query_id] = best.node
-        return replace(
-            spec, node=best.node, arrival=spec.arrival + travel
-        )
+        _price, node = self.cheapest(spec.bat_ids)
+        hops = self.dc.ring.hops_anticlockwise(spec.node, node)
+        return self.place_at(spec, node, extra_travel=hops * self.dc.config.link_delay)
 
     def place_at(self, spec: QuerySpec, node: int, extra_travel: float = 0.0) -> QuerySpec:
-        """Settle ``spec`` on a node chosen by an outside arbiter.
-
-        The multiring router uses this after shipping a query across an
-        inter-ring link: the target node was picked from this ring's own
-        bids, but the travel charge includes the inter-ring hop, which
-        only the federation knows.  Keeps the same load bookkeeping as
-        :meth:`place`.
-        """
-        self._outstanding[node] += 1
-        self.placements[spec.query_id] = node
+        """Settle ``spec`` on a node chosen by an outside arbiter, with the
+        same load bookkeeping as :meth:`place`."""
+        self.book(spec.query_id, node)
         return replace(spec, node=node, arrival=spec.arrival + extra_travel)
 
-    def query_finished(self, spec_or_node) -> None:
-        """Feed back completions so load costs stay current."""
-        node = spec_or_node.node if isinstance(spec_or_node, QuerySpec) else spec_or_node
-        if self._outstanding.get(node, 0) > 0:
-            self._outstanding[node] -= 1
+    def query_finished(self, spec: QuerySpec) -> None:
+        """Feed back completions so load costs stay current.
+
+        Only a query this scheduler placed counts down, and only once:
+        a query that ends here without a placement (or ends again, after
+        a retry) left no load to take back.
+        """
+        if spec.query_id in self._open:
+            self._open.discard(spec.query_id)
+            self._outstanding[self.placements[spec.query_id]] -= 1
 
     # ------------------------------------------------------------------
     def place_split(
@@ -145,8 +177,8 @@ class BidScheduler:
         from repro.sim.process import Process, all_of
         from repro.xtn.parallel import split_query
 
-        best = min(self.collect_bids(spec), key=lambda b: (b.price, b.node))
-        if best.price <= split_threshold or len(spec.steps) < 2:
+        price, _node = self.cheapest(spec.bat_ids)
+        if price <= split_threshold or len(spec.steps) < 2:
             placed = [self.place(spec)]
         else:
             n_subqueries = min(max_subqueries, len(spec.steps))

@@ -306,7 +306,21 @@ class ParentShadow:
         )
 
     def parent_run(self, entries, wire, stops):
-        """The loop both parent scans shared, plus the hop into the stop."""
+        """The loop both parent scans shared, plus the hop into the stop.
+
+        Re-pinned to the live scan's early refusal: when the nearest stop
+        (or the scan limit) is fewer than ``min_flight`` hops out, no
+        flight can skip enough nodes, so the run is refused before any
+        link is looked at -- and releases no lapsed reservation.
+        """
+        limit = self.ff.scan_limit
+        reach = next(
+            (i for i, (_ch, _link, _stats, nxt, s2, s1) in enumerate(entries)
+             if stops(nxt, s2, s1)),
+            limit,
+        )
+        if min(reach, limit) < self.ff.min_flight:
+            return [], False
         t = self.dc.sim.now
         arrivals = []
         lands = False

@@ -165,6 +165,33 @@ class TestCrossRingFetch:
         # shipping replaces fetching: no cross-ring BAT traffic at all
         assert fed.router.stats()["fetches_dispatched"] == 0
 
+    def test_bid_loads_count_down_only_the_queries_the_ring_placed(self):
+        # ring 1's bids read a load count per node: the two long shipped
+        # queries on its node 0 must stay counted while four short
+        # queries that entered there (never placed by its bids) finish
+        fed = RingFederation(small_config(ship_threshold=0.6))
+        for bat_id in range(6):
+            fed.add_bat(bat_id, MB, ring=bat_id // 3)
+        shipped = []
+        fed.bus.subscribe(ev.QueryShipped, shipped.append)
+        for q in range(4):
+            fed.submit(QuerySpec.simple(q, node=0, arrival=0.0,
+                                        bat_ids=[3 + q % 3], processing_times=[5.0]))
+        for q in range(4, 8):
+            fed.submit(QuerySpec.simple(q, node=3, arrival=0.0,
+                                        bat_ids=[3], processing_times=[0.001]))
+        assert [(s.to_ring, s.node) for s in shipped] == [(1, 0), (1, 1), (1, 2), (1, 0)]
+        bids = fed._schedulers[1]
+        probe = QuerySpec.simple(99, node=0, arrival=0.0, bat_ids=[3],
+                                 processing_times=[0.01])
+        fed.run(until=1.0)
+        assert fed.completed_queries == 4  # the short ones
+        assert [b.load_cost for b in bids.collect_bids(probe)] == [
+            2 * bids.load_weight, bids.load_weight, bids.load_weight,
+        ]
+        assert fed.run_until_done(max_time=60.0)
+        assert [b.load_cost for b in bids.collect_bids(probe)] == [0.0] * 3
+
 
 # ----------------------------------------------------------------------
 # fragment migration

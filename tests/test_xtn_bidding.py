@@ -58,6 +58,16 @@ def test_query_finished_releases_load():
     assert second.node == first.node
 
 
+def test_query_finished_counts_each_placed_query_down_once():
+    dc, sched = make_scheduler(load_weight=1.0, data_weight=0.0)
+    first = sched.place_at(spec_for([1], qid=0), 2)
+    sched.place_at(spec_for([1], qid=1), 2)
+    sched.query_finished(spec_for([1], qid=7, node=2))  # never placed here
+    sched.query_finished(first)
+    sched.query_finished(first)  # ends again after a retry
+    assert sched.bid(2, spec_for([1])).load_cost == 1.0
+
+
 def test_nomadic_travel_delays_arrival():
     dc, sched = make_scheduler()
     spec = spec_for([3], node=0, arrival=1.0)
