@@ -21,6 +21,7 @@ import math
 from typing import Dict, Generator, Iterable
 
 from repro.core.query import QuerySpec
+from repro.events import types as ev
 from repro.metrics.collector import MetricsCollector
 from repro.sim.engine import Simulator
 from repro.sim.process import Delay, Process
@@ -71,19 +72,21 @@ class BroadcastScheduleMixin:
         return count
 
     def _query_process(self, spec: QuerySpec) -> Generator:
-        self.metrics.query_registered(self.sim.now, spec.query_id, spec.node, spec.tag)
+        self.metrics.query_registered(
+            ev.QueryRegistered(self.sim.now, spec.query_id, spec.node, spec.tag))
         for step in spec.steps:
             if step.op_time > 0:
                 yield Delay(step.op_time)
             available = self.next_available(step.bat_id, self.sim.now)
-            self.metrics.bat_pinned(self.sim.now, step.bat_id)
+            self.metrics.bat_pinned(ev.BatPinned(self.sim.now, step.bat_id, spec.node))
             wait = available - self.sim.now
             if wait > 0:
                 yield Delay(wait)
         if spec.tail_time > 0:
             yield Delay(spec.tail_time)
         self._completed += 1
-        self.metrics.query_finished(self.sim.now, spec.query_id)
+        self.metrics.query_finished(
+            ev.QueryFinished(self.sim.now, spec.query_id, spec.node))
 
     def run_until_done(self, max_time: float = 3600.0, check_interval: float = 1.0) -> bool:
         while self.sim.now < max_time:

@@ -380,7 +380,8 @@ class RingDatabase:
             try:
                 now = runtime.sim.now
                 if legacy:
-                    self.dc.metrics.query_registered(now, query_id, node, tag="sql")
+                    self.dc.metrics.query_registered(
+                        ev.QueryRegistered(now, query_id, node, tag="sql"))
                 else:
                     self._register(now, query_id, node, qpu.engine_class,
                                    compiled, estimated, tag=tag)
@@ -443,7 +444,8 @@ class RingDatabase:
             bus.publish(ev.QueryRegistered(now, query_id, node, tag=label))
         else:
             # zero-observer runs still keep query records for reports
-            self.dc.metrics.query_registered(now, query_id, node, tag=label)
+            self.dc.metrics.query_registered(
+                ev.QueryRegistered(now, query_id, node, tag=label))
 
     def _price(
         self, qpu: QueryProcessingUnit, request: Any

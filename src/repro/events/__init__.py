@@ -5,8 +5,9 @@ network links, the per-node runtimes, the fault injector -- publishes
 :mod:`repro.events.types` dataclasses onto a :class:`~repro.events.bus.Bus`
 instead of mutating a metrics object directly.  Observers subscribe:
 
-* :func:`~repro.events.bridge.attach_metrics` feeds the classic
-  :class:`~repro.metrics.collector.MetricsCollector`,
+* :func:`~repro.events.bridge.attach_metrics` subscribes the
+  :class:`~repro.metrics.collector.MetricsCollector` to the events it
+  declares,
 * :class:`~repro.events.tracer.Tracer` records JSONL / Chrome traces,
 * :class:`~repro.faults.invariants.InvariantMonitor` audits the ring
   live at every fault.

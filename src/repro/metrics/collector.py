@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.events import types as ev
 from repro.metrics.histogram import Histogram
 from repro.metrics.timeseries import StepSeries, binned_cumulative
 
@@ -50,9 +51,83 @@ class QueryRecord:
 
 
 class MetricsCollector:
-    """Accumulates everything the section 5 experiments report."""
+    """Accumulates everything the section 5 experiments report, from the
+    events ``COUNTS`` and ``HANDLERS`` declare (subscribed by
+    :func:`repro.events.bridge.attach_metrics`)."""
+
+    # event type -> the counter it bumps (subscribed as a bus Counter,
+    # so a producer holding a run of them may add the run in one step)
+    COUNTS: Dict[type, str] = {
+        ev.RequestForwarded: "requests_forwarded",
+        ev.RequestAbsorbed: "requests_absorbed",
+        ev.RequestReturnedToOrigin: "requests_returned_to_origin",
+        ev.RequestResent: "resends",
+        ev.BatForwarded: "bat_messages_forwarded",
+        ev.LoadPostponed: "pending_postponed",
+        ev.LoitChanged: "loit_changes",
+        # fault injection (docs/faults.md)
+        ev.RequestUnavailable: "requests_unavailable",  # requests failed with DATA_UNAVAILABLE
+        # resilience (docs/resilience.md)
+        ev.NodeSuspected: "node_suspicions",            # NodeSuspected events
+        ev.NodeSuspicionCleared: "suspicions_cleared",  # NodeSuspicionCleared events
+        ev.NodeConfirmedDead: "nodes_confirmed_dead",   # NodeConfirmedDead events
+        ev.ResendAbandoned: "resends_abandoned",        # resend escalations that gave up
+        ev.BatPromoted: "bats_promoted",                # replica owners promoted to primary
+        ev.QueryRetried: "queries_retried",             # retry attempts dispatched (>= 2nd)
+        ev.QueryAbandoned: "queries_abandoned",         # retry budget/deadline exhausted
+        ev.StaleResultDiscarded: "stale_results_discarded",  # superseded attempt completions
+        # multi-ring federation (docs/multiring.md)
+        ev.RingLeaveVolunteered: "ring_leaves_volunteered",  # RingLeaveVolunteered events
+        ev.RingJoinCalled: "ring_join_calls",           # RingJoinCalled events
+        ev.CrossRingRequest: "cross_ring_requests",     # fetches dispatched to another ring
+        ev.CrossRingTransfer: "cross_ring_transfers",   # BAT copies shipped between rings
+        ev.QueryShipped: "queries_shipped",             # whole queries moved to another ring
+        ev.MigrationStarted: "migrations_started",      # fragment re-homings begun
+        ev.FragmentMigrated: "fragments_migrated",      # fragment re-homings completed
+        ev.MigrationAborted: "migrations_aborted",      # re-homings rolled back mid-flight
+        ev.RingSplit: "ring_splits",                    # standby rings activated
+        ev.RingsMerged: "rings_merged",                 # underutilized rings drained
+        ev.GatewayFailed: "gateway_failures",           # gateway nodes lost
+        ev.GatewayElected: "gateway_elections",         # replacement gateways designated
+        ev.ServeHandedOff: "serves_handed_off",         # in-flight serves moved off dead gateways
+        # front-door serving tier (docs/frontdoor.md)
+        ev.QueryEstimated: "queries_estimated",         # requests priced before compilation
+        ev.FrontDoorRejected: "frontdoor_rejected",     # requests refused at the door
+    }
+
+    # event type -> the method that folds it in
+    HANDLERS: Dict[type, str] = {
+        ev.QueryRegistered: "query_registered",
+        ev.QueryFinished: "query_finished",
+        ev.QueryFailed: "query_failed",
+        ev.QueryDegraded: "query_degraded",
+        ev.BatTagged: "tag_bat",
+        ev.BatLoaded: "bat_loaded",
+        ev.BatUnloaded: "bat_unloaded",
+        ev.BatTouched: "bat_touched",
+        ev.BatPinned: "bat_pinned",
+        ev.BatCycled: "bat_cycle",
+        ev.BatDropped: "bat_dropped",
+        ev.RequestCreated: "request_created",
+        ev.RequestServed: "request_served",
+        ev.BatPurged: "bat_purged",
+        ev.BatRehomed: "bat_rehomed",
+        ev.BatAdopted: "bat_adopted",
+        ev.OrphanRetired: "orphan_retired",
+        ev.NodeCrashed: "node_down",
+        ev.NodeRejoined: "node_up",
+        ev.NodeFailed: "node_failed",
+        ev.RingRepaired: "ring_repaired",
+        ev.QueryShed: "query_shed",
+        ev.QpuQueryRouted: "qpu_routed",
+        ev.KvProbeServed: "kv_probe",
+        ev.StreamBatConsumed: "stream_bat_consumed",
+        ev.EstimateFeedback: "estimate_feedback",
+    }
 
     def __init__(self) -> None:
+        for attr in self.COUNTS.values():
+            setattr(self, attr, 0)
         self.queries: Dict[int, QueryRecord] = {}
         self.bats: Dict[int, BatStats] = {}
         # ring load step series (Figures 7a/7b); per-tag series for Fig. 8a
@@ -60,67 +135,28 @@ class MetricsCollector:
         self.ring_bats = StepSeries()
         self.ring_bytes_by_tag: Dict[str, StepSeries] = {}
         self._bat_tags: Dict[int, str] = {}
-        # counters
         self.requests_sent = 0
-        self.requests_absorbed = 0
-        self.requests_forwarded = 0
-        self.requests_returned_to_origin = 0
-        self.resends = 0
-        self.bat_messages_forwarded = 0
         self.droptail_drops = 0
         self.loss_drops = 0
-        self.pending_postponed = 0
-        self.loit_changes = 0
         # fault-injection counters (docs/faults.md)
         self.crash_drops = 0            # messages purged from a dead node's queues
         self.bats_rehomed = 0           # ownership transfers off a dead node
         self.bats_adopted = 0           # circulating copies adopted by a new owner
         self.orphans_retired = 0        # dead-owner copies pulled out of the ring
-        self.requests_unavailable = 0   # requests failed with DATA_UNAVAILABLE
         # resilience counters (docs/resilience.md)
         self.nodes_failed = 0           # silent failures (fail_node)
-        self.node_suspicions = 0        # NodeSuspected events
-        self.suspicions_cleared = 0     # NodeSuspicionCleared events
-        self.nodes_confirmed_dead = 0   # NodeConfirmedDead events
         self.ring_repairs = 0           # detector-driven ring repairs
         self.repair_latencies: List[float] = []  # failure -> repair, seconds
-        self.resends_abandoned = 0      # resend escalations that gave up
-        self.bats_promoted = 0          # replica owners promoted to primary
-        self.queries_retried = 0        # retry attempts dispatched (>= 2nd)
-        self.queries_abandoned = 0      # retry budget/deadline exhausted
         self.queries_shed = 0           # admission valve fast-fails
-        self.stale_results_discarded = 0  # superseded attempt completions
-        # closed-loop overload control counters (docs/overload.md)
         self.queries_shed_by_engine: Dict[str, int] = {}  # byte-valve refusals
-        self.queries_shed_by_tier: Dict[int, int] = {}    # brownout refusals
         self.queries_shed_by_reason: Dict[str, int] = {}  # who refused (docs/frontdoor.md)
-        self.overload_state_changes = 0  # OverloadStateChanged events
-        self.retry_budget_exhausted = 0  # retry token bucket ran dry
-        # multi-ring federation counters (docs/multiring.md)
-        self.ring_leaves_volunteered = 0  # RingLeaveVolunteered events
-        self.ring_join_calls = 0        # RingJoinCalled events
-        self.cross_ring_requests = 0    # fetches dispatched to another ring
-        self.cross_ring_transfers = 0   # BAT copies shipped between rings
-        self.queries_shipped = 0        # whole queries moved to another ring
-        self.migrations_started = 0     # fragment re-homings begun
-        self.fragments_migrated = 0     # fragment re-homings completed
-        self.migrations_aborted = 0     # re-homings rolled back mid-flight
-        self.ring_splits = 0            # standby rings activated
-        self.rings_merged = 0           # underutilized rings drained
-        self.gateway_failures = 0       # gateway nodes lost
-        self.gateway_elections = 0      # replacement gateways designated
-        self.serves_handed_off = 0      # in-flight serves moved off dead gateways
-
+        # query processing units (docs/qpu.md)
         self.queries_by_engine: Dict[str, int] = {}  # QPU routing counts
         self.kv_probes = 0              # KV point lookups served
         self.kv_misses = 0              # lookups for unknown keys
         self.stream_bats_consumed = 0   # partitions folded in cycle order
         self.stream_rows_consumed = 0   # rows behind those folds
-        # front-door serving tier counters (docs/frontdoor.md)
-        self.queries_estimated = 0      # requests priced before compilation
-        self.frontdoor_admitted = 0     # requests passed into the dispatcher
-        self.frontdoor_rejected = 0     # requests refused at the door
-        self.frontdoor_rejected_by_tier: Dict[int, int] = {}
+        # front-door estimator feedback (docs/frontdoor.md)
         self.estimate_feedback_count = 0  # predicted-vs-actual closures
         self.estimate_exact_bytes = 0     # ... where prediction was exact
         # per-node downtime intervals: node -> [(down_at, up_at | None)]
@@ -132,77 +168,23 @@ class MetricsCollector:
     # ------------------------------------------------------------------
     # query lifecycle
     # ------------------------------------------------------------------
-    def query_registered(self, t: float, query_id: int, node: int, tag: str = "") -> None:
-        self.queries[query_id] = QueryRecord(
-            query_id=query_id, node=node, registered_at=t, tag=tag
+    def query_registered(self, e: ev.QueryRegistered) -> None:
+        self.queries[e.query_id] = QueryRecord(
+            query_id=e.query_id, node=e.node, registered_at=e.t, tag=e.tag
         )
 
-    def query_finished(self, t: float, query_id: int) -> None:
-        self.queries[query_id].finished_at = t
+    def query_finished(self, e: ev.QueryFinished) -> None:
+        self.queries[e.query_id].finished_at = e.t
 
-    def query_failed(self, t: float, query_id: int, error: str) -> None:
-        rec = self.queries[query_id]
-        rec.finished_at = t
+    def query_failed(self, e: ev.QueryFailed) -> None:
+        rec = self.queries[e.query_id]
+        rec.finished_at = e.t
         rec.failed = True
-        rec.error = error
+        rec.error = e.error
 
-    # ------------------------------------------------------------------
-    # query processing units (docs/qpu.md)
-    # ------------------------------------------------------------------
-    def qpu_routed(self, engine: str) -> None:
-        self.queries_by_engine[engine] = self.queries_by_engine.get(engine, 0) + 1
-
-    def kv_probe(self, hit: bool) -> None:
-        self.kv_probes += 1
-        if not hit:
-            self.kv_misses += 1
-
-    def stream_bat_consumed(self, rows: int) -> None:
-        self.stream_bats_consumed += 1
-        self.stream_rows_consumed += rows
-
-    # ------------------------------------------------------------------
-    # front-door serving tier (docs/frontdoor.md)
-    # ------------------------------------------------------------------
-    def query_estimated(self) -> None:
-        self.queries_estimated += 1
-
-    def frontdoor_admit(self) -> None:
-        self.frontdoor_admitted += 1
-
-    def frontdoor_reject(self, tier: int) -> None:
-        self.frontdoor_rejected += 1
-        self.frontdoor_rejected_by_tier[tier] = (
-            self.frontdoor_rejected_by_tier.get(tier, 0) + 1
-        )
-
-    def estimate_feedback(self, predicted_bytes: int, actual_bytes: int) -> None:
-        self.estimate_feedback_count += 1
-        if predicted_bytes == actual_bytes:
-            self.estimate_exact_bytes += 1
-
-    # ------------------------------------------------------------------
-    # closed-loop overload control (docs/overload.md)
-    # ------------------------------------------------------------------
-    def query_shed(self, engine: str = "", reason: str = "") -> None:
-        self.queries_shed += 1
-        if engine:
-            self.queries_shed_by_engine[engine] = (
-                self.queries_shed_by_engine.get(engine, 0) + 1
-            )
-        if reason:
-            self.queries_shed_by_reason[reason] = (
-                self.queries_shed_by_reason.get(reason, 0) + 1
-            )
-
-    def tier_shed(self, tier: int) -> None:
-        self.queries_shed_by_tier[tier] = (
-            self.queries_shed_by_tier.get(tier, 0) + 1
-        )
-
-    def query_degraded(self, query_id: int) -> None:
+    def query_degraded(self, e: ev.QueryDegraded) -> None:
         """The query needed fault recovery (resend / re-home / orphan serve)."""
-        rec = self.queries.get(query_id)
+        rec = self.queries.get(e.query_id)
         if rec is not None:
             rec.degraded = True
 
@@ -222,6 +204,40 @@ class MetricsCollector:
         )
 
     # ------------------------------------------------------------------
+    # query processing units (docs/qpu.md)
+    # ------------------------------------------------------------------
+    def qpu_routed(self, e: ev.QpuQueryRouted) -> None:
+        self.queries_by_engine[e.engine] = self.queries_by_engine.get(e.engine, 0) + 1
+
+    def kv_probe(self, e: ev.KvProbeServed) -> None:
+        self.kv_probes += 1
+        if not e.hit:
+            self.kv_misses += 1
+
+    def stream_bat_consumed(self, e: ev.StreamBatConsumed) -> None:
+        self.stream_bats_consumed += 1
+        self.stream_rows_consumed += e.rows
+
+    # ------------------------------------------------------------------
+    # admission: the front door's estimator and every valve's refusals
+    # ------------------------------------------------------------------
+    def estimate_feedback(self, e: ev.EstimateFeedback) -> None:
+        self.estimate_feedback_count += 1
+        if e.predicted_bytes == e.actual_bytes:
+            self.estimate_exact_bytes += 1
+
+    def query_shed(self, e: ev.QueryShed) -> None:
+        self.queries_shed += 1
+        if e.engine:
+            self.queries_shed_by_engine[e.engine] = (
+                self.queries_shed_by_engine.get(e.engine, 0) + 1
+            )
+        if e.reason:
+            self.queries_shed_by_reason[e.reason] = (
+                self.queries_shed_by_reason.get(e.reason, 0) + 1
+            )
+
+    # ------------------------------------------------------------------
     # BAT lifecycle
     # ------------------------------------------------------------------
     def bat_stats(self, bat_id: int) -> BatStats:
@@ -231,108 +247,104 @@ class MetricsCollector:
             self.bats[bat_id] = stats
         return stats
 
-    def tag_bat(self, bat_id: int, tag: str) -> None:
+    def tag_bat(self, e: ev.BatTagged) -> None:
         """Attach a workload tag (e.g. ``dh2``) for per-set ring-load series."""
-        self._bat_tags[bat_id] = tag
-        self.ring_bytes_by_tag.setdefault(tag, StepSeries())
+        self._bat_tags[e.bat_id] = e.tag
+        self.ring_bytes_by_tag.setdefault(e.tag, StepSeries())
 
-    def bat_loaded(self, t: float, bat_id: int, size: int) -> None:
-        self.bat_stats(bat_id).loads += 1
+    def _ring_load(self, e, sign: int) -> None:
+        """``e``'s BAT entered (``sign`` 1) or left (-1) the ring."""
+        size = sign * e.size
+        self.ring_bytes.add(e.t, size)
+        self.ring_bats.add(e.t, sign)
+        tag = self._bat_tags.get(e.bat_id)
+        if tag is not None:
+            self.ring_bytes_by_tag[tag].add(e.t, size)
+
+    def _recovered(self, t: float, bat_id: int) -> None:
         recovering_since = self._recovering_bats.pop(bat_id, None)
         if recovering_since is not None:
             self.recovery_latencies.append(t - recovering_since)
-        self.ring_bytes.add(t, size)
-        self.ring_bats.add(t, 1)
-        tag = self._bat_tags.get(bat_id)
-        if tag is not None:
-            self.ring_bytes_by_tag[tag].add(t, size)
 
-    def bat_unloaded(self, t: float, bat_id: int, size: int) -> None:
-        self.bat_stats(bat_id).unloads += 1
-        self.ring_bytes.add(t, -size)
-        self.ring_bats.add(t, -1)
-        tag = self._bat_tags.get(bat_id)
-        if tag is not None:
-            self.ring_bytes_by_tag[tag].add(t, -size)
+    def bat_loaded(self, e: ev.BatLoaded) -> None:
+        self.bat_stats(e.bat_id).loads += 1
+        self._recovered(e.t, e.bat_id)
+        self._ring_load(e, 1)
 
-    def bat_touched(self, t: float, bat_id: int) -> None:
-        self.bat_stats(bat_id).touches += 1
+    def bat_unloaded(self, e: ev.BatUnloaded) -> None:
+        self.bat_stats(e.bat_id).unloads += 1
+        self._ring_load(e, -1)
 
-    def bat_pinned(self, t: float, bat_id: int, count: int = 1) -> None:
-        self.bat_stats(bat_id).pins += count
+    def bat_touched(self, e: ev.BatTouched) -> None:
+        self.bat_stats(e.bat_id).touches += 1
 
-    def bat_cycle(self, t: float, bat_id: int, cycles: int) -> None:
-        stats = self.bat_stats(bat_id)
-        stats.max_cycles = max(stats.max_cycles, cycles)
+    def bat_pinned(self, e: ev.BatPinned) -> None:
+        self.bat_stats(e.bat_id).pins += e.count
 
-    def bat_dropped(self, t: float, bat_id: int, size: int, by_loss: bool) -> None:
-        self.bat_stats(bat_id).drops += 1
-        if by_loss:
+    def bat_cycle(self, e: ev.BatCycled) -> None:
+        stats = self.bat_stats(e.bat_id)
+        stats.max_cycles = max(stats.max_cycles, e.cycles)
+
+    def bat_dropped(self, e: ev.BatDropped) -> None:
+        self.bat_stats(e.bat_id).drops += 1
+        if e.by_loss:
             self.loss_drops += 1
         else:
             self.droptail_drops += 1
         # a dropped BAT leaves the ring without an unload event
-        self.ring_bytes.add(t, -size)
-        self.ring_bats.add(t, -1)
-        tag = self._bat_tags.get(bat_id)
-        if tag is not None:
-            self.ring_bytes_by_tag[tag].add(t, -size)
+        self._ring_load(e, -1)
 
-    def request_created(self, t: float, bat_id: int) -> None:
-        self.bat_stats(bat_id).requests += 1
+    def request_created(self, e: ev.RequestCreated) -> None:
+        self.bat_stats(e.bat_id).requests += 1
         self.requests_sent += 1
 
+    def request_served(self, e: ev.RequestServed) -> None:
+        stats = self.bat_stats(e.bat_id)
+        stats.max_request_latency = max(stats.max_request_latency, e.latency)
+
     # ------------------------------------------------------------------
-    # fault-injection hooks (docs/faults.md)
+    # fault injection (docs/faults.md) and resilience (docs/resilience.md)
     # ------------------------------------------------------------------
-    def bat_purged(self, t: float, bat_id: int, size: int) -> None:
+    def bat_purged(self, e: ev.BatPurged) -> None:
         """A BAT message was lost to a node crash (purged transmit queue)."""
         self.crash_drops += 1
-        self.ring_bytes.add(t, -size)
-        self.ring_bats.add(t, -1)
-        tag = self._bat_tags.get(bat_id)
-        if tag is not None:
-            self.ring_bytes_by_tag[tag].add(t, -size)
+        self._ring_load(e, -1)
 
-    def bat_rehomed(self, t: float, bat_id: int) -> None:
-        """Ownership of ``bat_id`` moved off a crashed node."""
+    def bat_rehomed(self, e: ev.BatRehomed) -> None:
+        """Ownership of the BAT moved off a crashed node."""
         self.bats_rehomed += 1
-        self._recovering_bats.setdefault(bat_id, t)
+        self._recovering_bats.setdefault(e.bat_id, e.t)
 
-    def bat_adopted(self, t: float, bat_id: int) -> None:
+    def bat_adopted(self, e: ev.BatAdopted) -> None:
         """A circulating copy of a re-homed BAT was claimed by its new owner."""
         self.bats_adopted += 1
         # the copy never left the ring: recovery was instantaneous
-        recovering_since = self._recovering_bats.pop(bat_id, None)
-        if recovering_since is not None:
-            self.recovery_latencies.append(t - recovering_since)
+        self._recovered(e.t, e.bat_id)
 
-    def orphan_retired(self, t: float, bat_id: int, size: int) -> None:
+    def orphan_retired(self, e: ev.OrphanRetired) -> None:
         """A dead owner's copy was pulled out of circulation."""
         self.orphans_retired += 1
-        self.ring_bytes.add(t, -size)
-        self.ring_bats.add(t, -1)
-        tag = self._bat_tags.get(bat_id)
-        if tag is not None:
-            self.ring_bytes_by_tag[tag].add(t, -size)
+        self._ring_load(e, -1)
 
-    def request_unavailable(self, t: float, bat_id: int) -> None:
-        self.requests_unavailable += 1
-
-    def ring_repaired(self, t: float, node: int, latency: float) -> None:
-        """A detector-driven repair completed ``latency`` s after the failure."""
+    def ring_repaired(self, e: ev.RingRepaired) -> None:
+        """A detector-driven repair completed ``e.latency`` s after the failure."""
         self.ring_repairs += 1
-        self.repair_latencies.append(latency)
+        self.repair_latencies.append(e.latency)
 
-    def node_down(self, t: float, node: int) -> None:
-        self.downtime.setdefault(node, []).append([t, None])
+    def node_down(self, e: ev.NodeCrashed) -> None:
+        self.downtime.setdefault(e.node, []).append([e.t, None])
 
-    def node_up(self, t: float, node: int, owned_bats: Optional[List[int]] = None) -> None:
-        intervals = self.downtime.get(node)
+    def node_failed(self, e: ev.NodeFailed) -> None:
+        """A silent failure: the node is down, and nobody announced it."""
+        self.nodes_failed += 1
+        self.node_down(e)
+
+    def node_up(self, e: ev.NodeRejoined) -> None:
+        intervals = self.downtime.get(e.node)
         if intervals and intervals[-1][1] is None:
-            intervals[-1][1] = t
-        for bat_id in owned_bats or []:
-            self._recovering_bats.setdefault(bat_id, t)
+            intervals[-1][1] = e.t
+        for bat_id in e.owned_bats:
+            self._recovering_bats.setdefault(bat_id, e.t)
 
     def node_downtime(self, node: int, until: float) -> float:
         """Total seconds ``node`` spent down, open intervals clipped at ``until``."""
@@ -344,21 +356,18 @@ class MetricsCollector:
     def total_downtime(self, until: float) -> float:
         return sum(self.node_downtime(node, until) for node in sorted(self.downtime))
 
-    def request_served(self, t: float, bat_id: int, latency: float) -> None:
-        stats = self.bat_stats(bat_id)
-        stats.max_request_latency = max(stats.max_request_latency, latency)
-
     # ------------------------------------------------------------------
     # derived artefacts
     # ------------------------------------------------------------------
+    def _finished(self, tag: Optional[str]) -> Iterator[QueryRecord]:
+        """Queries that finished without failing, in registration order."""
+        for rec in self.queries.values():
+            if (rec.finished_at is not None and not rec.failed
+                    and (tag is None or rec.tag == tag)):
+                yield rec
+
     def lifetimes(self, tag: Optional[str] = None) -> List[float]:
-        return [
-            rec.lifetime
-            for rec in self.queries.values()
-            if rec.lifetime is not None
-            and not rec.failed
-            and (tag is None or rec.tag == tag)
-        ]
+        return [rec.lifetime for rec in self._finished(tag)]
 
     def lifetime_histogram(self, bin_width: float = 5.0, tag: Optional[str] = None) -> Histogram:
         hist = Histogram(bin_width=bin_width)
@@ -366,13 +375,7 @@ class MetricsCollector:
         return hist
 
     def finished_count(self, tag: Optional[str] = None) -> int:
-        return sum(
-            1
-            for rec in self.queries.values()
-            if rec.finished_at is not None
-            and not rec.failed
-            and (tag is None or rec.tag == tag)
-        )
+        return sum(1 for _ in self._finished(tag))
 
     def registered_times(self, tag: Optional[str] = None) -> List[float]:
         return [
@@ -382,13 +385,7 @@ class MetricsCollector:
         ]
 
     def finished_times(self, tag: Optional[str] = None) -> List[float]:
-        return [
-            rec.finished_at
-            for rec in self.queries.values()
-            if rec.finished_at is not None
-            and not rec.failed
-            and (tag is None or rec.tag == tag)
-        ]
+        return [rec.finished_at for rec in self._finished(tag)]
 
     def throughput_series(
         self, end: float, step: float = 1.0, tag: Optional[str] = None

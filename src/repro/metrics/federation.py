@@ -20,7 +20,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["render_federation_report"]
 
-# counters shown in the traffic section, in display order
+# counters shown in the traffic section, in display order; the router's
+# and the placement manager's keys are absent from a summary without them
 _TRAFFIC_KEYS = (
     "submitted",
     "completed",
@@ -30,7 +31,6 @@ _TRAFFIC_KEYS = (
     "cross_ring_transfers",
     "fetches_dispatched",
     "fetches_served",
-    "fetches_absorbed",
     "fetches_failed",
     "fetch_mean_latency",
     "fetch_max_latency",

@@ -25,6 +25,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.core.ring import DataCyclotron
 from repro.core.runtime import PinResult
+from repro.events import types as ev
 from repro.sim.process import Delay, Future, Process
 
 __all__ = ["UpdateRequest", "UpdateCoordinator"]
@@ -101,7 +102,8 @@ class UpdateCoordinator:
         runtime = self.dc.nodes[update.node]
         sim = self.dc.sim
         query_id = _UPDATE_QID_BASE + update.update_id
-        self.dc.metrics.query_registered(sim.now, query_id, update.node, tag="update")
+        self.dc.metrics.query_registered(
+            ev.QueryRegistered(sim.now, query_id, update.node, tag="update"))
 
         # Respect the "updating" tag: concurrent updates wait for the
         # in-flight one instead of processing the stale version.

@@ -96,7 +96,8 @@ class CompileThenShed(RingDatabase):
             try:
                 now = runtime.sim.now
                 if legacy:
-                    self.dc.metrics.query_registered(now, query_id, node, tag="sql")
+                    self.dc.metrics.query_registered(
+                        ev.QueryRegistered(now, query_id, node, tag="sql"))
                 else:
                     self._register(now, query_id, node, qpu.engine_class,
                                    compiled, estimated, tag=tag)

@@ -47,3 +47,59 @@ def test_every_named_path_exists():
             if missing:
                 dangling[str(source.relative_to(ROOT))] = missing
     assert not dangling
+
+
+# The collector and the bridge declare and fill the counters; the oracle
+# test keeps the parent's copy of both.  A counter read nowhere else is
+# a copy of a count its owner keeps, or a count nobody looks at.
+COUNTER_HOMES = {
+    "src/repro/metrics/collector.py",
+    "src/repro/events/bridge.py",
+    "tests/test_bridge_oracle.py",
+}
+
+# producers that build these through a variable holding the class: the
+# per-hop forward (NodeRuntime._forwarded) and a landed flight's
+# skipped-node forwards (FastForwarder._publish_forwards)
+BUILT_THROUGH_A_VARIABLE = {
+    "BatForwarded": ("src/repro/core/runtime.py", "src/repro/core/fastforward.py"),
+    "RequestForwarded": ("src/repro/core/runtime.py", "src/repro/core/fastforward.py"),
+}
+
+
+def _python_text(dirs, skip=()):
+    return "\n".join(
+        path.read_text()
+        for d in dirs
+        for path in sorted((ROOT / d).rglob("*.py"))
+        if str(path.relative_to(ROOT)) not in skip
+    )
+
+
+def test_every_collector_attribute_is_read_outside_the_collector():
+    from repro.metrics.collector import MetricsCollector
+
+    text = _python_text(("src", "tests", "bench", "benchmarks"), skip=COUNTER_HOMES)
+    unread = sorted(
+        attr for attr in vars(MetricsCollector())
+        if not attr.startswith("_") and not re.search(rf"\b{attr}\b", text)
+    )
+    assert not unread
+
+
+def test_every_event_type_is_constructed_under_src():
+    from repro.events import types
+
+    text = _python_text(("src",), skip={"src/repro/events/types.py"})
+    never = []
+    for name in types.__all__:
+        if name in BUILT_THROUGH_A_VARIABLE:
+            built = all(
+                f"ev.{name}" in (ROOT / path).read_text()
+                for path in BUILT_THROUGH_A_VARIABLE[name]
+            )
+        else:
+            built = re.search(rf"\b{name}\(", text) is not None
+        if not built:
+            never.append(name)
+    assert not never
