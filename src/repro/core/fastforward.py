@@ -694,6 +694,9 @@ class FastForwarder:
         Nothing here walks the arc: the reservation goes in one mask
         operation, and the link statistics of all ``k`` hops are two
         writes the lane folds in when somebody reads them."""
+        # the event's args hold the flight: break the cycle, so a landed
+        # flight is freed by its reference count, not by the collector
+        flight.event = None
         if self._debt > 0:
             self._debt -= 1
         k = len(flight.arrivals)
@@ -740,6 +743,7 @@ class FastForwarder:
         self._release(flight)
         self._forget(flight)
         flight.event.cancel()
+        flight.event = None  # as in _complete: no flight <-> event cycle
         self.flushes += 1
         if self._debt < 64:
             self._debt += 4

@@ -26,7 +26,7 @@ from typing import Any, Dict, Generator, Optional, Set
 from repro.core.runtime import NodeRuntime
 from repro.dbms.bat import BAT
 from repro.dbms.interpreter import Interpreter
-from repro.dbms.mal import Instruction, Plan, Var
+from repro.dbms.mal import Dies, Instruction, Plan, Var
 from repro.xtn.result_cache import ResultCache
 
 __all__ = ["plan_fingerprints", "CachingInterpreter", "DEFAULT_CACHEABLE_OPS"]
@@ -106,7 +106,9 @@ class CachingInterpreter(Interpreter):
         self.hits = 0
         self.publishes = 0
 
-    def run_gen(self, plan: Plan, env=None) -> Generator[Any, None, Dict[str, Any]]:
+    def run_gen(
+        self, plan: Plan, env=None, dies: Optional[Dies] = None
+    ) -> Generator[Any, None, Dict[str, Any]]:
         env = env if env is not None else {}
         fingerprints = plan_fingerprints(plan)
         for index, instr in enumerate(plan):
@@ -116,27 +118,33 @@ class CachingInterpreter(Interpreter):
                 and instr.opname in self.cacheable_ops
                 and len(instr.results) == 1
             )
+            hit = None
             if cacheable:
                 entry = self.cache.lookup(fingerprint)
                 if entry is not None:
-                    payload = yield from self._fetch(entry.bat_id)
-                    if payload is not None:
-                        self.hits += 1
-                        env[instr.results[0]] = payload
-                        continue
-            result = yield from self._execute(instr, env)
-            if (
-                cacheable
-                and isinstance(result, BAT)
-                and result.nbytes >= self.min_publish_bytes
-            ):
-                self.cache.publish(
-                    fingerprint,
-                    size=result.nbytes,
-                    owner=self.runtime.node_id,
-                    payload=result,
-                )
-                self.publishes += 1
+                    hit = yield from self._fetch(entry.bat_id)
+            if hit is not None:
+                self.hits += 1
+                env[instr.results[0]] = hit
+            else:
+                result = yield from self._execute(instr, env)
+                if (
+                    cacheable
+                    and isinstance(result, BAT)
+                    and result.nbytes >= self.min_publish_bytes
+                ):
+                    # the cache keeps its own reference: ``env`` may
+                    # drop the result below
+                    self.cache.publish(
+                        fingerprint,
+                        size=result.nbytes,
+                        owner=self.runtime.node_id,
+                        payload=result,
+                    )
+                    self.publishes += 1
+            if dies is not None:
+                for name in dies[index]:
+                    del env[name]
         return env
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.dbms.catalog import Catalog
 from repro.dbms.interpreter import Interpreter, ResultSet, local_registry
-from repro.dbms.optimizer import dc_optimize
+from repro.dbms.optimizer import dc_rewrite
 from repro.dbms.sql import parse, plan_select
 from repro.dbms.sql.planner import PlannedQuery
 
@@ -77,33 +77,29 @@ class Database:
         :mod:`repro.dbms.passes` (CSE, dead code, peepholes) first --
         the paper's "series of targeted query optimizers".
         """
+        planned = self._plan(sql)
+        plan = planned.plan
+        if optimize:
+            from repro.dbms.passes import optimize as run_passes
+
+            plan = run_passes(plan)
+        return planned.finished(plan)
+
+    def compile_dc(self, sql: str) -> PlannedQuery:
+        """SQL text -> DC-optimized plan (the Table 2 shape)."""
+        planned = self._plan(sql)
+        return planned.finished(*dc_rewrite(planned.plan))
+
+    def _plan(self, sql: str) -> PlannedQuery:
         self._plan_counter += 1
         ast = parse(sql)
         for ref in ast.tables:
             if ref.schema == "sys" and self.schema != "sys":
                 object.__setattr__(ref, "schema", self.schema)
-        planned = plan_select(ast, self.catalog, name=f"user.s{self._plan_counter}_1")
-        if optimize:
-            from repro.dbms.passes import optimize as run_passes
-
-            planned = PlannedQuery(
-                plan=run_passes(planned.plan),
-                result_var=planned.result_var,
-                column_names=planned.column_names,
-            )
-        return planned
-
-    def compile_dc(self, sql: str) -> PlannedQuery:
-        """SQL text -> DC-optimized plan (the Table 2 shape)."""
-        planned = self.compile(sql)
-        return PlannedQuery(
-            plan=dc_optimize(planned.plan),
-            result_var=planned.result_var,
-            column_names=planned.column_names,
-        )
+        return plan_select(ast, self.catalog, name=f"user.s{self._plan_counter}_1")
 
     def execute(self, planned: PlannedQuery) -> ResultSet:
-        env = self.interpreter.run(planned.plan)
+        env = self.interpreter.run(planned.plan, dies=planned.dies)
         return env[planned.result_var]
 
     def query(self, sql: str, optimize: bool = False) -> ResultSet:

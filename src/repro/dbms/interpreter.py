@@ -25,7 +25,7 @@ import numpy as np
 from repro.dbms import kernel
 from repro.dbms.bat import BAT
 from repro.dbms.catalog import Catalog
-from repro.dbms.mal import Instruction, Plan, Var
+from repro.dbms.mal import Dies, Instruction, Plan, Var
 
 __all__ = ["Interpreter", "local_registry", "ResultSet", "UnknownOperator"]
 
@@ -84,9 +84,14 @@ class Interpreter:
     def __init__(self, registry: Registry):
         self.registry = registry
 
-    def run(self, plan: Plan, env: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+    def run(
+        self,
+        plan: Plan,
+        env: Optional[Dict[str, Any]] = None,
+        dies: Optional[Dies] = None,
+    ) -> Dict[str, Any]:
         """Execute synchronously; returns the final variable environment."""
-        gen = self.run_gen(plan, env)
+        gen = self.run_gen(plan, env, dies)
         try:
             while True:
                 next(gen)
@@ -97,11 +102,19 @@ class Interpreter:
             return stop.value
 
     def run_gen(
-        self, plan: Plan, env: Optional[Dict[str, Any]] = None
+        self,
+        plan: Plan,
+        env: Optional[Dict[str, Any]] = None,
+        dies: Optional[Dies] = None,
     ) -> Generator[Any, None, Dict[str, Any]]:
-        """Execute as a generator: blocking operators yield upwards."""
+        """Execute as a generator: blocking operators yield upwards.
+
+        With the plan's end-of-life table ``dies``, each instruction's
+        dead variables leave ``env`` once its results are assigned;
+        without it every variable lives until the plan ends.
+        """
         env = env if env is not None else {}
-        for instr in plan:
+        for index, instr in enumerate(plan):
             fn = self.registry.get(instr.opname)
             if fn is None:
                 raise UnknownOperator(instr.opname)
@@ -110,6 +123,9 @@ class Interpreter:
             if inspect.isgenerator(result):
                 result = yield from result
             self._assign(instr, result, env)
+            if dies is not None:
+                for name in dies[index]:
+                    del env[name]
         return env
 
     @staticmethod

@@ -14,8 +14,9 @@ use to check the DC optimizer's rewrite against the paper.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Set, Tuple
+import sys
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 __all__ = [
     "Var",
@@ -23,6 +24,9 @@ __all__ = [
     "Plan",
     "parse_plan",
     "validate_plan",
+    "liveness",
+    "end_of_life",
+    "Dies",
     "MalSyntaxError",
     "PlanValidationError",
 ]
@@ -46,10 +50,13 @@ class Instruction:
     fn: str
     args: Tuple[Any, ...] = ()
     results: Tuple[str, ...] = ()
+    #: ``module.fn``, joined once (every compile pass and every
+    #: interpreter step reads it) and interned, so a cached plan keeps
+    #: one string per operator, not one per instruction
+    opname: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def opname(self) -> str:
-        return f"{self.module}.{self.fn}"
+    def __post_init__(self) -> None:
+        self.opname = sys.intern(f"{self.module}.{self.fn}")
 
     def uses(self) -> Set[str]:
         """Variable names read by this instruction (nested one level)."""
@@ -111,8 +118,11 @@ class Plan:
         n_results: int = 1,
     ):
         """Append an instruction; returns its result Var(s) (or None)."""
-        if n_results == 0:
-            results: Tuple[str, ...] = ()
+        if n_results == 1:  # nearly every instruction: no list to build
+            out = self.fresh_var()
+            results: Tuple[str, ...] = (out.name,)
+        elif n_results == 0:
+            results = ()
             out = None
         else:
             out_vars = [self.fresh_var() for _ in range(n_results)]
@@ -170,6 +180,71 @@ class Plan:
 
     def __iter__(self):
         return iter(self.instructions)
+
+
+# ----------------------------------------------------------------------
+# liveness: where each variable's life ends
+# ----------------------------------------------------------------------
+def liveness(
+    instructions: Iterable[Instruction],
+) -> Tuple[Dict[str, int], Dict[str, int]]:
+    """One walk over a plan: ``(first_read, last_use)`` per variable.
+
+    ``first_read[name]`` is the index of the first instruction reading
+    ``name``; ``last_use[name]`` that of the last one, or of its defining
+    instruction if nothing reads it.  Arguments are walked in positional
+    order, one level into lists, so a variable nothing defines (a bind
+    the DC optimizer replaced) is keyed in order of first read --
+    independent of string-hash order.  Compiles run it, so the loop is
+    written for speed (``type() is`` over ``isinstance``).
+    """
+    first: Dict[str, int] = {}
+    last: Dict[str, int] = {}
+    for index, instr in enumerate(instructions):
+        for name in instr.results:
+            last[name] = index
+        for arg in instr.args:
+            kind = type(arg)
+            if kind is Var:
+                name = arg.name
+                if name not in first:
+                    first[name] = index
+                last[name] = index
+            elif kind is list or kind is tuple:
+                for item in arg:
+                    if type(item) is Var:
+                        name = item.name
+                        if name not in first:
+                            first[name] = index
+                        last[name] = index
+    return first, last
+
+
+#: an end-of-life table: per instruction index, the names that die there
+Dies = Tuple[Tuple[str, ...], ...]
+
+
+def end_of_life(
+    plan: Plan, keep: str, last_use: Optional[Dict[str, int]] = None
+) -> Dies:
+    """The plan's end-of-life table: entry ``i`` names the variables to
+    drop once instruction ``i`` has run -- those it reads for the last
+    time, and those it defines that nothing reads.  ``keep`` (the
+    plan's result variable) never dies.  MonetDB frees a MAL variable
+    at the end of its life the same way, so a ``k``-partition
+    ``kunion`` chain holds two partial unions, not ``k``.
+
+    ``last_use`` is the plan's last-use map when the caller already has
+    it (:func:`repro.dbms.optimizer.dc_rewrite` carries it over from its
+    input); otherwise one :func:`liveness` walk finds it.
+    """
+    if last_use is None:
+        last_use = liveness(plan.instructions)[1]
+    dies: List[Tuple[str, ...]] = [()] * len(plan.instructions)
+    for name, index in last_use.items():
+        if name != keep:
+            dies[index] += (name,)
+    return tuple(dies)
 
 
 # ----------------------------------------------------------------------

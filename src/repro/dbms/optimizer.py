@@ -22,11 +22,11 @@ hint that does not block.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
-from repro.dbms.mal import Instruction, Plan, Var
+from repro.dbms.mal import Instruction, Plan, Var, liveness
 
-__all__ = ["dc_optimize", "BIND_OPS"]
+__all__ = ["dc_optimize", "dc_rewrite", "BIND_OPS"]
 
 #: bind-style operators whose results live in the Data Cyclotron layer
 BIND_OPS = ("sql.bind",)
@@ -34,6 +34,17 @@ BIND_OPS = ("sql.bind",)
 
 def dc_optimize(plan: Plan, bind_ops=BIND_OPS) -> Plan:
     """Return a new plan with request/pin/unpin calls injected."""
+    return dc_rewrite(plan, bind_ops)[0]
+
+
+def dc_rewrite(plan: Plan, bind_ops=BIND_OPS) -> Tuple[Plan, Dict[str, int]]:
+    """:func:`dc_optimize`, plus the new plan's last-use map: what
+    ``liveness(new)[1]`` holds, up to key order, carried over from the
+    one liveness walk the rewrite makes over its input, so a compile
+    builds the end-of-life table without walking the new plan again.
+    A bound variable's last use is its unpin, a pinned token's its pin;
+    every other variable keeps its last use, moved to where that
+    instruction landed."""
     out = Plan(plan.name)
     out._counter = plan._counter  # keep fresh variables fresh
 
@@ -56,20 +67,14 @@ def dc_optimize(plan: Plan, bind_ops=BIND_OPS) -> Plan:
         else:
             replaced.append(instr)
 
-    # Pass 2: find first and last uses of each bound variable.  Walk the
-    # arguments in positional order, not ``instr.uses()`` (a set): when
-    # one instruction first-uses several bound variables, the pins must
-    # be injected in a deterministic order, independent of string-hash
+    # Pass 2: find first and last uses of each bound variable, in order
+    # of first read (``liveness`` walks arguments positionally): when one
+    # instruction first-uses several bound variables, the pins must be
+    # injected in a deterministic order, independent of string-hash
     # randomization.
-    first_use: Dict[str, int] = {}
-    last_use: Dict[str, int] = {}
-    for i, instr in enumerate(replaced):
-        for arg in instr.args:
-            if isinstance(arg, Var):
-                name = arg.name
-                if name in token_of:
-                    first_use.setdefault(name, i)
-                    last_use[name] = i
+    first_read, last_read = liveness(replaced)
+    first_use = {n: i for n, i in first_read.items() if n in token_of}
+    last_use = {n: i for n, i in last_read.items() if n in token_of}
 
     # Pass 3: emit, injecting pins before first use and unpins after last.
     pins_at: Dict[int, List[str]] = {}
@@ -82,13 +87,18 @@ def dc_optimize(plan: Plan, bind_ops=BIND_OPS) -> Plan:
     # Requests are hoisted to the top of the plan: request() "does not
     # block" (section 4.1) and issuing every request at registration
     # time lets the hot set start flowing while the plan executes.
-    for instr in replaced:
+    emitted = out.instructions
+    landed = [0] * len(replaced)  # replaced index -> index in ``out``
+    last_out: Dict[str, int] = {}
+    for i, instr in enumerate(replaced):
         if instr.opname == "datacyclotron.request":
+            landed[i] = len(emitted)
             out.append(instr)
     for i, instr in enumerate(replaced):
         if instr.opname == "datacyclotron.request":
             continue
         for name in pins_at.get(i, ()):
+            last_out[token_of[name]] = len(emitted)
             out.append(
                 Instruction(
                     module="datacyclotron",
@@ -97,8 +107,10 @@ def dc_optimize(plan: Plan, bind_ops=BIND_OPS) -> Plan:
                     results=(name,),
                 )
             )
+        landed[i] = len(emitted)
         out.append(instr)
         for name in unpins_at.get(i, ()):
+            last_out[name] = len(emitted)
             out.append(
                 Instruction(
                     module="datacyclotron",
@@ -107,7 +119,10 @@ def dc_optimize(plan: Plan, bind_ops=BIND_OPS) -> Plan:
                     results=(),
                 )
             )
-    return out
+    for name, i in last_read.items():
+        if name not in last_out:
+            last_out[name] = landed[i]
+    return out, last_out
 
 
 def requested_binds(plan: Plan) -> List[tuple]:

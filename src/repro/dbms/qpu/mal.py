@@ -20,7 +20,7 @@ from repro.dbms.bat import BAT
 from repro.dbms.catalog import Catalog
 from repro.dbms.cost import OperatorCostModel
 from repro.dbms.interpreter import Interpreter
-from repro.dbms.optimizer import dc_optimize, requested_binds
+from repro.dbms.optimizer import dc_rewrite, requested_binds
 from repro.dbms.qpu.base import (
     CompiledQuery,
     MalQuery,
@@ -35,8 +35,11 @@ __all__ = ["MalQpu", "dc_registry"]
 
 #: compiled statements one engine keeps (least recently used go first).
 #: A plan holds ~340 bytes per instruction -- 67 KB for a two-column
-#: scan of 24 partitions, 200 KB for a six-column ``SELECT *`` -- so the
-#: bound is what the cache may retain: ~10-25 MB of plans.  Behind a
+#: scan of 24 partitions, 200 KB for a six-column ``SELECT *`` -- and its
+#: end-of-life table ~44 more (8.8 KB and 26 KB), so the bound is what
+#: the cache may retain: ~11-28 MB of plans.  The table is what keeps a
+#: run's own footprint small: after each instruction only variables a
+#: later instruction reads, and the result, stay live.  Behind a
 #: dispatcher valve a request is priced on its estimated footprint
 #: before it is compiled and a refused one never reaches ``compile``, so
 #: the one-off texts a full valve turns away do not fill the cache
@@ -173,7 +176,7 @@ class MalQpu(QueryProcessingUnit):
         planned = plan_select(
             parse_cached(sql), self.catalog, name=f"user.s{self._plan_counter}_1"
         )
-        plan = dc_optimize(planned.plan)
+        plan, last_use = dc_rewrite(planned.plan)
         bat_ids = tuple(
             self.catalog.handle(*args).bat_id for args in requested_binds(plan)
         )
@@ -184,11 +187,7 @@ class MalQpu(QueryProcessingUnit):
             engine=self.engine_class,
             footprint=bat_ids,
             footprint_bytes=nbytes,
-            payload=PlannedQuery(
-                plan=plan,
-                result_var=planned.result_var,
-                column_names=planned.column_names,
-            ),
+            payload=planned.finished(plan, last_use),
             description=sql,
         )
 
@@ -210,9 +209,11 @@ class MalQpu(QueryProcessingUnit):
             from repro.dbms.dataflow import DataflowExecutor
 
             executor = DataflowExecutor(registry, ctx.runtime.sim)
-            env = yield from executor.run(planned.plan)
+            env = yield from executor.run(planned.plan, dies=planned.dies)
         else:
-            env = yield from self._interpreter(registry, ctx).run_gen(planned.plan)
+            env = yield from self._interpreter(registry, ctx).run_gen(
+                planned.plan, dies=planned.dies
+            )
         return env[planned.result_var]
 
     def _interpreter(self, registry: Dict[str, Any], ctx: QpuContext) -> Interpreter:

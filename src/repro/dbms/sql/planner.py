@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.dbms.catalog import Catalog
-from repro.dbms.mal import Plan, Var
+from repro.dbms.mal import Dies, Plan, Var, end_of_life
 from repro.dbms.sql.parser import (
     AggCall,
     Between,
@@ -40,11 +40,31 @@ __all__ = ["plan_select", "PlannedQuery"]
 
 @dataclass
 class PlannedQuery:
-    """A compiled query: the MAL plan plus its result variable name."""
+    """A compiled query: the MAL plan plus its result variable name.
+
+    ``dies`` is the plan's end-of-life table (:func:`repro.dbms.mal.
+    end_of_life`), built once per compile by whoever finishes the plan;
+    an interpreter given it frees each intermediate after its last use.
+    ``None`` keeps every variable until the plan ends.
+    """
 
     plan: Plan
     result_var: str
     column_names: List[str]
+    dies: Optional[Dies] = None
+
+    def finished(
+        self, plan: Plan, last_use: Optional[Dict[str, int]] = None
+    ) -> "PlannedQuery":
+        """This query with its final (rewritten) ``plan`` and that
+        plan's end-of-life table (``last_use`` as in
+        :func:`~repro.dbms.mal.end_of_life`)."""
+        return PlannedQuery(
+            plan=plan,
+            result_var=self.result_var,
+            column_names=self.column_names,
+            dies=end_of_life(plan, self.result_var, last_use),
+        )
 
 
 def plan_select(select: Select, catalog: Catalog, name: str = "user.s1_1") -> PlannedQuery:

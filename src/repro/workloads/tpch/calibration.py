@@ -166,7 +166,7 @@ class _Tracer:
         registry["datacyclotron.pin"] = dc_pin
         registry["datacyclotron.unpin"] = lambda bat: None
 
-        Interpreter(registry).run(planned.plan)
+        Interpreter(registry).run(planned.plan, dies=planned.dies)
         return QueryTrace(
             number=query.number, name=query.name, steps=steps, tail_time=acc
         )

@@ -6,10 +6,12 @@ in plain Python.  This guards the whole pipeline -- parser, planner,
 kernel -- far beyond the hand-written cases.
 """
 
+from dataclasses import replace
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import LiveSetEnv
 from repro.dbms import Database
 
 SETTINGS = {
@@ -42,10 +44,14 @@ def table_pair(draw):
     return t, c
 
 
-def make_db(tables):
+def make_db(tables, rows_per_partition=None):
     db = Database()
     for name, data in tables.items():
-        db.load_table(name, {k: np.array(v, dtype=np.int64) for k, v in data.items()})
+        db.load_table(
+            name,
+            {k: np.array(v, dtype=np.int64) for k, v in data.items()},
+            rows_per_partition=rows_per_partition,
+        )
     return db
 
 
@@ -179,3 +185,32 @@ def test_property_passes_preserve_semantics(pair, bound):
     plain = db.execute(db.compile(sql)).rows()
     optimized = db.execute(db.compile(sql, optimize=True)).rows()
     assert plain == optimized
+
+
+# ----------------------------------------------------------------------
+# freeing intermediates at their last use never changes answers
+# ----------------------------------------------------------------------
+@settings(**SETTINGS)
+@given(
+    pair=table_pair(), bound=values,
+    rows_per_partition=st.integers(min_value=1, max_value=8),
+)
+def test_property_end_of_life_table_preserves_answers(pair, bound, rows_per_partition):
+    t, c = pair
+    db = make_db({"t": t, "c": c}, rows_per_partition=rows_per_partition)
+    texts = (
+        f"SELECT t.a, c.x FROM t, c WHERE c.k = t.a AND c.x >= {bound} ORDER BY x LIMIT 7",
+        f"SELECT a, sum(b) s, count(*) n FROM t WHERE b >= {bound} GROUP BY a ORDER BY a",
+        f"SELECT a, count(DISTINCT b) d FROM t GROUP BY a HAVING count(*) > {bound}",
+        "SELECT * FROM c",
+    )
+    for sql in texts:
+        for planned in (db.compile(sql), db.compile(sql, optimize=True)):
+            kept = db.execute(replace(planned, dies=None))
+            env = LiveSetEnv(planned.plan, planned.result_var)
+            db.interpreter.run(planned.plan, env, planned.dies)
+            assert set(env) == {planned.result_var}
+            freed = env[planned.result_var]
+            assert [tuple(map(repr, row)) for row in freed.rows()] == [
+                tuple(map(repr, row)) for row in kept.rows()
+            ]
