@@ -29,6 +29,27 @@ send time and replaces them with **one** analytically computed arrival:
   reserved by another flight is the last hop a real channel send from
   the last skipped node, at its exact classic time.
 
+* a BAT flight whose stop is its owner runs *through* the owner when
+  the landing there would only take the Figure 5 step and forward the
+  BAT again: nobody subscribes to ``BatCycled``, no S2 entry anywhere on
+  the ring asks for the BAT, the owner's S1 entry would keep this very
+  message, and the rest of the ring is pristine.  The scan takes each
+  pass's step in closed form, in pass order, with the landing's own
+  helper (:meth:`~repro.core.runtime.NodeRuntime.hot_set_step`), and
+  the arc ends at the first pass that leaves the BAT cold (that pass
+  lands and the classic code unloads it) or after ``PASS_BOUND``
+  passes.  The passes' effects -- the header's ``cycles``, ``loi``,
+  ``copies``, ``hops`` and the owner's ``last_seen`` -- are applied when
+  the flight completes, is truncated or flushed, and before a request
+  reaching the owner reads ``last_seen``.  Whatever the passes did not
+  see lands the flight at its next pass: an S2 registration (a flight
+  never passes an owner while its BAT is requested anywhere), a change
+  to the owner's entry (version, deletion, loss), a LOIT level change
+  at the owner, and other traffic meeting the arc's reservations (a
+  flight past its owner holds the whole lane).  An observed
+  ``BatCycled`` must be published at its dispatch position, so a ring
+  with an observer keeps the landing.
+
 Safety is conservative: a hop is only coalesced when the intervening
 channel is pristine (no loss injection, nothing queued or serialising,
 capacity admits the message) and the next node is provably
@@ -42,8 +63,11 @@ does not depend on how far it flies.  Anything that could
 invalidate a flight mid-air *flushes* it back into real link state
 first: a competing send on a reserved channel, a new S2 registration
 for the flight's BAT, a topology fault, a link degradation, or a
-metrics snapshot.  Fault injection disables the fast path for the rest
-of the run -- chaos scenarios execute the classic event stream.
+metrics snapshot.  A flight that runs through its owner crosses each
+link once per rotation, so a reservation lapses with a link's last
+crossing, and a competing send is judged against the next one.  Fault
+injection disables the fast path for the rest of the run -- chaos
+scenarios execute the classic event stream.
 
 The facade owns one forwarder per ring (``config.fast_forward``,
 default on) and injects it into every :class:`NodeRuntime` as
@@ -54,7 +78,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import accumulate
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+
+import numpy
 
 from repro.events import types as ev
 from repro.events.types import (
@@ -70,17 +96,28 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ring import DataCyclotron
     from repro.core.runtime import NodeRuntime
 
-__all__ = ["FastForwarder", "Flight"]
+__all__ = ["FastForwarder", "Flight", "PASS_BOUND"]
+
+# Most owner passes one flight takes in closed form: the next visit to
+# the owner lands, so a BAT that never cools (static LOIT 0) still
+# meets the classic code once every ``PASS_BOUND + 1`` rotations.
+PASS_BOUND = 16
+
+# why a BAT flight landed in its owner rather than passing it:
+# ``BatCycled`` is observed, the BAT went cold at that pass, the owner's
+# LOIT changed while it flew, it took ``PASS_BOUND`` passes already, or
+# other traffic on the lane met its reservations
+_LANDING_REASONS = ("observed", "cooled", "loit", "bound", "contended")
 
 
 class Flight:
     """One coalesced multi-hop traversal, pending its arrival event.
 
     An arc of the ring, not a list of hops.  Hop ``i`` crosses
-    ``lane.travel[at + i]`` -- the link out of node ``(start + i*step) %
-    n`` into node ``(start + (i+1)*step) % n``, the ``i``-th *skipped*
-    node or, for the last hop of a flight that ``lands``, the stop -- is
-    enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and
+    ``lane.travel[(at + i) % n]`` -- the link out of node ``(start +
+    i*step) % n`` into node ``(start + (i+1)*step) % n``, the ``i``-th
+    *skipped* node or, for the last hop of a flight that ``lands``, the
+    stop -- is enqueued at ``arrivals[i-1]`` (``t0`` for hop 0) and
     arrives at ``arrivals[i]``.  Only the arrivals are stored;
     :meth:`hop` re-derives the rest with the float operations of the
     scan, in the scan's order, so the result is bit-identical to what
@@ -92,11 +129,21 @@ class Flight:
     than into a skipped one: the flight completes *in* the stop.
     Otherwise the last skipped node performs the real final send when
     the flight completes (or is flushed past it).
+
+    A BAT flight may run through its owner (see the module docstring):
+    ``passes`` holds the LOI after each owner pass taken in closed form,
+    the first at hop ``first_pass`` and each later one a rotation (``n``
+    hops) on; an arc that passes its owner is longer than the ring, so a
+    link may be crossed more than once.  ``applied`` of the passes are
+    in the message header and the owner's ``entry`` already, and the
+    header's ``hops`` counts from hop ``base``.  ``why`` names the
+    reason a flight that lands in its owner did not pass it.
     """
 
     __slots__ = (
         "ff", "kind", "msg", "wire", "bat_id", "lane", "at", "start", "step",
         "t0", "arrivals", "lands", "held", "event",
+        "passes", "first_pass", "applied", "base", "entry", "why",
     )
 
     def __init__(self, ff: "FastForwarder", kind: str, msg, wire: int,
@@ -116,25 +163,71 @@ class Flight:
         self.lands = lands
         self.held = 0
         self.event = None
+        # ``first_pass``, ``applied``, ``base`` and ``entry`` are only
+        # read behind a non-empty ``passes`` (set together with it)
+        self.passes: Sequence[float] = ()
+        self.why: Optional[str] = None
 
     def hop(self, i: int) -> tuple:
         """``(link, enqueue, tx, serialise_end, arrival)`` of hop ``i``."""
-        link = self.lane.travel[self.at + i]
+        link = self.lane.travel[(self.at + i) % self.ff.n]
         enqueue = self.arrivals[i - 1] if i else self.t0
         tx = self.wire / link.bandwidth
         return link, enqueue, tx, enqueue + tx, self.arrivals[i]
 
     def hop_of_link(self, link) -> Optional[int]:
-        """Index of the hop that crosses ``link``; None off the arc."""
-        i = ((link.ring_pos - self.start) * self.step) % self.ff.n
-        if i < len(self.arrivals) and self.lane.travel[self.at + i] is link:
-            return i
+        """Index of the next hop over ``link`` whose serialise-end the
+        engine has not passed; None off the arc or once every crossing
+        has.  At an exact serialise-end tie the crossing has passed only
+        if the classic serialise-end (scheduled at the hop's enqueue)
+        would have dispatched before the running event."""
+        n = self.ff.n
+        i = ((link.ring_pos - self.start) * self.step) % n
+        if self.lane.travel[self.at + i] is not link:
+            return None
+        sim = self.ff.sim
+        now = sim.now
+        arrivals = self.arrivals
+        tx = self.wire / link.bandwidth
+        while i < len(arrivals):
+            enqueue = arrivals[i - 1] if i else self.t0
+            s_end = enqueue + tx
+            if s_end > now or (s_end == now and sim.dispatch_origin <= enqueue):
+                return i
+            i += n
         return None
 
     def hop_into(self, node_id: int) -> Optional[int]:
-        """Index of the hop that delivers into ``node_id``; None off the arc."""
-        i = ((node_id - self.start) * self.step - 1) % self.ff.n
-        return i if i < len(self.arrivals) else None
+        """Index of the next hop into ``node_id`` whose delivery has not
+        dispatched; None off the arc or once every one has.  At an exact
+        arrival tie the delivery (scheduled at the hop's serialise-end)
+        has dispatched only if the running event was scheduled later."""
+        ff = self.ff
+        n = ff.n
+        i = ((node_id - self.start) * self.step - 1) % n
+        arrivals = self.arrivals
+        k = len(arrivals)
+        if i >= k:
+            return None
+        sim = ff.sim
+        now = sim.now
+        while arrivals[i] < now or (
+            arrivals[i] == now and sim.dispatch_origin > self.hop(i)[3]
+        ):
+            i += n
+            if i >= k:
+                return None
+        return i
+
+    def next_pass(self) -> Optional[int]:
+        """The hop into the owner of the next closed-form pass that has
+        not happened yet; None if none is left."""
+        if not self.passes or self.applied == len(self.passes):
+            return None
+        i = self.hop_into(self.msg.owner)
+        if i is not None and (i - self.first_pass) // self.ff.n < len(self.passes):
+            return i
+        return None
 
     def flush(self) -> None:
         self.ff._flush_flight(self)
@@ -142,7 +235,13 @@ class Flight:
     def touch(self, link, size: int = 0) -> None:
         """A competing send of ``size`` bytes reached ``link``: flush,
         unless the flight provably does not interact with it
-        (:meth:`FastForwarder._tolerates`)."""
+        (:meth:`FastForwarder._tolerates`).  A flight running through its
+        owner first gives up the passes ahead: it holds the whole lane, so
+        other traffic would otherwise meet it rotation after rotation."""
+        if self.passes and self.applied < len(self.passes):
+            self.ff._land_at_pass(self, "contended")
+            if not link.lane.reserved & link.lane_bit:
+                return  # the crossing was past the new end
         if not self.ff._tolerates(self, link, size):
             self.ff._flush_flight(self)
 
@@ -196,12 +295,17 @@ class FastForwarder:
         # classic path is cheaper even when the flight lands cleanly.
         self.min_flight = 3
         self._by_bat: Dict[int, List[Flight]] = {}
+        # per wire size: the data lane's step list, and it as an array
+        self._arrays: Dict[int, tuple] = {}
         # Lazy accounting re-publishes per-hop events out of dispatch
         # order; any observer of the per-hop stream (tracer, profiler)
         # therefore pins the classic path.  Cached on the bus version.
         self._bus_version = -1
         self._lazy_ok = True
         self._wants_ff = False
+        # an owner's Figure 5 step publishes BatCycled at its dispatch
+        # position: observed, the flights land in their owners
+        self._wants_cycled = False
         # the forwards' subscribers when all of them only count (else None)
         self._bat_counters: Optional[list] = None
         self._request_counters: Optional[list] = None
@@ -234,6 +338,10 @@ class FastForwarder:
         self.tolerated = 0
         self.landed_in_stop = 0
         self.forwards_counted = 0
+        # Figure 5 steps taken in closed form, and per reason the flights
+        # that landed in their owner instead of passing it
+        self.owner_passes = 0
+        self.owner_landings = dict.fromkeys(_LANDING_REASONS, 0)
 
     @staticmethod
     def _lane(channels: list, step: int) -> Lane:
@@ -286,18 +394,24 @@ class FastForwarder:
     def flush_bat(self, bat_id: int, node_id: Optional[int] = None) -> None:
         """Land in-flight traffic for ``bat_id`` ahead of a state change.
 
-        With ``node_id`` (a new S2 registration at that node), only
-        flights whose *remaining* analytic path passes the node are
-        affected: the registration turns the node into a stop the scan
-        did not see, so the flight must not sail past it.  Flights that
-        already passed the node -- the classic run would have checked
-        its (then-empty) S2 at the same per-hop instants -- and flights
-        not routed through it keep flying.  Where possible the flight is
-        truncated to land just short of the node instead of being torn
-        down (:meth:`_truncate`); the final real send then enters the
-        node at its exact classic time, so absorption and pin service
-        run unmodified protocol code.  A registration at the flight's own
-        stop changes nothing: the stop takes a real delivery either way.
+        With ``node_id`` (a new S2 registration at that node, or a change
+        to the BAT's S1 entry at its owner), only flights whose
+        *remaining* analytic path passes the node are affected: the
+        change turns the node into a stop the scan did not see, so the
+        flight must not sail past it.  Flights that already passed the
+        node -- the classic run would have checked its (then-empty) S2 at
+        the same per-hop instants -- and flights not routed through it
+        keep flying.  Where possible the flight is truncated to land just
+        short of the node instead of being torn down (:meth:`_truncate`);
+        the final real send then enters the node at its exact classic
+        time, so absorption and pin service run unmodified protocol code.
+        A registration at the flight's own stop changes nothing: the stop
+        takes a real delivery either way.
+
+        A flight with an owner pass still ahead lands in the owner at
+        that pass if the pass comes first (or *is* the node): no flight
+        passes its owner while an S2 entry anywhere on the ring asks for
+        the BAT, nor past an owner whose entry changed after the launch.
 
         Without ``node_id`` (BAT added/removed, topology change) every
         flight for the BAT is flushed.
@@ -313,24 +427,58 @@ class FastForwarder:
         now = self.sim.now
         for flight in list(flights):
             i = flight.hop_into(node_id)
+            if flight.passes and flight.applied < len(flight.passes):
+                j = flight.next_pass()
+                if j is not None and (i is None or j <= i):
+                    self._truncate(flight, j + 1, lands=True)
+                    flight.why = None
+                    continue
             if i is None or (flight.lands and i == len(flight.arrivals) - 1):
-                continue  # off the arc, or its stop: that delivery is real
-            _link, enqueue, _tx, s_end, arrival = flight.hop(i)
-            # At an exact tie (arrival == now) the classic run's order
-            # is decided by heap seq: the delivery was scheduled at the
-            # hop's serialise-end, the registering event at
-            # ``dispatch_origin``.  If the registration was scheduled
-            # first it also dispatches first, so the delivery must
-            # re-materialise as pending (and will see the new entry);
-            # otherwise the node was already passed.
-            if arrival < now or (arrival == now and self.sim.dispatch_origin > s_end):
-                continue  # node already passed (its S2 check is behind us)
-            if enqueue <= now:
+                continue  # passed, off the arc, or its stop: that delivery is real
+            if flight.hop(i)[1] <= now:
                 # mid-hop into the node: re-materialise the crossing
                 # so the node takes a real delivery at the exact time
                 self._flush_flight(flight)
             else:
                 self._truncate(flight, i)
+
+    def loit_changed(self, owner: int) -> None:
+        """``owner``'s LOIT level moved: the passes its BATs' flights took
+        in closed form stand (they read the old threshold when they
+        happened), the next one lands."""
+        for flights in list(self._by_bat.values()):
+            for flight in list(flights):
+                if flight.kind == "bat" and flight.msg.owner == owner:
+                    self._land_at_pass(flight, "loit")
+
+    def _land_at_pass(self, flight: Flight, why: Optional[str]) -> bool:
+        """Truncate ``flight`` to land in its owner at its next pass, if
+        it has one ahead, for reason ``why``; True if it did.  Other
+        traffic meeting its reservations lands it so too ("contended"):
+        it then holds the lane for one rotation at most, as a flight
+        that does not pass its owner does."""
+        j = flight.next_pass()
+        if j is None:
+            return False
+        self._truncate(flight, j + 1, lands=True)
+        flight.why = why
+        return True
+
+    def settle_passes(self, bat_id: int) -> None:
+        """Apply the owner passes ``bat_id``'s flights have made by now
+        (the header, the owner's ``last_seen``) ahead of a reader."""
+        for flight in self._by_bat.get(bat_id, ()):
+            if flight.passes and flight.applied < len(flight.passes):
+                self._settle(flight, self._delivered(flight))
+
+    def passing(self) -> List[Flight]:
+        """The flights with a closed-form owner pass still ahead."""
+        return [
+            flight
+            for flights in self._by_bat.values()
+            for flight in flights
+            if flight.next_pass() is not None
+        ]
 
     def _refresh_bus_caches(self) -> None:
         bus = self.bus
@@ -342,6 +490,7 @@ class FastForwarder:
             or bus.wants(SimEventFired)
         )
         self._wants_ff = bus.wants(RotationFastForwarded)
+        self._wants_cycled = bus.wants(ev.BatCycled)
         self._bat_counters = bus.counters(ev.BatForwarded)
         self._request_counters = bus.counters(ev.RequestForwarded)
 
@@ -468,6 +617,12 @@ class FastForwarder:
             # the whole flight machinery; let the classic path handle it
             self.refused_short += 1
             return False
+        observed = False
+        if lands and kind == "bat" and stops == self._bits[msg.owner]:
+            # the stop is the owner, and nobody on the ring asks for the BAT
+            if not self._wants_cycled:
+                return self._fly_to_owner(msg, wire, lane, start, k)
+            observed = True
         # What is left per hop is the wire's own float recurrence, s_end
         # = t + wire/bandwidth; t = s_end + delay: a running sum over the
         # lane's per-link steps, which yields every serialise-end (odd
@@ -476,11 +631,115 @@ class FastForwarder:
         at = 2 * first
         now = self.sim.now
         clock = list(accumulate(steps[at:at + 2 * k], initial=now))
-        self._launch(
-            Flight(self, kind, msg, wire, lane, start, now, clock[2::2], lands),
-            clock[-2],
-        )
+        flight = Flight(self, kind, msg, wire, lane, start, now, clock[2::2], lands)
+        if observed:
+            flight.why = "observed"
+        self._launch(flight, clock[-2])
         return True
+
+    def _fly_to_owner(self, msg: "BATMessage", wire: int, lane: Lane,
+                      start: int, k: int) -> bool:
+        """Launch the BAT flight whose ``k`` hops land in its owner, run
+        on through the owner where :meth:`_plan_passes` finds it may."""
+        reach = k - 1
+        k, passes, entry, why = self._plan_passes(msg, lane, k)
+        steps = lane.steps.get(wire) or lane.time(wire)
+        at = 2 * start  # the data lane steps clockwise
+        now = self.sim.now
+        if passes:
+            # An arc past its owner repeats a rotation's steps, hundreds
+            # of them: numpy's running sum makes the same additions in
+            # the same order, in fewer instructions per hop.
+            clock = self._rotations(wire, steps)[at:at + 2 * k].copy()
+            clock[0] += now
+            clock.cumsum(out=clock)
+            flight = Flight(
+                self, "bat", msg, wire, lane, start, now, clock[1::2].tolist(), True
+            )
+            flight.passes, flight.entry = passes, entry
+            flight.first_pass, flight.applied, flight.base = reach, 0, 0
+            s_end = float(clock[-2])
+        else:
+            clock = list(accumulate(steps[at:at + 2 * k], initial=now))
+            flight = Flight(self, "bat", msg, wire, lane, start, now, clock[2::2], True)
+            s_end = clock[-2]
+        flight.why = why
+        self._launch(flight, s_end)
+        return True
+
+    def _rotations(self, wire: int, steps: List[float]):
+        """A rotation of the data lane's ``steps`` repeated as an array
+        long enough for any arc, kept while the lane keeps that list."""
+        cached = self._arrays.get(wire)
+        if cached is None or cached[0] is not steps:
+            rotation = steps[:2 * self.n]
+            cached = self._arrays[wire] = (
+                steps, numpy.array(rotation * (PASS_BOUND + 2))
+            )
+        return cached[1]
+
+    def _plan_passes(self, msg: "BATMessage", lane: Lane, k: int) -> tuple:
+        """Run a BAT flight whose ``k`` hops land in its owner on through
+        the owner: ``(k, passes, entry, why)`` of the longer arc, which
+        lands in the owner too.
+
+        The owner's Figure 5 step (:meth:`NodeRuntime.hot_set_step`) is
+        taken here, pass by pass in pass order, from the header as
+        launched -- the first pass sees the ``k - 1`` nodes skipped on
+        the way, every later one a rotation past nobody.  Taken in
+        closed form only where the landing would do nothing else: an
+        owner whose S1 entry would keep this very message (loaded, same
+        incarnation and version); the caller has seen that nobody
+        observes ``BatCycled``.  The arc then ends at the first pass
+        that leaves the BAT cold (that pass lands, and the classic code
+        unloads it) or after ``PASS_BOUND`` passes.  The first ``k``
+        hops already crossed the links up to the owner; the rest of the
+        ring is looked at once, and if any of it is busy, lossy or
+        reserved the landing stands: other traffic on the lane would
+        meet the arc's reservations every rotation.
+        """
+        owner = self.nodes[msg.owner]
+        entry = owner.s1.maybe(msg.bat_id)
+        if (
+            entry is None or entry.deleted or not entry.loaded or owner.crashed
+            or entry.incarnation != msg.incarnation or entry.version != msg.version
+        ):
+            return k, (), None, None
+        n = self.n
+        step = owner.hot_set_step
+        cycles, loi, copies, hops = msg.cycles, msg.loi, msg.copies, msg.hops + k - 1
+        passes: List[float] = []
+        why = "cooled"
+        while True:
+            cycles, loi, hot = step(loi, copies, hops, cycles)
+            if not hot:
+                break
+            passes.append(loi)
+            if len(passes) == PASS_BOUND:
+                why = "bound"
+                break
+            copies, hops = 0, n - 1
+        if not passes:
+            return k, (), None, why
+        # the links out of the owner onwards that the first k hops did not
+        # cross must all be pristine
+        at = msg.owner
+        rest = n - k
+        r = rest
+        if rest:
+            cut = ((lane.busy | lane.lossy) >> at) | (1 << rest)
+            r = (cut & -cut).bit_length() - 1
+            while r < rest and lane.travel[at + r]._settle():
+                cut = ((lane.busy | lane.lossy) >> at) | (1 << rest)
+                r = (cut & -cut).bit_length() - 1
+            if lane.reserved:
+                extent = r + (r < rest)
+                owed = lane.reserved >> at & ((1 << extent) - 1)
+                if owed:
+                    r = self._unreserved_run(lane, at, r, extent, owed)
+        if r < rest:
+            return k, (), None, "contended"  # other traffic on the lane
+        return k + len(passes) * n, passes, entry, why
 
     def _unreserved_run(self, lane: Lane, start: int, k: int, extent: int,
                         owed: int) -> int:
@@ -489,7 +748,9 @@ class FastForwarder:
         ``extent`` hops; they are examined in hop order: a reservation
         whose holder already left the link lapses
         (:meth:`_release_if_passed`), the first one that does not ends
-        the run."""
+        the run -- unless its holder runs through its owner: that flight
+        lands at its next pass (:meth:`_land_at_pass`), which frees the
+        links only its later rotations would have crossed."""
         travel = lane.travel
         holders = lane.holders
         forward = lane.step > 0
@@ -508,7 +769,21 @@ class FastForwarder:
                 if holder.held & link.lane_bit:
                     break
             if not self._release_if_passed(holder, link):
-                return i if i < k else k
+                # a flight past its owner lands at its next pass, and the
+                # links only its later rotations would cross are free
+                if not (
+                    holder.passes and holder.applied < len(holder.passes)
+                    and self._land_at_pass(holder, "contended")
+                ):
+                    return i if i < k else k
+                owed &= lane.reserved >> (
+                    start if forward else start + self.n - extent + 1
+                )
+                if owed & bit:
+                    if not self._release_if_passed(holder, link):
+                        return i if i < k else k
+                    owed ^= bit
+                continue
             owed ^= bit
         return k
 
@@ -546,8 +821,12 @@ class FastForwarder:
         hence order-insensitive, so the landed link reads exactly as in
         a classic run.  At an exact serialise-end tie the wire is free
         only if the classic serialise-end event (scheduled at the hop's
-        enqueue) would have dispatched before the running one."""
+        enqueue) would have dispatched before the running one.  An arc
+        past its owner may cross the link again: the reservation lapses
+        with the last crossing, which is the one looked at."""
         i = ((link.ring_pos - flight.start) * flight.step) % self.n
+        if flight.passes:  # an arc longer than the ring: its last crossing
+            i += (len(flight.arrivals) - 1 - i) // self.n * self.n
         enqueue = flight.arrivals[i - 1] if i else flight.t0
         s_end = enqueue + flight.wire / link.bandwidth
         now = self.sim.now
@@ -580,10 +859,14 @@ class FastForwarder:
         link some other BAT's flight reserved queues behind nothing and
         drains in microseconds, so it rides through without tearing the
         flight down.  Only traffic that overlaps the crossing flushes.
+        An arc past its owner is judged by its next crossing of the link.
         """
-        i = flight.hop_of_link(link)
-        if i is None:
-            return False  # pragma: no cover - defensive
+        i = ((link.ring_pos - flight.start) * flight.step) % self.n
+        if flight.passes:
+            # an arc longer than the ring: the crossing still owed, if any
+            i = flight.hop_of_link(link)
+            if i is None:
+                return self._release_if_passed(flight, link)
         enqueue = flight.arrivals[i - 1] if i else flight.t0
         now = self.sim.now
         if now >= enqueue:  # crossing it, or crossed
@@ -602,23 +885,30 @@ class FastForwarder:
             return True
         return False
 
-    def _truncate(self, flight: Flight, stop: int) -> None:
-        """Shorten ``flight`` so it lands *before* skipped node ``stop``.
+    def _truncate(self, flight: Flight, stop: int, lands: bool = False) -> None:
+        """Shorten ``flight`` so it lands *before* skipped node ``stop``,
+        or with ``lands`` over hop ``stop - 1`` *in* the node it enters
+        (an owner whose pass must run classically).
 
-        Only valid while the message has not yet entered hop ``stop``
-        (``now < hop(stop)`` enqueue), which also implies ``stop >= 1``
-        -- hop 0's enqueue is the launch instant.  The dropped hops
-        release their reservations, and the completion event moves up to
-        the arrival at the new last skipped node; its live final send
-        then enqueues on hop ``stop``'s link at exactly that arrival,
-        the time the classic message would have entered it.  A flight
-        that was to land in its stop no longer does.
+        Without ``lands`` only valid while the message has not yet
+        entered hop ``stop`` (``now < hop(stop)`` enqueue), which also
+        implies ``stop >= 1`` -- hop 0's enqueue is the launch instant;
+        with it, while hop ``stop - 1`` has not delivered.  The dropped
+        hops release their reservations, and the completion event moves
+        up to the arrival at the new last node; a live final send then
+        enqueues on hop ``stop``'s link at exactly that arrival, the time
+        the classic message would have entered it.  The owner passes the
+        flight made so far are applied first, and those beyond the new
+        end are dropped.
         """
         arrivals = flight.arrivals
+        if flight.passes:
+            self._settle(flight, self._delivered(flight))
+            flight.passes = flight.passes[:flight.applied]
         self._release(flight, stop)
-        self.hops_coalesced -= len(arrivals) - flight.lands - stop
+        self.hops_coalesced -= len(arrivals) - flight.lands - (stop - lands)
         self.truncations += 1
-        flight.lands = False
+        flight.lands = lands
         del arrivals[stop:]
         flight.event.cancel()
         flight.event = self.sim.schedule_backdated_at(
@@ -627,14 +917,64 @@ class FastForwarder:
 
     def _release(self, flight: Flight, since: int = 0) -> None:
         """Free what the flight still holds of hops ``since`` onwards:
-        links it released earlier may be held by a younger flight."""
+        links it released earlier may be held by a younger flight, and a
+        link the hops before ``since`` cross again stays held."""
         freed = flight.held
         if since:
-            freed &= flight.lane.arc(
+            lane = flight.lane
+            freed &= lane.arc(
                 flight.start, since, len(flight.arrivals) - since
-            )
+            ) & ~lane.arc(flight.start, 0, since)
         flight.held ^= freed
         flight.lane.reserved ^= freed
+
+    def _delivered(self, flight: Flight) -> int:
+        """How many of the flight's hops have delivered by now.  A hop
+        arriving at exactly ``now`` counts only if the classic delivery
+        would already have dispatched: it was scheduled at the hop's
+        serialise-end, the currently running event at
+        ``dispatch_origin``, and the heap dispatches the earlier-
+        scheduled one first."""
+        arrivals = flight.arrivals
+        now = self.sim.now
+        done = bisect_left(arrivals, now)
+        if (
+            done < len(arrivals)
+            and arrivals[done] == now
+            and self.sim.dispatch_origin > flight.hop(done)[3]
+        ):
+            done += 1
+        return done
+
+    def _settle(self, flight: Flight, upto: int) -> None:
+        """Apply the owner passes among the flight's first ``upto`` hops
+        that are not applied yet: what the owner's Figure 5 step wrote
+        into the header and its S1 entry when the message passed."""
+        applied = flight.applied
+        reached = min((upto - 1 - flight.first_pass) // self.n + 1, len(flight.passes))
+        if reached <= applied:
+            return
+        last = flight.first_pass + (reached - 1) * self.n
+        msg = flight.msg
+        cycles = msg.cycles
+        msg.cycles = cycles + reached - applied
+        msg.loi = flight.passes[reached - 1]
+        msg.copies = 0
+        msg.hops = 0
+        flight.base = last + 1
+        flight.applied = reached
+        flight.entry.last_seen = flight.arrivals[last]
+        self.owner_passes += reached - applied
+        if self.bus.version != self._bus_version:
+            self._refresh_bus_caches()
+        if self._wants_cycled:
+            # subscribed since the launch: published at the passes' instants
+            for j in range(applied, reached):
+                cycles += 1
+                self.bus.publish(ev.BatCycled(
+                    flight.arrivals[flight.first_pass + j * self.n],
+                    flight.bat_id, cycles, msg.owner,
+                ))
 
     def _forget(self, flight: Flight) -> None:
         flight.lane.holders.remove(flight)
@@ -677,7 +1017,9 @@ class FastForwarder:
         last link if the flight lands there, else sent for real by the
         last skipped runtime."""
         if flight.lands:
-            link = flight.lane.travel[flight.at + len(flight.arrivals) - 1]
+            if flight.why is not None:
+                self.owner_landings[flight.why] += 1
+            link = flight.lane.travel[(flight.at + len(flight.arrivals) - 1) % self.n]
             link.on_receive(flight.msg, flight.wire)
             return
         last = self.nodes[self._last_skipped(flight)]
@@ -705,6 +1047,9 @@ class FastForwarder:
         lane.account(flight.wire, flight.start, k)
         self._forget(flight)
         skipped = k - flight.lands
+        if flight.passes:
+            self._settle(flight, k)
+            skipped -= flight.base
         flight.msg.hops += skipped
         # k - 1 forwards either way: a flight that lands in its stop has
         # k - 1 skipped nodes, one that does not forwards its last live
@@ -726,19 +1071,15 @@ class FastForwarder:
         """Re-materialise a flight into real link state, bit-exactly.
 
         Hops whose arrival has passed get their full closed-form
-        accounting; the hop the message is currently crossing is put
+        accounting, owner passes included; the hop the message is
+        currently crossing is put
         back onto its link (busy flag, in-flight list, a real
         serialisation/delivery event at the re-derived instant, with
         its classic scheduling time stamped for same-instant ordering)
         so every subsequent interaction -- a competing send queueing
         behind it, a degradation, a crash purge -- behaves exactly as
-        if the flight had never existed.
-
-        A hop arriving at exactly ``now`` counts as passed only if the
-        classic delivery would already have dispatched: it was scheduled
-        at the hop's serialise-end, the currently running event at
-        ``dispatch_origin``, and the heap dispatches the earlier-
-        scheduled one first.
+        if the flight had never existed.  Which hops have passed is
+        :meth:`_delivered`'s tie rule.
         """
         self._release(flight)
         self._forget(flight)
@@ -751,19 +1092,16 @@ class FastForwarder:
         now = sim.now
         wire = flight.wire
         msg = flight.msg
-        arrivals = flight.arrivals
-        k = len(arrivals)
-        done = bisect_left(arrivals, now)
-        if (
-            done < k
-            and arrivals[done] == now
-            and sim.dispatch_origin > flight.hop(done)[3]
-        ):
-            done += 1
+        k = len(flight.arrivals)
+        done = self._delivered(flight)
         if done:
             flight.lane.account(wire, flight.start, done)
         # the nodes it reached, the stop excepted: its own handler counts
-        msg.hops += done - (done == k and flight.lands)
+        reached = done - (done == k and flight.lands)
+        if flight.passes:
+            self._settle(flight, done)
+            reached -= flight.base
+        msg.hops += reached
         if self.bus.active:
             # past every analytic hop only the hand-over remains: into the
             # stop, or a live final send that publishes its own forward
@@ -816,6 +1154,11 @@ class FastForwarder:
             # forwards added in one step to counting subscribers
             "landed_in_stop": self.landed_in_stop,
             "forwards_counted": self.forwards_counted,
+            # Figure 5 steps taken in closed form as a flight ran through
+            # its owner, and why flights landed in their owners instead
+            "owner_passes": self.owner_passes,
+            **{f"owner_landed_{why}": count
+               for why, count in self.owner_landings.items()},
             # what the O(1) structures hold: folds of lazy link statistics
             # into the links' records, and BATs the stop index lists
             "stat_folds": self.data_lane.folds + self.request_lane.folds,

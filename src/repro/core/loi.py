@@ -99,4 +99,6 @@ class LoitController:
 
     def is_hot(self, loi: float) -> bool:
         """True when a BAT with this LOI stays in the ring (Fig. 5 line 07)."""
-        return loi >= self.threshold
+        # ``threshold`` inlined: the fast path asks once per owner pass
+        static = self.static
+        return loi >= (self.levels[self.level] if static is None else static)

@@ -300,7 +300,11 @@ class DataCyclotron:
             busy = self.ff.data_lane.busy & ((1 << self.config.n_nodes) - 1)
             for node in self._nodes_in(self._loit_raised | busy):
                 if node.out_data.link._queued_bytes or node.loit.level:
+                    level = node.loit.level
                     node.tick_loit()
+                    if node.loit.level != level:
+                        # the passes ahead read the old threshold
+                        self.ff.loit_changed(node.node_id)
                     if node.loit.level:
                         self._loit_raised |= 1 << node.node_id
                     else:

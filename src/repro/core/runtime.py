@@ -318,10 +318,18 @@ class NodeRuntime:
         if self.s1.owns(msg.bat_id):
             entry = self.s1.get(msg.bat_id)
             if entry.loaded:
+                ff = self._ff
+                if ff is not None:
+                    # a flight running through this owner writes
+                    # last_seen lazily: the passes it made come first
+                    ff.settle_passes(msg.bat_id)
                 # Lazy loss detection: if the BAT has not come around for
                 # far longer than a rotation, it was dropped in transit.
                 if now - entry.last_seen > self.loss_timeout:
                     entry.loaded = False
+                    if ff is not None:
+                        # the next pass must swallow the copy classically
+                        ff.flush_bat(msg.bat_id, self.node_id)
                 else:
                     return  # outcome 2: already in the hot set
             if entry.loading:
@@ -429,20 +437,33 @@ class NodeRuntime:
             entry.loaded = False
             self.loader.try_load(msg.bat_id)
             return
-        msg.cycles += 1
+        msg.cycles, updated, hot = self.hot_set_step(
+            msg.loi, msg.copies, msg.hops, msg.cycles
+        )
         if self.bus.active:
             self.bus.publish(
                 ev.BatCycled(self.sim.now, msg.bat_id, msg.cycles, self.node_id)
             )
-        updated = new_loi(msg.loi, msg.copies, msg.hops, msg.cycles)
         msg.copies = 0
         msg.hops = 0
-        if not self.loit.is_hot(updated):
+        if not hot:
             self.loader.unload(entry)
             return
         msg.loi = updated
         self.note_bat_forwarded(entry)
         self.forward_bat(msg)
+
+    def hot_set_step(
+        self, loi: float, copies: int, hops: int, cycles: int
+    ) -> Tuple[int, float, bool]:
+        """The pure part of Figure 5 for a BAT back at this owner with
+        header ``(loi, copies, hops, cycles)``: its new cycle count, its
+        new LOI, and whether that keeps it hot.  The landing above and
+        the fast path's closed-form owner pass
+        (:mod:`repro.core.fastforward`) both take the step here."""
+        cycles += 1
+        updated = new_loi(loi, copies, hops, cycles)
+        return cycles, updated, self.loit.is_hot(updated)
 
     def _handle_orphan(self, msg: BATMessage) -> None:
         """A circulating copy whose owner died (docs/faults.md).

@@ -24,6 +24,7 @@ from repro.events.bus import Bus
 __all__ = [
     "InvariantMonitor",
     "check_invariants",
+    "check_owner_passes",
     "check_request_index",
     "check_stop_index",
     "check_terminal",
@@ -214,6 +215,21 @@ def check_stop_index(dc: DataCyclotron) -> List[str]:
     return violations
 
 
+def check_owner_passes(dc: DataCyclotron) -> List[str]:
+    """No fast-forward flight has an owner pass ahead in closed form while
+    an S2 entry anywhere on the ring asks for its BAT: every registration
+    lands such a flight first (``FastForwarder.flush_bat``), so the
+    classic code meets the requester."""
+    requested = dc.index.requested
+    return [
+        f"owner pass: BAT {flight.bat_id} flies through owner {flight.msg.owner} "
+        f"at hop {flight.next_pass()} while S2 positions {requested[flight.bat_id]:#x} "
+        f"ask for it"
+        for flight in dc.ff.passing()
+        if requested.get(flight.bat_id)
+    ]
+
+
 def check_invariants(dc: DataCyclotron) -> List[str]:
     """All fault-point invariants; empty list = the ring is consistent."""
     return (
@@ -224,6 +240,7 @@ def check_invariants(dc: DataCyclotron) -> List[str]:
         + check_pin_accounting(dc)
         + check_request_index(dc)
         + check_stop_index(dc)
+        + check_owner_passes(dc)
     )
 
 

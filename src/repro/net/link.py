@@ -98,7 +98,8 @@ class Lane:
       integer operation each;
     * ``pending`` -- link statistics of landed flights not yet applied:
       per message size a difference array over the doubled positions,
-      two writes per flight (:meth:`account`), summed into the links'
+      two writes per flight, four if it ran more than a rotation
+      (:meth:`account`), summed into the links'
       records when somebody reads one (:meth:`fold`).  Every counter is
       an integer sum or a maximum, so when it is applied cannot matter;
     * ``steps`` -- per message size, what each link of ``travel`` adds
@@ -146,8 +147,11 @@ class Lane:
 
     def arc(self, start: int, first: int, count: int) -> int:
         """The ``count`` links a message that left position ``start``
-        crosses from its hop ``first`` on, as a doubled mask."""
+        crosses from its hop ``first`` on, as a doubled mask (all of them
+        once ``count`` covers a rotation)."""
         n = self.n
+        if count >= n:
+            return self.full
         low = start + first if self.step > 0 else start + n - first - count + 1
         run = ((1 << count) - 1) << low
         return (run | run << n | run >> n) & self.full
@@ -172,10 +176,17 @@ class Lane:
 
     def account(self, wire: int, start: int, count: int) -> None:
         """One ``wire``-byte message crossed the first ``count`` links
-        out of position ``start``, queueing nowhere."""
+        out of position ``start``, queueing nowhere -- every link once
+        per whole rotation among them, then a run."""
         diff = self.pending.get(wire)
         if diff is None:
             diff = self.pending[wire] = [0] * (2 * self.n + 1)
+        if count >= self.n:
+            rotations, count = divmod(count, self.n)
+            diff[0] += rotations
+            diff[self.n] -= rotations
+            if not count:
+                return
         low = start if self.step > 0 else start + self.n - count + 1
         diff[low] += 1
         diff[low + count] -= 1
@@ -427,13 +438,13 @@ class Link:
     # ------------------------------------------------------------------
     def send(self, message: Any, size: int) -> bool:
         """Enqueue ``message`` of ``size`` bytes; False if DropTail dropped it."""
+        if size < 0:
+            raise ValueError("message size cannot be negative")
         lane = self.lane
         if lane.reserved and lane.reserved & self.lane_bit:
             # a coalesced flight is owed this link: it yields (lands in
             # real link state) unless it provably does not interact
             lane.holder(self).touch(self, size)
-        if size < 0:
-            raise ValueError("message size cannot be negative")
         if (
             self.queue_capacity is not None
             and self._queued_bytes + size > self.queue_capacity

@@ -349,7 +349,10 @@ class Simulator:
 
         ``until`` stops the clock at that simulated time (events beyond it
         stay queued and the clock is advanced to ``until``).  ``max_events``
-        bounds the number of callbacks as a runaway-loop safety net.
+        bounds the number of callbacks as a runaway-loop safety net; a run
+        it stops leaves the clock and the dispatch edge at the last
+        dispatched event, so the events still queued fire at their own
+        times on the next run.
 
         ``inclusive`` controls the boundary: by default events scheduled
         at exactly ``until`` still fire, and the dispatch edge is left
@@ -410,11 +413,8 @@ class Simulator:
                     break
         finally:
             self._running = False
-        if until is not None:
-            if not capped:
-                self.skip_to(until, inclusive)
-            elif self.now < until:
-                self.now = until
+        if until is not None and not capped:
+            self.skip_to(until, inclusive)
 
     @property
     def dispatch_origin(self) -> float:

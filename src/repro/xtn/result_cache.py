@@ -114,6 +114,8 @@ class ResultCache:
         s1 = self.dc.nodes[entry.owner].s1
         owned = s1.maybe(entry.bat_id)
         if owned is not None:
+            # the next pass at the owner swallows a flowing copy classically
+            self.dc.ff.flush_bat(entry.bat_id, entry.owner)
             s1.mark_deleted(owned)
 
     # ------------------------------------------------------------------

@@ -131,6 +131,9 @@ class UpdateCoordinator:
             # publish the new version at the owner
             owner = self.dc.nodes[self.dc.bat_owner(update.bat_id)]
             entry = owner.s1.get(update.bat_id)
+            # a copy running through the owner in closed form must meet
+            # the new version at its next pass
+            self.dc.ff.flush_bat(update.bat_id, owner.node_id)
             entry.version += 1
             if self.mutate is not None:
                 old = owner.loader.payloads.get(update.bat_id)

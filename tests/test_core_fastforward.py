@@ -7,6 +7,8 @@ flushes a flight back into real link state, and which conditions force
 it to stand down.
 """
 
+import pytest
+
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
 from repro.core.query import QuerySpec
 
@@ -108,22 +110,28 @@ def test_flush_bat_rematerialises_the_flight():
 def test_passed_hop_release_keeps_the_flight_alive():
     dc = sparse_ring()
     flight = launch_flight(dc)
-    first_link, _enq, _tx, _s_end, first_arrival = flight.hop(0)
+    first_link = flight.hop(0)[0]
+    # a flight that runs through its owner crosses the link once per
+    # rotation: the reservation lapses with the last crossing
+    n = len(dc.nodes)
+    left = flight.arrivals[(len(flight.arrivals) - 1) // n * n]
     last_arrival = flight.arrivals[-1]
     assert first_link.lane.holder(first_link) is flight
 
     checked = []
 
     def probe():
-        # the message analytically left the first hop, but the flight is
-        # still in the air: a competing send on that link must release
-        # the lapsed reservation instead of flushing the whole flight
-        assert dc.sim.now > first_arrival
+        # the message analytically left the first hop's link for the last
+        # time, but the flight is still in the air: a competing send on
+        # that link must release the lapsed reservation instead of
+        # flushing the whole flight
+        assert dc.sim.now > left
+        assert flight.hop_of_link(first_link) is None
         flight.touch(first_link)
         checked.append(first_link.lane.holder(first_link) is None)
         checked.append(flight in dc.ff._by_bat.get(flight.bat_id, []))
 
-    mid = (first_arrival + last_arrival) / 2
+    mid = (left + last_arrival) / 2
     assert mid > dc.sim.now
     flushes_before = dc.ff.flushes
     dc.sim.schedule_at(mid, probe)
@@ -136,7 +144,10 @@ def test_passed_hop_release_keeps_the_flight_alive():
 def test_touch_on_future_hop_tolerates_non_overlapping_sends():
     dc = sparse_ring()
     flight = launch_flight(dc)
-    last_link, last_enqueue = flight.hop(len(flight.arrivals) - 1)[:2]
+    last_link = flight.hop(len(flight.arrivals) - 1)[0]
+    # the link's next crossing: a flight that runs through its owner
+    # crosses it once per rotation
+    last_enqueue = flight.hop(flight.hop_of_link(last_link))[1]
     before = dc.ff.flushes
     # the message has not reached the final reserved hop, and a small
     # competing transmission drains before it analytically would: the
@@ -159,6 +170,22 @@ def test_touch_on_future_hop_flushes_on_overlap():
     flight.touch(last_link, overlap)
     assert dc.ff.flushes == before + 1
     assert not dc.ff._by_bat
+    assert dc.run_until_done(max_time=120.0)
+
+
+def test_invalid_send_on_a_reserved_link_leaves_the_flight_in_the_air():
+    dc = sparse_ring()
+    flight = launch_flight(dc)
+    link, enqueue, _tx, s_end, _arrival = flight.hop(2)
+    # the message is serialising onto the link: any real send would
+    # flush the flight, but a malformed one is refused before that
+    dc.sim.run(until=(enqueue + s_end) / 2)
+    before = dc.ff.flushes
+    with pytest.raises(ValueError):
+        link.send(object(), -1)
+    assert dc.ff.flushes == before
+    assert flight in dc.ff._by_bat[flight.bat_id]
+    assert link.lane.holder(link) is flight
     assert dc.run_until_done(max_time=120.0)
 
 

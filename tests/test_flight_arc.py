@@ -25,12 +25,21 @@ per-hop checks (reservation first, then the link).  And since a link's
 serialise-end may fire without an event, they read whether it is
 serialising from ``Link.busy``, which notices that, where the parent's
 ``Link._busy`` was always current.
+
+Since a BAT flight may also run through its owner, the shadow's scan
+runs the owner's landing ahead where nobody asks for the BAT: the
+parent's Figure 5 lines per pass, then its per-hop loop over the links
+beyond the owner, rotation after rotation.  Such an arc crosses a link
+more than once, so the shadow writes a link's holder once per launch
+and lets its reservation lapse with the last crossing.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
+from repro.core.fastforward import PASS_BOUND
+from repro.core.loi import new_loi
 from repro.core.messages import BATMessage, RequestMessage
 from repro.core.query import QuerySpec
 from repro.faults.invariants import check_stop_index
@@ -230,6 +239,9 @@ class ParentShadow:
         self.transit = {}          # link -> flight | None  (Link.ff_transit)
         self.released = 0
         self.in_live_scan = False
+        # lapses the shadow's scan found that the live scan makes only
+        # after it landed the holder at its next pass
+        self.deferred: list = []
         self.scans = self.launches = self.lapses = self.landings = 0
         nodes = dc.nodes
         # the parent's lanes: (channel, link, -, receiver id, S2 map, S1 map)
@@ -259,15 +271,39 @@ class ParentShadow:
 
     # -- the parent's code, reading and writing the shadow ---------------
     def parent_release_if_passed(self, flight, link) -> bool:
+        # the parent's test, of every crossing an arc past its owner makes
         i = ((link.ring_pos - flight.start) * flight.step) % self.n
-        enqueue = flight.arrivals[i - 1] if i else flight.t0
-        s_end = enqueue + flight.wire / link.bandwidth
         now = self.dc.sim.now
-        if s_end < now or (s_end == now and self.dc.sim.dispatch_origin > enqueue):
-            self.transit[link] = None
-            self.released += 1
-            return True
-        return False
+        while i < len(flight.arrivals):
+            enqueue = flight.arrivals[i - 1] if i else flight.t0
+            s_end = enqueue + flight.wire / link.bandwidth
+            if not (s_end < now or (s_end == now and self.dc.sim.dispatch_origin > enqueue)):
+                return False
+            i += self.n
+        self.transit[link] = None
+        self.released += 1
+        return True
+
+    def freed_by_landing(self, flight, link) -> bool:
+        """A scan meeting a flight that would run through its owner lands
+        that flight at its next pass: True if none of the crossings the
+        shortened arc keeps is still owed ``link``.  A link the shortened
+        arc crossed already lapses as the parent's test says."""
+        j = flight.next_pass()
+        if j is None:
+            return False
+        i = ((link.ring_pos - flight.start) * flight.step) % self.n
+        now = self.dc.sim.now
+        crossed = i <= j
+        while i <= j:
+            enqueue = flight.arrivals[i - 1] if i else flight.t0
+            s_end = enqueue + flight.wire / link.bandwidth
+            if not (s_end < now or (s_end == now and self.dc.sim.dispatch_origin > enqueue)):
+                return False
+            i += self.n
+        if crossed:
+            self.deferred.append(link)
+        return True
 
     def parent_send_bat(self, node, msg, wire):
         """None: refused on the first hop; else the arrivals scanned and
@@ -278,10 +314,68 @@ class ParentShadow:
         first = lane[start]
         if first[3] == owner or bat_id in first[4]:
             return None
-        return self.parent_run(
+        arrivals, lands = self.parent_run(
             lane[start:start + self.ff.scan_limit + 1], wire,
             lambda nxt, s2, _s1: nxt == owner or bat_id in s2,
         )
+        if (
+            lands and len(arrivals) - 1 >= self.ff.min_flight
+            and (start + len(arrivals)) % self.n == owner
+            and not any(bat_id in entry[4] for entry in lane)
+        ):
+            return self.parent_pass(msg, wire, arrivals)
+        return arrivals, lands
+
+    def parent_pass(self, msg, wire, arrivals):
+        """The landing in the owner, run ahead: the parent's Figure 5
+        lines once per pass, then ``parent_run``'s per-hop checks over
+        the links beyond the owner, and around again per pass."""
+        n = self.n
+        owner = self.dc.nodes[msg.owner]
+        entry = owner.s1.maybe(msg.bat_id)
+        if (
+            entry is None or entry.deleted or not entry.loaded
+            or entry.incarnation != msg.incarnation or entry.version != msg.version
+        ):
+            return arrivals, True
+        loi, copies, hops, cycles = msg.loi, msg.copies, msg.hops + len(arrivals) - 1, msg.cycles
+        passes = 0
+        while passes < PASS_BOUND:
+            cycles += 1
+            updated = new_loi(loi, copies, hops, cycles)
+            if not owner.loit.is_hot(updated):
+                break
+            loi = updated
+            passes += 1
+            copies, hops = 0, n - 1
+        if not passes:
+            return arrivals, True
+        lane, _step = self.lanes["bat"]
+        for h in range(n - len(arrivals)):
+            ch, link, _stats, _nxt, _s2, _s1 = lane[msg.owner + h]
+            ft = self.transit.get(link)
+            if ft is not None and not self.parent_release_if_passed(ft, link) \
+                    and not self.freed_by_landing(ft, link):
+                break
+            if (
+                ch.loss_rate != 0.0
+                or link.busy
+                or link._queue
+                or (link.queue_capacity is not None and wire > link.queue_capacity)
+            ):
+                break
+        else:
+            # pristine all round: every pass, then the landing that ends it
+            t = arrivals[-1]
+            arrivals = list(arrivals)
+            for h in range(passes * n):
+                link = lane[(msg.owner + h) % n][1]
+                s_end = t + wire / link.bandwidth
+                t = s_end + link.delay
+                arrivals.append(t)
+            return arrivals, True
+        # other traffic on the lane: the landing in the owner stands
+        return arrivals, True
 
     def parent_send_request(self, node, msg):
         lane, step = self.lanes["request"]
@@ -329,7 +423,8 @@ class ParentShadow:
             if not lands and len(arrivals) == self.ff.scan_limit:
                 break
             ft = self.transit.get(link)
-            if ft is not None and not self.parent_release_if_passed(ft, link):
+            if ft is not None and not self.parent_release_if_passed(ft, link) \
+                    and not self.freed_by_landing(ft, link):
                 lands = False
                 break
             if (
@@ -359,6 +454,7 @@ class ParentShadow:
         self.in_live_scan = True
         launched = self.live[live_send](*args)
         self.in_live_scan = False
+        self.apply_deferred()
         if gated:
             assert not launched
         else:
@@ -387,20 +483,32 @@ class ParentShadow:
     def send_request(self, node, msg):
         return self._send(self.parent_send_request, "send_request", msg.bat_id, node, msg)
 
+    def apply_deferred(self):
+        for link in self.deferred:
+            self.transit[link] = None
+            self.released += 1
+        self.deferred.clear()
+
     def launch(self, flight, s_end):
+        self.apply_deferred()
         self.live["_launch"](flight, s_end)
         self.launches += 1
         lane, _step = self.lanes[flight.kind]
-        for entry in lane[flight.at:flight.at + len(flight.arrivals)]:
+        # an arc past its owner crosses each link more than once
+        for entry in lane[flight.at:flight.at + min(len(flight.arrivals), self.n)]:
             assert self.transit.get(entry[1]) is None  # never double-booked
             self.transit[entry[1]] = flight
         self.check_holders()
 
     def parent_release(self, flight, since=0):
         lane, _step = self.lanes[flight.kind]
-        for entry in lane[flight.at + since:flight.at + len(flight.arrivals)]:
-            if self.transit.get(entry[1]) is flight:
-                self.transit[entry[1]] = None
+        n, at, k = self.n, flight.at, len(flight.arrivals)
+        # a link the kept hops cross again stays held
+        kept = {id(lane[(at + h) % n][1]) for h in range(min(since, n))}
+        for h in range(since, min(k, since + n)):
+            link = lane[(at + h) % n][1]
+            if id(link) not in kept and self.transit.get(link) is flight:
+                self.transit[link] = None
 
     def release(self, flight, since=0):
         # from _truncate and _flush_flight
@@ -431,7 +539,8 @@ class ParentShadow:
         in_air = [f for flights in ff._by_bat.values() for f in flights]
         for lane in (ff.data_lane, ff.request_lane):
             for link in lane.links:
-                assert lane.holder(link) is self.transit.get(link), link.name
+                if link not in self.deferred:
+                    assert lane.holder(link) is self.transit.get(link), link.name
             mine = [f for f in in_air if f.lane is lane]
             assert sorted(map(id, lane.holders)) == sorted(map(id, mine))
             union = 0
@@ -478,6 +587,8 @@ def test_every_scan_and_every_holder_match_the_parents_per_hop_code():
         # taken, and a truncation lands short
         assert 0 < stats["landed_in_stop"] <= shadow.landings < shadow.launches
         assert stats["released"] == shadow.released > 0 and shadow.lapses > 0
+        # flights ran through their owners, and other traffic met them
+        assert stats["owner_passes"] > 0 and stats["owner_landed_contended"] > 0
         assert not any(shadow.transit.values())
         assert dc.ff.data_lane.reserved == dc.ff.request_lane.reserved == 0
         assert check_stop_index(dc) == []

@@ -26,6 +26,12 @@ serialise-end and delivery.  A serialise-end that nothing queues behind
 is not dispatched but credited when it fires (``repro.net.link``), so
 the count compared is the dispatches plus those: what the run would
 dispatch were every serialise-end an event.
+
+Every ring here observes ``BatCycled`` (the collector is attached), so
+a flight never runs through its owner (``test_owner_pass_oracle.py``
+holds that pass to this landing on detached rings): each flight that
+reaches an owner nobody else wants lands there, counted as
+``owner_landed_observed``.
 """
 
 import random
@@ -327,6 +333,11 @@ def compare(case: dict) -> tuple:
         assert counted.stats["forwards_counted"] > 0
     for run in (watched, counted):
         assert run.stats["landed_in_stop"] <= run.stats["flights"]
+        # the collector observes BatCycled on every ring here: no flight
+        # runs through its owner, and each one that would have lands
+        # there, so these rings hold the scan of the parent of the pass
+        assert run.stats["owner_passes"] == 0
+        assert run.stats["owner_landed_observed"] <= run.stats["landed_in_stop"]
     if counted.launches == parent.launches and not (
         counted.stats["flushes"] or parent.stats["flushes"]
     ):
@@ -387,3 +398,4 @@ def test_each_landing_in_the_stop_saves_two_dispatches():
             assert counted.launches == parent.launches
             assert not counted.stats["flushes"] and not parent.stats["flushes"]
             assert counted.stats["landed_in_stop"] > 0
+            assert counted.stats["owner_landed_observed"] > 0

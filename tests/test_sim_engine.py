@@ -123,6 +123,21 @@ def test_max_events_bounds_execution():
     assert count[0] == 100
 
 
+def test_capped_run_leaves_the_clock_at_the_last_dispatched_event():
+    # a run stopped by max_events before ``until`` must not move the
+    # clock past what is still queued: the next run fires it on time
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 4.0):
+        sim.post_at(t, lambda: fired.append(sim.now))
+    sim.run(until=10.0, max_events=2)
+    assert fired == [1.0, 2.0]
+    assert sim.now == 2.0 and sim._entry[0] == 2.0
+    sim.run(until=10.0)
+    assert fired == [1.0, 2.0, 3.0, 4.0]
+    assert sim.now == 10.0
+
+
 def test_step_runs_exactly_one_event():
     sim = Simulator()
     hits = []
