@@ -223,10 +223,6 @@ class DataCyclotron:
     def bat_owner(self, bat_id: int) -> int:
         return self._bat_owner[bat_id]
 
-    def bat_replicas(self, bat_id: int) -> List[int]:
-        """The BAT's replica chain (primary first) as placed at add time."""
-        return list(self._bat_replicas[bat_id])
-
     def bat_size(self, bat_id: int) -> int:
         return self._bat_sizes[bat_id]
 

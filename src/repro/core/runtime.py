@@ -909,9 +909,6 @@ class NodeRuntime:
     def buffer_load(self) -> float:
         return self.out_data.queued_bytes / self.config.bat_queue_capacity
 
-    def owned_loaded_bytes(self) -> int:
-        return self.s1.loaded_bytes
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Node {self.node_id}: owns={len(self.s1)} s2={len(self.s2)} "

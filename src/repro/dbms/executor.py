@@ -148,19 +148,15 @@ class RingDatabase:
         self._local_registry = local_registry(self.catalog)
         self._next_query_id = 0
         self.handles: List[QueryHandle] = []
-        self.max_inflight: Optional[int] = None  # admission valve (None: off)
         # byte-aware admission (docs/overload.md): cap the persistent
-        # bytes behind all inflight footprints, overall and per engine
-        # class.  Both default off; the count valve above still applies.
+        # bytes behind all inflight footprints.  Off by default.
         self.byte_budget: Optional[int] = None
-        self.engine_byte_budgets: Dict[str, int] = {}
-        # the valves' ledger: handles whose process has not ended yet
+        # the valve's ledger: handles whose process has not ended yet
         # (refused ones included until their no-op process runs), and
-        # the footprint bytes behind them, overall and per engine class
+        # the footprint bytes behind them
         self._inflight = 0
         self._inflight_bytes = 0
-        self._inflight_engine_bytes: Dict[str, int] = {}
-        # the one statistics-driven estimator the valves and the front
+        # the one statistics-driven estimator the valve and the front
         # door price with, built on first use (see ``estimator``), and
         # what pricing did at the dispatcher (``plan_cache_stats``)
         self._estimator: Optional[QueryEstimator] = None
@@ -279,7 +275,7 @@ class RingDatabase:
 
     def plan_cache_stats(self) -> Dict[str, int]:
         """The MAL engine's compile-once cache -- hits, misses, size,
-        bound -- and what pricing before compile did at the valves:
+        bound -- and what pricing before compile did at the valve:
         ``priced`` requests, ``refused_before_compile`` (refused on
         their estimate, never compiled) and ``unpriced`` (the estimator
         could not price them, so they were compiled first).
@@ -320,10 +316,10 @@ class RingDatabase:
     ) -> QueryHandle:
         """Route any engine request to its QPU and schedule it.
 
-        Route, price, valve, compile: when a valve is set the request is
-        priced with :attr:`estimator` first and a refused one is never
-        compiled (docs/qpu.md section 7).  With every valve off nothing
-        is priced and the request compiles straight away.
+        Route, price, valve, compile: when ``byte_budget`` is set the
+        request is priced with :attr:`estimator` first and a refused one
+        is never compiled (docs/qpu.md section 7).  With the valve off
+        nothing is priced and the request compiles straight away.
 
         ``arrival`` defaults to the current simulated time.  ``tag``
         overrides the registration tag (default: the engine class, or
@@ -335,12 +331,7 @@ class RingDatabase:
         if not 0 <= node < self.dc.config.n_nodes:
             raise ValueError(f"node {node} out of range")
         qpu = self.route(request)
-        engine = qpu.engine_class
-        valved = (
-            self.max_inflight is not None
-            or self.byte_budget is not None
-            or bool(self.engine_byte_budgets)
-        )
+        valved = self.byte_budget is not None
         estimate = self._price(qpu, request) if valved else None
         compiled = None if estimate is not None else qpu.compile(request)
         # the ledger books the bytes the decision was made on
@@ -348,20 +339,20 @@ class RingDatabase:
             compiled.footprint_bytes if estimate is None
             else estimate.footprint_bytes
         )
-        reason = self._shed(engine, weight)
-        if compiled is None and not reason:
+        shed = self._shed(weight)
+        if compiled is None and not shed:
             compiled = qpu.compile(request)
         query_id = self._next_query_id
         self._next_query_id += 1
-        if reason:
+        if shed:
             if compiled is None:
                 self._refused_before_compile += 1
                 return self._shed_handle(
-                    request, query_id, node, estimate.engine, reason,
+                    request, query_id, node, estimate.engine,
                     estimate.description, estimate.cost,
                 )
             return self._shed_handle(
-                request, query_id, node, compiled.engine, reason,
+                request, query_id, node, compiled.engine,
                 compiled.description, qpu.estimate_cost(compiled),
             )
         runtime = self.dc.nodes[node]
@@ -394,7 +385,7 @@ class RingDatabase:
                 runtime.finish_query(query_id)
                 return result
             finally:
-                self._leave(engine, weight)
+                self._leave(weight)
 
         delay = arrival - self.dc.sim.now
         if delay < 0:
@@ -412,7 +403,7 @@ class RingDatabase:
             footprint_bytes=compiled.footprint_bytes,
         )
         self.handles.append(handle)
-        self._enter(engine, weight)
+        self._enter(weight)
         return handle
 
     # ------------------------------------------------------------------
@@ -463,38 +454,26 @@ class RingDatabase:
         self._priced += 1
         return estimate
 
-    def _shed(self, engine: str, footprint_bytes: int) -> str:
-        """Admission valves: inflight count, then inflight bytes.  The
-        refusal reason, or ``""`` to admit.
+    def _shed(self, footprint_bytes: int) -> bool:
+        """The byte valve: True refuses, with ``reason="byte-valve"``.
 
-        The count valve is the historical behaviour; the byte valves
-        weigh each query by its *estimated* footprint bytes -- what
+        It weighs each query by its *estimated* footprint bytes -- what
         :attr:`estimator` predicts the engine will bind, which on every
         workload in the repo is ``CompiledQuery.footprint_bytes`` to the
-        byte -- so one wide analytic scan can't hide behind the same
-        count slot as a point lookup, and a refused request is never
-        compiled.  A request the estimator cannot price is weighed by
-        its compiled footprint instead.  Per-engine budgets shed only
-        their own class.  An empty valve always admits, so progress is
+        byte -- so one wide analytic scan can't hide behind a point
+        lookup, and a refused request is never compiled.  A request the
+        estimator cannot price is weighed by its compiled footprint
+        instead.  An empty valve always admits, so progress is
         guaranteed even for a query wider than the whole budget.
         """
-        if self.max_inflight is not None and self._inflight >= self.max_inflight:
-            return "count-valve"
-        if (
+        return bool(
             self._inflight
             and self.byte_budget is not None
             and self._inflight_bytes + footprint_bytes > self.byte_budget
-        ):
-            return "byte-valve"
-        cap = self.engine_byte_budgets.get(engine)
-        if cap is not None:
-            per_engine = self._inflight_engine_bytes.get(engine, 0)
-            if per_engine > 0 and per_engine + footprint_bytes > cap:
-                return "byte-valve"
-        return ""
+        )
 
     def _shed_handle(
-        self, request, query_id: int, node: int, engine: str, reason: str,
+        self, request, query_id: int, node: int, engine: str,
         description: str, estimated: float,
     ) -> QueryHandle:
         bus = self.dc.bus
@@ -502,12 +481,12 @@ class RingDatabase:
             bus.publish(
                 ev.QueryShed(
                     self.dc.sim.now, query_id, node, engine=engine,
-                    reason=reason,
+                    reason="byte-valve",
                 )
             )
 
         def refused() -> Generator:
-            self._leave(engine, 0)
+            self._leave(0)
             return None
             yield  # pragma: no cover - makes this a generator
 
@@ -521,22 +500,19 @@ class RingDatabase:
             estimated_cost=estimated,
         )
         self.handles.append(handle)
-        self._enter(engine, 0)  # weighs nothing, but is busy
+        self._enter(0)  # weighs nothing, but is busy
         return handle
 
     # The ledger moves in the handle's own generator, never through
     # Process.join()/Future callbacks: those post simulator events and
     # would change every event count and digest.
-    def _enter(self, engine: str, footprint_bytes: int) -> None:
+    def _enter(self, footprint_bytes: int) -> None:
         self._inflight += 1
         self._inflight_bytes += footprint_bytes
-        by_engine = self._inflight_engine_bytes
-        by_engine[engine] = by_engine.get(engine, 0) + footprint_bytes
 
-    def _leave(self, engine: str, footprint_bytes: int) -> None:
+    def _leave(self, footprint_bytes: int) -> None:
         self._inflight -= 1
         self._inflight_bytes -= footprint_bytes
-        self._inflight_engine_bytes[engine] -= footprint_bytes
 
     @staticmethod
     def _release_pins(ctx: QpuContext, runtime, query_id: int) -> None:

@@ -119,9 +119,6 @@ class Tracer:
                 fh.write("\n")
         return len(self.records)
 
-    def chrome_events(self) -> List[Dict[str, Any]]:
-        return records_to_chrome(self.records)["traceEvents"]
-
     def to_chrome(self, path: str) -> int:
         """Write a Chrome ``trace_event`` file; returns the event count."""
         return write_chrome(self.records, path)

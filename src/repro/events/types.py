@@ -505,16 +505,16 @@ class QueryShed:
     """Admission control fast-failed the query.
 
     Published by the suspicion valve (ring-wide detector knowledge), the
-    :class:`~repro.dbms.executor.RingDatabase` admission valve (count or
-    byte budget; ``engine`` carries the refused engine class then), and
-    the overload controller's brownout gate (docs/overload.md), and the
-    front door's estimate valve (docs/frontdoor.md).
+    :class:`~repro.dbms.executor.RingDatabase` byte valve (``engine``
+    carries the refused engine class then), the overload controller's
+    brownout gate (docs/overload.md), and the front door's estimate
+    valve (docs/frontdoor.md).
 
     ``reason`` distinguishes who refused: ``"tier-shed"`` (overload
-    controller), ``"count-valve"`` / ``"byte-valve"`` (dispatcher
-    admission), ``"front-door-estimate"`` (statistics-driven front
-    door).  Empty when the publisher predates the taxonomy; the metrics
-    bridge only counts non-empty reasons, so unset stays bit-identical.
+    controller), ``"byte-valve"`` (dispatcher admission),
+    ``"front-door-estimate"`` (statistics-driven front door).  Empty
+    when the publisher predates the taxonomy; the metrics bridge only
+    counts non-empty reasons, so unset stays bit-identical.
     """
 
     t: float

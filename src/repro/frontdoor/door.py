@@ -13,11 +13,8 @@ assumes are made before a query rides the ring:
 * **deadline** -- proportional to the predicted bytes over the ring
   bandwidth, floored for fixed costs.
 * **admission** -- a tier-sliced valve over the database's inflight
-  bytes (the blind dispatcher valves weigh the same bytes but know no
-  tiers, and count a refused monster the same as a refused probe),
-  optionally behind the
-  :class:`~repro.resilience.overload.OverloadController`'s brownout
-  level.
+  bytes (the blind dispatcher valve weighs the same bytes but knows no
+  tiers).
 
 Every decision is published as typed events (``QueryEstimated``,
 ``FrontDoorAdmitted`` / ``FrontDoorRejected`` + ``QueryShed`` with
@@ -41,54 +38,56 @@ from repro.dbms.statistics import EstimateError, QueryEstimate, QueryEstimator
 
 __all__ = ["FrontDoor", "FrontDoorPolicy", "Ticket"]
 
+# deadline = DEADLINE_FLOOR + DEADLINE_SCALE * predicted bytes / bandwidth
+DEADLINE_FLOOR = 0.5    # seconds: fixed costs of even a zero-byte query
+DEADLINE_SCALE = 20.0   # multiples of the bytes' time on one link
+
 
 @dataclass
 class FrontDoorPolicy:
     """Knobs of the serving tier.
 
     ``tier_boundaries`` are ascending predicted-bytes thresholds, one
-    fewer than ``n_tiers``: a prediction at or below ``boundaries[i]``
-    lands in tier ``n_tiers - 1 - i`` (the smallest queries get the
-    highest, most-protected tier).  ``byte_budget`` caps the
-    database's inflight bytes with tier-proportional slices: tier ``k``
-    may fill ``(k + 1) / n_tiers`` of the budget, so best-effort scans
-    run out of room first.  An empty valve always admits.
+    fewer than :attr:`n_tiers`: a prediction at or below
+    ``boundaries[i]`` lands in tier ``n_tiers - 1 - i`` (the smallest
+    queries get the highest, most-protected tier).  ``byte_budget``
+    caps the database's inflight bytes with tier-proportional slices:
+    tier ``k`` may fill ``(k + 1) / n_tiers`` of the budget, so
+    best-effort scans run out of room first.  An empty valve always
+    admits.
     """
 
-    n_tiers: int = 3
     tier_boundaries: Tuple[int, ...] = (64 * 1024, 1024 * 1024)
     byte_budget: Optional[int] = None
     reject_above_bytes: Optional[int] = None  # single-query hard cap
-    deadline_floor: float = 0.5
-    deadline_scale: float = 20.0
     admission: str = "estimate"  # "estimate" | "none" (observe only)
     tag_tiers: bool = False      # tag registrations tier<k> instead of engine
 
     def __post_init__(self) -> None:
         # a misspelt mode would otherwise switch admission off quietly,
-        # and a short or unsorted boundary list leaves tiers unreachable
+        # and an unsorted boundary list leaves tiers unreachable
         if self.admission not in ("estimate", "none"):
             raise ValueError(
                 f"admission must be 'estimate' or 'none', got {self.admission!r}"
             )
         bounds = tuple(self.tier_boundaries)
-        if len(bounds) != self.n_tiers - 1:
-            raise ValueError(
-                f"{self.n_tiers} tiers need {self.n_tiers - 1} tier "
-                f"boundaries, got {len(bounds)}"
-            )
         if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
             raise ValueError(
                 f"tier_boundaries must be strictly ascending, got {bounds}"
             )
 
+    @property
+    def n_tiers(self) -> int:
+        """One tier more than there are boundaries."""
+        return len(self.tier_boundaries) + 1
+
     def tier_for(self, footprint_bytes: int) -> int:
-        tier = self.n_tiers - 1
+        tier = len(self.tier_boundaries)
         for bound in self.tier_boundaries:
             if footprint_bytes <= bound:
                 return tier
             tier -= 1
-        return max(0, tier)
+        return 0
 
 
 @dataclass
@@ -125,13 +124,11 @@ class FrontDoor:
         self,
         rdb: RingDatabase,
         policy: Optional[FrontDoorPolicy] = None,
-        controller=None,
     ):
         self.rdb = rdb
         self.policy = policy or FrontDoorPolicy()
         # summarise the loaded tables now rather than at the first arrival
         _ = rdb.estimator
-        self.controller = controller
         self.tickets: Dict[int, Ticket] = {}
         self.offered = 0
         self.admitted = 0
@@ -192,13 +189,12 @@ class FrontDoor:
         try:
             est = self.estimator.estimate(request)
         except EstimateError:
+            # unpriced: offered and rejected in the lowest tier
+            self.by_tier[0].offered += 1
             self._reject(query_id, node, None, 0, "estimate-error")
             return
         tier = self.policy.tier_for(est.footprint_bytes)
-        deadline = (
-            self.policy.deadline_floor
-            + self.policy.deadline_scale * est.footprint_bytes / self._bandwidth
-        )
+        deadline = DEADLINE_FLOOR + DEADLINE_SCALE * est.footprint_bytes / self._bandwidth
         self.by_tier[tier].offered += 1
         if bus.active:
             bus.publish(ev.QueryEstimated(
@@ -211,7 +207,7 @@ class FrontDoor:
             self._reject(query_id, node, est, tier, cause)
             return
         # the ticket must exist *before* the dispatcher sees the query:
-        # its blind valves shed synchronously inside submit_request, and
+        # its blind valve sheds synchronously inside submit_request, and
         # that QueryShed must find the ticket to settle
         ticket = Ticket(
             query_id=query_id, node=node, estimate=est, tier=tier,
@@ -245,9 +241,6 @@ class FrontDoor:
             and est.footprint_bytes > pol.reject_above_bytes
         ):
             return "single-query-cap"
-        if self.controller is not None:
-            if tier < self.controller.effective_level():
-                return "controller"
         if pol.byte_budget is not None:
             inflight = self.estimated_inflight_bytes
             cap = pol.byte_budget * (tier + 1) / pol.n_tiers
@@ -321,9 +314,9 @@ class FrontDoor:
         self._settle(e.query_id, e.t, "failed")
 
     def _on_shed(self, e: ev.QueryShed) -> None:
-        # a downstream valve (dispatcher byte/count valve, controller)
-        # refused a query the door had already admitted; the door's own
-        # refusals have no ticket, so _settle ignores them
+        # the dispatcher's byte valve refused a query the door had
+        # already admitted; the door's own refusals have no ticket, so
+        # _settle ignores them
         self._settle(e.query_id, e.t, "shed")
 
     # ------------------------------------------------------------------

@@ -83,7 +83,3 @@ class GlobalCatalog:
 
     def migration_gen(self, bat_id: int) -> Optional[int]:
         return self._migrating.get(bat_id)
-
-    @property
-    def migrating_bats(self) -> List[int]:
-        return list(self._migrating)

@@ -47,11 +47,6 @@ class MultiRingConfig:
     # fraction of its data bytes (the section 6.1 nomadic phase, lifted
     # to ring granularity); <= 0 or > 1 disables shipping
     ship_threshold: float = 0.7
-    # replace the fixed-fraction rule with an estimated-bytes-moved
-    # comparison (docs/frontdoor.md): ship to the ring minimising
-    # request bytes + cross-ring fetch bytes, stay on ties.  Off by
-    # default -- the fixed threshold keeps the golden suite bit-exact
-    ship_by_estimate: bool = False
 
     # --- LOI-driven placement manager --------------------------------
     placement_interval: float = 0.5       # seconds between interest folds

@@ -379,20 +379,11 @@ class RingFederation(FederationHost):
         """The ring a query entering ``ring_id`` should run on.
 
         It ships when one remote active ring holds at least
-        ``ship_threshold`` of its bytes.  With ``ship_by_estimate`` on
-        (docs/frontdoor.md), the fixed fraction threshold is replaced by
-        an estimated-bytes-moved comparison: staying on ``ring_id``
-        costs the bytes homed elsewhere (cross-ring fetches), shipping
-        to ring *r* costs the request message plus the bytes homed off
-        *r*.  The query goes wherever the estimate says fewer bytes
-        cross ring boundaries, with ties favouring staying put.  The
-        decision reads the catalog of the submit instant.
+        ``ship_threshold`` of its bytes.  The decision reads the catalog
+        of the submit instant.
         """
         threshold = self.config.ship_threshold
-        by_estimate = self.config.ship_by_estimate
-        if len(self.active_rings) < 2 or (
-            not by_estimate and not 0 < threshold <= 1
-        ):
+        if len(self.active_rings) < 2 or not 0 < threshold <= 1:
             return ring_id
         # one pass over the catalog's own maps, not two lookups per BAT
         home = self.catalog._home
@@ -406,16 +397,6 @@ class RingFederation(FederationHost):
             total += size
         if total == 0:
             return ring_id
-        if by_estimate:
-            request_bytes = self.config.base.request_message_size
-            best, best_cost = ring_id, total - bytes_by_ring.get(ring_id, 0)
-            for r in sorted(bytes_by_ring):
-                if r == ring_id or r not in self.active_rings:
-                    continue
-                moved = request_bytes + total - bytes_by_ring[r]
-                if moved < best_cost:
-                    best, best_cost = r, moved
-            return best
         heaviest = max(bytes_by_ring, key=lambda r: (bytes_by_ring[r], -r))
         if bytes_by_ring[heaviest] / total < threshold or heaviest not in self.active_rings:
             return ring_id

@@ -323,10 +323,6 @@ class Link:
         return self._queued_bytes
 
     @property
-    def queued_messages(self) -> int:
-        return len(self._queue)
-
-    @property
     def busy(self) -> bool:
         """True while a message is being serialised onto the wire."""
         self._settle()
@@ -348,11 +344,6 @@ class Link:
         self._busy = False
         self.lane.busy ^= self.lane_bit
         self.sim.credit(1)
-
-    @property
-    def in_flight_bytes(self) -> int:
-        """Bytes serialising or propagating (left the queue, not delivered)."""
-        return sum(size for _, size in self._in_flight)
 
     def queued_items(self) -> list[Tuple[Any, int]]:
         """Snapshot of (message, size) pairs waiting in the transmit queue."""
@@ -412,10 +403,6 @@ class Link:
         if self._end is not None:
             self.ends_materialised += 1
         self._key = self._end = None
-
-    def transfer_time(self, size: int) -> float:
-        """Serialisation + propagation time for an unqueued message."""
-        return size / self.bandwidth + self._delay
 
     @property
     def busy_time(self) -> float:

@@ -2,7 +2,7 @@
 
 The admission machinery that predates this module is *open loop*: the
 detector-driven shedding valve of :class:`ResilienceManager` reacts to
-membership, the count/byte valves of :class:`RingDatabase` react to
+membership, the byte valve of :class:`RingDatabase` reacts to
 instantaneous inflight pressure -- neither looks at whether the
 deployment is actually meeting its latency objective.  The
 :class:`OverloadController` closes that loop.
@@ -20,9 +20,9 @@ the SLO target:
   ``recover_fraction`` of the target, so the valve does not flap.
 * **topology guard** -- while fragment migrations are in flight (or
   just finished), the *effective* shed level is tightened by
-  ``topology_guard_tiers``: a ring split already pays a migration tax,
-  and admitting the full load on top of it is how overload turns into
-  collapse.
+  ``TOPOLOGY_GUARD_TIERS`` (one tier): a ring split already pays a
+  migration tax, and admitting the full load on top of it is how
+  overload turns into collapse.
 * **split nudge** -- after ``split_nudge_ticks`` consecutive overloaded
   ticks on a federation, the controller asks the split/merge controller
   to activate a standby ring for the busiest active ring, instead of
@@ -44,6 +44,9 @@ from repro.metrics.window import WindowedHealth
 
 __all__ = ["OverloadPolicy", "OverloadController"]
 
+# extra tiers shed while fragment migrations are in flight/recent
+TOPOLOGY_GUARD_TIERS = 1
+
 
 @dataclass(frozen=True)
 class OverloadPolicy:
@@ -63,8 +66,6 @@ class OverloadPolicy:
     recover_fraction: float = 0.6
     # ... for this many consecutive ticks before the level steps down
     recover_patience: int = 4
-    # extra tiers shed while fragment migrations are in flight/recent
-    topology_guard_tiers: int = 1
     # how long after the last migration the guard stays engaged, seconds
     topology_guard_window: float = 1.0
     # consecutive overloaded ticks before nudging a ring split (0 = off)
@@ -298,7 +299,7 @@ class OverloadController:
             self.sim.now - self._last_migration_t < pol.topology_guard_window
         )
         if guarded and level > 0:
-            level = min(level + pol.topology_guard_tiers, pol.n_tiers - 1)
+            level = min(level + TOPOLOGY_GUARD_TIERS, pol.n_tiers - 1)
         return level
 
     def admit(self, spec: QuerySpec) -> bool:

@@ -67,10 +67,6 @@ class UpdateCoordinator:
         self.requests: List[UpdateRequest] = []
 
     # ------------------------------------------------------------------
-    def is_updating(self, bat_id: int) -> bool:
-        """True while an update for this BAT is in flight (the tag)."""
-        return bat_id in self._locks
-
     def current_version(self, bat_id: int) -> int:
         owner = self.dc.bat_owner(bat_id)
         return self.dc.nodes[owner].s1.get(bat_id).version

@@ -678,12 +678,13 @@ def test_front_door_burst_with_a_controller(pairs):
     )
     workload = FrontDoorWorkload(seed=3)
     workload.load_into(rdb)
+    # the controller watches the same bus; the door does not consult it
     ctrl = OverloadController(rdb.dc, OverloadPolicy(target_p99=1.0, min_samples=8))
     ctrl.start()
     door = FrontDoor(rdb, policy=FrontDoorPolicy(
         tier_boundaries=(16 * 1024, 120 * 1024), admission="estimate",
         byte_budget=int(1.5 * MB), reject_above_bytes=256 * 1024,
-    ), controller=ctrl)
+    ))
     workload.offer_to(door)
     rdb.run_until_done(max_time=120.0)
     moved = assert_same(pairs, until=rdb.dc.now)

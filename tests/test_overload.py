@@ -14,7 +14,7 @@ from repro.core import DataCyclotronConfig
 from repro.core.query import QuerySpec
 from repro.core.runtime import DATA_UNAVAILABLE
 from repro.dbms.executor import RingDatabase
-from repro.dbms.qpu import KvLookup, StreamAggregate
+from repro.dbms.qpu import StreamAggregate
 from repro.events import types as ev
 from repro.events.bus import Bus
 from repro.metrics.window import SampleWindow, WindowedHealth
@@ -501,23 +501,6 @@ def test_byte_budget_sheds_wide_queries_but_admits_when_empty():
     assert first.result is not None
     assert second.result is None
     assert rdb.metrics.queries_shed == 1
-    assert rdb.metrics.queries_shed_by_engine == {"stream": 1}
-
-
-def test_engine_byte_budget_sheds_only_its_own_class():
-    rdb = make_rdb(lifecycle_events=True)
-    rdb.engine_byte_budgets = {"stream": 1}
-    streams = [
-        rdb.submit_request(StreamAggregate(table="t", value_column="v"))
-        for _ in range(2)
-    ]
-    kv = rdb.submit_request(KvLookup(table="t", key=5, column="v"))
-    assert rdb.run_until_done()
-    # the stream class is capped past its first (empty-valve) admission;
-    # the kv class has no budget and sails through
-    assert streams[0].result is not None
-    assert streams[1].result is None
-    assert kv.result is not None
     assert rdb.metrics.queries_shed_by_engine == {"stream": 1}
 
 

@@ -172,19 +172,6 @@ def test_default_mal_path_keeps_legacy_sql_tag():
     assert rdb.metrics.queries[handle.query_id].tag == "sql"
 
 
-def test_admission_valve_sheds_above_max_inflight():
-    rdb = make_rdb(lifecycle_events=True)
-    rdb.max_inflight = 2
-    handles = [
-        rdb.submit_request(KvLookup(table="t", key=k, column="v"), arrival=0.0)
-        for k in range(5)
-    ]
-    assert rdb.run_until_done()
-    assert rdb.metrics.queries_shed == 3
-    served = [h for h in handles if h.result is not None]
-    assert len(served) == 2
-
-
 # ----------------------------------------------------------------------
 # as_resolved
 # ----------------------------------------------------------------------

@@ -9,7 +9,9 @@ may name what is gone; files CI *writes* are named outside these
 patterns (``scenarios_ci.json``, not ``BENCH_*_ci.json``).
 """
 
+import inspect
 import re
+from dataclasses import fields
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,3 +105,22 @@ def test_every_event_type_is_constructed_under_src():
         if not built:
             never.append(name)
     assert not never
+
+
+def test_every_config_field_is_read_under_src():
+    # a field nothing reads is an option that selects nothing; checking
+    # it in its own __post_init__ does not count as reading it
+    from repro.core import DataCyclotronConfig
+    from repro.frontdoor import FrontDoorPolicy
+    from repro.multiring import MultiRingConfig
+    from repro.resilience.overload import OverloadPolicy
+
+    text = _python_text(("src",))
+    unread = []
+    for cls in (DataCyclotronConfig, MultiRingConfig, FrontDoorPolicy, OverloadPolicy):
+        elsewhere = text.replace(inspect.getsource(cls.__post_init__), "")
+        unread += [
+            f"{cls.__name__}.{f.name}" for f in fields(cls)
+            if not re.search(rf"\.{f.name}\b", elsewhere)
+        ]
+    assert not unread

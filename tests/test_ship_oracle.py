@@ -10,11 +10,12 @@ winner by ``(price, node)`` without building a bid per node.
 The oracle below is the code that did the same job before:
 ``submit``, ``_scheduler`` and ``_maybe_ship`` of the federation and
 ``NodeBid``, ``bid``, ``collect_bids``, ``place_at`` and ``place`` of the
-scheduler, kept verbatim.  Hypothesis builds the same federation twice
+scheduler, kept verbatim but for ``ship_by_estimate``, an option that
+is gone and is pinned off.  Hypothesis builds the same federation twice
 -- 2-5 rings of 3-8 nodes, standby and retired rings, random homes,
 owners and sizes, zero-byte catalog entries, ``ship_threshold`` across
-(0, 1] with ``ship_by_estimate`` on and off, bid loads that are already
-there -- and submits the same queries to both.  After every submit the
+(0, 1], bid loads that are already there -- and submits the same
+queries to both.  After every submit the
 two agree on the chosen ring, every field of the dispatched spec (the
 arrival bit for bit), every ring's placements, load counts and bids,
 and the ``QueryShipped`` stream.
@@ -127,7 +128,7 @@ class ParentShip(RingFederation):
     def _maybe_ship(self, spec: QuerySpec, ring_id: int, local: int):
         spec = replace(spec, node=local)
         threshold = self.config.ship_threshold
-        by_estimate = self.config.ship_by_estimate
+        by_estimate = False  # ship_by_estimate is gone: pinned off
         if len(self.active_rings) < 2:
             return ring_id, spec
         if not by_estimate and not 0 < threshold <= 1:
@@ -220,7 +221,6 @@ def deployments(draw) -> Dict[str, Any]:
         "threshold": draw(st.one_of(
             st.floats(0.0, 1.0, exclude_min=True), st.just(1.0)
         )),
-        "by_estimate": draw(st.booleans()),
         "loads": {
             r: draw(st.lists(st.integers(0, 2), min_size=nodes, max_size=nodes))
             for r in draw(st.sets(ring))
@@ -237,7 +237,6 @@ def build(cls, case):
         nodes_per_ring=case["nodes"],
         placement_interval=0.0, splitmerge_interval=0.0,
         ship_threshold=case["threshold"],
-        ship_by_estimate=case["by_estimate"],
     ))
     for bat_id, (ring, owner, size) in enumerate(case["bats"]):
         fed.add_bat(bat_id, size, ring=ring, owner=owner)
