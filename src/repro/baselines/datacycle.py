@@ -62,7 +62,7 @@ class BroadcastScheduleMixin:
         delay = spec.arrival - self.sim.now
         if delay < 0:
             raise ValueError("arrival is in the past")
-        return Process(self.sim, self._query_process(spec), start_delay=delay)
+        return Process(self.sim, self._query_process, spec, start_delay=delay)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
         count = 0

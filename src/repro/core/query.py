@@ -29,7 +29,7 @@ from repro.events.types import QueryRegistered
 __all__ = ["PinStep", "QuerySpec", "query_process"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PinStep:
     """One (operator-burst, pin) pair of a query plan."""
 
@@ -37,7 +37,7 @@ class PinStep:
     op_time: float = 0.0  # CPU seconds executed before this pin is issued
 
 
-@dataclass
+@dataclass(slots=True)
 class QuerySpec:
     """Everything needed to replay one query against the ring."""
 

@@ -252,7 +252,7 @@ class DataCyclotron:
         delay = spec.arrival - self.sim.now
         if delay < 0:
             raise ValueError(f"query {spec.query_id} arrives in the past")
-        return Process(self.sim, query_process(runtime, spec), start_delay=delay)
+        return Process(self.sim, query_process, runtime, spec, start_delay=delay)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
         count = 0

@@ -66,8 +66,8 @@ class DataflowExecutor:
             done = Future(self.sim)
             instruction_done.append(done)
             Process(
-                self.sim,
-                self._run_instruction(instr, env, var_ready, readers, done),
+                self.sim, self._run_instruction,
+                instr, env, var_ready, readers, done,
             )
 
         for done in instruction_done:

@@ -391,7 +391,7 @@ class RingDatabase:
         if delay < 0:
             raise ValueError("arrival is in the past")
         self.dc._submitted += 1
-        proc = Process(self.dc.sim, process(), start_delay=delay)
+        proc = Process(self.dc.sim, process, start_delay=delay)
         handle = QueryHandle(
             query_id=query_id,
             node=node,
@@ -494,7 +494,7 @@ class RingDatabase:
             query_id=query_id,
             node=node,
             sql=description,
-            process=Process(self.dc.sim, refused()),
+            process=Process(self.dc.sim, refused),
             engine=engine,
             request=request,
             estimated_cost=estimated,

@@ -27,7 +27,7 @@ class BatStats:
     drops: int = 0              # DropTail losses of this BAT
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryRecord:
     """Lifecycle of one query."""
 

@@ -15,7 +15,6 @@ to a stand-alone deployment (tests/test_multiring_golden.py pins this).
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.query import QuerySpec
@@ -99,7 +98,7 @@ def federated_query_process(fed: "FederationHost", ring_id: int,
     for bat_id in pinned:
         runtime.unpin(spec.query_id, bat_id)
     runtime.finish_query(spec.query_id, failed=failed is not None, error=failed or "")
-    fed._note_done(ring_id, spec, failed)
+    fed._note_done(ring_id, runtime.node_id, spec, failed)
     return failed
 
 
@@ -116,11 +115,12 @@ class FederationHost:
     """
 
     def _init_ladder(self) -> None:
-        # logical query id -> "ok" | error
+        # logical query id -> "ok" | error; the only per-query entry a
+        # settled query leaves behind
         self._outcomes: Dict[int, str] = {}
+        # attempt number of a query that failed and will run again; a
+        # first attempt is implied by absence
         self._attempts: Dict[int, int] = {}
-        self._specs: Dict[int, QuerySpec] = {}
-        self._ring_of_query: Dict[int, int] = {}
         # nodes whose crash was *announced* on a ring bus (NodeCrashed is
         # the omniscient-mode fault: publishing it makes the death public
         # knowledge, so routing around it leaks nothing; silent fail_node
@@ -135,23 +135,19 @@ class FederationHost:
     def global_node(self, ring_id: int, local: int) -> int:
         return ring_id * self.config.nodes_per_ring + local
 
-    def _admit(self, ring_id: int, spec: QuerySpec) -> Process:
-        """First dispatch of a query whose ``node`` is already ring-local."""
-        self._attempts[spec.query_id] = 1
-        self._specs[spec.query_id] = spec
-        return self._dispatch(ring_id, spec)
-
-    def _dispatch(self, ring_id: int, spec: QuerySpec) -> Process:
+    def _dispatch(self, ring_id: int, spec: QuerySpec, node: int,
+                  arrival: float) -> Process:
+        """Run ``spec`` at ring-local ``node`` from ``arrival`` on (the
+        spec's own ``node`` and ``arrival`` are where it was submitted,
+        not where it runs)."""
         ring = self.rings[ring_id]
-        if not 0 <= spec.node < ring.config.n_nodes:
-            raise ValueError(f"query {spec.query_id} targets invalid node {spec.node}")
-        self._ring_of_query[spec.query_id] = ring_id
+        if not 0 <= node < ring.config.n_nodes:
+            raise ValueError(f"query {spec.query_id} targets invalid node {node}")
         ring._submitted += 1
-        runtime = ring.nodes[spec.node]
-        delay = max(0.0, spec.arrival - self.sim.now)
+        runtime = ring.nodes[node]
+        delay = max(0.0, arrival - self.sim.now)
         return Process(
-            self.sim,
-            federated_query_process(self, ring_id, runtime, spec),
+            self.sim, federated_query_process, self, ring_id, runtime, spec,
             start_delay=delay,
         )
 
@@ -166,13 +162,14 @@ class FederationHost:
         """A failed query will be re-dispatched at simulated time ``at``."""
 
     # -- completion + federation-level retry ---------------------------
-    def _note_done(self, ring_id: int, spec: QuerySpec, failed: Optional[str]) -> None:
+    def _note_done(self, ring_id: int, node: int, spec: QuerySpec,
+                   failed: Optional[str]) -> None:
         self._query_ended(ring_id, spec)
+        attempt = self._attempts.pop(spec.query_id, 1)
         if failed is None:
             self._outcomes[spec.query_id] = "ok"
             return
         base = self.config.base
-        attempt = self._attempts.get(spec.query_id, 1)
         if base.resilience and attempt < base.retry_max_attempts:
             self._attempts[spec.query_id] = attempt + 1
             backoff = min(
@@ -180,7 +177,7 @@ class FederationHost:
                 base.retry_backoff_initial * base.retry_backoff_base ** (attempt - 1),
             )
             self._retry_scheduled(ring_id, spec, self.sim.now + backoff)
-            self.sim.post(backoff, self._retry, spec.query_id, failed)
+            self.sim.post(backoff, self._retry, spec, ring_id, node, failed)
             return
         self._outcomes[spec.query_id] = failed
         if base.resilience and self.bus.active:
@@ -188,9 +185,11 @@ class FederationHost:
                 self.sim.now, spec.query_id, attempt, failed
             ))
 
-    def _retry(self, query_id: int, error: str) -> None:
-        spec = self._specs[query_id]
-        ring_id = self._ring_of_query[query_id]
+    def _retry(self, spec: QuerySpec, ring_id: int, failed_node: int,
+               error: str) -> None:
+        """Re-dispatch ``spec``, which failed at ``failed_node`` of
+        ``ring_id``, on the first node from there nobody knows is down."""
+        query_id = spec.query_id
         ring = self.rings[ring_id]
         # avoid every node whose death is known without injector
         # knowledge: announced crashes plus detector-confirmed/suspected
@@ -198,20 +197,18 @@ class FederationHost:
         if ring.resilience is not None:
             avoid |= ring.resilience.known_down | ring.resilience.suspected_targets
         n = ring.config.n_nodes
-        node = spec.node
+        node = failed_node
         for step in range(n):
-            candidate = (spec.node + step) % n
+            candidate = (failed_node + step) % n
             if candidate not in avoid:
                 node = candidate
                 break
-        retry_spec = replace(spec, node=node, arrival=self.sim.now)
-        self._specs[query_id] = retry_spec
         if self.bus.active:
             self.bus.publish(ev.QueryRetried(
                 self.sim.now, query_id, self._attempts[query_id],
                 self.global_node(ring_id, node), error,
             ))
-        self._dispatch(ring_id, retry_spec)
+        self._dispatch(ring_id, spec, node, self.sim.now)
 
 
 class RingFederation(FederationHost):
@@ -259,7 +256,11 @@ class RingFederation(FederationHost):
         return len(self.active_rings) * self.config.nodes_per_ring
 
     def locate(self, global_node: int) -> tuple:
-        """(ring_id, local_node) for a global node index."""
+        """(ring_id, local_node) for a global node index; a node of an
+        inactive ring is remapped onto an active one."""
+        n_nodes = self.config.max_rings * self.config.nodes_per_ring
+        if not 0 <= global_node < n_nodes:
+            raise ValueError(f"node {global_node} outside [0, {n_nodes})")
         ring_id, local = divmod(global_node, self.config.nodes_per_ring)
         if ring_id not in self.active_rings:
             ring_id = self.active_rings[ring_id % len(self.active_rings)]
@@ -316,10 +317,12 @@ class RingFederation(FederationHost):
     # workload submission
     # ------------------------------------------------------------------
     def submit(self, spec: QuerySpec):
-        """Submit one query addressed to a global node index."""
-        self._submitted += 1
+        """Submit one query addressed to a global node index; a query
+        that fails validation raises and is not counted."""
         if not self.federated:
-            return self.rings[self.active_rings[0]].submit(spec)
+            proc = self.rings[self.active_rings[0]].submit(spec)
+            self._submitted += 1
+            return proc
         bats = spec.bat_ids
         unknown = [b for b in bats if b not in self.catalog]
         if unknown:
@@ -327,8 +330,10 @@ class RingFederation(FederationHost):
         if spec.arrival < self.sim.now:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         ring_id, local = self.locate(spec.node)
-        ring_id, spec = self._maybe_ship(spec, ring_id, local, bats)
-        return self._admit(ring_id, spec)
+        ring_id, node, arrival = self._maybe_ship(spec, ring_id, local, bats)
+        proc = self._dispatch(ring_id, spec, node, arrival)
+        self._submitted += 1
+        return proc
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
         count = 0
@@ -356,12 +361,12 @@ class RingFederation(FederationHost):
         beat shipping the (large) BATs.  The landing node is picked by
         the target ring's own cost bids; the inter-ring hop is charged
         to the arrival time.  ``bats`` are the query's distinct BATs,
-        derived once by :meth:`submit`; the dispatched spec is the one
-        copy of ``spec`` made on either path.
+        derived once by :meth:`submit`.  Returns ``(ring_id, node,
+        arrival)`` where the query runs; ``spec`` is not copied.
         """
         best = self._ship_target(ring_id, bats)
         if best == ring_id:
-            return ring_id, replace(spec, node=local)
+            return ring_id, local, spec.arrival
         scheduler = self._scheduler(best)
         _price, node = scheduler.cheapest(bats)
         scheduler.book(spec.query_id, node)
@@ -373,7 +378,7 @@ class RingFederation(FederationHost):
             self.bus.publish(ev.QueryShipped(
                 self.sim.now, spec.query_id, ring_id, best, node
             ))
-        return best, replace(spec, node=node, arrival=spec.arrival + travel)
+        return best, node, spec.arrival + travel
 
     def _ship_target(self, ring_id: int, bats: List[int]) -> int:
         """The ring a query entering ``ring_id`` should run on.

@@ -152,7 +152,7 @@ class RingPartition(FederationHost):
 
     def submit(self, spec: QuerySpec) -> Process:
         """Submit one query addressed to a *local* node index."""
-        proc = self._admit(self.ring_id, spec)
+        proc = self._dispatch(self.ring_id, spec, spec.node, spec.arrival)
         self._submitted += 1
         if self._is_remote(spec):
             heapq.heappush(self._xarrivals, spec.arrival)

@@ -369,7 +369,7 @@ class CrossRingRouter:
             finally:
                 live[home_ring] -= 1
 
-        Process(self.sim, serve())
+        Process(self.sim, serve)
         return gateway
 
     def _serve_done(self, home_ring: int, req_id: int, service_id: int) -> None:

@@ -3,8 +3,8 @@
 The Data Cyclotron query lifecycle maps naturally onto coroutines: a
 query *registers*, issues ``request()`` calls, then alternates between
 ``pin()`` (block until the BAT flows past, paper section 4.1) and a
-simulated operator execution (a sleep).  A :class:`Process` wraps a
-generator that yields:
+simulated operator execution (a sleep).  A :class:`Process` runs a
+generator function; the generator it returns yields:
 
 * :class:`Delay` -- sleep for a simulated duration,
 * :class:`Future` -- suspend until another party resolves it,
@@ -13,7 +13,7 @@ generator that yields:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator
+from typing import Any, Callable, Generator, Optional
 
 from repro.sim.engine import Simulator
 
@@ -85,29 +85,38 @@ class ProcessKilled(Exception):
 
 
 class Process:
-    """Drives a generator as a simulated process.
+    """Drives a generator function as a simulated process.
+
+    ``Process(sim, body, *args, start_delay=0.0)`` calls ``body(*args)``
+    at the first resume, ``start_delay`` after construction, so a
+    process that has not started holds its arguments, not a generator
+    frame.  A finished process drops its generator; the waiter list is
+    allocated by the first :meth:`join`.
 
     >>> sim = Simulator()
     >>> log = []
-    >>> def worker():
-    ...     log.append(("start", sim.now))
+    >>> def worker(name):
+    ...     log.append((name, "start", sim.now))
     ...     yield Delay(2.0)
-    ...     log.append(("end", sim.now))
-    >>> p = Process(sim, worker())
+    ...     log.append((name, "end", sim.now))
+    >>> p = Process(sim, worker, "w")
     >>> sim.run()
     >>> log
-    [('start', 0.0), ('end', 2.0)]
+    [('w', 'start', 0.0), ('w', 'end', 2.0)]
     """
 
-    __slots__ = ("sim", "_gen", "_finished", "_result", "_waiters", "_alive")
+    __slots__ = ("sim", "_body", "_args", "_gen", "_finished", "_result",
+                 "_waiters")
 
-    def __init__(self, sim: Simulator, gen: Generator, start_delay: float = 0.0):
+    def __init__(self, sim: Simulator, body: Callable[..., Generator],
+                 *args: Any, start_delay: float = 0.0):
         self.sim = sim
-        self._gen = gen
+        self._body: Optional[Callable[..., Generator]] = body
+        self._args = args
+        self._gen: Optional[Generator] = None
         self._finished = False
         self._result: Any = None
-        self._waiters: list[Future] = []
-        self._alive = True
+        self._waiters: Optional[list[Future]] = None
         sim.post(start_delay, self._resume, None)
 
     # ------------------------------------------------------------------
@@ -126,27 +135,36 @@ class Process:
         fut = Future(self.sim)
         if self._finished:
             fut.resolve(self._result)
+        elif self._waiters is None:
+            self._waiters = [fut]
         else:
             self._waiters.append(fut)
         return fut
 
     def kill(self) -> None:
-        """Terminate the process by throwing :class:`ProcessKilled` into it."""
-        if self._finished or not self._alive:
+        """Terminate the process by throwing :class:`ProcessKilled` into it.
+
+        A process killed before its first resume never runs its body.
+        """
+        if self._finished:
             return
-        self._alive = False
-        try:
-            self._gen.throw(ProcessKilled())
-        except (ProcessKilled, StopIteration):
-            pass
+        if self._gen is not None:
+            try:
+                self._gen.throw(ProcessKilled())
+            except (ProcessKilled, StopIteration):
+                pass
         self._complete(None)
 
     # ------------------------------------------------------------------
     def _resume(self, sent_value: Any) -> None:
-        if not self._alive:
+        if self._finished:
             return
+        gen = self._gen
+        if gen is None:
+            gen = self._gen = self._body(*self._args)
+            self._body = self._args = None
         try:
-            yielded = self._gen.send(sent_value)
+            yielded = gen.send(sent_value)
         except StopIteration as stop:
             self._complete(stop.value)
             return
@@ -165,10 +183,10 @@ class Process:
         if self._finished:
             return
         self._finished = True
-        self._alive = False
         self._result = result
-        waiters, self._waiters = self._waiters, []
-        for fut in waiters:
+        self._body = self._args = self._gen = None
+        waiters, self._waiters = self._waiters, None
+        for fut in waiters or ():
             fut.resolve(result)
 
 

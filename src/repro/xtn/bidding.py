@@ -191,7 +191,7 @@ class BidScheduler:
                 yield joined
                 on_done(self.dc.sim.now + merge_cost)
 
-            Process(self.dc.sim, watcher())
+            Process(self.dc.sim, watcher)
         return placed
 
     def submit_placed(self, specs) -> int:

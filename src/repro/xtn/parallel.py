@@ -94,5 +94,5 @@ def submit_parallel(
             done_at = dc.sim.now + merge_cost
             on_done(done_at)
 
-        Process(dc.sim, watcher())
+        Process(dc.sim, watcher)
     return subs

@@ -91,7 +91,7 @@ class UpdateCoordinator:
         if delay < 0:
             raise ValueError("arrival is in the past")
         self.dc._submitted += 1
-        Process(self.dc.sim, self._update_process(update), start_delay=delay)
+        Process(self.dc.sim, self._update_process, update, start_delay=delay)
         return update
 
     def _update_process(self, update: UpdateRequest) -> Generator:

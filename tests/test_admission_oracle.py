@@ -131,7 +131,7 @@ class CompileThenShed(RingDatabase):
         if delay < 0:
             raise ValueError("arrival is in the past")
         self.dc._submitted += 1
-        proc = Process(self.dc.sim, process(), start_delay=delay)
+        proc = Process(self.dc.sim, process, start_delay=delay)
         handle = QueryHandle(
             query_id=query_id,
             node=node,
@@ -205,7 +205,7 @@ class CompileThenShed(RingDatabase):
             query_id=query_id,
             node=node,
             sql=compiled.description,
-            process=Process(self.dc.sim, refused()),
+            process=Process(self.dc.sim, refused),
             engine=compiled.engine,
             request=request,
             estimated_cost=estimated,

@@ -99,7 +99,7 @@ def test_query_failure_cleans_up():
     from repro.sim.process import Process
 
     dc._submitted += 1
-    Process(dc.sim, query_process(node, spec))
+    Process(dc.sim, query_process, node, spec)
     assert dc.run_until_done(max_time=30.0)
     rec = dc.metrics.queries[0]
     assert rec.failed

@@ -21,7 +21,7 @@ def run_dataflow(registry, plan, sim=None):
         env = yield from executor.run(plan)
         holder["env"] = env
 
-    Process(sim, driver())
+    Process(sim, driver)
     sim.run()
     if "env" not in holder:
         raise holder.get("error", AssertionError("dataflow run did not finish"))

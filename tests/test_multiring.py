@@ -99,6 +99,48 @@ class TestConfigAndTopology:
                 g = fed.global_node(ring_id, local)
                 assert fed.locate(g) == (ring_id, local)
 
+    @pytest.mark.parametrize("node", [-1, 8, 11, 100])
+    def test_locate_rejects_nodes_that_do_not_exist(self, node):
+        """2 x 4 nodes: a node outside [0, 8) is no ring's, active or not."""
+        fed = RingFederation(small_config(nodes_per_ring=4))
+        fed.add_bat(0, MB)
+        with pytest.raises(ValueError, match="node"):
+            fed.locate(node)
+        with pytest.raises(ValueError, match="node"):
+            fed.submit(QuerySpec.simple(0, node=node, arrival=0.0,
+                                        bat_ids=[0], processing_times=[0.001]))
+        assert fed.summary()["submitted"] == 0
+
+    def test_locate_remaps_an_inactive_rings_node(self):
+        fed = RingFederation(small_config(max_rings=3))
+        assert fed.locate(fed.global_node(2, 1)) == (0, 1)
+        fed.activate_ring(2)
+        assert fed.locate(fed.global_node(2, 1)) == (2, 1)
+
+    @pytest.mark.parametrize("federated", [True, False])
+    def test_a_refused_submit_is_not_counted(self, federated):
+        shape = {} if federated else {"n_rings": 1, "gateways_per_ring": 0}
+        fed = RingFederation(small_config(**shape))
+        populate(fed, n_bats=2)
+        for query_id in range(4):
+            fed.submit(QuerySpec.simple(query_id, node=0, arrival=1.0,
+                                        bat_ids=[0], processing_times=[0.001]))
+        fed.run(until=0.5)
+        refused = [
+            QuerySpec.simple(10, node=0, arrival=1.0, bat_ids=[99],
+                             processing_times=[0.001]),   # unknown BAT
+            QuerySpec.simple(11, node=0, arrival=0.1, bat_ids=[0],
+                             processing_times=[0.001]),   # in the past
+            QuerySpec.simple(12, node=-1, arrival=1.0, bat_ids=[0],
+                             processing_times=[0.001]),   # no such node
+        ]
+        for spec in refused:
+            with pytest.raises(ValueError):
+                fed.submit(spec)
+        assert fed.summary()["submitted"] == 4
+        assert fed.run_until_done(max_time=30.0)
+        assert fed.summary()["completed"] == 4
+
     def test_add_bat_round_robins_over_active_rings(self):
         fed = RingFederation(small_config())
         for b in range(4):

@@ -185,7 +185,7 @@ def test_as_resolved_yields_in_resolution_order():
             index, value = yield waiter
             seen.append((index, value))
 
-    Process(sim, drain())
+    Process(sim, drain)
     sim.post(1.0, lambda: futures[2].resolve("c"))
     sim.post(2.0, lambda: futures[0].resolve("a"))
     sim.post(3.0, lambda: futures[1].resolve("b"))

@@ -3,7 +3,8 @@
 ``RingFederation.submit`` derives a query's distinct BATs once; the
 unknown-BAT check, ``_maybe_ship`` and the target ring's bids all read
 that one list, the bytes per home ring are summed in one pass, and the
-dispatched spec is one copy.  ``BidScheduler`` prices every node of its
+submitted spec is dispatched as it is, with the node and arrival where
+it runs passed beside it (the parent dispatched a copy).  ``BidScheduler`` prices every node of its
 ring in one pass over the BATs (``BidScheduler.quote``) and picks the
 winner by ``(price, node)`` without building a bid per node.
 
@@ -16,8 +17,8 @@ is gone and is pinned off.  Hypothesis builds the same federation twice
 owners and sizes, zero-byte catalog entries, ``ship_threshold`` across
 (0, 1], bid loads that are already there -- and submits the same
 queries to both.  After every submit the
-two agree on the chosen ring, every field of the dispatched spec (the
-arrival bit for bit), every ring's placements, load counts and bids,
+two agree on the chosen ring, every field of the dispatched spec once
+the live node and arrival are folded in (the arrival bit for bit), every ring's placements, load counts and bids,
 and the ``QueryShipped`` stream.
 """
 
@@ -203,9 +204,12 @@ def deployments(draw) -> Dict[str, Any]:
         st.integers(0, catalogued - 1),
         st.sampled_from([0.0, 0.001, 0.25]),
     )
+    # entry nodes on every ring that exists, standby included: a node
+    # past the last ring is refused by ``locate``
+    standby = draw(st.integers(0, 1))
     queries = draw(st.lists(
         st.tuples(
-            st.integers(0, (n_rings + 1) * nodes - 1),
+            st.integers(0, (n_rings + standby) * nodes - 1),
             st.floats(0.0, 50.0, allow_nan=False),
             st.lists(step, min_size=1, max_size=6),
         ),
@@ -213,7 +217,7 @@ def deployments(draw) -> Dict[str, Any]:
     ))
     return {
         "n_rings": n_rings,
-        "standby": draw(st.integers(0, 1)),
+        "standby": standby,
         "nodes": nodes,
         "bats": bats,
         "empties": empties,
@@ -247,7 +251,12 @@ def build(cls, case):
     for ring, loads in case["loads"].items():
         fed._scheduler(ring)._outstanding.update(enumerate(loads))
     fed.dispatched = []
-    fed._admit = lambda ring_id, spec: fed.dispatched.append((ring_id, spec))
+    if cls is ParentShip:
+        fed._admit = lambda ring_id, spec: fed.dispatched.append((ring_id, spec))
+    else:
+        fed._dispatch = lambda ring_id, spec, node, arrival: fed.dispatched.append(
+            (ring_id, spec, replace(spec, node=node, arrival=arrival))
+        )
     fed.shipped = []
     fed.bus.subscribe(
         ev.QueryShipped,
@@ -287,10 +296,10 @@ def test_submit_ships_and_settles_as_the_parent_did(case):
         spec = QuerySpec(query_id, node, arrival, steps, tail_time=0.01, tag="q", tier=1)
         parent.submit(spec)
         live.submit(spec)
-        (old_ring, old), (new_ring, new) = parent.dispatched[-1], live.dispatched[-1]
+        (old_ring, old), (new_ring, passed, new) = parent.dispatched[-1], live.dispatched[-1]
         assert new_ring == old_ring
         assert spec_fields(new) == spec_fields(old)
-        assert new is not spec
+        assert passed is spec
         assert live.shipped == parent.shipped
         assert_same_books(parent, live, spec)
 

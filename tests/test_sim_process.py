@@ -17,7 +17,7 @@ def test_delay_advances_time():
         yield Delay(0.5)
         trace.append(sim.now)
 
-    Process(sim, worker())
+    Process(sim, worker)
     sim.run()
     assert trace == [0.0, 1.5, 2.0]
 
@@ -36,7 +36,7 @@ def test_future_blocks_until_resolved():
         yield fut
         trace.append(("woke", sim.now, fut.value))
 
-    Process(sim, waiter())
+    Process(sim, waiter)
     sim.schedule(3.0, fut.resolve, "payload")
     sim.run()
     assert trace == [("woke", 3.0, "payload")]
@@ -52,7 +52,7 @@ def test_future_resolved_before_wait_wakes_immediately():
         yield fut
         trace.append(sim.now)
 
-    Process(sim, waiter())
+    Process(sim, waiter)
     sim.run()
     assert trace == [0.0]
     assert fut.value == 42
@@ -80,7 +80,7 @@ def test_process_result_and_join():
         yield Delay(1.0)
         return "result"
 
-    p = Process(sim, worker())
+    p = Process(sim, worker)
     joined = []
 
     def watcher():
@@ -88,7 +88,7 @@ def test_process_result_and_join():
         yield fut
         joined.append((sim.now, fut.value))
 
-    Process(sim, watcher())
+    Process(sim, watcher)
     sim.run()
     assert p.finished
     assert p.result == "result"
@@ -102,7 +102,7 @@ def test_join_after_completion():
         yield Delay(1.0)
         return 7
 
-    p = Process(sim, worker())
+    p = Process(sim, worker)
     sim.run()
     fut = p.join()
     sim.run()
@@ -118,11 +118,11 @@ def test_yield_process_joins_it():
         return "child-done"
 
     def parent():
-        result_proc = Process(sim, child())
+        result_proc = Process(sim, child)
         yield result_proc
         trace.append(sim.now)
 
-    Process(sim, parent())
+    Process(sim, parent)
     sim.run()
     assert trace == [2.0]
 
@@ -135,7 +135,7 @@ def test_start_delay():
         trace.append(sim.now)
         yield Delay(0.0)
 
-    Process(sim, worker(), start_delay=5.0)
+    Process(sim, worker, start_delay=5.0)
     sim.run()
     assert trace == [5.0]
 
@@ -152,11 +152,56 @@ def test_kill_stops_process():
             trace.append("killed")
             raise
 
-    p = Process(sim, worker())
+    p = Process(sim, worker)
     sim.schedule(1.0, p.kill)
     sim.run()
     assert trace == ["killed"]
     assert p.finished
+
+
+def test_kill_before_start_never_runs_the_body_and_wakes_joiners():
+    sim = Simulator()
+    ran = []
+
+    def worker(tag):
+        ran.append(tag)
+        yield Delay(1.0)
+
+    p = Process(sim, worker, "w", start_delay=2.0)
+    joined = p.join()
+    p.kill()
+    assert p.finished and p.result is None
+    sim.run()
+    assert ran == [] and joined.value is None
+    assert sim.now == 2.0  # the start event still fires, and does nothing
+
+
+def test_join_before_start_resolves_with_the_result():
+    sim = Simulator()
+
+    def worker(x):
+        yield Delay(1.0)
+        return x * 2
+
+    p = Process(sim, worker, 21, start_delay=3.0)
+    joined = [p.join(), p.join()]
+    assert not p.finished
+    sim.run()
+    assert [f.value for f in joined] == [42, 42]
+    assert p.result == 42 and sim.now == 4.0
+
+
+def test_exception_at_first_resume_propagates_from_run():
+    sim = Simulator()
+
+    def worker(message):
+        raise RuntimeError(message)
+        yield  # pragma: no cover - makes this a generator function
+
+    p = Process(sim, worker, "boom", start_delay=1.0)
+    with pytest.raises(RuntimeError, match="boom"):
+        sim.run()
+    assert sim.now == 1.0 and not p.finished
 
 
 def test_bad_yield_type_raises():
@@ -165,7 +210,7 @@ def test_bad_yield_type_raises():
     def worker():
         yield "garbage"
 
-    Process(sim, worker())
+    Process(sim, worker)
     with pytest.raises(TypeError):
         sim.run()
 
@@ -180,7 +225,7 @@ def test_all_of_waits_for_every_future():
         yield combined
         trace.append((sim.now, combined.value))
 
-    Process(sim, waiter())
+    Process(sim, waiter)
     sim.schedule(1.0, futs[2].resolve, "c")
     sim.schedule(2.0, futs[0].resolve, "a")
     sim.schedule(3.0, futs[1].resolve, "b")
@@ -203,8 +248,8 @@ def test_many_processes_interleave_deterministically():
             yield Delay(period)
             trace.append((sim.now, name))
 
-    Process(sim, worker("fast", 1.0))
-    Process(sim, worker("slow", 1.5))
+    Process(sim, worker, "fast", 1.0)
+    Process(sim, worker, "slow", 1.5)
     sim.run()
     # At t=3.0 both fire; "slow" scheduled its resume first (at t=1.5,
     # vs t=2.0 for "fast"), so FIFO tie-breaking wakes it first.

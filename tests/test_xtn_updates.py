@@ -88,7 +88,7 @@ def test_relaxed_reader_sees_old_version_strict_reader_waits():
 
     dc.submit(QuerySpec.simple(0, node=2, arrival=0.0, bat_ids=[4],
                                processing_times=[0.02]))
-    Process(dc.sim, strict_reader())
+    Process(dc.sim, strict_reader)
     coord.submit_update(bat_id=4, node=1, apply_time=0.02, arrival=0.05)
     dc._start_ticks()
     dc.run(until=10.0)
@@ -159,7 +159,7 @@ def test_functional_update_changes_payloads():
         )
         results["read"] = result
 
-    Process(ring.dc.sim, strict_reader())
+    Process(ring.dc.sim, strict_reader)
     ring.dc.run(until=ring.dc.now + 10.0)
     assert results["read"].ok
     assert results["read"].version == 1
