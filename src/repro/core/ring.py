@@ -247,11 +247,11 @@ class DataCyclotron:
             raise ValueError(f"query {spec.query_id} references unknown BATs {unknown}")
         if not 0 <= spec.node < self.config.n_nodes:
             raise ValueError(f"query {spec.query_id} targets invalid node {spec.node}")
-        self._submitted += 1
         runtime = self.nodes[spec.node]
         delay = spec.arrival - self.sim.now
         if delay < 0:
             raise ValueError(f"query {spec.query_id} arrives in the past")
+        self._submitted += 1
         return Process(self.sim, query_process, runtime, spec, start_delay=delay)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:

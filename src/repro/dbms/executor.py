@@ -330,6 +330,9 @@ class RingDatabase:
             arrival = self.dc.sim.now
         if not 0 <= node < self.dc.config.n_nodes:
             raise ValueError(f"node {node} out of range")
+        delay = arrival - self.dc.sim.now
+        if delay < 0:
+            raise ValueError("arrival is in the past")
         qpu = self.route(request)
         valved = self.byte_budget is not None
         estimate = self._price(qpu, request) if valved else None
@@ -387,9 +390,6 @@ class RingDatabase:
             finally:
                 self._leave(weight)
 
-        delay = arrival - self.dc.sim.now
-        if delay < 0:
-            raise ValueError("arrival is in the past")
         self.dc._submitted += 1
         proc = Process(self.dc.sim, process, start_delay=delay)
         handle = QueryHandle(

@@ -62,14 +62,14 @@ class StreamRecorder:
         return hashlib.sha256(payload).hexdigest()
 
 
-def _ring_config(seed: int) -> DataCyclotronConfig:
-    # the golden snapshot pins the *classic* rotation path; the
-    # fast-forward equivalence suite covers the coalesced one
+def _ring_config(seed: int, fast_forward: bool = False) -> DataCyclotronConfig:
+    # the golden snapshot pins the *classic* rotation path;
+    # test_qpu_golden.py holds the coalesced one to it
     return DataCyclotronConfig(
         n_nodes=4,
         bandwidth=40 * MB,
         seed=seed,
-        fast_forward=False,
+        fast_forward=fast_forward,
     )
 
 
@@ -82,9 +82,9 @@ def _base_table(seed: int, n_rows: int = 1200) -> Dict[str, np.ndarray]:
     }
 
 
-def run_uniform(seed: int, observe=None) -> RingDatabase:
+def run_uniform(seed: int, observe=None, fast_forward: bool = False) -> RingDatabase:
     """Uniformly distributed range scans and group-aggregates."""
-    rdb = RingDatabase(_ring_config(seed))
+    rdb = RingDatabase(_ring_config(seed, fast_forward))
     if observe is not None:
         observe(rdb)
     n_rows = 1200
@@ -108,9 +108,9 @@ def run_uniform(seed: int, observe=None) -> RingDatabase:
     return rdb
 
 
-def run_gaussian(seed: int, observe=None) -> RingDatabase:
+def run_gaussian(seed: int, observe=None, fast_forward: bool = False) -> RingDatabase:
     """Gaussian-skewed ranges: the middle partitions stay hot."""
-    rdb = RingDatabase(_ring_config(seed))
+    rdb = RingDatabase(_ring_config(seed, fast_forward))
     if observe is not None:
         observe(rdb)
     n_rows = 1200
@@ -134,12 +134,12 @@ def run_gaussian(seed: int, observe=None) -> RingDatabase:
     return rdb
 
 
-def run_tpch(seed: int, observe=None) -> RingDatabase:
+def run_tpch(seed: int, observe=None, fast_forward: bool = False) -> RingDatabase:
     """A handful of TPC-H queries at tiny scale over the ring."""
     from repro.workloads.tpch.queries import TPCH_QUERIES
     from repro.workloads.tpch.schema import generate_tpch
 
-    rdb = RingDatabase(_ring_config(seed))
+    rdb = RingDatabase(_ring_config(seed, fast_forward))
     if observe is not None:
         observe(rdb)
     for table, columns in generate_tpch(scale_factor=0.001, seed=seed).items():

@@ -43,6 +43,17 @@ def test_submit_validates_bats_and_node():
         dc.submit(QuerySpec.simple(0, 7, 0.0, [1], [0.1]))
 
 
+def test_a_refused_past_arrival_is_not_counted():
+    dc = build_dc(n_nodes=4, bats={1: MB})
+    dc.submit(QuerySpec.simple(0, 1, 0.5, [1], [0.01]))
+    dc.run(until=1.0)
+    with pytest.raises(ValueError, match="in the past"):
+        dc.submit(QuerySpec.simple(1, 2, 0.2, [1], [0.01]))
+    assert dc.summary()["queries_submitted"] == dc.submitted_queries == 1
+    # nothing waits for the refused query
+    assert dc.run_until_done(max_time=30.0)
+
+
 def test_single_query_remote_bat_completes():
     dc = build_dc(n_nodes=4)
     dc.submit(QuerySpec.simple(0, node=0, arrival=0.0, bat_ids=[5],

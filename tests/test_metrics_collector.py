@@ -1,5 +1,7 @@
 """Unit tests for the central metrics collector, fed through the bus."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.events import types as ev
@@ -117,3 +119,25 @@ def test_lifetime_histogram(m, bus):
     hist = m.lifetime_histogram(bin_width=1.0)
     assert hist.count == 1
     assert hist.mean == 2.0
+
+
+def test_every_counted_event_type_counts_once_per_event(m, bus):
+    """Each ``COUNTS`` row: its counter moves by one per event of its
+    type and by nothing else."""
+    for event_type, attr in MetricsCollector.COUNTS.items():
+        before = {a: getattr(m, a) for a in MetricsCollector.COUNTS.values()}
+        n_fields = len(fields(event_type))
+        for _ in range(2):
+            bus.publish(event_type(*[0] * n_fields))
+        after = {a: getattr(m, a) for a in MetricsCollector.COUNTS.values()}
+        assert after == {**before, attr: before[attr] + 2}, event_type.__name__
+
+
+def test_a_silent_failure_is_downtime_like_a_crash(m, bus):
+    bus.publish(ev.NodeCrashed(1.0, 2))
+    bus.publish(ev.NodeFailed(2.0, 3))
+    bus.publish(ev.NodeRejoined(4.0, 2, ()))
+    assert m.nodes_failed == 1
+    assert m.node_downtime(2, until=10.0) == 3.0
+    assert m.node_downtime(3, until=10.0) == 8.0
+    assert m.total_downtime(until=10.0) == 11.0

@@ -51,13 +51,12 @@ def test_every_named_path_exists():
     assert not dangling
 
 
-# The collector and the bridge declare and fill the counters; the oracle
-# test keeps the parent's copy of both.  A counter read nowhere else is
-# a copy of a count its owner keeps, or a count nobody looks at.
+# The collector and the bridge declare and fill the counters.  A counter
+# read nowhere else is a copy of a count its owner keeps, or a count
+# nobody looks at.
 COUNTER_HOMES = {
     "src/repro/metrics/collector.py",
     "src/repro/events/bridge.py",
-    "tests/test_bridge_oracle.py",
 }
 
 # producers that build these through a variable holding the class: the

@@ -1,6 +1,8 @@
 """Tests for nomadic query placement via cost bids (section 6.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import QuerySpec
 from repro.xtn.bidding import BidScheduler
@@ -158,3 +160,34 @@ def test_place_split_single_step_never_splits():
     )
     assert len(placed) == 1
     assert dc.run_until_done(max_time=60.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 8 * MB), min_size=1, max_size=8),
+    picks=st.lists(st.integers(0, 7), min_size=1, max_size=6),
+    weight=st.floats(1e-12, 1e-6),
+)
+def test_a_quote_sums_data_costs_in_bat_order(sizes, picks, weight):
+    """``size * hops * data_weight`` per BAT, added in the query's BAT
+    order: the float sums every placement and ship decision reads."""
+    dc = build_dc(n_nodes=5, bats=dict(enumerate(sizes)))
+    sched = BidScheduler(dc, data_weight=weight)
+    bat_ids = [b % len(sizes) for b in picks]
+    _load, data = sched.quote(bat_ids)
+    for node in range(5):
+        total = 0.0
+        for bat_id in bat_ids:
+            hops = (node - dc.bat_owner(bat_id)) % 5
+            if hops:
+                total += dc.bat_size(bat_id) * hops * weight
+        assert data[node] == total
+
+
+def test_the_cheapest_quote_ties_to_the_least_node():
+    dc, sched = make_scheduler()
+    # nothing this query reads lives on the ring and nothing is booked:
+    # every node quotes zero
+    assert sched.cheapest([99]) == (0.0, 0)
+    sched.book(0, 0)
+    assert sched.cheapest([99]) == (0.0, 1)
