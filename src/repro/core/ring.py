@@ -65,6 +65,7 @@ class DataCyclotron:
         self.sim = sim if sim is not None else Simulator(bus=self.bus)
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self._detach_metrics = attach_metrics(self.bus, self.metrics)
+        self._metrics_attached = True
         self.tracer: Optional[Tracer] = None
         if self.config.trace is not None:
             self.tracer = Tracer(jsonl_path=self.config.trace, keep=False)
@@ -136,6 +137,10 @@ class DataCyclotron:
         self._bat_replicas: Dict[int, List[int]] = {}
         self._next_owner = 0
         self._submitted = 0
+        # arrivals posted for later (``FrontDoor.offer``) that may still
+        # submit a query: whoever posts one counts it here and its
+        # callback counts it off; run_until_done waits for them
+        self.posted_arrivals = 0
         self._ticks_started = False
         # nodes whose LOIT sits above level 0; only _tick_loit moves it
         self._loit_raised = (
@@ -322,7 +327,8 @@ class DataCyclotron:
         self.sim.run(until=until)
 
     def run_until_done(self, max_time: float = 3600.0, check_interval: float = 1.0) -> bool:
-        """Run until every submitted query finished (or ``max_time``).
+        """Run until every submitted query finished and every posted
+        arrival (:attr:`posted_arrivals`) happened, or ``max_time``.
 
         Returns True on full completion.  The periodic ticks never drain
         the event queue on their own, so completion is polled on a
@@ -330,12 +336,18 @@ class DataCyclotron:
         """
         self._start_ticks()
         while self.sim.now < max_time:
-            if self.completed_queries >= self._submitted:
+            if self._done():
                 self.ff.flush_all()
                 return True
             self.sim.run(until=min(self.sim.now + check_interval, max_time))
         self.ff.flush_all()
-        return self.completed_queries >= self._submitted
+        return self._done()
+
+    def _done(self) -> bool:
+        return (
+            self.completed_queries >= self._submitted
+            and not self.posted_arrivals
+        )
 
     def detach_metrics(self) -> None:
         """Unsubscribe the MetricsCollector from the bus.
@@ -345,6 +357,13 @@ class DataCyclotron:
         -- the zero-observer configuration perf baselines run in.
         """
         self._detach_metrics()
+        self._metrics_attached = False
+
+    @property
+    def metrics_attached(self) -> bool:
+        """Whether :attr:`metrics` still hears this ring's bus, so that
+        its ring load (``ring_bytes`` / ``ring_bats``) is current."""
+        return self._metrics_attached
 
     # ------------------------------------------------------------------
     # fault injection (docs/faults.md)

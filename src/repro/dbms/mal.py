@@ -136,6 +136,14 @@ class Plan:
     def append(self, instruction: Instruction) -> None:
         self.instructions.append(instruction)
 
+    def derived(self, name: str, instructions: List[Instruction]) -> "Plan":
+        """A plan ``name`` of ``instructions`` (typically some of this
+        plan's, shared), whose fresh variables continue this plan's."""
+        plan = Plan(name)
+        plan.instructions = instructions
+        plan._counter = self._counter
+        return plan
+
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------

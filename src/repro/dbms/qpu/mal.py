@@ -13,13 +13,14 @@ before.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Dict, Generator
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.core.runtime import NodeRuntime
 from repro.dbms.bat import BAT
 from repro.dbms.catalog import Catalog
 from repro.dbms.cost import OperatorCostModel
 from repro.dbms.interpreter import Interpreter
+from repro.dbms.mal import Instruction, Plan
 from repro.dbms.optimizer import dc_rewrite, requested_binds
 from repro.dbms.qpu.base import (
     CompiledQuery,
@@ -28,22 +29,35 @@ from repro.dbms.qpu.base import (
     QueryAbort,
     QueryProcessingUnit,
 )
-from repro.dbms.sql import parse_cached, plan_select
+from repro.dbms.sql import SqlError, parse_cached, plan_select
+from repro.dbms.sql.parser import (
+    Param,
+    ParamInspected,
+    Token,
+    literal_value,
+    parse_template,
+    statement_shape,
+    tokenize,
+)
 from repro.dbms.sql.planner import PlannedQuery
 
 __all__ = ["MalQpu", "dc_registry"]
 
-#: compiled statements one engine keeps (least recently used go first).
-#: A plan holds ~340 bytes per instruction -- 67 KB for a two-column
-#: scan of 24 partitions, 200 KB for a six-column ``SELECT *`` -- and its
-#: end-of-life table ~44 more (8.8 KB and 26 KB), so the bound is what
-#: the cache may retain: ~11-28 MB of plans.  The table is what keeps a
-#: run's own footprint small: after each instruction only variables a
-#: later instruction reads, and the result, stay live.  Behind a
-#: dispatcher valve a request is priced on its estimated footprint
-#: before it is compiled and a refused one never reaches ``compile``, so
-#: the one-off texts a full valve turns away do not fill the cache
-#: (docs/qpu.md section 7).
+#: statement texts, and statement shapes, one engine keeps (least
+#: recently used go first).  A plan holds ~320 bytes per instruction,
+#: its end-of-life table included -- 63 KB for a two-column scan of 24
+#: partitions, 183 KB for a six-column ``SELECT *``.  A text of a known
+#: shape shares every instruction without a literal with the shape's
+#: template and adds ~2 KB, and a hit keeps its shape recent, so the
+#: cache retains about 128 template plans (at most ~23 MB of the widest
+#: plan here) plus 2 KB a text; texts of a shape that plans per text
+#: hold a whole plan each, as every text did before templates.  The
+#: end-of-life table is what keeps a run's own footprint small: after
+#: each instruction only variables a later instruction reads, and the
+#: result, stay live.  Behind a dispatcher valve a request is priced on
+#: its estimated footprint before it is compiled and a refused one never
+#: reaches ``compile``, so the one-off texts a full valve turns away do
+#: not fill the cache (docs/qpu.md section 7).
 PLAN_CACHE_SIZE = 128
 
 
@@ -122,11 +136,19 @@ class MalQpu(QueryProcessingUnit):
         self.result_cache = result_cache
         self.cache_min_bytes = cache_min_bytes
         self._plan_counter = 0
-        # statement text -> CompiledQuery, valid for one catalog version
-        self._plan_cache: "OrderedDict[str, CompiledQuery]" = OrderedDict()
+        # statement text -> (CompiledQuery, shape), valid for one
+        # catalog version
+        self._plan_cache: "OrderedDict[str, Tuple[CompiledQuery, tuple]]" = (
+            OrderedDict()
+        )
         self._plan_cache_version = catalog.version
+        # statement shape -> its plan template (None: plans per text)
+        self._templates: "OrderedDict[tuple, Optional[_Template]]" = OrderedDict()
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
+        self.shapes = 0
+        self.shape_binds = 0
+        self.shape_fallbacks = 0
 
     # ------------------------------------------------------------------
     def accepts(self, request: Any) -> bool:
@@ -137,59 +159,124 @@ class MalQpu(QueryProcessingUnit):
         return self.compile(sql).payload
 
     def compile(self, request: Any) -> CompiledQuery:
-        """Compile once per statement text and catalog version.
+        """Compile once per statement text, and plan once per statement
+        shape, for one catalog version.
 
         The cached :class:`CompiledQuery` (plan, result variable,
         footprint and its bytes) is shared by every later submission of
         the same text: execution only reads it -- each interpreter
-        builds its own variable environment -- so sharing is safe.  Any
-        catalog change may bind other partitions, so it drops the lot.
+        builds its own variable environment -- so sharing is safe.  A
+        new text of a known shape binds its literals into the shape's
+        template (:class:`_Template`).  Any catalog change may bind
+        other partitions, so it drops the lot.
         """
         sql = request.sql if isinstance(request, MalQuery) else request
         cache = self._plan_cache
+        templates = self._templates
         if self._plan_cache_version != self.catalog.version:
             cache.clear()
+            templates.clear()
             self._plan_cache_version = self.catalog.version
-        compiled = cache.get(sql)
-        if compiled is not None:
+        entry = cache.get(sql)
+        if entry is not None:
             self.plan_cache_hits += 1
             cache.move_to_end(sql)
+            compiled, shape = entry
+            # a shape is as recent as its texts, so the templates a
+            # cached text shares stay cached (docs/qpu.md section 7)
+            if shape in templates:
+                templates.move_to_end(shape)
             return compiled
         self.plan_cache_misses += 1
-        compiled = self._compile_uncached(sql)
-        cache[sql] = compiled
+        self._plan_counter += 1
+        name = f"user.s{self._plan_counter}_1"
+        tokens = tokenize(sql)
+        shape, literals = statement_shape(tokens)
+        compiled = self._compile_shape(sql, name, tokens, shape, literals)
+        cache[sql] = (compiled, shape)
         if len(cache) > PLAN_CACHE_SIZE:
             cache.popitem(last=False)
         return compiled
 
     def plan_cache_stats(self) -> Dict[str, int]:
-        """Hits, misses, current size and the fixed bound of the cache."""
+        """Hits, misses, current size and the fixed bound of the text
+        cache, and what its misses cost: ``shapes`` planned in full,
+        ``shape_binds`` (a known shape's template took the text's
+        literals) and ``shape_fallbacks`` (a known shape planned in
+        full again, see :class:`_Template`)."""
         return {
             "hits": self.plan_cache_hits,
             "misses": self.plan_cache_misses,
             "size": len(self._plan_cache),
             "bound": PLAN_CACHE_SIZE,
+            "shapes": self.shapes,
+            "shape_binds": self.shape_binds,
+            "shape_fallbacks": self.shape_fallbacks,
         }
 
-    def _compile_uncached(self, sql: str) -> CompiledQuery:
-        self._plan_counter += 1
-        planned = plan_select(
-            parse_cached(sql), self.catalog, name=f"user.s{self._plan_counter}_1"
-        )
+    def _compile_shape(
+        self,
+        sql: str,
+        name: str,
+        tokens: List[Token],
+        shape: Tuple[str, ...],
+        literals: List[Token],
+    ) -> CompiledQuery:
+        templates = self._templates
+        if shape in templates:
+            templates.move_to_end(shape)
+            template = templates[shape]
+            if template is not None:
+                compiled = template.bind(sql, name, literals)
+                if compiled is not None:
+                    self.shape_binds += 1
+                    return compiled
+            self.shape_fallbacks += 1
+            return self._compile_text(sql, name)
+        try:
+            template = self._template(tokens, literals)
+        except SqlError:
+            # the text's own compile raises its own error
+            return self._compile_text(sql, name)
+        except ParamInspected:
+            template = None
+        if template is None:
+            compiled = self._compile_text(sql, name)
+        else:
+            compiled = template.bind(sql, name, literals)
+        self.shapes += 1
+        templates[shape] = template
+        if len(templates) > PLAN_CACHE_SIZE:
+            templates.popitem(last=False)
+        return compiled
+
+    def _template(self, tokens: List[Token], literals: List[Token]) -> "_Template":
+        planned = plan_select(parse_template(tokens), self.catalog)
         plan, last_use = dc_rewrite(planned.plan)
+        return _Template(
+            planned.finished(plan, last_use), *self._footprint(plan), literals
+        )
+
+    def _compile_text(self, sql: str, name: str) -> CompiledQuery:
+        planned = plan_select(parse_cached(sql), self.catalog, name=name)
+        plan, last_use = dc_rewrite(planned.plan)
+        footprint, nbytes = self._footprint(plan)
+        return CompiledQuery(
+            engine=self.engine_class,
+            footprint=footprint,
+            footprint_bytes=nbytes,
+            payload=planned.finished(plan, last_use),
+            description=sql,
+        )
+
+    def _footprint(self, plan: Plan) -> Tuple[Tuple[int, ...], int]:
         bat_ids = tuple(
             self.catalog.handle(*args).bat_id for args in requested_binds(plan)
         )
         nbytes = sum(
             self.catalog.handle_by_id(b).bat.nbytes for b in bat_ids
         )
-        return CompiledQuery(
-            engine=self.engine_class,
-            footprint=bat_ids,
-            footprint_bytes=nbytes,
-            payload=planned.finished(plan, last_use),
-            description=sql,
-        )
+        return bat_ids, nbytes
 
     def estimate_cost(self, compiled: CompiledQuery) -> float:
         # one interpreter pass over the persistent footprint: a lower
@@ -228,3 +315,101 @@ class MalQpu(QueryProcessingUnit):
                 min_publish_bytes=self.cache_min_bytes,
             )
         return Interpreter(registry)
+
+
+class _Template:
+    """One statement shape's DC plan, planned once with literal ``i``
+    read as ``Param(i)`` (:func:`~repro.dbms.sql.parser.parse_template`).
+
+    The planner passes a ``Param`` through into instruction arguments
+    and raises if it uses one as a value, so for any text of the shape
+    the plan is this one with each ``Param`` replaced by the text's
+    literal: :meth:`bind` builds new instructions only where a
+    ``Param`` sits and shares every other instruction, the end-of-life
+    table, footprint, bytes, result variable and column names.  A
+    literal that no argument holds (the grammar consumed it, like a
+    ``LIMIT`` count) is fixed: a text whose fixed literal differs is
+    planned in full instead.  A shape whose planner did use a literal
+    as a value never gets a template (``MalQpu._templates`` maps it
+    to ``None``).
+    """
+
+    __slots__ = ("planned", "footprint", "footprint_bytes", "slots", "fixed")
+
+    def __init__(
+        self,
+        planned: PlannedQuery,
+        footprint: Tuple[int, ...],
+        footprint_bytes: int,
+        literals: List[Token],
+    ):
+        self.planned = planned
+        self.footprint = footprint
+        self.footprint_bytes = footprint_bytes
+        held: set = set()
+        #: indices of the instructions whose arguments hold a Param
+        self.slots = tuple(
+            index
+            for index, instr in enumerate(planned.plan.instructions)
+            if _collect_params(instr.args, held)
+        )
+        #: (literal index, token text) of the literals no argument holds
+        self.fixed = tuple(
+            (i, tok.value) for i, tok in enumerate(literals) if i not in held
+        )
+
+    def bind(
+        self, sql: str, name: str, literals: List[Token]
+    ) -> Optional[CompiledQuery]:
+        """``sql``'s compiled query, or ``None`` if a fixed literal of
+        ``sql`` differs from the template's."""
+        for i, text in self.fixed:
+            if literals[i].value != text:
+                return None
+        values = [literal_value(tok) for tok in literals]
+        base = self.planned
+        instructions = list(base.plan.instructions)
+        for index in self.slots:
+            instr = instructions[index]
+            instructions[index] = Instruction(
+                instr.module, instr.fn, _bind_args(instr.args, values), instr.results
+            )
+        return CompiledQuery(
+            engine=MalQpu.engine_class,
+            footprint=self.footprint,
+            footprint_bytes=self.footprint_bytes,
+            payload=PlannedQuery(
+                plan=base.plan.derived(name, instructions),
+                result_var=base.result_var,
+                column_names=base.column_names,
+                dies=base.dies,
+            ),
+            description=sql,
+        )
+
+
+def _collect_params(args, held: set) -> bool:
+    """Add the index of every Param in ``args`` (nested in lists and
+    tuples) to ``held``; whether there was one."""
+    found = False
+    for arg in args:
+        kind = type(arg)
+        if kind is Param:
+            held.add(arg.index)
+            found = True
+        elif kind is list or kind is tuple:
+            found = _collect_params(arg, held) or found
+    return found
+
+
+def _bind_args(args, values: List[Any]):
+    """``args`` with each Param replaced by its literal's value."""
+    bound = []
+    for arg in args:
+        kind = type(arg)
+        if kind is Param:
+            arg = values[arg.index]
+        elif kind is list or kind is tuple:
+            arg = kind(_bind_args(arg, values))
+        bound.append(arg)
+    return tuple(bound)

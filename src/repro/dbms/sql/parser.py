@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import List, Optional, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 __all__ = [
     "SqlError",
@@ -23,8 +23,14 @@ __all__ = [
     "TableRef",
     "OrderItem",
     "Select",
+    "Token",
     "tokenize",
+    "literal_value",
+    "statement_shape",
+    "Param",
+    "ParamInspected",
     "parse",
+    "parse_template",
     "parse_cached",
 ]
 
@@ -160,8 +166,9 @@ _TOKEN_RE = re.compile(
   | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op><=|>=|<>|!=|=|<|>)
   | (?P<punct>[(),.*+\-/;])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 KEYWORDS = {
@@ -171,46 +178,120 @@ KEYWORDS = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'kw' | 'ident' | 'number' | 'string' | 'op' | 'punct' | 'eof'
     value: str
     pos: int
 
 
 def tokenize(text: str) -> List[Token]:
+    """One regex pass over ``text``; a character no token starts with
+    is the ``bad`` group, so the pass never skips one silently."""
     tokens: List[Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise SqlError(f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = m.end()
+    append = tokens.append
+    new = tuple.__new__
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        value = m.group()
         if kind == "ws":
             continue
+        value = m.group()
         if kind == "ident":
             lowered = value.lower()
             if lowered in KEYWORDS:
-                tokens.append(Token("kw", lowered, m.start()))
-            else:
-                tokens.append(Token("ident", value, m.start()))
+                kind, value = "kw", lowered
         elif kind == "string":
-            tokens.append(Token("string", value[1:-1].replace("''", "'"), m.start()))
-        else:
-            tokens.append(Token(kind, value, m.start()))
-    tokens.append(Token("eof", "", len(text)))
+            value = value[1:-1].replace("''", "'")
+        elif kind == "bad":
+            raise SqlError(f"unexpected character {value!r} at offset {m.start()}")
+        append(new(Token, (kind, value, m.start())))
+    append(Token("eof", "", len(text)))
     return tokens
+
+
+def literal_value(tok: Token) -> Union[int, float, str]:
+    """The value a number or string token stands for."""
+    if tok.kind == "string":
+        return tok.value
+    return float(tok.value) if "." in tok.value else int(tok.value)
+
+
+# ----------------------------------------------------------------------
+# statement shapes: one plan template per statement, literals masked
+# ----------------------------------------------------------------------
+_MASKS = {"number": "?number", "string": "?string"}
+
+
+def statement_shape(tokens: List[Token]) -> Tuple[Tuple[str, ...], List[Token]]:
+    """``(shape, literals)``: the token values with every number and
+    string literal replaced by its kind's mask, and those literal
+    tokens in text order.  Keywords are lower-cased by the lexer, so
+    texts that differ only in keyword case, layout or literal values
+    share a shape; no other token value can read as a mask."""
+    shape: List[str] = []
+    literals: List[Token] = []
+    for tok in tokens:
+        mask = _MASKS.get(tok.kind)
+        if mask is None:
+            shape.append(tok.value)
+        else:
+            shape.append(mask)
+            literals.append(tok)
+    return tuple(shape), literals
+
+
+class ParamInspected(Exception):
+    """The planner used a :class:`Param` as a value: the shape's plan
+    depends on its literal values and cannot be a template."""
+
+
+class Param:
+    """Literal ``index`` (text order) of a statement template.
+
+    :func:`parse_template` puts one where the literal's value would be,
+    and the planner passes it through into instruction arguments, where
+    a bind puts each text's own value.  Any use of it as a value --
+    arithmetic, comparison, hashing, truth, formatting, an attribute --
+    raises :class:`ParamInspected`.  Branching on a literal's *type*
+    cannot be caught here; the planner must not do it.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __repr__(self) -> str:
+        return f"?{self.index}"
+
+    def _inspected(self, *_args):
+        raise ParamInspected(f"literal ?{self.index} used as a value")
+
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = _inspected
+    __hash__ = __bool__ = __str__ = __format__ = _inspected  # type: ignore
+    __int__ = __float__ = __index__ = __len__ = __iter__ = _inspected
+    __contains__ = __getitem__ = __neg__ = __pos__ = __abs__ = _inspected
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _inspected
+    __truediv__ = __rtruediv__ = __floordiv__ = __rfloordiv__ = _inspected
+    __mod__ = __rmod__ = __pow__ = __rpow__ = _inspected
+
+    def __getattr__(self, name: str):
+        if name.startswith("__"):  # protocol probes (copy, pickle, ...)
+            raise AttributeError(name)
+        self._inspected()
 
 
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
 class _Parser:
-    def __init__(self, tokens: List[Token]):
+    def __init__(
+        self,
+        tokens: List[Token],
+        literal: Callable[[Token], Union[int, float, str, Param]] = literal_value,
+    ):
         self.tokens = tokens
         self.i = 0
+        self.literal = literal  # a number/string token -> Literal.value
 
     # -- primitives ----------------------------------------------------
     @property
@@ -368,12 +449,9 @@ class _Parser:
             self.expect("punct", ")")
             return inner
         tok = self.cur
-        if tok.kind == "number":
+        if tok.kind == "number" or tok.kind == "string":
             self.advance()
-            return Literal(float(tok.value) if "." in tok.value else int(tok.value))
-        if tok.kind == "string":
-            self.advance()
-            return Literal(tok.value)
+            return Literal(self.literal(tok))
         if tok.kind == "ident":
             return self.parse_column_ref()
         raise SqlError(f"unexpected token {tok.value!r} at offset {tok.pos}")
@@ -420,12 +498,9 @@ class _Parser:
 
     def parse_literal(self) -> Literal:
         tok = self.cur
-        if tok.kind == "number":
+        if tok.kind == "number" or tok.kind == "string":
             self.advance()
-            return Literal(float(tok.value) if "." in tok.value else int(tok.value))
-        if tok.kind == "string":
-            self.advance()
-            return Literal(tok.value)
+            return Literal(self.literal(tok))
         raise SqlError(f"expected a literal, found {tok.value!r} at offset {tok.pos}")
 
     def parse_order_item(self) -> OrderItem:
@@ -441,6 +516,17 @@ class _Parser:
 def parse(text: str) -> Select:
     """Parse one SELECT statement into its AST."""
     return _Parser(tokenize(text)).parse_select()
+
+
+def parse_template(tokens: List[Token]) -> Select:
+    """The AST of ``tokens`` with literal ``i`` (text order, as in
+    :func:`statement_shape`) read as ``Param(i)``.  A literal the
+    grammar consumes itself (the ``LIMIT`` count) keeps its value."""
+    params = {}
+    for tok in tokens:
+        if tok.kind == "number" or tok.kind == "string":
+            params[tok.pos] = Param(len(params))
+    return _Parser(tokens, lambda tok: params[tok.pos]).parse_select()
 
 
 @lru_cache(maxsize=128)

@@ -164,11 +164,13 @@ class FrontDoor:
               arrival: Optional[float] = None) -> None:
         """Schedule one arrival; the admission verdict happens *at*
         arrival time, when the valve state is the one that matters."""
-        sim = self.rdb.dc.sim
+        dc = self.rdb.dc
+        sim = dc.sim
         if arrival is None or arrival <= sim.now:
             self._arrive(request, node)
         else:
-            sim.post(arrival - sim.now, self._arrive, request, node)
+            dc.posted_arrivals += 1
+            sim.post(arrival - sim.now, self._arrive_posted, request, node)
 
     def offer_all(self, submissions) -> int:
         """Schedule ``(arrival, node, request)`` triples; returns count."""
@@ -179,6 +181,10 @@ class FrontDoor:
         return count
 
     # ------------------------------------------------------------------
+    def _arrive_posted(self, request: Any, node: int) -> None:
+        self.rdb.dc.posted_arrivals -= 1
+        self._arrive(request, node)
+
     def _arrive(self, request: Any, node: int) -> None:
         sim = self.rdb.dc.sim
         bus = self.rdb.dc.bus

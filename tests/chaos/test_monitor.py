@@ -1,8 +1,8 @@
 """The bus-driven InvariantMonitor: live auditing outside the harness."""
 
-from repro.core import DataCyclotron, DataCyclotronConfig, QuerySpec
+from repro.core import MB, DataCyclotron, DataCyclotronConfig, QuerySpec
 from repro.faults import ChaosHarness
-from repro.faults.invariants import InvariantMonitor
+from repro.faults.invariants import InvariantMonitor, _circulating_bats
 
 
 def _ring(n_nodes=4, **overrides):
@@ -68,3 +68,23 @@ def test_harness_trace_file(tmp_path):
         doc = json.load(fh)
     names = {event["name"] for event in doc["traceEvents"]}
     assert "FaultInjected" in names or "NodeCrashed" in names
+
+
+def test_a_detached_ring_with_a_degraded_link_reports_no_violations():
+    """A ring that called detach_metrics() feeds no ring load to its
+    collector; the conservation check must not read that stale load as
+    lost bytes while BATs circulate."""
+    dc = _ring(bandwidth=100 * MB)
+    dc.detach_metrics()
+    monitor = InvariantMonitor(dc)
+    for query_id in range(4):  # each node asks for its neighbour's BAT
+        dc.submit(QuerySpec.simple(query_id, node=query_id, arrival=0.0,
+                                   bat_ids=[(query_id + 1) % 4],
+                                   processing_times=[0.05]))
+    dc.run(until=0.05)
+    assert sum(1 for _ in _circulating_bats(dc)) == 4
+    dc.degrade_link(2, direction="data", bandwidth_factor=0.5, duration=0.2)
+    assert dc.run_until_done(max_time=30.0)
+    assert monitor.checks == 1
+    assert monitor.violations == []
+    assert not dc.metrics_attached

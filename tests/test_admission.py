@@ -263,7 +263,6 @@ def test_the_door_slices_the_ledger_by_tier_and_settles_every_ticket_once(
             assert rdb.next_query_id == next_id + 1
         # the peak counts each admitted query's own estimate
         assert door.peak_estimated_inflight_bytes >= rdb._inflight_bytes
-    rdb.dc.run(until=rdb.dc.sim.now + 0.05)  # the last offers arrive
     assert rdb.run_until_done(max_time=600.0)
     assert log.decisions == door.offered == offered
     assert door.admitted + door.rejected == offered

@@ -225,13 +225,7 @@ class Run:
         for fraction in case["probes"]:
             dc.sim.post_at(fraction * horizon, self.probe)
         assert dc.run_until_done(max_time=600.0)
-        # the conservation check reads the collector's ring load, which a
-        # detached ring does not feed; every other invariant applies
-        violations = [
-            v for v in self.monitor.violations
-            if self.attached or "conservation" not in v
-        ]
-        assert violations == []
+        assert self.monitor.violations == []
         self.stats = dc.ff.stats()
 
     def _watch(self, node) -> None:

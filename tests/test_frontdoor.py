@@ -33,6 +33,19 @@ def capture(bus, *event_types):
     return seen
 
 
+def test_run_until_done_waits_for_an_offer_after_a_quiet_gap():
+    """An offer posted for later is work still to do: the run does not
+    end when the queries submitted so far have finished."""
+    rdb = make_rdb()
+    door = FrontDoor(rdb)
+    for i in range(17):
+        door.offer(KvLookup(table="t", key=i, column="v"), arrival=0.01 * i)
+    door.offer(KvLookup(table="t", key=99, column="v"), node=1, arrival=5.0)
+    assert rdb.run_until_done(max_time=600.0)
+    assert door.offered == door.admitted == 18
+    assert all(t.outcome == "finished" for t in door.tickets.values())
+
+
 # ----------------------------------------------------------------------
 # policy: tiers and deadlines
 # ----------------------------------------------------------------------
