@@ -10,12 +10,15 @@ buffer-load watermarks.  Section 5.4 models four cores per node.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import ClassVar, Optional, Tuple
 
-__all__ = ["DataCyclotronConfig", "MB", "GBIT"]
+__all__ = ["DataCyclotronConfig", "MB", "GBIT", "LINK_DELAY"]
 
 MB = 1024 * 1024
 GBIT = 1e9 / 8  # bytes/second for 1 Gb/s
+
+LINK_DELAY = 350e-6          # seconds per link (section 5, Setup)
+RESEND_TIMEOUT_FACTOR = 4.0  # x the rotational delay (section 4.2.3)
 
 
 @dataclass
@@ -30,11 +33,9 @@ class DataCyclotronConfig:
     # --- topology / network (section 5, Setup) -----------------------
     n_nodes: int = 10
     bandwidth: float = 10 * GBIT            # bytes per second per link
-    link_delay: float = 350e-6              # propagation delay, seconds
+    link_delay: ClassVar[float] = LINK_DELAY  # a constant, not a field
     bat_queue_capacity: int = 200 * MB      # per-node network buffer
     request_queue_capacity: Optional[int] = None  # requests are tiny
-    request_message_size: int = 64          # bytes on the wire
-    bat_header_size: int = 64               # administrative header bytes
     data_loss_rate: float = 0.0             # injected loss, data channel
     request_loss_rate: float = 0.0          # injected loss, request channel
 
@@ -45,23 +46,19 @@ class DataCyclotronConfig:
     loit_high_watermark: float = 0.80       # buffer load above -> step up
     loit_low_watermark: float = 0.40        # buffer load below -> step down
     loit_adapt_interval: float = 0.25       # seconds between controller ticks
-    initial_loi: float = 1.0                # LOI of a freshly loaded BAT
 
     # --- loader / pending loads (section 4.2.3) ----------------------
     load_all_interval: float = 0.05         # "every T msec" loadAll tick
-    disk_bandwidth: float = 400 * MB        # the paper's RAID reference rate
     disk_latency: float = 5e-3              # per-access seek/dispatch cost
 
     # --- loss recovery (section 4.2.3) --------------------------------
     resend_timeout: Optional[float] = None  # None -> derived from ring size
-    resend_timeout_factor: float = 4.0      # x estimated rotational delay
     # Escalation beyond the paper (docs/faults.md): each resend multiplies
-    # the timeout by ``resend_backoff_base`` (capped at ``_cap`` times the
-    # base timeout); 1.0 keeps the paper's fixed-interval behaviour.
+    # the timeout by ``resend_backoff_base`` (capped at RESEND_BACKOFF_CAP
+    # times the base timeout); 1.0 keeps the paper's fixed-interval behaviour.
     # After ``max_resends`` unanswered resends the request gives up and
     # the blocked queries fail with DATA_UNAVAILABLE; None retries forever.
     resend_backoff_base: float = 1.0
-    resend_backoff_cap: float = 8.0
     max_resends: Optional[int] = None
 
     # --- fault tolerance (fault-injection subsystem, docs/faults.md) ---
@@ -76,16 +73,6 @@ class DataCyclotronConfig:
     # single event, keeping the paper-faithful event stream bit-identical
     # (the golden-equivalence test relies on it).
     resilience: bool = False
-    # Failure detector: each node beacons to its live predecessor every
-    # ``heartbeat_interval`` seconds; the predecessor keeps a sliding
-    # window of inter-arrival gaps and scores phi = log10(e)*elapsed/mean
-    # (exponential phi-accrual).  Crossing ``phi_suspect`` publishes
-    # NodeSuspected; crossing ``phi_confirm`` publishes NodeConfirmedDead
-    # and triggers the detector-driven ring repair.
-    heartbeat_interval: float = 0.05
-    heartbeat_window: int = 16
-    phi_suspect: float = 1.5
-    phi_confirm: float = 3.0
     # K-replica BAT ownership: every BAT gets K-1 replica owners placed
     # round-robin clockwise of the primary; on confirmed death the first
     # live replica is promoted.  K=1 keeps single ownership.
@@ -110,9 +97,6 @@ class DataCyclotronConfig:
     # pre-budget behaviour); ``retry_budget_refill`` adds tokens/second.
     retry_budget_capacity: Optional[float] = None
     retry_budget_refill: float = 0.0
-    # Admission valve: shed (fast-fail) new queries while at least this
-    # fraction of the ring is known-dead or under suspicion.
-    admission_suspect_fraction: float = 0.5
 
     # --- node resources ----------------------------------------------
     local_memory_bytes: Optional[int] = None  # pinned-BAT budget; None = ample
@@ -124,7 +108,6 @@ class DataCyclotronConfig:
     # modes charge the Figure 1 host CPU overhead for every BAT a node
     # puts on the wire, competing with query processing for the cores.
     transfer_mode: str = "rdma"
-    host_cpu_ghz: float = 2.33 * 4          # the paper's quad-core testbed
 
     # --- ablation switches (paper behaviour by default) ----------------
     request_absorption: bool = True         # outcome 5 of Request Propagation
@@ -147,7 +130,7 @@ class DataCyclotronConfig:
     def __post_init__(self) -> None:
         if self.n_nodes < 1:
             raise ValueError("need at least one node")
-        if self.bandwidth <= 0 or self.link_delay < 0:
+        if self.bandwidth <= 0:
             raise ValueError("invalid link parameters")
         if self.bat_queue_capacity <= 0:
             raise ValueError("bat_queue_capacity must be positive")
@@ -167,16 +150,8 @@ class DataCyclotronConfig:
             raise ValueError("rehome_policy must be 'fail_fast' or 'successor'")
         if self.resend_backoff_base < 1.0:
             raise ValueError("resend_backoff_base must be >= 1.0")
-        if self.resend_backoff_cap < 1.0:
-            raise ValueError("resend_backoff_cap must be >= 1.0")
         if self.max_resends is not None and self.max_resends < 1:
             raise ValueError("max_resends must be >= 1 (or None)")
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be positive")
-        if self.heartbeat_window < 1:
-            raise ValueError("heartbeat_window must be >= 1")
-        if not 0 < self.phi_suspect <= self.phi_confirm:
-            raise ValueError("need 0 < phi_suspect <= phi_confirm")
         if not 1 <= self.replication_k <= self.n_nodes:
             raise ValueError("replication_k must be in [1, n_nodes]")
         if self.retry_max_attempts < 1:
@@ -195,8 +170,6 @@ class DataCyclotronConfig:
             raise ValueError("retry_budget_capacity must be positive (or None)")
         if self.retry_budget_refill < 0:
             raise ValueError("retry_budget_refill cannot be negative")
-        if not 0 < self.admission_suspect_fraction <= 1:
-            raise ValueError("admission_suspect_fraction must be in (0, 1]")
         if self.resilience and self.requests_clockwise:
             raise ValueError(
                 "resilience monitors the anti-clockwise request channel; "
@@ -204,15 +177,14 @@ class DataCyclotronConfig:
             )
         if self.transfer_mode not in ("rdma", "offload", "legacy"):
             raise ValueError("transfer_mode must be 'rdma', 'offload' or 'legacy'")
-        if self.host_cpu_ghz <= 0:
-            raise ValueError("host_cpu_ghz must be positive")
 
     def network_cpu_factor(self) -> float:
         """CPU-core-seconds burnt per second of wire transmission.
 
         Figure 1's host-cost model at the configured line rate: RDMA is
         near zero; the legacy stack needs ~1 GHz per Gb/s, enough to
-        saturate the paper's quad-core at 10 Gb/s.
+        saturate the paper's quad-core (the model's default host) at
+        10 Gb/s.
         """
         from repro.net.hostmodel import HostCostModel, TransferMode
 
@@ -224,7 +196,7 @@ class DataCyclotronConfig:
             "offload": TransferMode.OFFLOAD,
             "legacy": TransferMode.LEGACY,
         }[self.transfer_mode]
-        model = HostCostModel(cpu_ghz=self.host_cpu_ghz)
+        model = HostCostModel()
         gbps = self.bandwidth * 8 / 1e9
         # fraction of the whole host, scaled to core-seconds
         return model.cpu_load(mode, gbps) * self.cores_per_node
@@ -251,7 +223,7 @@ class DataCyclotronConfig:
             + self.n_nodes * self.link_delay
         )
         rotation = max(self.n_nodes * per_hop, loaded_rotation)
-        return max(self.resend_timeout_factor * rotation, 0.1)
+        return max(RESEND_TIMEOUT_FACTOR * rotation, 0.1)
 
     def _circulating_bound(self) -> float:
         """Upper bound on bytes that can be in flight at once.

@@ -82,6 +82,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy
 
+from repro.core.messages import REQUEST_MESSAGE_SIZE
 from repro.events import types as ev
 from repro.events.types import (
     LinkDelivered,
@@ -546,7 +547,7 @@ class FastForwarder:
             self.refused_first_hop += 1
             return False
         return self._fly(
-            "request", msg, self.config.request_message_size, lane, start, stops
+            "request", msg, REQUEST_MESSAGE_SIZE, lane, start, stops
         )
 
     def _fly(self, kind: str, msg, wire: int, lane: Lane, start: int,

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict
 
-from repro.core.messages import BATMessage
+from repro.core.config import MB
+from repro.core.messages import BAT_HEADER_SIZE, BATMessage
 from repro.core.structures import OwnedBat
 from repro.events import types as ev
 
@@ -25,6 +26,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.runtime import NodeRuntime
 
 __all__ = ["DataLoader"]
+
+INITIAL_LOI = 1.0           # LOI of a freshly loaded BAT
+DISK_BANDWIDTH = 400 * MB   # bytes/s: the paper's RAID reference rate
 
 
 class DataLoader:
@@ -44,7 +48,7 @@ class DataLoader:
     # space accounting
     # ------------------------------------------------------------------
     def wire_size(self, entry: OwnedBat) -> int:
-        return entry.size + self.config.bat_header_size
+        return entry.size + BAT_HEADER_SIZE
 
     def fits_in_queue(self, entry: OwnedBat) -> bool:
         """Outcome-4 test of Request Propagation: ``bat_can_be_loaded``."""
@@ -52,7 +56,7 @@ class DataLoader:
         return used + self.wire_size(entry) <= self.config.bat_queue_capacity
 
     def disk_fetch_time(self, size: int) -> float:
-        return self.config.disk_latency + size / self.config.disk_bandwidth
+        return self.config.disk_latency + size / DISK_BANDWIDTH
 
     # ------------------------------------------------------------------
     # loading
@@ -110,7 +114,7 @@ class DataLoader:
             owner=self.runtime.node_id,
             bat_id=entry.bat_id,
             size=entry.size,
-            loi=self.config.initial_loi,
+            loi=INITIAL_LOI,
             payload=self.payloads.get(entry.bat_id),
             version=entry.version,
             incarnation=entry.incarnation,

@@ -18,6 +18,9 @@ from typing import Any
 
 __all__ = ["BATMessage", "RequestMessage", "HeartbeatMessage"]
 
+BAT_HEADER_SIZE = 64       # a BAT's administrative header, bytes
+REQUEST_MESSAGE_SIZE = 64  # a request (or heartbeat) on the wire, bytes
+
 
 class BATMessage:
     """A data fragment travelling clockwise with its administrative header."""

@@ -30,7 +30,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.config import DataCyclotronConfig
 from repro.core.loader import DataLoader
 from repro.core.loi import LoitController, new_loi
-from repro.core.messages import BATMessage, RequestMessage
+from repro.core.messages import BAT_HEADER_SIZE, REQUEST_MESSAGE_SIZE, BATMessage, RequestMessage
 from repro.core.structures import (
     OutstandingRequest,
     OwnedCatalog,
@@ -53,6 +53,8 @@ __all__ = ["NodeRuntime", "PinResult", "CachedBat", "DATA_UNAVAILABLE", "NODE_CR
 # NODE_CRASHED: the query was running on a node that crashed.
 DATA_UNAVAILABLE = "DATA_UNAVAILABLE"
 NODE_CRASHED = "NODE_CRASHED"
+
+RESEND_BACKOFF_CAP = 8.0  # resend backoff ceiling, x the loss timeout
 
 
 @dataclass
@@ -522,7 +524,7 @@ class NodeRuntime:
         stack processing), stealing core time from query execution --
         the cost the paper's RDMA design avoids.
         """
-        wire = msg.size + self.config.bat_header_size  # msg.wire_size
+        wire = msg.size + BAT_HEADER_SIZE  # msg.wire_size
         if self.network_cpu_factor > 1e-12:
             overhead = (wire / self.config.bandwidth) * self.network_cpu_factor
             self.network_cpu_seconds += overhead
@@ -670,7 +672,7 @@ class NodeRuntime:
         ff = self._ff
         if ff is not None and ff.send_request(self, msg):
             return
-        self.out_request.send(msg, self.config.request_message_size)
+        self.out_request.send(msg, REQUEST_MESSAGE_SIZE)
 
     def _send_request(self, entry: OutstandingRequest) -> None:
         now = self.sim.now
@@ -684,12 +686,13 @@ class NodeRuntime:
 
     def _resend_interval(self, resends: int) -> float:
         """Exponential backoff: each unanswered resend stretches the next
-        timeout by ``resend_backoff_base``, capped at ``resend_backoff_cap``
-        times the base timeout.  The default base of 1.0 reproduces the
-        paper's fixed rotational-delay timeout."""
+        timeout by ``resend_backoff_base``, capped at
+        :data:`RESEND_BACKOFF_CAP` times the base timeout.  The default
+        base of 1.0 reproduces the paper's fixed rotational-delay
+        timeout."""
         factor = min(
             self.config.resend_backoff_base ** resends,
-            self.config.resend_backoff_cap,
+            RESEND_BACKOFF_CAP,
         )
         return self.loss_timeout * factor
 
@@ -845,7 +848,7 @@ class NodeRuntime:
                 self.bus.publish(ev.RequestResent(now, bat_id, self.node_id))
             entry.sent_at = now
             msg = RequestMessage(origin=self.node_id, bat_id=bat_id)
-            self.out_request.send(msg, self.config.request_message_size)
+            self.out_request.send(msg, REQUEST_MESSAGE_SIZE)
             self._arm_resend(entry)
 
     def on_peer_up(self, peer: int, owned_bats: List[int]) -> None:

@@ -29,10 +29,10 @@ from repro.dbms.interpreter import Interpreter
 from repro.dbms.mal import Dies, Instruction, Plan, Var
 from repro.xtn.result_cache import ResultCache
 
-__all__ = ["plan_fingerprints", "CachingInterpreter", "DEFAULT_CACHEABLE_OPS"]
+__all__ = ["plan_fingerprints", "CachingInterpreter", "CACHEABLE_OPS"]
 
 #: operators worth caching: joins and grouping dominate plan cost
-DEFAULT_CACHEABLE_OPS: Set[str] = {
+CACHEABLE_OPS: Set[str] = {
     "algebra.join",
     "algebra.fetchjoin",
     "algebra.semijoin",
@@ -93,16 +93,12 @@ class CachingInterpreter(Interpreter):
         runtime: NodeRuntime,
         query_id: int,
         min_publish_bytes: int = 64 * 1024,
-        cacheable_ops: Optional[Set[str]] = None,
     ):
         super().__init__(registry)
         self.cache = cache
         self.runtime = runtime
         self.query_id = query_id
         self.min_publish_bytes = min_publish_bytes
-        self.cacheable_ops = (
-            cacheable_ops if cacheable_ops is not None else DEFAULT_CACHEABLE_OPS
-        )
         self.hits = 0
         self.publishes = 0
 
@@ -115,7 +111,7 @@ class CachingInterpreter(Interpreter):
             fingerprint = fingerprints.get(index)
             cacheable = (
                 fingerprint is not None
-                and instr.opname in self.cacheable_ops
+                and instr.opname in CACHEABLE_OPS
                 and len(instr.results) == 1
             )
             hit = None

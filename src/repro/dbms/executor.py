@@ -19,8 +19,9 @@ All engines move data exclusively through request/pin/unpin, so they
 share one hot-set economy: a KV tenant hammering two partitions raises
 their LOI against an analytic tenant's scan footprint.
 
-The MAL path is event-bit-identical to the pre-refactor executor
-(``tests/test_qpu_golden.py`` pins it, 5 seeds x 3 workloads).
+Every query registers on the bus the same way, whatever its engine;
+``tests/test_qpu_golden.py`` pins the MAL path's event stream (5 seeds
+x 3 workloads).
 """
 
 from __future__ import annotations
@@ -121,27 +122,28 @@ class RingDatabase:
         cache_intermediates: bool = False,
         cache_min_bytes: int = 64 * 1024,
         dataflow: bool = False,
-        lifecycle_events: bool = False,
+        lifecycle_events: bool = True,
     ):
         """``dataflow=True`` executes MAL plans with instruction-level
         concurrency (the paper's "concurrent interpreter threads"),
         letting several pins block at once; mutually exclusive with
         ``cache_intermediates``.
 
-        ``lifecycle_events=True`` publishes typed registration events
-        (:class:`~repro.events.types.QpuQueryRouted` and a
+        Every query, whatever its engine, registers on the bus with a
+        :class:`~repro.events.types.QpuQueryRouted` and a
         :class:`~repro.events.types.QueryRegistered` tagged with the
-        engine class) for *every* engine, MAL included.  The default
-        keeps the MAL path's legacy direct metrics call, preserving
-        event-bit-identical streams with the pre-refactor executor.
+        engine class (docs/qpu.md).
         """
+        # fossil: bench/ passes lifecycle_events=True; ROADMAP item 1(f)
+        # drops the keyword with it
+        if not lifecycle_events:
+            raise ValueError("lifecycle_events=False: every query registers on the bus")
         if dataflow and cache_intermediates:
             raise ValueError(
                 "dataflow execution and intermediate caching are mutually exclusive"
             )
         self.dataflow = dataflow
         self.schema = schema
-        self.lifecycle_events = lifecycle_events
         self.catalog = Catalog()
         self.dc = DataCyclotron(config)
         self.cost_model = cost_model if cost_model is not None else default_cost_model()
@@ -322,9 +324,9 @@ class RingDatabase:
         nothing is priced and the request compiles straight away.
 
         ``arrival`` defaults to the current simulated time.  ``tag``
-        overrides the registration tag (default: the engine class, or
-        the legacy ``"sql"`` on the golden-pinned MAL path) -- the
-        front door uses it to label serving tiers for SLO accounting.
+        overrides the registration tag (default: the engine class) --
+        the front door uses it to label serving tiers for SLO
+        accounting.
         """
         if arrival is None:
             arrival = self.dc.sim.now
@@ -366,19 +368,11 @@ class RingDatabase:
             catalog=self.catalog,
             cost_model=self.cost_model,
         )
-        # the default MAL path keeps the pre-refactor direct metrics
-        # call (no bus event), pinned by the golden bit-identity suite
-        legacy = qpu is self._mal and not self.lifecycle_events and tag is None
 
         def process() -> Generator:
             try:
-                now = runtime.sim.now
-                if legacy:
-                    self.dc.metrics.query_registered(
-                        ev.QueryRegistered(now, query_id, node, tag="sql"))
-                else:
-                    self._register(now, query_id, node, qpu.engine_class,
-                                   compiled, estimated, tag=tag)
+                self._register(runtime.sim.now, query_id, node,
+                               qpu.engine_class, compiled, estimated, tag=tag)
                 try:
                     result = yield from qpu.execute(compiled, ctx)
                 except QueryAbort as abort:
@@ -433,10 +427,6 @@ class RingDatabase:
                 )
             )
             bus.publish(ev.QueryRegistered(now, query_id, node, tag=label))
-        else:
-            # zero-observer runs still keep query records for reports
-            self.dc.metrics.query_registered(
-                ev.QueryRegistered(now, query_id, node, tag=label))
 
     def _price(
         self, qpu: QueryProcessingUnit, request: Any

@@ -355,7 +355,13 @@ class _Parser:
                 order_by.append(self.parse_order_item())
         limit = None
         if self.accept("kw", "limit"):
-            limit = int(self.expect("number").value)
+            count = self.expect("number")
+            if not count.value.isdigit():
+                raise SqlError(
+                    f"LIMIT needs a whole number, got {count.value!r} "
+                    f"at offset {count.pos}"
+                )
+            limit = int(count.value)
         self.accept("punct", ";")
         self.expect("eof")
         return Select(

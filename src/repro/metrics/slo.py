@@ -331,8 +331,8 @@ class SloCollector:
     ) -> Dict[str, Dict]:
         """Per-engine-class verdicts for a mixed-engine run.
 
-        With ``RingDatabase(lifecycle_events=True)`` each query's
-        registration tag *is* its engine class (``mal`` / ``kv`` /
+        On a :class:`RingDatabase` each query's registration tag
+        *is* its engine class (``mal`` / ``kv`` /
         ``stream``), so this reuses the tenant machinery: for every
         engine in ``targets`` it gates the declared objectives --
         ``p99`` for point lookups, ``min_throughput`` (successes per

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.core.messages import REQUEST_MESSAGE_SIZE
 from repro.core.query import QuerySpec
 from repro.core.ring import DataCyclotron
 from repro.core.runtime import NodeRuntime, PinResult
@@ -115,6 +116,10 @@ class FederationHost:
     """
 
     def _init_ladder(self) -> None:
+        # the ladder reads retry_max_attempts and the backoff fields only
+        for name in ("retry_deadline", "retry_attempt_timeout", "retry_budget_capacity"):
+            if getattr(self.config.base, name) is not None:
+                raise ValueError(f"{name}: a federation's retry ladder does not read it")
         # logical query id -> "ok" | error; the only per-query entry a
         # settled query leaves behind
         self._outcomes: Dict[int, str] = {}
@@ -372,7 +377,7 @@ class RingFederation(FederationHost):
         scheduler.book(spec.query_id, node)
         travel = (
             self.config.link_delay()
-            + self.config.base.request_message_size / self.config.link_bandwidth()
+            + REQUEST_MESSAGE_SIZE / self.config.base.bandwidth
         )
         if self.bus.active:
             self.bus.publish(ev.QueryShipped(

@@ -194,7 +194,7 @@ class RingPartition(FederationHost):
         if channel is None:
             channel = self._out[dst_ring] = Channel(
                 self.sim,
-                bandwidth=self.config.link_bandwidth(),
+                bandwidth=self.config.base.bandwidth,
                 delay=0.0,
                 queue_capacity=None,
                 name=f"xpart-{self.ring_id}->{dst_ring}",

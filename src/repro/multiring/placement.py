@@ -21,6 +21,7 @@ from __future__ import annotations
 from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+from repro.core.messages import BAT_HEADER_SIZE
 from repro.events import types as ev
 from repro.multiring.messages import MigrationShipment
 
@@ -28,6 +29,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.multiring.federation import RingFederation
 
 __all__ = ["PlacementManager"]
+
+INTEREST_DECAY = 0.5  # EWMA weight of the newest interest sample
 
 
 class _Migration:
@@ -106,7 +109,7 @@ class PlacementManager:
         self.sim.post(self.config.placement_interval, self._tick)
 
     def _fold_interest(self) -> None:
-        alpha = self.config.interest_decay
+        alpha = INTEREST_DECAY
         fresh: Dict[Tuple[int, int], float] = {}
         # cross-ring fetches: interest of the *requesting* ring
         for key, count in self._fetch_counts.items():
@@ -234,7 +237,7 @@ class PlacementManager:
             ))
         self.fed.router.link(from_ring, to_ring).send(
             MigrationShipment(gen, bat_id, size, payload, from_ring, to_ring),
-            size + self.config.base.bat_header_size,
+            size + BAT_HEADER_SIZE,
         )
         return True
 

@@ -32,6 +32,7 @@ import itertools
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.config import DataCyclotronConfig
+from repro.core.messages import BAT_HEADER_SIZE, REQUEST_MESSAGE_SIZE
 from repro.core.runtime import PinResult
 from repro.events import types as ev
 from repro.multiring.catalog import GlobalCatalog
@@ -43,6 +44,7 @@ from repro.sim.process import Future, Process
 __all__ = ["CrossRingRouter", "fetch_timeout_for"]
 
 DATA_UNAVAILABLE = "DATA_UNAVAILABLE"
+FETCH_MAX_RESENDS = 4  # resends of an unanswered cross-ring fetch
 
 # Gateway fetch services borrow a node's S2/S3 under ids that can never
 # collide with workload queries (which are non-negative) or with the
@@ -91,7 +93,7 @@ def fetch_timeout_for(
         mean = sum(sizes) / len(sizes) if sizes else 1024 * 1024
         worst = max(worst, ring_config.derived_resend_timeout(mean))
     mean_bat = sum(catalog.size(b) for b in catalog.bat_ids) / max(1, len(catalog))
-    hop = config.link_delay() + mean_bat / config.link_bandwidth()
+    hop = config.link_delay() + mean_bat / config.base.bandwidth
     return 3.0 * worst + 2.0 * hop
 
 
@@ -175,7 +177,7 @@ class CrossRingRouter:
         if channel is None:
             channel = Channel(
                 self.sim,
-                bandwidth=self.config.link_bandwidth(),
+                bandwidth=self.config.base.bandwidth,
                 delay=self.config.link_delay(),
                 queue_capacity=None,
                 name=f"xring-{src_ring}->{dst_ring}",
@@ -255,7 +257,7 @@ class CrossRingRouter:
             self._send(
                 fetch.requester_ring, home,
                 FetchRequest(fetch.req_id, fetch.bat_id, fetch.requester_ring, home),
-                self.config.base.request_message_size,
+                REQUEST_MESSAGE_SIZE,
             )
         fetch.timer = self.sim.schedule(
             self.fetch_timeout, self._fetch_timeout, fetch.req_id, fetch.resends
@@ -266,7 +268,7 @@ class CrossRingRouter:
         if fetch is None or fetch.resends != resends_at_arm:
             return
         fetch.resends += 1
-        if fetch.resends > self.config.fetch_max_resends:
+        if fetch.resends > FETCH_MAX_RESENDS:
             self._resolve(fetch, PinResult(
                 ok=False, bat_id=fetch.bat_id, error=DATA_UNAVAILABLE
             ))
@@ -361,9 +363,9 @@ class CrossRingRouter:
                     self._on_reply(req.from_ring, reply)
                 else:
                     wire = (
-                        reply.size + self.config.base.bat_header_size
+                        reply.size + BAT_HEADER_SIZE
                         if result.ok
-                        else self.config.base.request_message_size
+                        else REQUEST_MESSAGE_SIZE
                     )
                     self._send(home_ring, req.from_ring, reply, wire)
             finally:
@@ -435,7 +437,7 @@ class CrossRingRouter:
         ):
             # the fragment moved while the fetch was in flight; chase it
             fetch.resends += 1
-            if fetch.resends <= self.config.fetch_max_resends:
+            if fetch.resends <= FETCH_MAX_RESENDS:
                 if fetch.timer is not None:
                     fetch.timer.cancel()
                 self._send_fetch(fetch, resend=True)

@@ -26,6 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SplitMergeController"]
 
+MERGE_LOW_WATERMARK = 0.10  # mean BAT-queue load to merge at
+
 
 class SplitMergeController:
     """Watches per-ring load; activates standbys and retires idlers."""
@@ -38,7 +40,7 @@ class SplitMergeController:
         self.controllers: Dict[int, PulsatingController] = {}
         for ring_id in range(len(fed.rings)):
             self.controllers[ring_id] = PulsatingController(
-                leave_threshold=self.config.merge_low_watermark,
+                leave_threshold=MERGE_LOW_WATERMARK,
                 join_threshold=self.config.split_high_watermark,
                 patience=self.config.splitmerge_patience,
                 bus=self.bus,
@@ -80,7 +82,7 @@ class SplitMergeController:
         if mean > self.config.split_high_watermark:
             self._hot_streak[ring_id] = self._hot_streak.get(ring_id, 0) + 1
             self._cold_streak[ring_id] = 0
-        elif mean < self.config.merge_low_watermark:
+        elif mean < MERGE_LOW_WATERMARK:
             self._cold_streak[ring_id] = self._cold_streak.get(ring_id, 0) + 1
             self._hot_streak[ring_id] = 0
         else:

@@ -36,6 +36,8 @@ class TransferMode(Enum):
     RDMA = "rdma"
 
 
+GHZ_PER_GBPS = 1.0  # "about 1 GHz ... for every 1 Gb/s" [12] (section 2)
+
 # Fraction of the 1 GHz-per-Gb/s budget each component consumes when the
 # whole stack runs on the CPU.  Figure 1 shows data copying dominating,
 # followed by the network stack, context switches, and the driver.
@@ -91,22 +93,19 @@ class HostCostModel:
         Aggregate clock of the host CPU; the paper's testbed is a
         2.33 GHz quad core that was "barely able to saturate the
         10 Gb/s link" under full load.
-    ghz_per_gbps:
-        The calibration constant of [12]; 1.0 by default.
     """
 
-    def __init__(self, cpu_ghz: float = 2.33 * 4, ghz_per_gbps: float = 1.0):
+    def __init__(self, cpu_ghz: float = 2.33 * 4):
         if cpu_ghz <= 0:
             raise ValueError("cpu_ghz must be positive")
         self.cpu_ghz = cpu_ghz
-        self.ghz_per_gbps = ghz_per_gbps
 
     # ------------------------------------------------------------------
     def breakdown(self, mode: TransferMode, throughput_gbps: float) -> CpuBreakdown:
         """CPU-load breakdown (fraction of total CPU) at ``throughput_gbps``."""
         if throughput_gbps < 0:
             raise ValueError("throughput cannot be negative")
-        budget = throughput_gbps * self.ghz_per_gbps / self.cpu_ghz
+        budget = throughput_gbps * GHZ_PER_GBPS / self.cpu_ghz
         s = _LEGACY_SHARES
         if mode is TransferMode.LEGACY:
             shares = s

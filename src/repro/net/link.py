@@ -230,8 +230,6 @@ class Link:
     on_receive:
         Callback ``fn(message, size)`` invoked at the destination when a
         message fully arrives.
-    on_drop:
-        Optional callback ``fn(message, size)`` when DropTail discards.
     bus:
         Optional event bus; when a subscriber wants them, the link
         publishes :class:`LinkTransmit` / :class:`LinkDelivered` /
@@ -245,7 +243,6 @@ class Link:
         delay: float = 350e-6,
         queue_capacity: Optional[int] = None,
         on_receive: Optional[Callable[[Any, int], None]] = None,
-        on_drop: Optional[Callable[[Any, int], None]] = None,
         name: str = "link",
         bus: Optional["Bus"] = None,
     ):
@@ -260,7 +257,9 @@ class Link:
         self._delay = delay
         self.queue_capacity = queue_capacity
         self.on_receive = on_receive
-        self.on_drop = on_drop
+        # ``fn(message, size)`` when DropTail discards; installed by
+        # Channel.set_drop_handler
+        self.on_drop: Optional[Callable[[Any, int], None]] = None
         self.name = name
         self.bus = bus
         # Cached bus.wants() verdicts, refreshed when the bus version

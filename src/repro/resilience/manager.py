@@ -11,7 +11,7 @@ facade when ``config.resilience`` is on).  It owns
   down triggers :meth:`DataCyclotron.repair_after_failure` -- repair is
   driven by the protocol, not by the fault injector,
 * the :class:`~repro.resilience.retry.QueryRetrier` for query failover,
-* the admission valve: while at least ``admission_suspect_fraction`` of
+* the admission valve: while at least ``ADMISSION_SUSPECT_FRACTION`` of
   the ring is known-dead or suspected, new queries are shed (fast-fail)
   instead of being allowed to storm a partitioned ring with retries.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Set
 
-from repro.core.messages import HeartbeatMessage
+from repro.core.messages import REQUEST_MESSAGE_SIZE, HeartbeatMessage
 from repro.core.query import QuerySpec
 from repro.events import types as ev
 from repro.resilience.detector import SuccessorMonitor
@@ -36,6 +36,16 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.ring import DataCyclotron
 
 __all__ = ["ResilienceManager"]
+
+# Each node beacons to its predecessor every HEARTBEAT_INTERVAL seconds;
+# the predecessor scores phi over the last HEARTBEAT_WINDOW gaps and
+# suspects at PHI_SUSPECT, confirms (and repairs) at PHI_CONFIRM.
+HEARTBEAT_INTERVAL = 0.05
+HEARTBEAT_WINDOW = 16
+PHI_SUSPECT = 1.5
+PHI_CONFIRM = 3.0
+# the share of the ring down or suspected at which new queries are shed
+ADMISSION_SUSPECT_FRACTION = 0.5
 
 
 class ResilienceManager:
@@ -50,8 +60,8 @@ class ResilienceManager:
         self.monitors: List[SuccessorMonitor] = [
             SuccessorMonitor(
                 node_id=i,
-                window_capacity=self.config.heartbeat_window,
-                prior=self.config.heartbeat_interval,
+                window_capacity=HEARTBEAT_WINDOW,
+                prior=HEARTBEAT_INTERVAL,
             )
             for i in range(n)
         ]
@@ -121,19 +131,16 @@ class ResilienceManager:
             return
         self._started = True
         now = self.sim.now
-        interval = self.config.heartbeat_interval
         for i in range(self.config.n_nodes):
             self._retarget(self.monitors[i], now)
-            self.sim.post(interval, self._beacon, i)
-            self.sim.post(interval, self._check, i)
+            self.sim.post(HEARTBEAT_INTERVAL, self._beacon, i)
+            self.sim.post(HEARTBEAT_INTERVAL, self._check, i)
 
     def _beacon(self, node_id: int) -> None:
         node = self.dc.nodes[node_id]
         if not node.crashed:
-            node.out_request.send(
-                HeartbeatMessage(node_id), self.config.request_message_size
-            )
-        self.sim.post(self.config.heartbeat_interval, self._beacon, node_id)
+            node.out_request.send(HeartbeatMessage(node_id), REQUEST_MESSAGE_SIZE)
+        self.sim.post(HEARTBEAT_INTERVAL, self._beacon, node_id)
 
     def _retarget(self, monitor: SuccessorMonitor, now: float) -> None:
         """Point the monitor at the node's currently-wired successor."""
@@ -163,12 +170,12 @@ class ResilienceManager:
         elif monitor.target is not None:
             target = monitor.target
             phi = monitor.phi(now)
-            if phi >= self.config.phi_confirm:
+            if phi >= PHI_CONFIRM:
                 self._confirm(monitor, target, phi)
-            elif phi >= self.config.phi_suspect and not monitor.suspected:
+            elif phi >= PHI_SUSPECT and not monitor.suspected:
                 monitor.suspected = True
                 self.bus.publish(ev.NodeSuspected(now, target, node_id, phi))
-        self.sim.post(self.config.heartbeat_interval, self._check, node_id)
+        self.sim.post(HEARTBEAT_INTERVAL, self._check, node_id)
 
     def _confirm(self, monitor: SuccessorMonitor, target: int, phi: float) -> None:
         now = self.sim.now
@@ -203,10 +210,7 @@ class ResilienceManager:
     @property
     def shedding(self) -> bool:
         down = self.known_down | self.suspected_targets
-        return (
-            len(down) / self.config.n_nodes
-            >= self.config.admission_suspect_fraction
-        )
+        return len(down) / self.config.n_nodes >= ADMISSION_SUSPECT_FRACTION
 
     def route(self, preferred: int) -> int:
         """First believed-live node at or clockwise of ``preferred``."""

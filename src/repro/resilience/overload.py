@@ -46,6 +46,9 @@ __all__ = ["OverloadPolicy", "OverloadController"]
 
 # extra tiers shed while fragment migrations are in flight/recent
 TOPOLOGY_GUARD_TIERS = 1
+HEALTH_WINDOW = 2.0   # seconds the health signals are computed over
+TICK_INTERVAL = 0.25  # control tick period, seconds
+N_TIERS = 3           # priority tiers: QuerySpec.tier in [0, N_TIERS)
 
 
 @dataclass(frozen=True)
@@ -54,12 +57,6 @@ class OverloadPolicy:
 
     # the objective: rolling p99 of admitted-query latency, seconds
     target_p99: float
-    # sliding window the health signals are computed over, seconds
-    window: float = 2.0
-    # control tick period, seconds
-    tick_interval: float = 0.25
-    # number of priority tiers (QuerySpec.tier in [0, n_tiers))
-    n_tiers: int = 3
     # don't judge the p99 until the window holds this many finishes
     min_samples: int = 16
     # hysteresis: recovery requires p99 <= recover_fraction * target ...
@@ -74,12 +71,8 @@ class OverloadPolicy:
     def __post_init__(self) -> None:
         if self.target_p99 <= 0:
             raise ValueError("target_p99 must be positive")
-        if self.n_tiers < 1:
-            raise ValueError("n_tiers must be at least 1")
         if not 0.0 < self.recover_fraction <= 1.0:
             raise ValueError("recover_fraction must be in (0, 1]")
-        if self.tick_interval <= 0:
-            raise ValueError("tick_interval must be positive")
 
 
 class OverloadController:
@@ -95,7 +88,7 @@ class OverloadController:
         # published (the federation bus for a federation, the ring bus
         # for a classic deployment)
         self.bus = deployment.bus
-        self.health = WindowedHealth(policy.window)
+        self.health = WindowedHealth(HEALTH_WINDOW)
 
         # admission state
         self.shed_level = 0
@@ -181,7 +174,7 @@ class OverloadController:
         if self._started:
             return
         self._started = True
-        self.sim.post(self.policy.tick_interval, self._tick)
+        self.sim.post(TICK_INTERVAL, self._tick)
 
     def predicted_latency(self) -> float:
         """Little's-law drain-time estimate: inflight / throughput.
@@ -198,7 +191,7 @@ class OverloadController:
         if not inflight:
             return 0.0
         throughput = max(
-            self.health.throughput(self.sim.now), 1.0 / self.policy.window
+            self.health.throughput(self.sim.now), 1.0 / HEALTH_WINDOW
         )
         return inflight / throughput
 
@@ -217,7 +210,7 @@ class OverloadController:
         if breached:
             self._healthy_ticks = 0
             self._overloaded_ticks += 1
-            if self.shed_level < pol.n_tiers - 1:
+            if self.shed_level < N_TIERS - 1:
                 self._set_level(self.shed_level + 1, signal)
             self._maybe_nudge_split()
         else:
@@ -240,7 +233,7 @@ class OverloadController:
                     self._set_level(self.shed_level - 1, signal)
             else:
                 self._healthy_ticks = 0
-        self.sim.post(pol.tick_interval, self._tick)
+        self.sim.post(TICK_INTERVAL, self._tick)
 
     def _set_level(self, level: int, p99: float) -> None:
         self.shed_level = level
@@ -255,7 +248,7 @@ class OverloadController:
     def state(self) -> str:
         if self.shed_level == 0:
             return "normal"
-        if self.shed_level >= self.policy.n_tiers - 1:
+        if self.shed_level >= N_TIERS - 1:
             return "overload"
         return "brownout"
 
@@ -299,7 +292,7 @@ class OverloadController:
             self.sim.now - self._last_migration_t < pol.topology_guard_window
         )
         if guarded and level > 0:
-            level = min(level + TOPOLOGY_GUARD_TIERS, pol.n_tiers - 1)
+            level = min(level + TOPOLOGY_GUARD_TIERS, N_TIERS - 1)
         return level
 
     def admit(self, spec: QuerySpec) -> bool:
@@ -310,7 +303,7 @@ class OverloadController:
         retrier path and the standalone gate each publish exactly one,
         tagged ``reason="tier-shed"``.
         """
-        tier = min(getattr(spec, "tier", 0), self.policy.n_tiers - 1)
+        tier = min(getattr(spec, "tier", 0), N_TIERS - 1)
         self.offered += 1
         self.offered_by_tier[tier] = self.offered_by_tier.get(tier, 0) + 1
         if tier >= self.effective_level():

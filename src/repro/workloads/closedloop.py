@@ -29,6 +29,7 @@ __all__ = ["ClosedLoopWorkload"]
 # Each client allocates query ids from its own slice of the namespace,
 # so the stream is deterministic under any completion interleaving.
 CLIENT_ID_SPAN = 10_000
+ID_BASE = 500_000  # clear of the open-loop workloads' ids
 
 
 class ClosedLoopWorkload:
@@ -50,7 +51,6 @@ class ClosedLoopWorkload:
         seed: int = 0,
         tag: str = "closed",
         tier: int = 0,
-        id_base: int = 500_000,
     ):
         if n_clients < 1:
             raise ValueError("need at least one client")
@@ -78,7 +78,6 @@ class ClosedLoopWorkload:
         self.seed = seed
         self.tag = tag
         self.tier = tier
-        self.id_base = id_base
         # run-time accounting (reset on every submit_to)
         self.issued = 0
         self.shed = 0
@@ -98,7 +97,7 @@ class ClosedLoopWorkload:
             rng.uniform(self.min_proc_time, self.max_proc_time) for _ in bats
         ]
         return QuerySpec.simple(
-            self.id_base + client * CLIENT_ID_SPAN + counter,
+            ID_BASE + client * CLIENT_ID_SPAN + counter,
             node=node,
             arrival=now,
             bat_ids=bats,

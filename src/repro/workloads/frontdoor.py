@@ -42,6 +42,7 @@ __all__ = ["FrontDoorWorkload"]
 Submission = Tuple[float, int, Any]
 
 _VALUE_BYTES = 8  # int64 / float64 columns throughout
+N_EXTRA_COLUMNS = 3  # c0..c2 beyond id/val/grp (widens SELECT *)
 
 
 @dataclass
@@ -50,7 +51,6 @@ class FrontDoorWorkload:
 
     n_rows: int = 6000
     rows_per_partition: int = 500
-    n_extra_columns: int = 3     # c0..cN beyond id/val/grp (widens SELECT *)
     n_nodes: int = 4
     kv_rate: float = 40.0        # point probes per simulated second
     mal_rate: float = 15.0       # baseline two-column range scans / s
@@ -78,7 +78,7 @@ class FrontDoorWorkload:
     # ------------------------------------------------------------------
     @property
     def n_columns(self) -> int:
-        return 3 + self.n_extra_columns
+        return 3 + N_EXTRA_COLUMNS
 
     def table_data(self) -> Dict[str, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -87,7 +87,7 @@ class FrontDoorWorkload:
             "val": np.round(rng.uniform(0.0, 100.0, self.n_rows), 3),
             "grp": rng.integers(0, 8, self.n_rows),
         }
-        for i in range(self.n_extra_columns):
+        for i in range(N_EXTRA_COLUMNS):
             data[f"c{i}"] = np.round(rng.uniform(0.0, 1.0, self.n_rows), 3)
         return data
 
@@ -202,7 +202,7 @@ class FrontDoorWorkload:
         rng = random.Random(self.seed * 7919 + 6)
         window = self.burst_end - self.burst_start
         for i in range(int(window * self.burst_stream_rate)):
-            column = f"c{i % self.n_extra_columns}" if self.n_extra_columns else "val"
+            column = f"c{i % N_EXTRA_COLUMNS}"
             yield (
                 self.burst_start + i / self.burst_stream_rate,
                 rng.randrange(self.n_nodes),

@@ -35,6 +35,10 @@ __all__ = ["MixedEngineWorkload"]
 # (arrival, node, request) -- request is SQL text or a QPU request object
 Submission = Tuple[float, int, Any]
 
+HOT_KEYS = 16         # size of the KV hot key set
+HOT_FRACTION = 0.8    # probes hitting the hot set
+MISS_FRACTION = 0.02  # probes for keys past the table end
+
 
 @dataclass
 class MixedEngineWorkload:
@@ -47,9 +51,6 @@ class MixedEngineWorkload:
     mal_rate: float = 5.0        # SQL range scans per simulated second
     stream_rate: float = 1.0     # whole-table folds per simulated second
     duration: float = 5.0
-    hot_keys: int = 16           # size of the KV hot key set
-    hot_fraction: float = 0.8    # probes hitting the hot set
-    miss_fraction: float = 0.02  # probes for keys past the table end
     table: str = "mixed"
     seed: int = 0
     counts: Dict[str, int] = field(init=False, default_factory=dict)
@@ -83,15 +84,15 @@ class MixedEngineWorkload:
     # request streams
     # ------------------------------------------------------------------
     def _kv_requests(self) -> Iterator[Submission]:
-        """Zipf-ish probes: ``hot_fraction`` land on ``hot_keys`` keys
+        """Zipf-ish probes: ``HOT_FRACTION`` land on ``HOT_KEYS`` keys
         inside the first partition, a sliver are deliberate misses."""
         rng = random.Random(self.seed * 7919 + 1)
-        hot = [rng.randrange(self.rows_per_partition) for _ in range(self.hot_keys)]
+        hot = [rng.randrange(self.rows_per_partition) for _ in range(HOT_KEYS)]
         for i in range(int(self.duration * self.kv_rate)):
             roll = rng.random()
-            if roll < self.miss_fraction:
+            if roll < MISS_FRACTION:
                 key = self.n_rows + rng.randrange(1000)
-            elif roll < self.miss_fraction + self.hot_fraction:
+            elif roll < MISS_FRACTION + HOT_FRACTION:
                 key = hot[rng.randrange(len(hot))]
             else:
                 key = rng.randrange(self.n_rows)

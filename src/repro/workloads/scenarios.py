@@ -43,6 +43,9 @@ __all__ = [
     "ZipfSampler",
 ]
 
+TENANT_SKEW = 1.0  # MultiTenantWorkload's Zipf exponent over tenants
+DATA_SKEW = 1.2    # ... and over each tenant's BAT slice
+
 
 class ZipfSampler:
     """Draw ranks 0..n-1 with probability proportional to 1/(rank+1)^s.
@@ -323,11 +326,11 @@ class ColdBurstWorkload(FlashCrowdWorkload):
 class MultiTenantWorkload(_ScenarioWorkload):
     """N tenants sharing one ring with Zipf-skewed traffic and data.
 
-    Tenant shares follow Zipf(``tenant_skew``) -- tenant 0 is the whale
+    Tenant shares follow Zipf(``TENANT_SKEW``) -- tenant 0 is the whale
     -- and each query's tenant is drawn per arrival, so the interleaving
     is realistic rather than phase-sorted.  Every tenant owns a
     contiguous slice of the BAT id space and draws BATs within it by
-    Zipf(``data_skew``) rank from a tenant-specific permutation anchor,
+    Zipf(``DATA_SKEW``) rank from a tenant-specific permutation anchor,
     so hot sets of different tenants do not collide.  Queries are tagged
     ``tenant<i>``; the SLO layer turns the tags into per-tenant
     percentiles and a fairness index.
@@ -339,8 +342,6 @@ class MultiTenantWorkload(_ScenarioWorkload):
         n_nodes: int,
         n_tenants: int = 4,
         total_rate: float = 60.0,
-        tenant_skew: float = 1.0,
-        data_skew: float = 1.2,
         duration: float = 10.0,
         tag: str = "tenant",
         **kwargs,
@@ -352,10 +353,10 @@ class MultiTenantWorkload(_ScenarioWorkload):
             raise ValueError("total_rate must be positive")
         self.n_tenants = n_tenants
         self.total_rate = total_rate
-        self._tenant_sampler = ZipfSampler(n_tenants, tenant_skew)
+        self._tenant_sampler = ZipfSampler(n_tenants, TENANT_SKEW)
         slice_size = dataset.n_bats // n_tenants
         self._slice_size = slice_size
-        self._data_sampler = ZipfSampler(slice_size, data_skew)
+        self._data_sampler = ZipfSampler(slice_size, DATA_SKEW)
 
     def tenant_share(self, tenant: int) -> float:
         """The fraction of total traffic tenant ``tenant`` generates."""

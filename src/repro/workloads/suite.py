@@ -613,10 +613,7 @@ def _run_mixed_engine(seed: int, quick: bool, target: SloTarget) -> Tuple[Dict, 
         kv_rate=60.0, mal_rate=8.0, stream_rate=2.0, duration=12.0,
     )
     workload = MixedEngineWorkload(seed=seed, **({} if quick else full))
-    rdb = RingDatabase(
-        _classic_config(seed),
-        lifecycle_events=True,  # tags queries with their engine class
-    )
+    rdb = RingDatabase(_classic_config(seed))
     slo = SloCollector().attach(rdb.dc.bus)
     submitted = workload.submit_to(rdb)
     completed = rdb.run_until_done(max_time=MAX_TIME)
@@ -667,7 +664,6 @@ def _frontdoor_ring(seed: int, quick: bool) -> RingDatabase:
             bandwidth=(3 if quick else 6) * MB,
             fast_forward=False,
         ),
-        lifecycle_events=True,
     )
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import DataCyclotronConfig
+from repro.core.messages import BAT_HEADER_SIZE
 from repro.core.query import PinStep, QuerySpec
 from repro.core.ring import DataCyclotron
 from repro.dbms.database import Database
@@ -24,6 +25,8 @@ from repro.workloads.tpch.queries import TPCH_QUERIES
 from repro.workloads.tpch.schema import generate_tpch
 
 __all__ = ["TpchResult", "TpchExperiment"]
+
+TARGET_MEAN_NET_TIME = 1.05  # core-seconds per query (Table 4, see below)
 
 
 @dataclass
@@ -57,13 +60,12 @@ class TpchExperiment:
         rows_per_partition: Optional[int] = None,
         cost_model: Optional[OperatorCostModel] = None,
         time_scale: Optional[float] = None,
-        target_mean_net_time: float = 1.05,
     ):
         """Generate data, load the local engine, calibrate the traces.
 
         ``time_scale`` stretches calibrated operator times; by default it
         is derived so the mean net query time matches
-        ``target_mean_net_time`` core-seconds -- the magnitude implied by
+        :data:`TARGET_MEAN_NET_TIME` core-seconds -- the magnitude implied by
         the paper's single-node row (1200 queries, 317 s, 4 cores at
         99.7 %).
         """
@@ -85,7 +87,7 @@ class TpchExperiment:
             # single node CPU-bound as in Table 4.
             weights = self._rank_weights(len(raw))
             expected = sum(w * t.net_time for w, t in zip(weights, raw))
-            time_scale = target_mean_net_time / expected if expected > 0 else 1.0
+            time_scale = TARGET_MEAN_NET_TIME / expected if expected > 0 else 1.0
         self.time_scale = time_scale
         # ranked fastest-first: rank ~N(10, 2) favours the fast half
         self.traces: List[QueryTrace] = [t.scaled(time_scale) for t in raw]
@@ -143,7 +145,7 @@ class TpchExperiment:
         key_to_id: Dict[tuple, int] = {}
         for handle in self.db.catalog.all_handles():
             size = max(int(handle.bat.nbytes * size_scale), 1)
-            wire = size + config.bat_header_size
+            wire = size + BAT_HEADER_SIZE
             if wire > config.bat_queue_capacity:
                 raise ValueError(
                     f"BAT {handle.key} scales to {wire} wire bytes, beyond the "

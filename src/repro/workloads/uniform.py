@@ -39,7 +39,6 @@ class UniformWorkload(Workload):
         remote_only: bool = True,
         seed: int = 0,
         tag: str = "",
-        first_query_id: int = 0,
     ):
         if queries_per_second <= 0 or duration <= 0:
             raise ValueError("rate and duration must be positive")
@@ -57,7 +56,6 @@ class UniformWorkload(Workload):
         self.max_proc_time = max_proc_time
         self.remote_only = remote_only
         self.tag = tag
-        self.first_query_id = first_query_id
         self._rng = RngRegistry(seed)
 
     # ------------------------------------------------------------------
@@ -83,7 +81,7 @@ class UniformWorkload(Workload):
     def queries(self) -> Iterator[QuerySpec]:
         interval = 1.0 / self.queries_per_second
         per_node = int(self.queries_per_second * self.duration)
-        query_id = self.first_query_id
+        query_id = 0
         for node in range(self.n_nodes):
             rng = self._rng.stream(f"node-{node}")
             # one list per node, not per query: it is the same every time

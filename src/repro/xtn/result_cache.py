@@ -24,6 +24,8 @@ from repro.core.ring import DataCyclotron
 
 __all__ = ["CachedResult", "ResultCache"]
 
+FIRST_BAT_ID = 1_000_000_000  # published results' BAT ids start here
+
 
 @dataclass
 class CachedResult:
@@ -43,12 +45,11 @@ class ResultCache:
     def __init__(
         self,
         dc: DataCyclotron,
-        first_bat_id: int = 1_000_000_000,
         eager: bool = False,
     ):
         self.dc = dc
         self.eager = eager
-        self._next_bat_id = first_bat_id
+        self._next_bat_id = FIRST_BAT_ID
         self._by_key: Dict[str, CachedResult] = {}
         self.publishes = 0
         self.lookups = 0

@@ -98,8 +98,9 @@ class UpdateCoordinator:
         runtime = self.dc.nodes[update.node]
         sim = self.dc.sim
         query_id = _UPDATE_QID_BASE + update.update_id
-        self.dc.metrics.query_registered(
-            ev.QueryRegistered(sim.now, query_id, update.node, tag="update"))
+        if self.dc.bus.active:
+            self.dc.bus.publish(
+                ev.QueryRegistered(sim.now, query_id, update.node, tag="update"))
 
         # Respect the "updating" tag: concurrent updates wait for the
         # in-flight one instead of processing the stale version.

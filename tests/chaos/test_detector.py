@@ -12,12 +12,13 @@ import pytest
 
 from repro.events import types as ev
 from repro.resilience.detector import PHI_LOG10_E, ArrivalWindow, SuccessorMonitor
+from repro.resilience.manager import HEARTBEAT_INTERVAL, PHI_CONFIRM
 
 from helpers import build_dc
 
 pytestmark = pytest.mark.chaos_smoke
 
-INTERVAL = 0.05  # the config default heartbeat_interval
+INTERVAL = HEARTBEAT_INTERVAL
 
 
 # ----------------------------------------------------------------------
@@ -102,10 +103,10 @@ def test_fail_node_is_confirmed_and_repaired_by_the_detector():
     assert [e.node for e in confirmations] == [1]
     assert confirmations[0].by == 0
     assert suspicions[0].t < confirmations[0].t
-    assert confirmations[0].phi >= dc.config.phi_confirm
+    assert confirmations[0].phi >= PHI_CONFIRM
     # the confirmation triggered the repair, with a plausible latency:
     # silence must accrue phi >= 3.0 over a mean gap ~ the heartbeat
-    # interval, detected on a heartbeat_interval check grid
+    # interval, detected on a HEARTBEAT_INTERVAL check grid
     assert [e.node for e in repairs] == [1]
     assert dc.unrepaired_failures == set()
     assert 0.2 <= repairs[0].latency <= 0.8

@@ -210,7 +210,7 @@ def test_attempt_timeout_supersedes_a_slow_attempt_and_discards_its_result():
 
 @pytest.mark.chaos_smoke
 def test_admission_valve_sheds_when_half_the_ring_is_down():
-    dc = build_dc(n_nodes=4, resilience=True, admission_suspect_fraction=0.5)
+    dc = build_dc(n_nodes=4, resilience=True)
     shed = []
     dc.bus.subscribe(ev.QueryShed, shed.append)
     dc._start_ticks()

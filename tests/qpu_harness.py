@@ -12,8 +12,11 @@ helper that subscribes to every typed event (``SimEventFired`` is
 excluded: it names internal callbacks, which a refactor may legally
 rename) and digests the stream.  ``tests/data/golden_qpu_streams.json``
 was generated by running ``python tests/qpu_harness.py`` against the
-pre-refactor executor; ``tests/test_qpu_golden.py`` replays the same
-workloads through the dispatcher and compares.
+pre-refactor executor and re-recorded once, when MAL queries started
+registering on the bus like every other engine's (one ``QpuQueryRouted``
+and one ``QueryRegistered(tag="mal")`` more per query; result sets,
+finish times and clocks unchanged).  ``tests/test_qpu_golden.py``
+replays the same workloads through the dispatcher and compares.
 """
 
 from __future__ import annotations

@@ -53,8 +53,8 @@ def table_data():
     }
 
 
-def make(**kwargs) -> RingDatabase:
-    rdb = RingDatabase(DataCyclotronConfig(n_nodes=4, seed=7), **kwargs)
+def make() -> RingDatabase:
+    rdb = RingDatabase(DataCyclotronConfig(n_nodes=4, seed=7))
     rdb.load_table("t", table_data(), rows_per_partition=100)
     return rdb
 
@@ -141,11 +141,11 @@ class Recorder:
 
 
 @settings(**SETTINGS)
-@given(budget=budgets, steps=ops, lifecycle=st.booleans())
+@given(budget=budgets, steps=ops)
 def test_the_valve_weighs_the_estimate_and_settles_every_query_once(
-    budget, steps, lifecycle
+    budget, steps
 ):
-    rdb = make(lifecycle_events=lifecycle)
+    rdb = make()
     rdb.byte_budget = budget
     recorder = Recorder(rdb)
     for step in steps:
@@ -240,11 +240,11 @@ door_policies = st.builds(
 
 
 @settings(**{**SETTINGS, "max_examples": 60})  # the tier slices' edges are narrow
-@given(policy=door_policies, budget=budgets, steps=ops, lifecycle=st.booleans())
+@given(policy=door_policies, budget=budgets, steps=ops)
 def test_the_door_slices_the_ledger_by_tier_and_settles_every_ticket_once(
-    policy, budget, steps, lifecycle
+    policy, budget, steps
 ):
-    rdb = make(lifecycle_events=lifecycle)
+    rdb = make()
     rdb.byte_budget = budget
     door = FrontDoor(rdb, policy=policy)
     log = DoorLog(door)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.loader import DISK_BANDWIDTH
 
 from helpers import MB, build_dc
 
@@ -108,7 +109,7 @@ def test_disk_fetch_time_model():
     dc, owner = owner_with_bats([MB], queue_capacity=4 * MB)
     t = owner.loader.disk_fetch_time(4 * MB)
     assert t == pytest.approx(
-        dc.config.disk_latency + 4 * MB / dc.config.disk_bandwidth
+        dc.config.disk_latency + 4 * MB / DISK_BANDWIDTH
     )
 
 

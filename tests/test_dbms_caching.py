@@ -5,7 +5,7 @@ import pytest
 
 from repro.core import DataCyclotronConfig
 from repro.dbms import Database
-from repro.dbms.caching import DEFAULT_CACHEABLE_OPS, plan_fingerprints
+from repro.dbms.caching import CACHEABLE_OPS, plan_fingerprints
 from repro.dbms.executor import RingDatabase
 from repro.dbms.mal import Plan
 
@@ -142,5 +142,5 @@ def test_small_results_not_published():
 
 
 def test_cacheable_ops_is_sane():
-    assert "algebra.join" in DEFAULT_CACHEABLE_OPS
-    assert "datacyclotron.pin" not in DEFAULT_CACHEABLE_OPS
+    assert "algebra.join" in CACHEABLE_OPS
+    assert "datacyclotron.pin" not in CACHEABLE_OPS

@@ -80,6 +80,12 @@ def test_parse_string_literals():
     assert ast.where[0].right == Literal("O'Brien")
 
 
+@pytest.mark.parametrize("count", ["2.5", ".5", "1.0"])
+def test_a_fractional_limit_is_a_syntax_error(count):
+    with pytest.raises(SqlError, match=f"LIMIT needs a whole number, got '{count}'"):
+        parse(f"SELECT v FROM t LIMIT {count}")
+
+
 def test_parse_errors():
     with pytest.raises(SqlError):
         parse("SELECT FROM t")

@@ -56,6 +56,21 @@ def test_retry_routes_around_an_announced_crash(build):
     assert fed.summary()["failed"] == 0
 
 
+@pytest.mark.parametrize(
+    "option", ["retry_deadline", "retry_attempt_timeout", "retry_budget_capacity"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [RingFederation, PartitionedFederation],
+    ids=["shared-clock", "partitioned"],
+)
+def test_a_retry_option_the_ladder_does_not_read_is_refused(build, option):
+    config = _config()
+    config.base = DataCyclotronConfig(seed=3, resilience=True, **{option: 1.0})
+    with pytest.raises(ValueError, match=option):
+        build(config)
+
+
 @pytest.mark.parametrize("node", [-1, 8, 9])
 def test_partitioned_submit_rejects_out_of_range_nodes(node):
     """Static topology: there is no inactive ring to remap to, so a node

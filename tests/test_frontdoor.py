@@ -144,6 +144,15 @@ class TestAdmission:
         assert door.rejected_by_cause == {"estimate-error": 1}
         assert door.offered == 1 and door.admitted == 0
 
+    def test_a_fractional_limit_is_rejected_as_an_estimate_error(self):
+        rdb = make_rdb()
+        door = FrontDoor(rdb)
+        door.offer("SELECT v FROM t LIMIT 2.5", arrival=0.5)
+        door.offer(KvLookup(table="t", key=3, column="v"), node=1, arrival=0.5)
+        assert rdb.run_until_done(max_time=120.0)
+        assert door.rejected_by_cause == {"estimate-error": 1}
+        assert door.offered == 2 and door.admitted == 1
+
     def test_admission_none_observes_but_never_rejects(self):
         rdb = make_rdb()
         door = FrontDoor(rdb, policy=FrontDoorPolicy(

@@ -162,8 +162,7 @@ def test_finish_query_cancels_only_its_own_timers():
 
 
 def test_resend_interval_backoff_and_cap():
-    dc = build_dc(n_nodes=3, resend_timeout=1.0,
-                  resend_backoff_base=2.0, resend_backoff_cap=8.0)
+    dc = build_dc(n_nodes=3, resend_timeout=1.0, resend_backoff_base=2.0)
     node = dc.nodes[0]
     assert node._resend_interval(0) == pytest.approx(1.0)
     assert node._resend_interval(1) == pytest.approx(2.0)

@@ -152,8 +152,7 @@ def _spec(query_id, tier=0, arrival=0.0, bats=(0,)):
 
 def _policy(**kwargs):
     defaults = dict(
-        target_p99=1.0, window=2.0, tick_interval=0.25, n_tiers=3,
-        min_samples=4, recover_fraction=0.5, recover_patience=2,
+        target_p99=1.0, min_samples=4, recover_fraction=0.5, recover_patience=2,
     )
     defaults.update(kwargs)
     return OverloadPolicy(**defaults)
@@ -168,12 +167,8 @@ def _finish(dep, query_id, finished_at, latency, bus=None):
 def test_policy_validation():
     with pytest.raises(ValueError, match="target_p99"):
         OverloadPolicy(target_p99=0.0)
-    with pytest.raises(ValueError, match="n_tiers"):
-        OverloadPolicy(target_p99=1.0, n_tiers=0)
     with pytest.raises(ValueError, match="recover_fraction"):
         OverloadPolicy(target_p99=1.0, recover_fraction=0.0)
-    with pytest.raises(ValueError, match="tick_interval"):
-        OverloadPolicy(target_p99=1.0, tick_interval=0.0)
 
 
 def test_breach_raises_shed_level_one_tier_per_tick():
@@ -188,7 +183,7 @@ def test_breach_raises_shed_level_one_tier_per_tick():
     assert ctrl.shed_level == 1
     assert ctrl.state == "brownout"
     dep.sim.run(until=0.6)
-    assert ctrl.shed_level == 2  # capped at n_tiers - 1
+    assert ctrl.shed_level == 2  # capped at N_TIERS - 1
     assert ctrl.state == "overload"
     dep.sim.run(until=1.1)
     assert ctrl.shed_level == 2
@@ -492,7 +487,7 @@ def make_rdb(**kwargs) -> RingDatabase:
 
 
 def test_byte_budget_sheds_wide_queries_but_admits_when_empty():
-    rdb = make_rdb(lifecycle_events=True)
+    rdb = make_rdb()
     rdb.byte_budget = 1  # essentially nothing
     # empty valve: the first query is admitted no matter how wide
     first = rdb.submit_request(StreamAggregate(table="t", value_column="v"))

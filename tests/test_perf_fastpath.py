@@ -22,7 +22,7 @@ import sys
 import tracemalloc
 
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
-from repro.core.messages import BATMessage, RequestMessage
+from repro.core.messages import BAT_HEADER_SIZE, BATMessage, RequestMessage
 from repro.core.query import QuerySpec
 from repro.events import types as ev_types
 from repro.events.bus import Bus
@@ -176,7 +176,7 @@ def flight_cost(monkeypatch, kind: str, hops: int) -> dict:
     def launch(bat_id):
         if kind == "bat":
             msg = BATMessage(owner=stop, bat_id=bat_id, size=MB, loi=1.0)
-            assert ff.send_bat(dc.nodes[0], msg, msg.wire_size(dc.config.bat_header_size))
+            assert ff.send_bat(dc.nodes[0], msg, msg.wire_size(BAT_HEADER_SIZE))
         else:
             assert ff.send_request(dc.nodes[0], RequestMessage(stop, bat_id))
         (flight,) = ff._by_bat[bat_id]

@@ -248,7 +248,7 @@ def assert_ledger_exact(rdb):
 
 
 def test_valve_ledger_matches_a_rescan_of_the_handles():
-    rdb = make_rdb(lifecycle_events=True)
+    rdb = make_rdb()
     rdb.byte_budget = 6000
     rng = np.random.default_rng(5)
     requests = [

@@ -280,6 +280,17 @@ def test_errors_are_the_texts_own_and_leave_no_template():
     assert stats["shapes"] == stats["shape_binds"] == stats["shape_fallbacks"] == 0
 
 
+def test_a_fractional_limit_is_a_syntax_error_and_leaves_no_template():
+    from repro.dbms.sql import SqlError
+
+    qpu = engine(t_catalog())
+    for sql in ("SELECT v FROM t LIMIT 2.5", "SELECT v FROM t LIMIT .5"):
+        with pytest.raises(SqlError, match="LIMIT needs a whole number"):
+            qpu.compile(sql)
+    stats = qpu.plan_cache_stats()
+    assert stats["size"] == stats["shapes"] == 0
+
+
 def test_a_catalog_version_bump_drops_the_templates():
     catalog = t_catalog()
     qpu = engine(catalog)

@@ -3,7 +3,7 @@
 The golden suite (tests/test_qpu_golden.py) pins that the MAL path is a
 pure re-layering; this file covers what is *new*: request routing, the
 KV and streaming engines' results and ring behaviour, the per-engine
-lifecycle events behind ``lifecycle_events=True``, the dispatcher's
+lifecycle events every query registers with, the dispatcher's
 admission valve, and the ``as_resolved`` arrival-order combinator the
 streaming engine folds with.
 """
@@ -154,7 +154,7 @@ def test_streaming_consumes_every_partition_exactly_once():
 # dispatcher: lifecycle events + admission
 # ----------------------------------------------------------------------
 def test_lifecycle_events_tag_queries_with_engine_class():
-    rdb = make_rdb(lifecycle_events=True)
+    rdb = make_rdb()
     slo = SloCollector().attach(rdb.dc.bus)
     rdb.submit("SELECT v FROM t WHERE id < 40")
     rdb.submit_request(KvLookup(table="t", key=5, column="v"))
@@ -165,11 +165,27 @@ def test_lifecycle_events_tag_queries_with_engine_class():
     assert all(len(slo.latencies(tag)) == 1 for tag in slo.tags())
 
 
-def test_default_mal_path_keeps_legacy_sql_tag():
+def test_an_slo_collector_counts_every_query_of_a_default_database():
+    # a MAL query registers on the bus like any other engine's, so an
+    # observer that only listens sees its registration and its latency
     rdb = make_rdb()
-    handle = rdb.submit("SELECT v FROM t WHERE id < 40")
+    slo = SloCollector().attach(rdb.dc.bus)
+    handles = [
+        rdb.submit(f"SELECT v FROM t WHERE id < {n}", node=node)
+        for node, n in enumerate((10, 20, 40))
+    ]
     assert rdb.run_until_done()
-    assert rdb.metrics.queries[handle.query_id].tag == "sql"
+    assert slo.query_count == 3
+    assert slo.tags() == ["mal"]
+    assert sorted(slo.latencies("mal")) == sorted(
+        rdb.metrics.queries[h.query_id].lifetime for h in handles
+    )
+    assert all(rdb.metrics.queries[h.query_id].tag == "mal" for h in handles)
+
+
+def test_lifecycle_events_false_is_refused():
+    with pytest.raises(ValueError, match="lifecycle_events"):
+        make_rdb(lifecycle_events=False)
 
 
 # ----------------------------------------------------------------------

@@ -3,14 +3,15 @@
 ``tests/data/golden_qpu_streams.json`` fingerprints the full typed
 event stream (every event except ``SimEventFired``, in publish order,
 repr-exact) of three SQL workloads x five seeds, captured against the
-pre-refactor executor.  Replaying the same workloads through the QPU
-dispatcher must reproduce each stream byte for byte: same event count,
-same per-type census, same sha256 over the reprs, same final clock and
-same number of simulator events processed.
+pre-refactor executor and re-recorded once when MAL queries began to
+register on the bus (tests/qpu_harness.py says what moved).  Replaying
+the same workloads through the QPU dispatcher must reproduce each
+stream byte for byte: same event count, same per-type census, same
+sha256 over the reprs, same final clock and same number of simulator
+events processed.
 
-Any diff here means the dispatcher is not a pure re-layering of the old
-``RingDatabase`` -- an extra bus publish, a reordered pin, a shifted
-timestamp -- and is a bug even if results stay correct.
+Any diff here -- an extra bus publish, a reordered pin, a shifted
+timestamp -- is a bug even if results stay correct.
 """
 
 import json

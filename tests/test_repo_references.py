@@ -123,3 +123,64 @@ def test_every_config_field_is_read_under_src():
             if not re.search(rf"\.{f.name}\b", elsewhere)
         ]
     assert not unread
+
+
+# Fields that only a test sets: each reaches a state no constant reaches
+# (a LOIT ring that swings or starts high, a memory-starved node, an
+# attempt timeout, a migration trigger, a recovery cadence), mapped to
+# the test file that sets it.
+TEST_INSTRUMENTS = {
+    "DataCyclotronConfig.loit_levels": "tests/test_differential.py",
+    "DataCyclotronConfig.loit_initial_level": "tests/test_differential.py",
+    "DataCyclotronConfig.loit_high_watermark": "tests/test_core_ring.py",
+    "DataCyclotronConfig.loit_low_watermark": "tests/test_core_ring.py",
+    "DataCyclotronConfig.local_memory_bytes": "tests/test_core_runtime.py",
+    "DataCyclotronConfig.retry_attempt_timeout": "tests/chaos/test_resilience.py",
+    "MultiRingConfig.migration_hysteresis": "tests/test_multiring.py",
+    "MultiRingConfig.migration_min_interest": "tests/test_placement_candidates.py",
+    "OverloadPolicy.recover_patience": "tests/test_overload.py",
+}
+
+
+def _sets(name):
+    """A keyword argument ``name=`` or a mapping key ``"name":``."""
+    return re.compile(rf"[(,]\s*{name}\s*=(?!=)|[\"']{name}[\"']\s*:")
+
+
+def test_every_config_field_is_set_outside_its_class():
+    # a field nothing sets is a constant with a constructor around it;
+    # a field only a test sets must say which test needs it
+    from repro.core import DataCyclotronConfig
+    from repro.frontdoor import FrontDoorPolicy
+    from repro.multiring import MultiRingConfig
+    from repro.resilience.overload import OverloadPolicy
+
+    homes = {
+        DataCyclotronConfig: "src/repro/core/config.py",
+        MultiRingConfig: "src/repro/multiring/config.py",
+        FrontDoorPolicy: "src/repro/frontdoor/door.py",
+        OverloadPolicy: "src/repro/resilience/overload.py",
+    }
+    tests = _python_text(("tests",))
+    unset, untested, unlisted = [], [], []
+    for cls, home in homes.items():
+        text = _python_text(("src", "bench", "benchmarks", "examples"), skip={home})
+        for f in fields(cls):
+            if f.name.startswith("_"):
+                continue
+            key = f"{cls.__name__}.{f.name}"
+            setter = _sets(f.name)
+            if setter.search(text):
+                continue
+            if key in TEST_INSTRUMENTS:
+                if not setter.search((ROOT / TEST_INSTRUMENTS[key]).read_text()):
+                    untested.append(key)
+            elif setter.search(tests):
+                unlisted.append(key)
+            else:
+                unset.append(key)
+    assert not (unset or unlisted or untested), (
+        f"set nowhere: {unset}; "
+        f"set only by tests, not in TEST_INSTRUMENTS: {unlisted}; "
+        f"not set by the file TEST_INSTRUMENTS names: {untested}"
+    )

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import QuerySpec
+from repro.events.tracer import Tracer
 from repro.sim.process import Process
 from repro.xtn.updates import UpdateCoordinator
 
@@ -24,6 +25,25 @@ def test_update_bumps_version():
     assert update.done
     assert update.new_version == 1
     assert coord.current_version(4) == 1
+
+
+def test_a_tracer_sees_an_updates_registration():
+    # an update registers on the bus like a query, so a bus observer sees
+    # its registration before its finish, and the collector's record of
+    # it comes from that event
+    dc = make_dc()
+    tracer = Tracer().attach(dc.bus)
+    update = UpdateCoordinator(dc).submit_update(bat_id=4, node=0, apply_time=0.01)
+    assert dc.run_until_done(max_time=30.0)
+    lifecycle = [
+        (r["event"], r["query_id"]) for r in tracer.records
+        if r["event"] in ("QueryRegistered", "QueryFinished")
+    ]
+    (query_id,) = dc.metrics.queries
+    assert lifecycle == [("QueryRegistered", query_id), ("QueryFinished", query_id)]
+    record = dc.metrics.queries[query_id]
+    assert record.tag == "update"
+    assert record.registered_at == update.submitted_at
 
 
 def test_update_on_owner_node():
