@@ -475,38 +475,16 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
                 v["latency"]["p50"], v["latency"]["p99"], v["latency"]["p999"],
                 v["failed"], "ok" if v["ok"] else "MISS",
             ))
+            # a twin scenario's numeric measures, mechanism on vs off
             extras = result["extras"]
-            if "p999_handoff_off" in extras:
-                print(
-                    f"  {name} seed {seed}: p999 {extras['p999_handoff_on']}s with "
-                    f"serve handoff vs {extras['p999_handoff_off']}s without "
-                    f"({extras['serves_handed_off']} serve(s) handed off)"
-                )
-            if "p999_estimate_off" in extras:
-                print(
-                    f"  {name} seed {seed}: p999 {extras['p999_estimate_on']}s "
-                    f"with estimate-driven admission vs "
-                    f"{extras['p999_estimate_off']}s blind"
-                    + (
-                        f"; protected goodput {extras['goodput_on']}/s vs "
-                        f"{extras['goodput_off']}/s"
-                        if "goodput_on" in extras else ""
-                    )
-                )
-            if "p999_controller_off" in extras:
-                line = (
-                    f"  {name} seed {seed}: p999 {extras['p999_controller_on']}s "
-                    f"with overload controller vs "
-                    f"{extras['p999_controller_off']}s without; protected "
-                    f"goodput {extras['goodput_on']}/s vs "
-                    f"{extras['goodput_off']}/s"
-                )
-                if "ring_splits_on" in extras:
-                    line += (
-                        f"; splits {extras['ring_splits_on']} vs "
-                        f"{extras['ring_splits_off']}"
-                    )
-                print(line)
+            twins = [
+                f"{key[:-4]} {extras[key[:-4] + '_on']} on vs {value} off"
+                for key, value in extras.items()
+                if key.endswith("_off") and key[:-4] + "_on" in extras
+                and isinstance(value, (int, float))
+            ]
+            if twins:
+                print(f"  {name} seed {seed}: " + "; ".join(twins))
             for engine, section in v.get("engine_classes", {}).items():
                 gates = ", ".join(
                     f"{gate}={'ok' if passed else 'MISS'}"

@@ -80,8 +80,6 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
-import numpy
-
 from repro.core.messages import REQUEST_MESSAGE_SIZE
 from repro.events import types as ev
 from repro.events.types import (
@@ -284,20 +282,14 @@ class FastForwarder:
         self._requested = dc.index.requested
         self._owned = dc.index.owned
         self._bits = dc.index.bits
-        # Longest run of hops one flight may coalesce.  A flight longer
-        # than the gap to the next circulating BAT is guaranteed to be
-        # flushed by that BAT's next forward (it enters one of the
-        # reserved links before the flight lands), so unbounded flights
-        # churn in dense traffic.  The cap trades per-flight savings for
-        # a far lower flush rate; n-1 means uncapped.
-        self.scan_limit = self.n - 1
         # Shortest run worth coalescing: a flight of k hops elides 2k-1
         # events but pays launch + (on bad luck) flush; below this the
         # classic path is cheaper even when the flight lands cleanly.
         self.min_flight = 3
         self._by_bat: Dict[int, List[Flight]] = {}
-        # per wire size: the data lane's step list, and it as an array
-        self._arrays: Dict[int, tuple] = {}
+        # per wire size: the data lane's step list, and a rotation of it
+        # repeated often enough for any arc past an owner
+        self._rotated: Dict[int, tuple] = {}
         # Lazy accounting re-publishes per-hop events out of dispatch
         # order; any observer of the per-hop stream (tracer, profiler)
         # therefore pins the classic path.  Cached on the bus version.
@@ -310,13 +302,6 @@ class FastForwarder:
         # the forwards' subscribers when all of them only count (else None)
         self._bat_counters: Optional[list] = None
         self._request_counters: Optional[list] = None
-        # Flush-churn backoff: every flush adds debt, every clean landing
-        # pays some back.  Above the threshold the scans refuse to launch
-        # (the classic path is always correct), decaying slowly so probe
-        # flights resume once traffic thins out.  In dense rings -- where
-        # nearly every flight would be flushed by a competing send -- the
-        # machinery would otherwise cost more than the elided events.
-        self._debt = 0
         # BAT-scan gate checked by the caller *before* the method call.
         # A small ring circulating more BATs than it has nodes keeps its
         # data links serialisation-saturated: every hop queues, so there
@@ -332,7 +317,6 @@ class FastForwarder:
         self.hops_coalesced = 0
         self.flushes = 0
         self.truncations = 0
-        self.refused_debt = 0
         self.refused_first_hop = 0
         self.refused_short = 0
         self.released = 0
@@ -371,16 +355,17 @@ class FastForwarder:
         ``count`` is what the facade registered (``add_bat`` /
         ``remove_bat``): an upper bound on what circulates, not the hot
         set.  On a small ring whose catalog outnumbers its nodes the
-        gate saves the calls, nothing more: such a ring coalesces no BAT
-        hop because every data link is serialising (``Lane.busy`` is
-        full), and a busy link is never pristine whatever the gate
-        says.  Measured, so nobody "feeds it the hot set": with the gate
-        forced open on ``ring_dense`` seed 1 (10 nodes, 1000 BATs)
-        flights go 3 959 -> 4 031, ``refused_short`` 19 093 -> 57 642,
-        ``refused_first_hop`` 19 011 -> 32 032, and the run phase is no
-        faster (docs/performance.md section 9).  Large rings keep
-        scanning: even dense interest leaves multi-hop disinterested
-        runs worth coalescing.
+        gate saves the calls: such a ring coalesces almost no BAT hop
+        because every data link is serialising (``Lane.busy`` is full),
+        and a busy link is never pristine whatever the gate says.
+        Measured, so nobody "feeds it the hot set": with the gate forced
+        open on ``ring_dense`` seed 1 (10 nodes, 1000 BATs) flights go
+        3 937 -> 4 038, ``refused_short`` 19 550 -> 58 156,
+        ``refused_first_hop`` 15 955 -> 28 966, and the run phase is
+        slower: ``host_cpu_s`` 1.23x over five alternating pairs (the
+        gate won all five; docs/performance.md section 2, the ablation
+        table).  Large rings keep scanning: even dense interest leaves
+        multi-hop disinterested runs worth coalescing.
         """
         self._population = count
         self.bat_scan_ok = self.active and not (
@@ -502,10 +487,6 @@ class FastForwarder:
         """Try to coalesce ``node``'s forward; False -> caller sends classically."""
         if not self.active:
             return False
-        if self._debt >= 16:
-            self._debt -= 1
-            self.refused_debt += 1
-            return False
         if self.bus.version != self._bus_version:
             self._refresh_bus_caches()
         if not self._lazy_ok:
@@ -524,10 +505,6 @@ class FastForwarder:
     def send_request(self, node: "NodeRuntime", msg: "RequestMessage") -> bool:
         """Try to coalesce a request forward; False -> classic send."""
         if not (self.active and self.request_enabled):
-            return False
-        if self._debt >= 16:
-            self._debt -= 1
-            self.refused_debt += 1
             return False
         if self.bus.version != self._bus_version:
             self._refresh_bus_caches()
@@ -567,7 +544,6 @@ class FastForwarder:
         nodes, so a stop nearer than ``min_flight`` refuses the scan
         before any mask is read.
         """
-        limit = self.scan_limit
         # the link that cuts the run may only look busy: its serialise-end
         # fired unpushed since the bit was set (Link._settle notices that,
         # and the run is cut again)
@@ -576,8 +552,6 @@ class FastForwarder:
             ahead = stops >> (start + 1)
             reach = (ahead & -ahead).bit_length() - 1
             end = reach + 1
-            if reach > limit:
-                end = reach = limit
             if reach < self.min_flight:
                 self.refused_short += 1
                 return False
@@ -591,8 +565,6 @@ class FastForwarder:
             top = start + self.n
             reach = top - (stops & ((1 << top) - 1)).bit_length()
             end = reach + 1
-            if reach > limit:
-                end = reach = limit
             if reach < self.min_flight:
                 self.refused_short += 1
                 return False
@@ -618,65 +590,41 @@ class FastForwarder:
             # the whole flight machinery; let the classic path handle it
             self.refused_short += 1
             return False
-        observed = False
+        passes = ()
+        why = None
         if lands and kind == "bat" and stops == self._bits[msg.owner]:
-            # the stop is the owner, and nobody on the ring asks for the BAT
-            if not self._wants_cycled:
-                return self._fly_to_owner(msg, wire, lane, start, k)
-            observed = True
+            # the stop is the owner, and nobody on the ring asks for the
+            # BAT: run on through the owner where the plan finds it may
+            if self._wants_cycled:
+                why = "observed"
+            else:
+                k, passes, entry, why = self._plan_passes(msg, lane, k)
         # What is left per hop is the wire's own float recurrence, s_end
         # = t + wire/bandwidth; t = s_end + delay: a running sum over the
         # lane's per-link steps, which yields every serialise-end (odd
         # places) and every arrival (even places) from the launch instant.
         steps = lane.steps.get(wire) or lane.time(wire)
+        if passes:
+            # an arc past its owner is longer than the doubled list
+            steps = self._rotations(wire, steps)
         at = 2 * first
         now = self.sim.now
         clock = list(accumulate(steps[at:at + 2 * k], initial=now))
         flight = Flight(self, kind, msg, wire, lane, start, now, clock[2::2], lands)
-        if observed:
-            flight.why = "observed"
+        flight.why = why
+        if passes:
+            flight.passes, flight.entry = passes, entry
+            flight.first_pass, flight.applied, flight.base = reach, 0, 0
         self._launch(flight, clock[-2])
         return True
 
-    def _fly_to_owner(self, msg: "BATMessage", wire: int, lane: Lane,
-                      start: int, k: int) -> bool:
-        """Launch the BAT flight whose ``k`` hops land in its owner, run
-        on through the owner where :meth:`_plan_passes` finds it may."""
-        reach = k - 1
-        k, passes, entry, why = self._plan_passes(msg, lane, k)
-        steps = lane.steps.get(wire) or lane.time(wire)
-        at = 2 * start  # the data lane steps clockwise
-        now = self.sim.now
-        if passes:
-            # An arc past its owner repeats a rotation's steps, hundreds
-            # of them: numpy's running sum makes the same additions in
-            # the same order, in fewer instructions per hop.
-            clock = self._rotations(wire, steps)[at:at + 2 * k].copy()
-            clock[0] += now
-            clock.cumsum(out=clock)
-            flight = Flight(
-                self, "bat", msg, wire, lane, start, now, clock[1::2].tolist(), True
-            )
-            flight.passes, flight.entry = passes, entry
-            flight.first_pass, flight.applied, flight.base = reach, 0, 0
-            s_end = float(clock[-2])
-        else:
-            clock = list(accumulate(steps[at:at + 2 * k], initial=now))
-            flight = Flight(self, "bat", msg, wire, lane, start, now, clock[2::2], True)
-            s_end = clock[-2]
-        flight.why = why
-        self._launch(flight, s_end)
-        return True
-
-    def _rotations(self, wire: int, steps: List[float]):
-        """A rotation of the data lane's ``steps`` repeated as an array
-        long enough for any arc, kept while the lane keeps that list."""
-        cached = self._arrays.get(wire)
+    def _rotations(self, wire: int, steps: List[float]) -> List[float]:
+        """The data lane's ``steps`` as one rotation repeated for the
+        longest arc past an owner, kept while the lane keeps ``steps``."""
+        cached = self._rotated.get(wire)
         if cached is None or cached[0] is not steps:
-            rotation = steps[:2 * self.n]
-            cached = self._arrays[wire] = (
-                steps, numpy.array(rotation * (PASS_BOUND + 2))
-            )
+            rotated = steps[:2 * self.n] * (PASS_BOUND + 2)
+            cached = self._rotated[wire] = (steps, rotated)
         return cached[1]
 
     def _plan_passes(self, msg: "BATMessage", lane: Lane, k: int) -> tuple:
@@ -1040,8 +988,6 @@ class FastForwarder:
         # the event's args hold the flight: break the cycle, so a landed
         # flight is freed by its reference count, not by the collector
         flight.event = None
-        if self._debt > 0:
-            self._debt -= 1
         k = len(flight.arrivals)
         lane = flight.lane
         lane.reserved ^= flight.held  # _release, whole arc
@@ -1087,8 +1033,6 @@ class FastForwarder:
         flight.event.cancel()
         flight.event = None  # as in _complete: no flight <-> event cycle
         self.flushes += 1
-        if self._debt < 64:
-            self._debt += 4
         sim = self.sim
         now = sim.now
         wire = flight.wire
@@ -1143,7 +1087,6 @@ class FastForwarder:
             "events_credited": self.sim.credited,
             # why a workload does (not) coalesce: a counter per way a scan
             # declines or a flight survives a competing send, and the gate
-            "refused_debt": self.refused_debt,
             "refused_first_hop": self.refused_first_hop,
             "refused_short": self.refused_short,
             "released": self.released,

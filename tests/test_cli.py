@@ -147,6 +147,33 @@ def test_chaos_command_listed(capsys):
     assert "chaos" in capsys.readouterr().out
 
 
+def test_scenarios_command_prints_every_on_off_pair(tmp_path, capsys):
+    """Each numeric ``<key>_on`` / ``<key>_off`` pair a twin scenario
+    reports is printed on the scenario's line, with both values."""
+    import json
+
+    out = tmp_path / "report.json"
+    assert main(["scenarios", "--all", "--seeds", "0", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    twins = 0
+    for name, (run,) in json.loads(out.read_text())["scenarios"].items():
+        extras = run["extras"]
+        pairs = [
+            (key[:-4], extras[key[:-4] + "_on"], value)
+            for key, value in extras.items()
+            if key.endswith("_off") and key[:-4] + "_on" in extras
+            and isinstance(value, (int, float))
+        ]
+        if not pairs:
+            continue
+        twins += 1
+        (line,) = [x for x in lines if x.startswith(f"  {name} seed 0: ")]
+        for stem, on, off in pairs:
+            assert f"{stem} {on} on vs {off} off" in line, (name, stem)
+    # gateway-chaos, frontdoor, mixed-engine-overload, overload, split-under-load
+    assert twins == 5
+
+
 def test_scenarios_command_writes_a_report_only_when_asked(
     tmp_path, monkeypatch, capsys
 ):

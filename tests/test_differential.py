@@ -386,6 +386,8 @@ FIXED = (
     # one BAT that stays hot past nobody until the pass bound
     fixed(n=3, seed=3988, hetero=False, timeout=1.1, observers="detached",
           sizes=(MB,), bats=1, queries=1, rate=0.5, min_flight=1),
+    # a saturated 10-node ring: competing sends flush flight after flight
+    fixed(n=10, observers="collector", rate=15.0),
     # faults after flights have launched
     fixed(n=24, observers="collector", fault="crash", fault_at=0.6, probes=[0.5]),
     fixed(n=24, observers="detached", fault="degrade", fault_at=0.6,
@@ -401,28 +403,47 @@ def test_fast_forward_on_reads_as_off(case):
 
 def test_the_fixed_rings_take_every_fast_path():
     """Equal on both sides, and between them every way a flight ends:
-    in its stop, truncated, flushed, its passed hops released, run
-    through its owner, landed in its owner for each reason; forwards
-    counted in one step; and passes settled ahead of a request at the
-    owner."""
+    in its stop, truncated, flushed, its passed hops released, a
+    competing send drained ahead of it, run through its owner, landed in
+    its owner for each reason; forwards counted in one step; passes
+    settled ahead of a request at the owner; and flights launched after
+    five flushes in a row."""
     totals = dict.fromkeys(
-        ["landed_in_stop", "truncations", "flushes", "released",
+        ["landed_in_stop", "truncations", "flushes", "released", "tolerated",
          "owner_passes", "forwards_counted"]
         + [f"owner_landed_{why}" for why in _LANDING_REASONS],
         0,
     )
     settled = []
+    streak = [0, 0]  # flushes since the last landing; launches after five
 
     def settle_passes(ff, bat_id, settle=FastForwarder.settle_passes):
         before = ff.owner_passes
         settle(ff, bat_id)
         settled.append(ff.owner_passes - before)
 
-    with mock.patch.object(FastForwarder, "settle_passes", settle_passes):
+    def flush(ff, flight, flush=FastForwarder._flush_flight):
+        streak[0] += 1
+        flush(ff, flight)
+
+    def complete(ff, flight, complete=FastForwarder._complete):
+        streak[0] = 0
+        complete(ff, flight)
+
+    def launch(ff, flight, s_end, launch=FastForwarder._launch):
+        streak[1] += streak[0] >= 5
+        launch(ff, flight, s_end)
+
+    with mock.patch.object(FastForwarder, "settle_passes", settle_passes), \
+            mock.patch.object(FastForwarder, "_flush_flight", flush), \
+            mock.patch.object(FastForwarder, "_complete", complete), \
+            mock.patch.object(FastForwarder, "_launch", launch):
         for case in FIXED:
+            streak[0] = 0
             stats = compare(case)
             for name in totals:
                 totals[name] += stats[name]
     assert all(totals.values()), totals
     # a request reached an owner a flight had run through unsettled
     assert sum(settled) > 0
+    assert streak[1] > 0
