@@ -178,6 +178,14 @@ class DataCyclotronConfig:
         if self.transfer_mode not in ("rdma", "offload", "legacy"):
             raise ValueError("transfer_mode must be 'rdma', 'offload' or 'legacy'")
 
+    def retry_backoff(self, attempt: int) -> float:
+        """Seconds to wait before re-running a query whose ``attempt``-th
+        try failed: exponential from ``retry_backoff_initial``, capped."""
+        return min(
+            self.retry_backoff_initial * self.retry_backoff_base ** (attempt - 1),
+            self.retry_backoff_cap,
+        )
+
     def network_cpu_factor(self) -> float:
         """CPU-core-seconds burnt per second of wire transmission.
 

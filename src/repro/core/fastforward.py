@@ -19,8 +19,8 @@ send time and replaces them with **one** analytically computed arrival:
   ``Simulator.processed`` -- and therefore ``DataCyclotron.summary()``
   -- match a classic run.  The forwards are published at their original
   per-hop timestamps; where every subscriber of the type only counts
-  them (:meth:`repro.events.bus.Bus.counters`, the metrics bridge) the
-  run is added in one step instead,
+  them (``Topic.counters``, the metrics bridge) the run is added in one
+  step instead,
 * the hop into the first interested node (the *stop*) joins the arc
   when its link is pristine at launch too: the flight's completion *is*
   the stop's delivery, at the classic instant, through the link's own
@@ -82,6 +82,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.core.messages import REQUEST_MESSAGE_SIZE
 from repro.events import types as ev
+from repro.events.bus import topic_on
 from repro.events.types import (
     LinkDelivered,
     LinkTransmit,
@@ -292,16 +293,20 @@ class FastForwarder:
         self._rotated: Dict[int, tuple] = {}
         # Lazy accounting re-publishes per-hop events out of dispatch
         # order; any observer of the per-hop stream (tracer, profiler)
-        # therefore pins the classic path.  Cached on the bus version.
-        self._bus_version = -1
-        self._lazy_ok = True
-        self._wants_ff = False
+        # therefore pins the classic path.  SimEventFired is asked of
+        # the bus the simulator publishes to: a shared-clock
+        # federation's, not the ring's.
+        bus = self.bus
+        self._link_tx = bus.topic(LinkTransmit)
+        self._link_rx = bus.topic(LinkDelivered)
+        self._fired = topic_on(dc.sim.bus, SimEventFired)
+        self._fast_forwarded = bus.topic(RotationFastForwarded)
         # an owner's Figure 5 step publishes BatCycled at its dispatch
         # position: observed, the flights land in their owners
-        self._wants_cycled = False
-        # the forwards' subscribers when all of them only count (else None)
-        self._bat_counters: Optional[list] = None
-        self._request_counters: Optional[list] = None
+        self._cycled = bus.topic(ev.BatCycled)
+        # the forwards' counters when every subscriber only counts
+        self._bat_forwarded = bus.topic(ev.BatForwarded)
+        self._request_forwarded = bus.topic(ev.RequestForwarded)
         # BAT-scan gate checked by the caller *before* the method call.
         # A small ring circulating more BATs than it has nodes keeps its
         # data links serialisation-saturated: every hop queues, so there
@@ -466,20 +471,6 @@ class FastForwarder:
             if flight.next_pass() is not None
         ]
 
-    def _refresh_bus_caches(self) -> None:
-        bus = self.bus
-        self._bus_version = bus.version
-        self._lazy_ok = not (
-            bus._wildcard
-            or bus.wants(LinkTransmit)
-            or bus.wants(LinkDelivered)
-            or bus.wants(SimEventFired)
-        )
-        self._wants_ff = bus.wants(RotationFastForwarded)
-        self._wants_cycled = bus.wants(ev.BatCycled)
-        self._bat_counters = bus.counters(ev.BatForwarded)
-        self._request_counters = bus.counters(ev.RequestForwarded)
-
     # ------------------------------------------------------------------
     # send-time interception
     # ------------------------------------------------------------------
@@ -487,9 +478,7 @@ class FastForwarder:
         """Try to coalesce ``node``'s forward; False -> caller sends classically."""
         if not self.active:
             return False
-        if self.bus.version != self._bus_version:
-            self._refresh_bus_caches()
-        if not self._lazy_ok:
+        if self._link_tx.wanted or self._link_rx.wanted or self._fired.wanted:
             return False
         # a BAT stops at its owner and wherever S2 asks for it
         stops = self._requested.get(msg.bat_id, 0) | self._bits[msg.owner]
@@ -506,9 +495,7 @@ class FastForwarder:
         """Try to coalesce a request forward; False -> classic send."""
         if not (self.active and self.request_enabled):
             return False
-        if self.bus.version != self._bus_version:
-            self._refresh_bus_caches()
-        if not self._lazy_ok:
+        if self._link_tx.wanted or self._link_rx.wanted or self._fired.wanted:
             return False
         # a request stops back at its origin, where S2 absorbs it, and
         # at the BAT's owner
@@ -595,7 +582,7 @@ class FastForwarder:
         if lands and kind == "bat" and stops == self._bits[msg.owner]:
             # the stop is the owner, and nobody on the ring asks for the
             # BAT: run on through the owner where the plan finds it may
-            if self._wants_cycled:
+            if self._cycled.wanted:
                 why = "observed"
             else:
                 k, passes, entry, why = self._plan_passes(msg, lane, k)
@@ -914,9 +901,7 @@ class FastForwarder:
         flight.applied = reached
         flight.entry.last_seen = flight.arrivals[last]
         self.owner_passes += reached - applied
-        if self.bus.version != self._bus_version:
-            self._refresh_bus_caches()
-        if self._wants_cycled:
+        if self._cycled.wanted:
             # subscribed since the launch: published at the passes' instants
             for j in range(applied, reached):
                 cycles += 1
@@ -936,12 +921,8 @@ class FastForwarder:
         """The forwards of the first ``count`` skipped nodes: added in one
         step where every subscriber only counts them, else published at
         their original per-hop timestamps, in hop order."""
-        if self.bus.version != self._bus_version:
-            self._refresh_bus_caches()
-        if flight.kind == "bat":
-            counters, event = self._bat_counters, ev.BatForwarded
-        else:
-            counters, event = self._request_counters, ev.RequestForwarded
+        topic = self._bat_forwarded if flight.kind == "bat" else self._request_forwarded
+        counters = topic.counters
         if counters is not None:
             for counter in counters:
                 counter.add(count)
@@ -949,6 +930,7 @@ class FastForwarder:
                 self.forwards_counted += count
             return
         publish = self.bus.publish
+        event = topic.event_type
         bat_id = flight.bat_id
         n = self.n
         node = flight.start
@@ -976,7 +958,7 @@ class FastForwarder:
             last.forward_bat(flight.msg)
         else:
             if self.bus.active:
-                last._forwarded(ev.RequestForwarded, flight.bat_id)
+                last._forwarded(last._request_forwarded, flight.bat_id)
             last._ship_request(flight.msg)
 
     def _complete(self, flight: Flight) -> None:
@@ -1004,7 +986,7 @@ class FastForwarder:
             self._publish_forwards(flight, k - 1)
         # k analytic hops cost 2k classic events; this callback was one
         self.sim.credit(2 * k - 1)
-        if self._wants_ff:
+        if self._fast_forwarded.wanted:
             self.bus.publish(
                 RotationFastForwarded(
                     self.sim.now, flight.kind, flight.bat_id,

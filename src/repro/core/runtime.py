@@ -40,7 +40,7 @@ from repro.core.structures import (
     RingIndex,
 )
 from repro.events import types as ev
-from repro.events.bus import Bus
+from repro.events.bus import Bus, Topic
 from repro.net.channel import Channel
 from repro.sim.engine import Event, Simulator
 from repro.sim.process import Future
@@ -141,11 +141,9 @@ class NodeRuntime:
         # rotation fast-forwarding (repro.core.fastforward), injected by
         # the facade when config.fast_forward is on
         self._ff = None
-        # the subscribers of a forward when all of them only count it
-        # (Bus.counters), else None; cached on the bus version
-        self._bus_version = -1
-        self._bat_counters: Optional[list] = None
-        self._request_counters: Optional[list] = None
+        # who listens to this node's forwards (``_forwarded``)
+        self._bat_forwarded = bus.topic(ev.BatForwarded)
+        self._request_forwarded = bus.topic(ev.RequestForwarded)
 
         # fault tolerance (docs/faults.md)
         self.crashed = False
@@ -353,7 +351,7 @@ class NodeRuntime:
 
         # Outcome 6: just forward it anti-clockwise.
         if self.bus.active:
-            self._forwarded(ev.RequestForwarded, msg.bat_id)
+            self._forwarded(self._request_forwarded, msg.bat_id)
         self._ship_request(msg)
 
     def on_bat_message(self, msg: BATMessage, _size: int) -> None:
@@ -541,22 +539,14 @@ class NodeRuntime:
             # (a flight's first hop is a pristine idle channel, so the
             # classic send would have succeeded)
             if self.bus.active:
-                self._forwarded(ev.BatForwarded, msg.bat_id)
+                self._forwarded(self._bat_forwarded, msg.bat_id)
 
-    def _forwarded(self, event_type: type, bat_id: int) -> None:
+    def _forwarded(self, topic: Topic, bat_id: int) -> None:
         """Publish this node's forward of ``bat_id``, or only add 1 to
         its counters where every subscriber of the type only counts."""
-        bus = self.bus
-        if bus.version != self._bus_version:
-            self._bus_version = bus.version
-            self._bat_counters = bus.counters(ev.BatForwarded)
-            self._request_counters = bus.counters(ev.RequestForwarded)
-        counters = (
-            self._bat_counters if event_type is ev.BatForwarded
-            else self._request_counters
-        )
+        counters = topic.counters
         if counters is None:
-            bus.publish(event_type(self.sim.now, bat_id, self.node_id))
+            self.bus.publish(topic.event_type(self.sim.now, bat_id, self.node_id))
         else:
             for counter in counters:
                 counter.add(1)

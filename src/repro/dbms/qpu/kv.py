@@ -99,7 +99,7 @@ class KvQpu(QueryProcessingUnit):
 
     def _publish_probe(self, ctx: QpuContext, bat_id: int, hit: bool) -> None:
         bus = ctx.bus
-        if bus is not None and bus.active and bus.wants(ev.KvProbeServed):
+        if bus is not None and bus.active:
             bus.publish(
                 ev.KvProbeServed(
                     t=ctx.now,

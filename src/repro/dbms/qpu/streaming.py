@@ -178,7 +178,7 @@ class StreamingAggQpu(QueryProcessingUnit):
 
     def _publish_consumed(self, ctx: QpuContext, bat_id: int, rows: int) -> None:
         bus = ctx.bus
-        if bus is not None and bus.active and bus.wants(ev.StreamBatConsumed):
+        if bus is not None and bus.active:
             bus.publish(
                 ev.StreamBatConsumed(
                     t=ctx.now,

@@ -8,20 +8,28 @@ simulation deterministic (subscribers run between simulator events, at
 a consistent point of the protocol state machine).
 
 Performance contract: publishing to an event type nobody subscribed to
-is a single dict probe, and producers can skip building the event object
-entirely by guarding with :meth:`Bus.wants` -- the pattern the network
-and engine layers use for their high-frequency events.  A subscriber
-that only counts its events says so by subscribing a :class:`Counter`'s
-``bump``; where every subscriber of a type is one (:meth:`Bus.counters`),
-a producer holding a run of ``n`` such events adds ``n`` in one step
-instead of building ``n`` objects.
+is a single dict probe, and producers skip building the event object
+entirely when nobody listens.  Two guard idioms do that:
+
+* ``bus.active`` is True while any handler (typed or wildcard) is
+  subscribed; protocol code guards each publish with it.
+* A high-frequency producer takes its event type's :class:`Topic`
+  once, at construction (``bus.topic(EventType)``), and guards with
+  ``topic.wanted`` -- one attribute load per event.  The bus keeps
+  every topic it handed out current on each (un)subscription, wildcards
+  included.
+
+A subscriber that only counts its events says so by subscribing a
+:class:`Counter`'s ``bump``; where every subscriber of a type is one
+(``topic.counters``), a producer holding a run of ``n`` such events
+adds ``n`` in one step instead of building ``n`` objects.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Type
 
-__all__ = ["Bus", "Counter"]
+__all__ = ["Bus", "Counter", "Topic", "NEVER_WANTED", "topic_on"]
 
 Handler = Callable[[Any], None]
 
@@ -31,7 +39,7 @@ _NO_HANDLERS: tuple = ()
 class Counter:
     """A subscriber that never looks at its events: each one adds 1 to
     ``target.<attr>``.  Subscribe ``counter.bump``; a producer handed
-    the counter by :meth:`Bus.counters` may add a whole run at once."""
+    the counter by ``topic.counters`` may add a whole run at once."""
 
     __slots__ = ("target", "attr")
 
@@ -48,23 +56,42 @@ class Counter:
         setattr(target, self.attr, getattr(target, self.attr) + count)
 
 
+class Topic:
+    """Who listens to one event type on one bus, kept current by the bus.
+
+    ``wanted`` is True while publishing ``event_type`` would reach a
+    handler.  ``counters`` is the :class:`Counter` of every subscriber
+    of the type -- empty when nobody listens -- or None if any handler
+    (a wildcard included) looks at the event.
+    """
+
+    __slots__ = ("event_type", "wanted", "counters")
+
+    def __init__(self, event_type: Optional[Type]):
+        self.event_type = event_type
+        self.wanted = False
+        self.counters: Optional[List[Counter]] = []
+
+
+# what a producer without a bus holds: no bus ever updates it
+NEVER_WANTED = Topic(None)
+
+
 class Bus:
     """Publish/subscribe dispatch keyed on the event's concrete type.
 
-    ``version`` increments on every (un)subscription.  Hot-path
-    producers cache a ``wants()`` verdict against it and re-check only
-    when the version moved, turning the per-event guard into one integer
-    compare.  ``active`` is True while *any* handler is subscribed;
-    producers guard publishes with it so a zero-observer simulation
-    skips even constructing the event objects.
+    ``active`` is True while *any* handler is subscribed; producers
+    guard publishes with it so a zero-observer simulation skips even
+    constructing the event objects.  :meth:`topic` answers the same
+    question per event type, as a live object a hot path holds.
     """
 
-    __slots__ = ("_subs", "_wildcard", "version", "active")
+    __slots__ = ("_subs", "_wildcard", "_topics", "active")
 
     def __init__(self) -> None:
         self._subs: Dict[Type, List[Handler]] = {}
         self._wildcard: List[Handler] = []
-        self.version = 0
+        self._topics: Dict[Type, Topic] = {}
         self.active = False
 
     # ------------------------------------------------------------------
@@ -78,8 +105,7 @@ class Bus:
         if not isinstance(event_type, type):
             raise TypeError(f"event_type must be a class, got {event_type!r}")
         self._subs.setdefault(event_type, []).append(handler)
-        self.version += 1
-        self.active = True
+        self._changed(event_type)
         return handler
 
     def subscribe_many(self, event_types, handler: Handler) -> Handler:
@@ -91,8 +117,7 @@ class Bus:
     def subscribe_all(self, handler: Handler) -> Handler:
         """Wildcard subscription: ``handler`` sees every published event."""
         self._wildcard.append(handler)
-        self.version += 1
-        self.active = True
+        self._changed(None)
         return handler
 
     def unsubscribe(self, event_type: Type, handler: Handler) -> None:
@@ -106,8 +131,7 @@ class Bus:
             return
         if not handlers:
             del self._subs[event_type]
-        self.version += 1
-        self.active = bool(self._subs) or bool(self._wildcard)
+        self._changed(event_type)
 
     def unsubscribe_all(self, handler: Handler) -> None:
         """Remove a wildcard subscription (no-op if absent)."""
@@ -115,32 +139,47 @@ class Bus:
             self._wildcard.remove(handler)
         except ValueError:
             return
-        self.version += 1
+        self._changed(None)
+
+    def _changed(self, event_type: Optional[Type]) -> None:
+        """Bring ``active`` and the affected topics (every topic for a
+        wildcard change) up to date."""
         self.active = bool(self._subs) or bool(self._wildcard)
+        if event_type is None:
+            for topic in self._topics.values():
+                self._refresh(topic)
+        else:
+            topic = self._topics.get(event_type)
+            if topic is not None:
+                self._refresh(topic)
+
+    def _refresh(self, topic: Topic) -> None:
+        handlers = self._subs.get(topic.event_type, _NO_HANDLERS)
+        topic.wanted = bool(self._wildcard) or bool(handlers)
+        counters: Optional[List[Counter]] = None
+        if not self._wildcard:
+            counters = []
+            for handler in handlers:
+                if getattr(handler, "__func__", None) is not Counter.bump:
+                    counters = None
+                    break
+                counters.append(handler.__self__)
+        topic.counters = counters
 
     # ------------------------------------------------------------------
     # publishing
     # ------------------------------------------------------------------
+    def topic(self, event_type: Type) -> Topic:
+        """The one live :class:`Topic` of ``event_type`` on this bus."""
+        topic = self._topics.get(event_type)
+        if topic is None:
+            topic = self._topics[event_type] = Topic(event_type)
+            self._refresh(topic)
+        return topic
+
     def wants(self, event_type: Type) -> bool:
-        """True if publishing ``event_type`` would reach any handler.
-
-        Producers of high-frequency events guard on this to skip even
-        constructing the event object when nobody is listening.
-        """
-        return bool(self._wildcard) or event_type in self._subs
-
-    def counters(self, event_type: Type) -> Optional[List[Counter]]:
-        """The :class:`Counter` of every subscriber of ``event_type`` --
-        empty when nobody listens -- or None if any handler (a wildcard
-        included) looks at the event.  Producers cache it on ``version``."""
-        if self._wildcard:
-            return None
-        out = []
-        for handler in self._subs.get(event_type, _NO_HANDLERS):
-            if getattr(handler, "__func__", None) is not Counter.bump:
-                return None
-            out.append(handler.__self__)
-        return out
+        """True if publishing ``event_type`` would reach any handler."""
+        return self.topic(event_type).wanted
 
     def publish(self, event: Any) -> None:
         """Deliver ``event`` to its type's subscribers, then wildcards."""
@@ -161,3 +200,8 @@ class Bus:
             f"<Bus {len(self._subs)} typed channels, "
             f"{len(self._wildcard)} wildcard subscribers>"
         )
+
+
+def topic_on(bus: Optional[Bus], event_type: Type) -> Topic:
+    """``bus.topic(event_type)``, or :data:`NEVER_WANTED` without a bus."""
+    return NEVER_WANTED if bus is None else bus.topic(event_type)

@@ -177,10 +177,7 @@ class FederationHost:
         base = self.config.base
         if base.resilience and attempt < base.retry_max_attempts:
             self._attempts[spec.query_id] = attempt + 1
-            backoff = min(
-                base.retry_backoff_cap,
-                base.retry_backoff_initial * base.retry_backoff_base ** (attempt - 1),
-            )
+            backoff = base.retry_backoff(attempt)
             self._retry_scheduled(ring_id, spec, self.sim.now + backoff)
             self.sim.post(backoff, self._retry, spec, ring_id, node, failed)
             return

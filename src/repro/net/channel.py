@@ -95,7 +95,7 @@ class Channel:
         if self.loss_rate > 0.0 and self._rng.random() < self.loss_rate:
             self.dropped_by_loss += 1
             bus = self.bus
-            if bus is not None and bus.wants(ChannelLoss):
+            if bus is not None and bus.active:
                 bus.publish(
                     ChannelLoss(self.sim.now, self.name, size, type(message).__name__)
                 )

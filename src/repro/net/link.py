@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
+from repro.events.bus import topic_on
 from repro.events.types import LinkDelivered, LinkDropped, LinkTransmit
 from repro.sim.engine import Simulator
 
@@ -262,12 +263,9 @@ class Link:
         self.on_drop: Optional[Callable[[Any, int], None]] = None
         self.name = name
         self.bus = bus
-        # Cached bus.wants() verdicts, refreshed when the bus version
-        # moves -- one int compare per message instead of a method call.
-        self._bus_version = -1
-        self._wants_tx = False
-        self._wants_rx = False
-        self._wants_drop = False
+        self._tx = topic_on(bus, LinkTransmit)
+        self._rx = topic_on(bus, LinkDelivered)
+        self._drop = topic_on(bus, LinkDropped)
         # what the link itself counted; ``stats`` adds what its lane
         # still owes it
         self._stats = LinkStats()
@@ -363,13 +361,6 @@ class Link:
         self._queued_bytes = 0
         return purged
 
-    def _refresh_wants(self) -> None:
-        bus = self.bus
-        self._bus_version = bus.version
-        self._wants_tx = bus.wants(LinkTransmit)
-        self._wants_rx = bus.wants(LinkDelivered)
-        self._wants_drop = bus.wants(LinkDropped)
-
     @property
     def delay(self) -> float:
         """Propagation delay in seconds."""
@@ -437,16 +428,10 @@ class Link:
         ):
             self._stats.messages_dropped += 1
             self._stats.bytes_dropped += size
-            bus = self.bus
-            if bus is not None:
-                if bus.version != self._bus_version:
-                    self._refresh_wants()
-                if self._wants_drop:
-                    bus.publish(
-                        LinkDropped(
-                            self.sim.now, self.name, size, type(message).__name__
-                        )
-                    )
+            if self._drop.wanted:
+                self.bus.publish(
+                    LinkDropped(self.sim.now, self.name, size, type(message).__name__)
+                )
             if self.on_drop is not None:
                 self.on_drop(message, size)
             return False
@@ -495,14 +480,8 @@ class Link:
         stats = self._stats
         stats.messages_sent += 1
         stats.bytes_sent += size
-        bus = self.bus
-        if bus is not None:
-            if bus.version != self._bus_version:
-                self._refresh_wants()
-            if self._wants_tx:
-                bus.publish(
-                    LinkTransmit(now, self.name, size, type(message).__name__)
-                )
+        if self._tx.wanted:
+            self.bus.publish(LinkTransmit(now, self.name, size, type(message).__name__))
         self._serialise(message, size, now, s_end)
 
     def _serialise(self, message: Any, size: int, start: float, s_end: float) -> None:
@@ -572,13 +551,9 @@ class Link:
         stats = self._stats
         stats.messages_delivered += 1
         stats.bytes_delivered += size
-        bus = self.bus
-        if bus is not None:
-            if bus.version != self._bus_version:
-                self._refresh_wants()
-            if self._wants_rx:
-                bus.publish(
-                    LinkDelivered(self.sim.now, self.name, size, type(message).__name__)
-                )
+        if self._rx.wanted:
+            self.bus.publish(
+                LinkDelivered(self.sim.now, self.name, size, type(message).__name__)
+            )
         if self.on_receive is not None:
             self.on_receive(message, size)

@@ -173,11 +173,7 @@ class QueryRetrier:
         if state.attempts >= self.config.retry_max_attempts:
             self._terminal(state, error)
             return
-        backoff = min(
-            self.config.retry_backoff_initial
-            * self.config.retry_backoff_base ** (state.attempts - 1),
-            self.config.retry_backoff_cap,
-        )
+        backoff = self.config.retry_backoff(state.attempts)
         if self.config.retry_jitter > 0:
             backoff *= 1.0 + self.config.retry_jitter * self.rng.uniform(-1.0, 1.0)
         arrival = self.sim.now + backoff

@@ -32,9 +32,9 @@ every serialise-end would read, at any moment.
 
 The engine can publish a :class:`~repro.events.types.SimEventFired`
 event onto an attached :class:`~repro.events.bus.Bus` for every callback
-it dispatches; the publish is skipped entirely (a single int compare)
-unless somebody subscribed, so attaching a bus costs nothing on the
-hot path.
+it dispatches; the publish is skipped entirely (one load of its
+topic's ``wanted`` flag) unless somebody subscribed, so attaching a bus
+costs nothing on the hot path.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ import heapq
 import itertools
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
+from repro.events.bus import topic_on
 from repro.events.types import SimEventFired
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -152,11 +153,8 @@ class Simulator:
         self._processed = 0
         self._credited = 0  # events accounted for analytically, not dispatched
         self._cancelled = 0  # cancelled events still sitting in the heap
-        # Cached verdict of bus.wants(SimEventFired), keyed on the bus
-        # subscription version so the hot loop pays one int compare per
-        # event instead of a method call.
-        self._bus_version = -1
-        self._fire_wanted = False
+        # who listens to SimEventFired: the hot loop's per-event guard
+        self._fired = topic_on(bus, SimEventFired)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -310,20 +308,15 @@ class Simulator:
         self.now = entry[_TIME]
         self._entry = entry
         self._processed += 1
-        bus = self.bus
-        if bus is not None:
-            if bus.version != self._bus_version:
-                self._bus_version = bus.version
-                self._fire_wanted = bus.wants(SimEventFired)
-            if self._fire_wanted:
-                fn = entry[_FN]
-                bus.publish(
-                    SimEventFired(
-                        entry[_TIME],
-                        entry[_SEQ],
-                        getattr(fn, "__qualname__", repr(fn)),
-                    )
+        if self._fired.wanted:
+            fn = entry[_FN]
+            self.bus.publish(
+                SimEventFired(
+                    entry[_TIME],
+                    entry[_SEQ],
+                    getattr(fn, "__qualname__", repr(fn)),
                 )
+            )
         entry[_FN](*entry[_ARGS])
 
     def step(self) -> bool:
@@ -372,6 +365,7 @@ class Simulator:
         pop = heapq.heappop
         heap = self._heap
         bus = self.bus
+        fired = self._fired
         try:
             # The body of ``_fire`` is inlined here: this loop dispatches
             # every simulation callback, so the per-event overhead budget
@@ -392,19 +386,15 @@ class Simulator:
                 self.now = time
                 self._entry = entry
                 self._processed += 1
-                if bus is not None:
-                    if bus.version != self._bus_version:
-                        self._bus_version = bus.version
-                        self._fire_wanted = bus.wants(SimEventFired)
-                    if self._fire_wanted:
-                        fn = entry[3]
-                        bus.publish(
-                            SimEventFired(
-                                time,
-                                entry[2],
-                                getattr(fn, "__qualname__", repr(fn)),
-                            )
+                if fired.wanted:
+                    fn = entry[3]
+                    bus.publish(
+                        SimEventFired(
+                            time,
+                            entry[2],
+                            getattr(fn, "__qualname__", repr(fn)),
                         )
+                    )
                 entry[3](*entry[4])
                 heap = self._heap  # callbacks may cancel enough to compact
                 count += 1

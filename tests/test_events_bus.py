@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core import MB, DataCyclotron, DataCyclotronConfig
+from repro.core.query import QuerySpec
 from repro.events import types as ev
 from repro.events.bus import Bus, Counter
+from repro.net.link import Link
 
 
 def _loaded(t=1.0, bat_id=7, size=100, node=0):
@@ -136,45 +139,104 @@ def test_active_tracks_subscriptions():
     assert not bus.active
 
 
-def test_version_moves_on_every_subscription_change():
+def test_a_topic_taken_early_follows_its_subscriptions():
     bus = Bus()
-    v0 = bus.version
-    handler = bus.subscribe(ev.BatLoaded, lambda e: None)
-    assert bus.version > v0
-    v1 = bus.version
-    bus.unsubscribe(ev.BatLoaded, handler)
-    assert bus.version > v1
-    # removing an unknown handler is a no-op and must not invalidate
-    # producer-side caches
-    v2 = bus.version
-    bus.unsubscribe(ev.BatLoaded, lambda e: None)
-    bus.unsubscribe_all(lambda e: None)
-    assert bus.version == v2
+    topic = bus.topic(ev.LinkTransmit)
+    assert bus.topic(ev.LinkTransmit) is topic  # one object per type
+    assert not topic.wanted
+    first = bus.subscribe(ev.LinkTransmit, lambda e: None)
+    assert topic.wanted
+    second = bus.subscribe(ev.LinkTransmit, lambda e: None)
+    bus.unsubscribe(ev.LinkTransmit, first)
+    assert topic.wanted
+    bus.unsubscribe(ev.LinkTransmit, second)
+    assert not topic.wanted
+    # another type's subscription leaves it alone
+    bus.subscribe(ev.BatLoaded, lambda e: None)
+    assert not topic.wanted
 
 
-def test_counters_are_handed_out_only_when_nobody_looks():
+def test_a_wildcard_makes_every_topic_wanted():
+    bus = Bus()
+    before = bus.topic(ev.LinkTransmit)
+    handler = bus.subscribe_all(lambda e: None)
+    after = bus.topic(ev.SimEventFired)
+    assert before.wanted and after.wanted
+    bus.unsubscribe_all(handler)
+    assert not before.wanted and not after.wanted
+
+
+def test_topic_counters_are_handed_out_only_when_nobody_looks():
     class Tally:
         loads = 0
 
     bus = Bus()
     tally = Tally()
-    assert bus.counters(ev.BatLoaded) == []  # nobody listens
+    topic = bus.topic(ev.BatLoaded)
+    assert topic.counters == []  # nobody listens
     counter = Counter(tally, "loads")
     bus.subscribe(ev.BatLoaded, counter.bump)
-    assert bus.counters(ev.BatLoaded) == [counter]
+    assert topic.counters == [counter]
     bus.publish(_loaded())
     counter.add(4)
     assert tally.loads == 5
     # a handler that looks at the event, or a wildcard, takes them away
     seen = bus.subscribe(ev.BatLoaded, lambda e: None)
-    assert bus.counters(ev.BatLoaded) is None
+    assert topic.counters is None
     bus.unsubscribe(ev.BatLoaded, seen)
-    bus.subscribe_all(lambda e: None)
-    assert bus.counters(ev.BatLoaded) is None
-    assert bus.counters(ev.BatDropped) is None
+    assert topic.counters == [counter]
+    wildcard = bus.subscribe_all(lambda e: None)
+    assert topic.counters is None
+    assert bus.topic(ev.BatDropped).counters is None
+    bus.unsubscribe_all(wildcard)
+    assert topic.counters == [counter]
     # the bound method unsubscribes like any handler
     bus.unsubscribe(ev.BatLoaded, counter.bump)
     assert ev.BatLoaded not in bus._subs
+    assert topic.counters == [] and not topic.wanted
+
+
+def test_removing_an_unknown_handler_changes_no_topic():
+    bus = Bus()
+    handler = bus.subscribe(ev.BatLoaded, Counter(object(), "x").bump)
+    topic = bus.topic(ev.BatLoaded)
+    counters = topic.counters
+    bus.unsubscribe(ev.BatLoaded, lambda e: None)
+    bus.unsubscribe(ev.NodeCrashed, handler)
+    bus.unsubscribe_all(handler)
+    assert topic.wanted and topic.counters is counters
+    assert bus.active
+
+
+def test_a_link_subscription_made_mid_run_is_seen_at_once(monkeypatch):
+    # subscribed from a scheduled callback, a LinkTransmit observer
+    # sees every transmit a link starts from the very next one on, and
+    # no flight launches after it joined
+    dc = DataCyclotron(DataCyclotronConfig(n_nodes=16, seed=1))
+    dc.detach_metrics()
+    for bat_id in range(4):
+        dc.add_bat(bat_id, MB)
+    for q in range(6):
+        dc.submit(QuerySpec.simple(q + 1, q, 0.5 * q, [0], [0.002]))
+    seen, starts, joined = [], [], {}
+    start = Link._start
+
+    def counted_start(link, message, size):
+        if joined:
+            starts.append((dc.sim.now, link.name))
+        start(link, message, size)
+
+    def join():
+        joined["flights"] = dc.ff.flights
+        dc.bus.subscribe(ev.LinkTransmit, seen.append)
+
+    monkeypatch.setattr(Link, "_start", counted_start)
+    dc.sim.schedule(1.2, join)
+    dc.run(until=5.0)
+    assert joined["flights"] > 0, "no flight before the subscription"
+    assert starts, "no transmit after the subscription"
+    assert [(e.t, e.link) for e in seen] == starts
+    assert dc.ff.flights == joined["flights"]
 
 
 def test_event_types_are_slotted_value_objects():

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core import MB, DataCyclotron, DataCyclotronConfig
 from repro.core.query import QuerySpec
+from repro.events import types as ev
 from repro.multiring import MultiRingConfig, RingFederation
 from repro.workloads.base import UniformDataset, populate_ring
 from repro.workloads.gaussian import GaussianWorkload
@@ -87,10 +88,11 @@ def test_summary_bit_identical_with_resilience(seed: int, workload: str):
     assert on == off
 
 
-def run_federation_summary(seed: int, fast_forward: bool) -> dict:
+def run_federation_summary(seed: int, fast_forward: bool, observer=None) -> dict:
     """Two 16-node rings, each BAT pinned on its ring (static LOIT 0) so
     rotation dominates, under a light stream that fetches across rings:
-    gateway traffic rides through standing flights."""
+    gateway traffic rides through standing flights.  ``observer``, if
+    given, subscribes to ``SimEventFired`` on the federation's bus."""
     dataset = UniformDataset(n_bats=8, min_size=MB, max_size=MB, seed=seed)
     fed = RingFederation(MultiRingConfig(
         base=DataCyclotronConfig(
@@ -101,6 +103,8 @@ def run_federation_summary(seed: int, fast_forward: bool) -> dict:
         nodes_per_ring=16,
         splitmerge_interval=0.0,
     ))
+    if observer is not None:
+        fed.bus.subscribe(ev.SimEventFired, observer)
     for bat_id, size in dataset.sizes.items():
         fed.add_bat(bat_id, size)
     GaussianWorkload(
@@ -109,8 +113,11 @@ def run_federation_summary(seed: int, fast_forward: bool) -> dict:
         min_proc_time=0.002, max_proc_time=0.005, seed=seed,
     ).submit_to(fed)
     assert fed.run_until_done(max_time=60.0)
-    if fast_forward:
-        assert sum(ring.ff.stats()["flights"] for ring in fed.rings) > 0
+    flights = sum(ring.ff.stats()["flights"] for ring in fed.rings)
+    if observer is not None:
+        assert flights == 0, "a SimEventFired observer must pin every ring"
+    elif fast_forward:
+        assert flights > 0
     summary = fed.summary()
     assert summary["fetches_served"] > 0, "no cross-ring traffic"
     # summary() landed every ring's open flights itself: an explicit
@@ -125,6 +132,19 @@ def run_federation_summary(seed: int, fast_forward: bool) -> dict:
 @pytest.mark.parametrize("seed", SEEDS)
 def test_federation_summary_bit_identical(seed: int):
     assert run_federation_summary(seed, True) == run_federation_summary(seed, False)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_federation_observer_sees_the_classic_dispatch_stream(seed: int):
+    # the shared simulator publishes SimEventFired on the federation's
+    # bus, not the rings': an observer there must pin every ring's
+    # classic path and see every dispatch a classic run makes
+    streams = {}
+    for fast_forward in (True, False):
+        fired = streams[fast_forward] = []
+        summary = run_federation_summary(seed, fast_forward, fired.append)
+        streams[fast_forward].append(summary)
+    assert streams[True] == streams[False]
 
 
 def run_sparse_mixed(seed: int, fast_forward: bool, requests_clockwise: bool,
