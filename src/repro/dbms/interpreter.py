@@ -131,11 +131,9 @@ class Interpreter:
     @staticmethod
     def _resolve(arg: Any, env: Dict[str, Any]) -> Any:
         if isinstance(arg, Var):
-            if arg.name not in env:
-                raise NameError(f"variable {arg.name} used before assignment")
-            return env[arg.name]
+            return _value(arg, env)
         if isinstance(arg, (list, tuple)):
-            return [env[a.name] if isinstance(a, Var) else a for a in arg]
+            return [_value(a, env) if isinstance(a, Var) else a for a in arg]
         return arg
 
     @staticmethod
@@ -151,6 +149,13 @@ class Interpreter:
                 )
             for name, value in zip(instr.results, result):
                 env[name] = value
+
+
+def _value(var: Var, env: Dict[str, Any]) -> Any:
+    try:
+        return env[var.name]
+    except KeyError:
+        raise NameError(f"variable {var.name} used before assignment") from None
 
 
 # ----------------------------------------------------------------------

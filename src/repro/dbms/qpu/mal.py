@@ -7,7 +7,9 @@ byte-for-byte the pre-refactor one (the golden suite in
 ``tests/test_qpu_golden.py`` pins the event streams): the engine wraps
 the local operator registry with cost-charging generators, and the three
 ``datacyclotron.*`` plan calls talk to the node runtime exactly as
-before.
+before.  A text the linear interpreter ran twice replays the ring calls
+its second run recorded instead of interpreting again (docs/qpu.md
+section 7, "Execute once per data").
 """
 
 from __future__ import annotations
@@ -15,18 +17,16 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from repro.core.runtime import NodeRuntime
 from repro.dbms.bat import BAT
 from repro.dbms.catalog import Catalog
 from repro.dbms.cost import OperatorCostModel
-from repro.dbms.interpreter import Interpreter
+from repro.dbms.interpreter import Interpreter, ResultSet
 from repro.dbms.mal import Instruction, Plan
 from repro.dbms.optimizer import dc_rewrite, requested_binds
 from repro.dbms.qpu.base import (
     CompiledQuery,
     MalQuery,
     QpuContext,
-    QueryAbort,
     QueryProcessingUnit,
 )
 from repro.dbms.sql import SqlError, parse_cached, plan_select
@@ -51,7 +51,13 @@ __all__ = ["MalQpu", "dc_registry"]
 #: template and adds ~2 KB, and a hit keeps its shape recent, so the
 #: cache retains about 128 template plans (at most ~23 MB of the widest
 #: plan here) plus 2 KB a text; texts of a shape that plans per text
-#: hold a whole plan each, as every text did before templates.  The
+#: hold a whole plan each, as every text did before templates.  A text
+#: that ran twice also holds its recorded script: ~70 bytes a ring call
+#: (39 KB for the burst's six-column ``SELECT *`` of 24 partitions, at
+#: most ~5 MB for 128 of them) and the references to its pinned
+#: payloads and result columns, which the catalog and the recording
+#: run's result hold too; a result's columns outlive that result while
+#: the text stays cached (576 KB for that ``SELECT *``).  The
 #: end-of-life table is what keeps a run's own footprint small: after
 #: each instruction only variables a later instruction reads, and the
 #: result, stay live.  Behind a dispatcher valve a request is priced on
@@ -61,25 +67,55 @@ __all__ = ["MalQpu", "dc_registry"]
 PLAN_CACHE_SIZE = 128
 
 
+#: the steps of a run's script, one per ring call: ``(_REQUEST, bat)``,
+#: ``(_PIN, bat, payload)``, ``(_UNPIN, bat)`` and ``(_EXEC, cost)``
+_REQUEST, _PIN, _UNPIN, _EXEC = range(4)
+
+
 def dc_registry(
     base: Dict[str, Any],
-    runtime: NodeRuntime,
-    query_id: int,
+    ctx: QpuContext,
     catalog: Catalog,
     cost_model: OperatorCostModel,
+    script: Optional[List[tuple]] = None,
+    owed: Optional[List[tuple]] = None,
 ) -> Dict[str, Any]:
     """Wrap the local registry for ring execution.
 
     Local operators become generators that charge simulated CPU time;
-    the three datacyclotron calls talk to the node's DC runtime.
+    the three datacyclotron calls talk to the node's DC runtime, pins
+    and unpins through ``ctx`` so an aborted query's pins are released.
+    ``script`` collects each ring call the run makes as a step.
+    ``owed`` holds the steps a replay already made before handing
+    over, last first: the run pops one per call it makes instead of
+    making the call, checks the call is the step, and takes a pin's
+    payload from the step (docs/qpu.md section 7).
     """
+    runtime = ctx.runtime
+    query_id = ctx.query_id
     pinned_ids: Dict[int, int] = {}  # id(payload BAT) -> bat_id
+
+    def sends(step: tuple) -> bool:
+        """Whether the run makes the call ``step`` names on the ring:
+        not if a replay made it already, and then it must be the next
+        owed step."""
+        if owed:
+            made = owed.pop()
+            if made[:2] != step[:2]:
+                raise RuntimeError(
+                    f"replay handover: the interpreter called {step[:2]}, "
+                    f"the script holds {made[:2]}"
+                )
+            return False
+        if script is not None:
+            script.append(step)
+        return True
 
     def wrap(fn):
         def runner(*args) -> Generator:
             result = fn(*args)
             cost = cost_model.cost(args, result)
-            if cost > 0:
+            if cost > 0 and sends((_EXEC, cost)):
                 yield runtime.exec_op(cost)
             return result
 
@@ -88,26 +124,29 @@ def dc_registry(
     registry: Dict[str, Any] = {name: wrap(fn) for name, fn in base.items()}
 
     def dc_request(schema: str, table: str, column: str, partition: int) -> int:
-        handle = catalog.handle(schema, table, column, partition)
-        runtime.request(query_id, [handle.bat_id])
-        return handle.bat_id
+        bat_id = catalog.handle(schema, table, column, partition).bat_id
+        if sends((_REQUEST, bat_id)):
+            runtime.request(query_id, [bat_id])
+        return bat_id
 
     def dc_pin(bat_id: int) -> Generator:
-        fut = runtime.pin(query_id, bat_id)
-        yield fut
-        result = fut.value
-        if not result.ok:
-            raise QueryAbort(result.error or f"pin of BAT {bat_id} failed")
-        payload = result.payload
-        if payload is None:
-            raise QueryAbort(f"BAT {bat_id} carries no payload (performance mode?)")
+        if owed:
+            made = owed[-1]
+            sends((_PIN, bat_id))
+            payload = made[2]
+        else:
+            fut = runtime.pin(query_id, bat_id)
+            yield fut
+            payload = ctx.pin_payload(fut.value, bat_id)
+            if script is not None:
+                script.append((_PIN, bat_id, payload))
         pinned_ids[id(payload)] = bat_id
         return payload
 
     def dc_unpin(payload: BAT) -> None:
         bat_id = pinned_ids.pop(id(payload), None)
-        if bat_id is not None:
-            runtime.unpin(query_id, bat_id)
+        if bat_id is not None and sends((_UNPIN, bat_id)):
+            ctx.unpin(bat_id)
 
     registry["datacyclotron.request"] = dc_request
     registry["datacyclotron.pin"] = dc_pin
@@ -136,11 +175,8 @@ class MalQpu(QueryProcessingUnit):
         self.result_cache = result_cache
         self.cache_min_bytes = cache_min_bytes
         self._plan_counter = 0
-        # statement text -> (CompiledQuery, shape), valid for one
-        # catalog version
-        self._plan_cache: "OrderedDict[str, Tuple[CompiledQuery, tuple]]" = (
-            OrderedDict()
-        )
+        # statement text -> its entry, valid for one catalog version
+        self._plan_cache: "OrderedDict[str, _Entry]" = OrderedDict()
         self._plan_cache_version = catalog.version
         # statement shape -> its plan template (None: plans per text)
         self._templates: "OrderedDict[tuple, Optional[_Template]]" = OrderedDict()
@@ -149,6 +185,9 @@ class MalQpu(QueryProcessingUnit):
         self.shapes = 0
         self.shape_binds = 0
         self.shape_fallbacks = 0
+        self.recorded = 0
+        self.replays = 0
+        self.diverged = 0
 
     # ------------------------------------------------------------------
     def accepts(self, request: Any) -> bool:
@@ -181,19 +220,18 @@ class MalQpu(QueryProcessingUnit):
         if entry is not None:
             self.plan_cache_hits += 1
             cache.move_to_end(sql)
-            compiled, shape = entry
             # a shape is as recent as its texts, so the templates a
             # cached text shares stay cached (docs/qpu.md section 7)
-            if shape in templates:
-                templates.move_to_end(shape)
-            return compiled
+            if entry.shape in templates:
+                templates.move_to_end(entry.shape)
+            return entry.compiled
         self.plan_cache_misses += 1
         self._plan_counter += 1
         name = f"user.s{self._plan_counter}_1"
         tokens = tokenize(sql)
         shape, literals = statement_shape(tokens)
         compiled = self._compile_shape(sql, name, tokens, shape, literals)
-        cache[sql] = (compiled, shape)
+        cache[sql] = _Entry(compiled, shape)
         if len(cache) > PLAN_CACHE_SIZE:
             cache.popitem(last=False)
         return compiled
@@ -203,7 +241,10 @@ class MalQpu(QueryProcessingUnit):
         cache, and what its misses cost: ``shapes`` planned in full,
         ``shape_binds`` (a known shape's template took the text's
         literals) and ``shape_fallbacks`` (a known shape planned in
-        full again, see :class:`_Template`)."""
+        full again, see :class:`_Template`); and what executing the
+        cached texts did: scripts ``recorded``, executions that
+        ``replays`` a script, and replays that ``diverged`` (a pin
+        returned another payload and a live interpreter took over)."""
         return {
             "hits": self.plan_cache_hits,
             "misses": self.plan_cache_misses,
@@ -212,6 +253,9 @@ class MalQpu(QueryProcessingUnit):
             "shapes": self.shapes,
             "shape_binds": self.shape_binds,
             "shape_fallbacks": self.shape_fallbacks,
+            "recorded": self.recorded,
+            "replays": self.replays,
+            "diverged": self.diverged,
         }
 
     def _compile_shape(
@@ -287,34 +331,124 @@ class MalQpu(QueryProcessingUnit):
     def execute(
         self, compiled: CompiledQuery, ctx: QpuContext
     ) -> Generator[Any, Any, Any]:
+        """Run the plan; a linear run of a cached text that ran before
+        records its ring calls, and a later run replays them
+        (docs/qpu.md section 7)."""
         planned: PlannedQuery = compiled.payload
-        registry = dc_registry(
-            self.local_registry, ctx.runtime, ctx.query_id,
-            self.catalog, self.cost_model,
-        )
         if self.dataflow:
             from repro.dbms.dataflow import DataflowExecutor
 
-            executor = DataflowExecutor(registry, ctx.runtime.sim)
+            executor = DataflowExecutor(self._registry(ctx), ctx.runtime.sim)
             env = yield from executor.run(planned.plan, dies=planned.dies)
-        else:
-            env = yield from self._interpreter(registry, ctx).run_gen(
-                planned.plan, dies=planned.dies
-            )
-        return env[planned.result_var]
-
-    def _interpreter(self, registry: Dict[str, Any], ctx: QpuContext) -> Interpreter:
+            return env[planned.result_var]
         if self.result_cache is not None:
             from repro.dbms.caching import CachingInterpreter
 
-            return CachingInterpreter(
-                registry,
+            interpreter = CachingInterpreter(
+                self._registry(ctx),
                 cache=self.result_cache,
                 runtime=ctx.runtime,
                 query_id=ctx.query_id,
                 min_publish_bytes=self.cache_min_bytes,
             )
-        return Interpreter(registry)
+            env = yield from interpreter.run_gen(planned.plan, dies=planned.dies)
+            return env[planned.result_var]
+        entry = self._entry(compiled)
+        if entry is not None and entry.script is not None:
+            return (yield from self._replay(entry, planned, ctx))
+        script = None
+        if entry is not None:
+            entry.runs += 1
+            if entry.runs > 1:
+                script = []
+        env = yield from Interpreter(self._registry(ctx, script)).run_gen(
+            planned.plan, dies=planned.dies
+        )
+        result = env[planned.result_var]
+        if script is not None and entry.script is None:
+            entry.script = (script, tuple(result.names), tuple(result.columns))
+            self.recorded += 1
+        return result
+
+    def _registry(self, ctx: QpuContext, script=None, owed=None) -> Dict[str, Any]:
+        return dc_registry(
+            self.local_registry, ctx, self.catalog, self.cost_model, script, owed
+        )
+
+    def _entry(self, compiled: CompiledQuery) -> Optional["_Entry"]:
+        """The plan-cache entry ``compiled`` came from, while the cache
+        holds it for the current catalog version."""
+        if self._plan_cache_version != self.catalog.version:
+            return None
+        entry = self._plan_cache.get(compiled.description)
+        if entry is None or entry.compiled is not compiled:
+            return None
+        return entry
+
+    def _replay(
+        self, entry: "_Entry", planned: PlannedQuery, ctx: QpuContext
+    ) -> Generator[Any, Any, ResultSet]:
+        """Make the script's ring calls again, in order, and return its
+        result, as long as every pin returns the payload recorded."""
+        self.replays += 1
+        recorded = entry.script
+        script, names, columns = recorded
+        runtime = ctx.runtime
+        query_id = ctx.query_id
+        for index, step in enumerate(script):
+            kind = step[0]
+            if kind == _EXEC:
+                yield runtime.exec_op(step[1])
+            elif kind == _PIN:
+                bat_id = step[1]
+                fut = runtime.pin(query_id, bat_id)
+                yield fut
+                payload = ctx.pin_payload(fut.value, bat_id)
+                if payload is not step[2]:
+                    if entry.script is recorded:
+                        entry.script = None  # the data moved: record again
+                    owed = script[:index]
+                    owed.append((_PIN, bat_id, payload))
+                    owed.reverse()
+                    return (yield from self._hand_over(planned, ctx, owed))
+            elif kind == _REQUEST:
+                runtime.request(query_id, [step[1]])
+            else:
+                ctx.unpin(step[1])
+        result = ResultSet()
+        result.names = list(names)
+        result.columns = list(columns)
+        return result
+
+    def _hand_over(
+        self, planned: PlannedQuery, ctx: QpuContext, owed: List[tuple]
+    ) -> Generator[Any, Any, ResultSet]:
+        """Run the plan live from the start, over the payloads the
+        replay pinned, without making again the calls it made."""
+        self.diverged += 1
+        env = yield from Interpreter(self._registry(ctx, owed=owed)).run_gen(
+            planned.plan, dies=planned.dies
+        )
+        if owed:
+            raise RuntimeError(
+                f"replay handover: the interpreter finished with {len(owed)} "
+                "of the script's calls not made"
+            )
+        return env[planned.result_var]
+
+
+class _Entry:
+    """A statement text's plan-cache entry: its compiled query and
+    shape, how many linear runs it had, and the script a run recorded
+    -- its ring calls as steps, and its result's names and columns."""
+
+    __slots__ = ("compiled", "shape", "runs", "script")
+
+    def __init__(self, compiled: CompiledQuery, shape: tuple):
+        self.compiled = compiled
+        self.shape = shape
+        self.runs = 0
+        self.script: Optional[Tuple[List[tuple], tuple, tuple]] = None
 
 
 class _Template:

@@ -177,10 +177,6 @@ class Bus:
             self._refresh(topic)
         return topic
 
-    def wants(self, event_type: Type) -> bool:
-        """True if publishing ``event_type`` would reach any handler."""
-        return self.topic(event_type).wanted
-
     def publish(self, event: Any) -> None:
         """Deliver ``event`` to its type's subscribers, then wildcards."""
         for handler in self._subs.get(type(event), _NO_HANDLERS):

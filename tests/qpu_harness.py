@@ -6,16 +6,19 @@ dispatcher.  The contract is that the MAL path comes out *event-bit-
 identical*: for a fixed seed, every event published on the bus -- type,
 timestamp, every field -- must match the pre-refactor stream.
 
-This module defines the three deterministic SQL workloads (uniform,
-gaussian-skewed, TPC-H) the contract is pinned against, and a capture
-helper that subscribes to every typed event (``SimEventFired`` is
-excluded: it names internal callbacks, which a refactor may legally
-rename) and digests the stream.  ``tests/data/golden_qpu_streams.json``
+This module defines the four deterministic SQL workloads (uniform,
+gaussian-skewed, TPC-H, and repeated texts) the contract is pinned
+against, and a capture helper that subscribes to every typed event
+(``SimEventFired`` is excluded: it names internal callbacks, which a
+refactor may legally rename) and digests the stream.  ``tests/data/golden_qpu_streams.json``
 was generated by running ``python tests/qpu_harness.py`` against the
 pre-refactor executor and re-recorded once, when MAL queries started
 registering on the bus like every other engine's (one ``QpuQueryRouted``
 and one ``QueryRegistered(tag="mal")`` more per query; result sets,
-finish times and clocks unchanged).  ``tests/test_qpu_golden.py``
+finish times and clocks unchanged).  The ``repeat`` workload was added
+later and recorded against the engine that re-ran every text through
+the interpreter, before repeated texts replayed their recorded ring
+calls (docs/qpu.md section 7).  ``tests/test_qpu_golden.py``
 replays the same workloads through the dispatcher and compares.
 """
 
@@ -35,7 +38,7 @@ from repro.dbms.executor import RingDatabase
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_qpu_streams.json"
 SEEDS = [0, 1, 2, 3, 4]
-WORKLOADS = ("uniform", "gaussian", "tpch")
+WORKLOADS = ("uniform", "gaussian", "tpch", "repeat")
 
 
 def _event_types() -> List[type]:
@@ -155,10 +158,37 @@ def run_tpch(seed: int, observe=None, fast_forward: bool = False) -> RingDatabas
     return rdb
 
 
+def run_repeat(seed: int, observe=None, fast_forward: bool = False) -> RingDatabase:
+    """Four texts, each submitted four times in a shuffled order: some
+    repeats start after an earlier run of their text finished, some
+    while one is still running."""
+    rdb = RingDatabase(_ring_config(seed, fast_forward))
+    if observe is not None:
+        observe(rdb)
+    n_rows = 1200
+    rdb.load_table("t", _base_table(seed, n_rows), rows_per_partition=100)
+    rng = random.Random(3000 + seed)
+    lo = rng.randrange(0, n_rows - 400)
+    hi = lo + rng.randrange(100, 400)
+    texts = [
+        f"SELECT v FROM t WHERE id >= {lo} AND id < {hi}",
+        f"SELECT g, sum(v) s FROM t WHERE id < {hi} GROUP BY g ORDER BY g",
+        f"SELECT count(*) c FROM t WHERE g = {rng.randrange(8)}",
+        f"SELECT g, avg(v) a FROM t WHERE id >= {lo} GROUP BY g",
+    ]
+    order = [sql for sql in texts for _ in range(4)]
+    rng.shuffle(order)
+    for i, sql in enumerate(order):
+        rdb.submit(sql, node=rng.randrange(4), arrival=0.25 * i)
+    assert rdb.run_until_done(max_time=600.0)
+    return rdb
+
+
 RUNNERS = {
     "uniform": run_uniform,
     "gaussian": run_gaussian,
     "tpch": run_tpch,
+    "repeat": run_repeat,
 }
 
 

@@ -47,6 +47,16 @@ def test_variable_before_assignment(catalog):
         Interpreter(local_registry(catalog)).run(plan)
 
 
+def test_variable_before_assignment_inside_a_list_argument(catalog):
+    # a list argument (``bat.union([X9, X8])``) raises the same error as
+    # a scalar one, not a bare KeyError
+    plan = Plan()
+    col = plan.emit("sql", "bind", ("sys", "t", "v", 0))
+    plan.append(Instruction("bat", "union", ([Var("X9"), col],), ("OUT",)))
+    with pytest.raises(NameError, match="variable X9 used before assignment"):
+        Interpreter(local_registry(catalog)).run(plan)
+
+
 def test_multi_result_assignment(catalog):
     plan = Plan()
     col = plan.emit("sql", "bind", ("sys", "t", "id", 0))

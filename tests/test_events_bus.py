@@ -94,21 +94,21 @@ def test_unsubscribe_all_stops_wildcard():
 
 def test_wants_tracks_subscriptions():
     bus = Bus()
-    assert not bus.wants(ev.LinkTransmit)
+    assert not bus.topic(ev.LinkTransmit).wanted
     handler = bus.subscribe(ev.LinkTransmit, lambda e: None)
-    assert bus.wants(ev.LinkTransmit)
-    assert not bus.wants(ev.BatLoaded)
+    assert bus.topic(ev.LinkTransmit).wanted
+    assert not bus.topic(ev.BatLoaded).wanted
     bus.unsubscribe(ev.LinkTransmit, handler)
-    assert not bus.wants(ev.LinkTransmit)
+    assert not bus.topic(ev.LinkTransmit).wanted
 
 
 def test_wants_is_true_for_everything_with_a_wildcard():
     bus = Bus()
     handler = bus.subscribe_all(lambda e: None)
-    assert bus.wants(ev.LinkTransmit)
-    assert bus.wants(ev.SimEventFired)
+    assert bus.topic(ev.LinkTransmit).wanted
+    assert bus.topic(ev.SimEventFired).wanted
     bus.unsubscribe_all(handler)
-    assert not bus.wants(ev.LinkTransmit)
+    assert not bus.topic(ev.LinkTransmit).wanted
 
 
 def test_subscription_count():

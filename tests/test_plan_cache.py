@@ -58,6 +58,7 @@ def test_second_compile_is_a_hit_and_returns_the_same_plan():
     assert rdb.plan_cache_stats() == {
         "hits": 0, "misses": 1, "size": 1, "bound": PLAN_CACHE_SIZE,
         "shapes": 1, "shape_binds": 0, "shape_fallbacks": 0,
+        "recorded": 0, "replays": 0, "diverged": 0,
         "priced": 0, "refused_before_compile": 0, "unpriced": 0,
     }
     second = rdb.compile(SQL)

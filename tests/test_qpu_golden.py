@@ -2,9 +2,11 @@
 
 ``tests/data/golden_qpu_streams.json`` fingerprints the full typed
 event stream (every event except ``SimEventFired``, in publish order,
-repr-exact) of three SQL workloads x five seeds, captured against the
+repr-exact) of four SQL workloads x five seeds, captured against the
 pre-refactor executor and re-recorded once when MAL queries began to
-register on the bus (tests/qpu_harness.py says what moved).  Replaying
+register on the bus (tests/qpu_harness.py says what moved); the fourth,
+``repeat``, was captured before repeated texts replayed their ring
+calls.  Replaying
 the same workloads through the QPU dispatcher must reproduce each
 stream byte for byte: same event count, same per-type census, same
 sha256 over the reprs, same final clock and same number of simulator
@@ -64,7 +66,7 @@ def _outcome(seed: int, workload: str, fast_forward: bool) -> dict:
     }
 
 
-# how many of the 15 workloads launch a flight with the switch on: none.
+# how many of the 20 workloads launch a flight with the switch on: none.
 # A four-node ring holding 36-72 BATs gates BAT scans off, and a request
 # scan finds its first hop busy or fewer disinterested hops than
 # ``min_flight`` (3) before its stop.  The test still holds the gate and
