@@ -267,9 +267,7 @@ class RingDatabase:
         if self._stats_version != version:
             stats = StatisticsCatalog.from_catalog(self.catalog)
             if self._estimator is None:
-                self._estimator = QueryEstimator(
-                    stats, self.cost_model, schema=self.schema
-                )
+                self._estimator = QueryEstimator(stats, self.route)
             else:
                 self._estimator.stats = stats
             self._stats_version = version
@@ -337,7 +335,7 @@ class RingDatabase:
             raise ValueError("arrival is in the past")
         qpu = self.route(request)
         valved = self.byte_budget is not None
-        estimate = self._price(qpu, request) if valved else None
+        estimate = self._price(request) if valved else None
         compiled = None if estimate is not None else qpu.compile(request)
         # the ledger books the bytes the decision was made on
         weight = (
@@ -428,17 +426,12 @@ class RingDatabase:
             )
             bus.publish(ev.QueryRegistered(now, query_id, node, tag=label))
 
-    def _price(
-        self, qpu: QueryProcessingUnit, request: Any
-    ) -> Optional[QueryEstimate]:
-        """The request's estimate, or None when it must be compiled to
-        be weighed: the estimator cannot price it, or prices it for
-        another engine than the one the router chose."""
+    def _price(self, request: Any) -> Optional[QueryEstimate]:
+        """The request's estimate, or None when its engine refused to
+        price it: then it is compiled, which raises the refusal."""
         try:
             estimate = self.estimator.estimate(request)
         except EstimateError:
-            estimate = None
-        if estimate is None or estimate.engine != qpu.engine_class:
             self._unpriced += 1
             return None
         self._priced += 1
@@ -447,14 +440,12 @@ class RingDatabase:
     def _shed(self, footprint_bytes: int) -> bool:
         """The byte valve: True refuses, with ``reason="byte-valve"``.
 
-        It weighs each query by its *estimated* footprint bytes -- what
-        :attr:`estimator` predicts the engine will bind, which on every
-        workload in the repo is ``CompiledQuery.footprint_bytes`` to the
+        It weighs each query by its *estimated* footprint bytes -- the
+        engine's own price, so ``CompiledQuery.footprint_bytes`` to the
         byte -- so one wide analytic scan can't hide behind a point
-        lookup, and a refused request is never compiled.  A request the
-        estimator cannot price is weighed by its compiled footprint
-        instead.  An empty valve always admits, so progress is
-        guaranteed even for a query wider than the whole budget.
+        lookup, and a refused request is never compiled.  An empty valve
+        always admits, so progress is guaranteed even for a query wider
+        than the whole budget.
         """
         return bool(
             self._inflight

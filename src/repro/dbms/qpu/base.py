@@ -4,11 +4,15 @@ The ring economy of the paper -- LOI-driven hot set, request/pin/unpin
 -- is engine-agnostic, but the original executor hard-wired one engine:
 the linear MAL interpreter.  Following *Towards application-specific
 query processing systems*, this module narrows the engine boundary to
-three calls:
+four calls:
 
 * ``compile(request)`` turns an engine-specific request into a
   :class:`CompiledQuery` that *declares the BAT footprint* the engine
   will ask the ring for;
+* ``price(request)`` declares the same footprint, bytes and
+  description without keeping anything a refused request would leave
+  behind: the front door and the byte valve price with it, so each
+  engine answers its own price;
 * ``estimate_cost(compiled)`` prices the query for admission and
   routing decisions;
 * ``execute(compiled, ctx)`` is a simulation generator: it yields
@@ -189,6 +193,13 @@ class QueryProcessingUnit(ABC):
     @abstractmethod
     def compile(self, request: Any) -> CompiledQuery:
         """Turn a request into a footprint-declaring compiled query."""
+
+    def price(self, request: Any) -> CompiledQuery:
+        """The footprint, bytes and description ``compile`` would
+        declare, caching nothing a refusal would leave behind; the
+        result is weighed, never executed.  An engine whose ``compile``
+        caches nothing prices by compiling."""
+        return self.compile(request)
 
     def estimate_cost(self, compiled: CompiledQuery) -> float:
         """Simulated CPU seconds one pass over the footprint would take."""

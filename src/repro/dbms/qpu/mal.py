@@ -15,6 +15,7 @@ section 7, "Execute once per data").
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import replace
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.dbms.bat import BAT
@@ -60,10 +61,11 @@ __all__ = ["MalQpu", "dc_registry"]
 #: the text stays cached (576 KB for that ``SELECT *``).  The
 #: end-of-life table is what keeps a run's own footprint small: after
 #: each instruction only variables a later instruction reads, and the
-#: result, stay live.  Behind a dispatcher valve a request is priced on
-#: its estimated footprint before it is compiled and a refused one never
-#: reaches ``compile``, so the one-off texts a full valve turns away do
-#: not fill the cache (docs/qpu.md section 7).
+#: result, stay live.  Behind a dispatcher valve or a front door a
+#: request is priced first, by :meth:`MalQpu.price`, which answers from
+#: a text's entry or its shape's template and makes no text entry, and a
+#: refused one never reaches ``compile``: the one-off texts a full valve
+#: turns away do not fill the cache (docs/qpu.md section 7).
 PLAN_CACHE_SIZE = 128
 
 
@@ -210,31 +212,77 @@ class MalQpu(QueryProcessingUnit):
         other partitions, so it drops the lot.
         """
         sql = request.sql if isinstance(request, MalQuery) else request
-        cache = self._plan_cache
-        templates = self._templates
-        if self._plan_cache_version != self.catalog.version:
-            cache.clear()
-            templates.clear()
-            self._plan_cache_version = self.catalog.version
+        cache = self._current()
         entry = cache.get(sql)
         if entry is not None:
             self.plan_cache_hits += 1
             cache.move_to_end(sql)
             # a shape is as recent as its texts, so the templates a
             # cached text shares stay cached (docs/qpu.md section 7)
-            if entry.shape in templates:
-                templates.move_to_end(entry.shape)
+            if entry.shape in self._templates:
+                self._templates.move_to_end(entry.shape)
             return entry.compiled
         self.plan_cache_misses += 1
         self._plan_counter += 1
         name = f"user.s{self._plan_counter}_1"
         tokens = tokenize(sql)
         shape, literals = statement_shape(tokens)
-        compiled = self._compile_shape(sql, name, tokens, shape, literals)
+        known = shape in self._templates
+        template = self._shape_template(tokens, shape, literals)
+        compiled = None if template is None else template.bind(sql, name, literals)
+        if compiled is None:
+            if known:
+                self.shape_fallbacks += 1
+            compiled = self._compile_text(sql, name)
+            if not known:  # a shape that plans per text
+                self._remember(shape, None)
+        elif known:
+            self.shape_binds += 1
         cache[sql] = _Entry(compiled, shape)
         if len(cache) > PLAN_CACHE_SIZE:
             cache.popitem(last=False)
         return compiled
+
+    def price(self, request: Any) -> CompiledQuery:
+        """What :meth:`compile` would declare for ``request``, leaving no
+        text-cache entry behind.
+
+        A cached text answers from its entry.  Any other text answers
+        from its shape's template, with the template's own plan and the
+        text's literals bound into the selections only: its payload
+        prices (``query_class``, ``selections``) but never runs.  A text
+        whose shape has no template, or whose fixed literal differs, is
+        planned in full and forgotten (docs/qpu.md section 7).
+        """
+        sql = request.sql if isinstance(request, MalQuery) else request
+        entry = self._current().get(sql)
+        if entry is not None:
+            return entry.compiled
+        tokens = tokenize(sql)
+        shape, literals = statement_shape(tokens)
+        template = self._shape_template(tokens, shape, literals)
+        if template is None or not template.fits(literals):
+            return self._compile_text(sql, "user.price")
+        values = [literal_value(tok) for tok in literals]
+        planned = template.planned
+        return CompiledQuery(
+            engine=self.engine_class,
+            footprint=template.footprint,
+            footprint_bytes=template.footprint_bytes,
+            payload=replace(
+                planned, selections=_bind_args(planned.selections, values)
+            ),
+            description=sql,
+        )
+
+    def _current(self) -> "OrderedDict[str, _Entry]":
+        """The text cache, after dropping it and the templates if the
+        catalog changed: any change may bind other partitions."""
+        if self._plan_cache_version != self.catalog.version:
+            self._plan_cache.clear()
+            self._templates.clear()
+            self._plan_cache_version = self.catalog.version
+        return self._plan_cache
 
     def plan_cache_stats(self) -> Dict[str, int]:
         """Hits, misses, current size and the fixed bound of the text
@@ -258,41 +306,29 @@ class MalQpu(QueryProcessingUnit):
             "diverged": self.diverged,
         }
 
-    def _compile_shape(
-        self,
-        sql: str,
-        name: str,
-        tokens: List[Token],
-        shape: Tuple[str, ...],
-        literals: List[Token],
-    ) -> CompiledQuery:
+    def _shape_template(
+        self, tokens: List[Token], shape: Tuple[str, ...], literals: List[Token]
+    ) -> Optional["_Template"]:
+        """``shape``'s template, planned from this text if the shape is
+        new; ``None`` if the shape plans per text.  A new shape that
+        cannot be a template is remembered only once a text of it has
+        compiled, so a text that fails leaves no shape behind."""
         templates = self._templates
         if shape in templates:
             templates.move_to_end(shape)
-            template = templates[shape]
-            if template is not None:
-                compiled = template.bind(sql, name, literals)
-                if compiled is not None:
-                    self.shape_binds += 1
-                    return compiled
-            self.shape_fallbacks += 1
-            return self._compile_text(sql, name)
+            return templates[shape]
         try:
             template = self._template(tokens, literals)
-        except SqlError:
-            # the text's own compile raises its own error
-            return self._compile_text(sql, name)
-        except ParamInspected:
-            template = None
-        if template is None:
-            compiled = self._compile_text(sql, name)
-        else:
-            compiled = template.bind(sql, name, literals)
+        except (SqlError, ParamInspected):
+            return None
+        self._remember(shape, template)
+        return template
+
+    def _remember(self, shape: Tuple[str, ...], template: Optional["_Template"]) -> None:
         self.shapes += 1
-        templates[shape] = template
-        if len(templates) > PLAN_CACHE_SIZE:
-            templates.popitem(last=False)
-        return compiled
+        self._templates[shape] = template
+        if len(self._templates) > PLAN_CACHE_SIZE:
+            self._templates.popitem(last=False)
 
     def _template(self, tokens: List[Token], literals: List[Token]) -> "_Template":
         planned = plan_select(parse_template(tokens), self.catalog)
@@ -492,14 +528,17 @@ class _Template:
             (i, tok.value) for i, tok in enumerate(literals) if i not in held
         )
 
+    def fits(self, literals: List[Token]) -> bool:
+        """Whether every fixed literal of a text is the template's."""
+        return all(literals[i].value == text for i, text in self.fixed)
+
     def bind(
         self, sql: str, name: str, literals: List[Token]
     ) -> Optional[CompiledQuery]:
         """``sql``'s compiled query, or ``None`` if a fixed literal of
         ``sql`` differs from the template's."""
-        for i, text in self.fixed:
-            if literals[i].value != text:
-                return None
+        if not self.fits(literals):
+            return None
         values = [literal_value(tok) for tok in literals]
         base = self.planned
         instructions = list(base.plan.instructions)
@@ -517,6 +556,8 @@ class _Template:
                 result_var=base.result_var,
                 column_names=base.column_names,
                 dies=base.dies,
+                query_class=base.query_class,
+                selections=_bind_args(base.selections, values),
             ),
             description=sql,
         )

@@ -539,10 +539,10 @@ def parse_template(tokens: List[Token]) -> Select:
 def parse_cached(text: str) -> Select:
     """:func:`parse` behind a bounded text -> AST memo.
 
-    The estimator prices a statement and the MAL engine compiles it a
-    moment later; both read the one AST.  It is shared between every
-    caller in the process, so callers must treat it as **read-only**
-    (the planner and the estimator do; ``tests/test_plan_cache.py`` pins
+    The MAL engine prices a statement that plans per text and compiles
+    it a moment later; both read the one AST.  It is shared between
+    every caller in the process, so callers must treat it as
+    **read-only** (the planner does; ``tests/test_plan_cache.py`` pins
     it).  Code that wants to edit an AST calls :func:`parse`.  Syntax
     errors are raised afresh on every call, never cached.
     """

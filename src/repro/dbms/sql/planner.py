@@ -46,12 +46,24 @@ class PlannedQuery:
     end_of_life`), built once per compile by whoever finishes the plan;
     an interpreter given it frees each intermediate after its last use.
     ``None`` keeps every variable until the plan ends.
+
+    ``query_class`` is ``join``, ``group``, ``agg`` or ``scan``.
+    ``selections`` are the single-table WHERE selections in WHERE
+    order, each normalised to column-op-literal as ``(op, column,
+    value)`` with ``column`` a ``(schema, table, column)`` triple:
+    ``op`` is a comparison (``==``, ``!=``, ``<``, ``<=``, ``>``,
+    ``>=``), ``between`` (``value`` is ``(low, high)``) or ``in``
+    (``value`` is the listed literals); an OR group is ``("or", None,
+    branches)``, each branch a selection.  A template's values are
+    ``Param``s (docs/qpu.md section 7).
     """
 
     plan: Plan
     result_var: str
     column_names: List[str]
     dies: Optional[Dies] = None
+    query_class: str = "scan"
+    selections: Tuple[tuple, ...] = ()
 
     def finished(
         self, plan: Plan, last_use: Optional[Dict[str, int]] = None
@@ -64,6 +76,8 @@ class PlannedQuery:
             result_var=self.result_var,
             column_names=self.column_names,
             dies=end_of_life(plan, self.result_var, last_use),
+            query_class=self.query_class,
+            selections=self.selections,
         )
 
 
@@ -88,6 +102,7 @@ class _Planner:
         self._columns: Dict[Tuple[str, str], Var] = {}   # full bound columns
         self._cands: Dict[str, Optional[Var]] = {b: None for b in self.bindings}
         self._maps: Dict[str, Var] = {}                  # result-row -> oid
+        self._selections: List[tuple] = []               # in WHERE order
 
     # ==================================================================
     def compile(self) -> PlannedQuery:
@@ -105,7 +120,22 @@ class _Planner:
         rs = self.plan.emit("sql", "resultSet", ())
         for colname, var in zip(names, columns):
             rs = self.plan.emit("sql", "rsCol", (rs, colname, var))
-        return PlannedQuery(plan=self.plan, result_var=rs.name, column_names=names)
+        return PlannedQuery(
+            plan=self.plan,
+            result_var=rs.name,
+            column_names=names,
+            query_class=self._query_class(),
+            selections=tuple(self._selections),
+        )
+
+    def _query_class(self) -> str:
+        if len(self.bindings) > 1:
+            return "join"
+        if self.select.group_by:
+            return "group"
+        if any(isinstance(item.expr, AggCall) for item in self.items):
+            return "agg"
+        return "scan"
 
     def _expand_star(self) -> None:
         """Replace ``SELECT *`` by every column of the FROM tables."""
@@ -175,10 +205,10 @@ class _Planner:
         for pred in self.select.where:
             if isinstance(pred, (Between, InList)):
                 binding, _ = self._resolve(pred.col)
-                singles[binding].append(pred)
+                self._single(singles[binding], pred)
                 continue
             if isinstance(pred, OrGroup):
-                singles[self._or_group_binding(pred)].append(pred)
+                self._single(singles[self._or_group_binding(pred)], pred)
                 continue
             assert isinstance(pred, Comparison)
             lcol = isinstance(pred.left, ColumnRef)
@@ -192,16 +222,41 @@ class _Planner:
                     filters.append(pred)
             elif lcol and isinstance(pred.right, Literal):
                 lb, _ = self._resolve(pred.left)
-                singles[lb].append(pred)
+                self._single(singles[lb], pred)
             elif rcol and isinstance(pred.left, Literal):
                 rb, _ = self._resolve(pred.right)
                 # normalise literal-op-column to column-op'-literal
                 flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
                 op = flip.get(pred.op, pred.op)
-                singles[rb].append(Comparison(op=op, left=pred.right, right=pred.left))
+                self._single(
+                    singles[rb], Comparison(op=op, left=pred.right, right=pred.left)
+                )
             else:
                 raise SqlError(f"unsupported predicate {pred}")
         return singles, joins, filters
+
+    def _single(self, preds: list, pred) -> None:
+        """File a single-table selection under its binding, and record
+        it for ``PlannedQuery.selections``."""
+        preds.append(pred)
+        self._selections.append(self._normalised(pred))
+
+    def _normalised(self, pred) -> tuple:
+        """A column-op-literal selection as ``(op, column, value)``."""
+        if isinstance(pred, OrGroup):
+            return ("or", None, tuple(self._normalised(p) for p in pred.preds))
+        if isinstance(pred, Between):
+            return ("between", self._qualified(pred.col),
+                    (pred.low.value, pred.high.value))
+        if isinstance(pred, InList):
+            return ("in", self._qualified(pred.col),
+                    tuple(lit.value for lit in pred.values))
+        return (pred.op, self._qualified(pred.left), pred.right.value)
+
+    def _qualified(self, ref: ColumnRef) -> Tuple[str, str, str]:
+        binding, column = self._resolve(ref)
+        table = self.bindings[binding]
+        return table.schema, table.name, column
 
     def _or_group_binding(self, group: OrGroup) -> str:
         """The single table an OR group restricts; every branch must be a

@@ -6,11 +6,12 @@ the ring.  Inside the engine that knowledge only exists after a QPU
 compiles (``CompiledQuery.footprint_bytes``).  This package moves it in
 front of compilation: :class:`StatisticsCatalog` summarises every loaded
 table deterministically (row counts, widths, equi-depth histograms,
-distinct-value sketches) and :class:`QueryEstimator` walks a parsed
-request -- SQL text / :class:`MalQuery` / :class:`KvLookup` /
-:class:`StreamAggregate` -- into a predicted footprint, operator cost
-and engine class, with an accuracy feedback loop recording
-predicted-vs-actual per query class.
+distinct-value sketches) and :class:`QueryEstimator` asks the engine
+that would run a request -- SQL text / ``MalQuery`` / ``KvLookup`` /
+``StreamAggregate`` -- for its price (``QueryProcessingUnit.price``:
+engine class, footprint, operator cost), adds the selectivity of its
+selections from the histograms, and keeps an accuracy feedback loop
+recording predicted-vs-actual per query class.
 """
 
 from repro.dbms.statistics.catalog import (

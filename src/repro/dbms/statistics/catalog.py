@@ -2,9 +2,9 @@
 
 The summaries are classical cost-model fare:
 
-* **counts and widths** -- rows, partitions, bytes per partition and per
-  row, straight from the loaded BATs (these are *exact*: the catalog
-  stores the arrays we summarise);
+* **counts** -- rows, partitions and bytes per column, straight from
+  the loaded BATs (these are *exact*: the catalog stores the arrays we
+  summarise);
 * **equi-depth histograms** over numeric columns, giving range
   selectivities with a provable error bound of one bucket's mass;
 * **distinct-value sketches** (bottom-k / KMV) for equality
@@ -160,10 +160,7 @@ class ColumnStats:
     column: str
     n_rows: int
     n_partitions: int
-    rows_per_partition: int
-    partition_bytes: Tuple[int, ...]
     total_bytes: int
-    bytes_per_row: float
     dtype: str
     numeric: bool
     vmin: Optional[float] = None
@@ -220,24 +217,12 @@ class ColumnStats:
 
 @dataclass
 class TableStats:
-    """Per-table rollup: the unit the estimator resolves FROM clauses to."""
+    """Per-table rollup: row count and column statistics."""
 
     schema: str
     name: str
     n_rows: int
-    n_partitions: int
-    rows_per_partition: int
     columns: Dict[str, ColumnStats] = field(default_factory=dict)
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(c.total_bytes for c in self.columns.values())
-
-    @property
-    def first_column(self) -> str:
-        """Catalog column order matters: the planner binds the *first*
-        column of a predicate-free driving table as its join universe."""
-        return next(iter(self.columns))
 
     def column(self, name: str) -> ColumnStats:
         try:
@@ -267,19 +252,10 @@ class StatisticsCatalog:
 
     def add_table(self, catalog: Catalog, table: Table) -> TableStats:
         """Summarise one loaded table (call again after late loads)."""
-        ts = TableStats(
-            schema=table.schema,
-            name=table.name,
-            n_rows=table.n_rows,
-            n_partitions=table.n_partitions,
-            rows_per_partition=0,
-        )
+        ts = TableStats(schema=table.schema, name=table.name, n_rows=table.n_rows)
         for column in table.columns:
             handles = catalog.column_handles(table.schema, table.name, column)
-            if ts.rows_per_partition == 0:
-                ts.rows_per_partition = len(handles[0].bat)
             values = np.concatenate([h.bat.tail for h in handles])
-            part_bytes = tuple(h.bat.nbytes for h in handles)
             numeric = np.issubdtype(values.dtype, np.number)
             cs = ColumnStats(
                 schema=table.schema,
@@ -287,10 +263,7 @@ class StatisticsCatalog:
                 column=column,
                 n_rows=table.n_rows,
                 n_partitions=table.n_partitions,
-                rows_per_partition=ts.rows_per_partition,
-                partition_bytes=part_bytes,
-                total_bytes=sum(part_bytes),
-                bytes_per_row=sum(part_bytes) / max(1, table.n_rows),
+                total_bytes=sum(h.bat.nbytes for h in handles),
                 dtype=str(values.dtype),
                 numeric=bool(numeric),
             )
@@ -305,7 +278,7 @@ class StatisticsCatalog:
         return ts
 
     # ------------------------------------------------------------------
-    # lookup (mirrors the planner's resolution rules)
+    # lookup
     # ------------------------------------------------------------------
     def tables(self) -> List[TableStats]:
         return list(self._tables.values())
@@ -315,10 +288,3 @@ class StatisticsCatalog:
             return self._tables[(schema, name)]
         except KeyError:
             raise KeyError(f"no statistics for table {schema}.{name}") from None
-
-    def has_table(self, schema: str, name: str) -> bool:
-        return (schema, name) in self._tables
-
-    @property
-    def total_bytes(self) -> int:
-        return sum(t.total_bytes for t in self._tables.values())

@@ -1,22 +1,21 @@
 """Pre-compilation query estimation from catalog statistics.
 
-:class:`QueryEstimator` answers, *before any QPU compiles anything*,
-the three questions the serving tier needs:
+:class:`QueryEstimator` answers, *before anything is compiled*, the
+questions the serving tier asks of a request: which engine takes it,
+how many persistent BAT bytes it will ask the ring for, what that
+prices to, and what fraction of rows survives its selections.
 
-* which engine class will take the request (mirrors ``accepts``),
-* how many persistent BAT bytes it will ask the ring for (mirrors each
-  engine's ``compile`` footprint), and
-* what that footprint prices to under the shared operator cost model
-  (mirrors ``estimate_cost``).
-
-For the MAL engine the footprint walk reproduces the planner's binding
-rules exactly -- every referenced column binds *all* its partitions,
-plus the join-universe bind of a predicate-free driving table -- so on
-in-catalog queries the predicted bytes equal
-``CompiledQuery.footprint_bytes`` to the byte.  Histogram selectivities
-refine the *cost* picture (output cardinality, deadline choice), not
-the footprint: the ring ships whole BATs regardless of how selective a
-predicate is, which is exactly why footprint prediction can be exact.
+The engine answers the first three itself: the estimator routes the
+request as the dispatcher does and asks that engine's ``price``
+(docs/qpu.md section 1), which declares the footprint its ``compile``
+would, and its ``estimate_cost``.  So the predicted bytes are the
+compiled bytes by construction, for every engine, a new one included.
+The MAL engine prices a text from its shape's plan template, and the
+planner records on that plan the query class and the single-table
+selections, resolved to columns; the estimator reads each selection's
+selectivity off the column histograms, over the text's own literals.
+Selectivity refines the cost picture, not the footprint: the ring
+ships whole BATs however selective a predicate is.
 
 The estimator also owns the accuracy feedback loop: callers report
 predicted-vs-actual (``record``) and read it back per query class
@@ -26,35 +25,22 @@ predicted-vs-actual (``record``) and read it back per query class
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
-from repro.dbms.cost import OperatorCostModel, default_cost_model
-from repro.dbms.qpu.base import KvLookup, MalQuery, StreamAggregate
-from repro.dbms.sql.parser import (
-    AggCall,
-    Between,
-    BinOp,
-    ColumnRef,
-    Comparison,
-    InList,
-    Literal,
-    OrGroup,
-    SqlError,
-    Star,
-    parse_cached,
-)
-from repro.dbms.statistics.catalog import StatisticsCatalog, TableStats
+from repro.dbms.qpu.base import CompiledQuery, KvLookup, MalQuery, StreamAggregate
+from repro.dbms.sql.planner import PlannedQuery
+from repro.dbms.statistics.catalog import StatisticsCatalog
 
 __all__ = ["EstimateError", "QueryEstimate", "QueryEstimator"]
-
-_MERGEABLE = ("sum", "count", "min", "max", "avg")
 
 # distinct SQL texts priced per catalog before the memo starts over
 _SQL_MEMO = 1024
 
 
 class EstimateError(ValueError):
-    """The request cannot be costed (unknown table/column, bad SQL)."""
+    """The request cannot be priced: no engine takes it, or its engine
+    refuses it (bad SQL, unknown table or column, an aggregate that
+    cannot be split)."""
 
 
 @dataclass(frozen=True)
@@ -66,8 +52,7 @@ class QueryEstimate:
 
     engine: str            # predicted engine class: mal / kv / stream
     query_class: str       # feedback bucket, e.g. "mal:join", "kv"
-    footprint_bats: int    # predicted number of persistent BATs touched
-    footprint_bytes: int   # predicted persistent bytes behind them
+    footprint_bytes: int   # predicted persistent bytes behind the footprint
     cost: float            # predicted one-pass operator cost (seconds)
     selectivity: float     # predicted fraction of rows surviving WHERE
     description: str = ""
@@ -91,17 +76,16 @@ class _ClassAccuracy:
 
 
 class QueryEstimator:
-    """Statistics-driven footprint/cost prediction + feedback loop."""
+    """Engine-priced footprints, histogram selectivities, and the
+    predicted-vs-actual feedback loop.
 
-    def __init__(
-        self,
-        stats: StatisticsCatalog,
-        cost_model: Optional[OperatorCostModel] = None,
-        schema: str = "sys",
-    ):
+    ``route`` maps a request to the engine that would run it
+    (``RingDatabase.route``).
+    """
+
+    def __init__(self, stats: StatisticsCatalog, route: Callable[[Any], Any]):
         self.stats = stats
-        self.cost_model = cost_model or default_cost_model()
-        self.schema = schema  # of a KV / stream request naming none
+        self.route = route
         self._accuracy: Dict[str, _ClassAccuracy] = {}
         # (request, stats, estimate) of the last answer
         self._last: Tuple[object, Optional[StatisticsCatalog], object] = (
@@ -132,241 +116,77 @@ class QueryEstimator:
         return estimate
 
     def _estimate(self, request) -> QueryEstimate:
-        if isinstance(request, KvLookup):
-            return self._estimate_kv(request)
-        if isinstance(request, StreamAggregate):
-            return self._estimate_stream(request)
         sql = request.sql if isinstance(request, MalQuery) else request
         if not isinstance(sql, str):
-            raise EstimateError(f"cannot estimate request {request!r}")
+            return self._price(request)
         memo = self._sql
         if self.stats is not self._sql_stats or len(memo) >= _SQL_MEMO:
             memo.clear()
             self._sql_stats = self.stats
         estimate = memo.get(sql)
         if estimate is None:
-            estimate = memo[sql] = self._estimate_sql(sql)
+            estimate = memo[sql] = self._price(sql)
         return estimate
 
-    # ------------------------------------------------------------------
-    def _estimate_kv(self, request: KvLookup) -> QueryEstimate:
-        ts = self._table(self._schema_of(request), request.table)
-        cs = self._column(ts, request.column)
-        hit = 0 <= request.key < ts.n_rows
-        if hit:
-            part = min(
-                ts.n_partitions - 1,
-                request.key // max(1, ts.rows_per_partition),
+    def _price(self, request) -> QueryEstimate:
+        """Ask the engine that would run ``request`` for its price."""
+        try:
+            qpu = self.route(request)
+        except TypeError as exc:  # no engine takes it
+            raise EstimateError(str(exc)) from exc
+        try:
+            priced = qpu.price(request)
+        except (KeyError, ValueError) as exc:  # SqlError is a ValueError
+            raise EstimateError(str(exc)) from exc
+        query_class, selectivity = self._selected(request, priced)
+        return QueryEstimate(
+            engine=priced.engine,
+            query_class=query_class,
+            footprint_bytes=priced.footprint_bytes,
+            cost=qpu.estimate_cost(priced),
+            selectivity=selectivity,
+            description=priced.description,
+        )
+
+    def _selected(self, request, priced: CompiledQuery) -> Tuple[str, float]:
+        """The feedback bucket of a priced request, and the fraction of
+        rows it selects: a MAL plan's selections multiplied in WHERE
+        order, a point lookup's one row (none on a miss), a fold's
+        every row."""
+        planned = priced.payload
+        if isinstance(planned, PlannedQuery):
+            selectivity = 1.0
+            for selection in planned.selections:
+                selectivity *= self._selectivity(selection)
+            return (
+                f"{priced.engine}:{planned.query_class}",
+                max(0.0, min(1.0, selectivity)),
             )
-            nbytes, bats = cs.partition_bytes[part], 1
-        else:
-            nbytes, bats = 0, 0  # a miss pins nothing
-        return QueryEstimate(
-            engine="kv",
-            query_class="kv",
-            footprint_bats=bats,
-            footprint_bytes=nbytes,
-            cost=self.cost_model.fixed,
-            selectivity=(1.0 / ts.n_rows) if hit and ts.n_rows else 0.0,
-            description=request.describe(),
-        )
+        if isinstance(request, KvLookup):
+            if not priced.footprint:
+                return priced.engine, 0.0
+            handle = planned[1]  # the KV engine's probed partition
+            n_rows = self.stats.table(handle.schema, handle.table).n_rows
+            return priced.engine, 1.0 / n_rows
+        if isinstance(request, StreamAggregate):
+            return f"{priced.engine}:{request.func}", 1.0
+        return priced.engine, 1.0
 
-    # ------------------------------------------------------------------
-    def _estimate_stream(self, request: StreamAggregate) -> QueryEstimate:
-        if request.func not in _MERGEABLE:
-            raise EstimateError(
-                f"aggregate {request.func!r} is not decomposable"
-            )
-        ts = self._table(self._schema_of(request), request.table)
-        nbytes = self._column(ts, request.value_column).total_bytes
-        bats = ts.n_partitions
-        if request.group_column is not None:
-            nbytes += self._column(ts, request.group_column).total_bytes
-            bats += ts.n_partitions
-        return QueryEstimate(
-            engine="stream",
-            query_class=f"stream:{request.func}",
-            footprint_bats=bats,
-            footprint_bytes=nbytes,
-            cost=self.cost_model.bytes_cost(nbytes),
-            selectivity=1.0,
-            description=request.describe(),
-        )
-
-    # ------------------------------------------------------------------
-    def _estimate_sql(self, sql: str) -> QueryEstimate:
-        try:
-            ast = parse_cached(sql)
-        except SqlError as exc:
-            raise EstimateError(str(exc)) from exc
-        bindings: Dict[str, TableStats] = {}
-        for ref in ast.tables:
-            if ref.binding in bindings:
-                raise EstimateError(f"duplicate table binding {ref.binding!r}")
-            bindings[ref.binding] = self._table(ref.schema, ref.name)
-
-        refs: Set[Tuple[str, str]] = set()
-        selective: Set[str] = set()    # bindings with single-table selections
-        selectivity = 1.0
-
-        if any(isinstance(item.expr, Star) for item in ast.items):
-            # the planner expands * to every column of every FROM table
-            for binding, ts in bindings.items():
-                refs.update((binding, column) for column in ts.columns)
-        else:
-            for item in ast.items:
-                self._collect_expr(item.expr, bindings, refs)
-
-        for pred in ast.where:
-            sel = self._collect_predicate(pred, bindings, refs, selective)
-            selectivity *= sel
-        for col in ast.group_by:
-            refs.add(self._resolve(col, bindings))
-        for cond in ast.having:
-            if cond.agg.arg is not None:
-                self._collect_expr(cond.agg.arg, bindings, refs)
-        output_names = [
-            self._item_name(item, i) for i, item in enumerate(ast.items)
-        ]
-        for item in ast.order_by:
-            ref = item.expr
-            if not isinstance(ref, ColumnRef):
-                continue
-            # an output alias (or output column name) wins over a base
-            # column, mirroring the planner's ``_order_key``
-            if ref.table is None and ref.column in output_names:
-                continue
-            refs.add(self._resolve(ref, bindings))
-
-        # join-universe rule: a driving table with no selection binds its
-        # first catalog column as the candidate universe (planner
-        # ``_init_state``), so it rides the ring even when unreferenced
-        first = ast.tables[0].binding
-        if first not in selective:
-            refs.add((first, bindings[first].first_column))
-
-        nbytes = sum(
-            bindings[b].column(c).total_bytes for b, c in refs
-        )
-        bats = sum(bindings[b].n_partitions for b, _ in refs)
-        if len(ast.tables) > 1:
-            shape = "join"
-        elif ast.group_by:
-            shape = "group"
-        elif any(isinstance(i.expr, AggCall) for i in ast.items):
-            shape = "agg"
-        else:
-            shape = "scan"
-        return QueryEstimate(
-            engine="mal",
-            query_class=f"mal:{shape}",
-            footprint_bats=bats,
-            footprint_bytes=nbytes,
-            cost=self.cost_model.bytes_cost(nbytes),
-            selectivity=max(0.0, min(1.0, selectivity)),
-            description=sql,
-        )
-
-    # ------------------------------------------------------------------
-    # AST walks (mirror repro.dbms.sql.planner resolution rules)
-    # ------------------------------------------------------------------
-    def _schema_of(self, request) -> str:
-        """The KV and streaming engines' own default-schema rule."""
-        return request.schema if request.schema is not None else self.schema
-
-    def _table(self, schema: str, name: str) -> TableStats:
-        try:
-            return self.stats.table(schema, name)
-        except KeyError as exc:
-            raise EstimateError(str(exc)) from exc
-
-    @staticmethod
-    def _column(ts: TableStats, name: str):
-        try:
-            return ts.column(name)
-        except KeyError as exc:
-            raise EstimateError(str(exc)) from exc
-
-    def _resolve(
-        self, ref: ColumnRef, bindings: Dict[str, TableStats]
-    ) -> Tuple[str, str]:
-        if ref.table is not None:
-            ts = bindings.get(ref.table)
-            if ts is None:
-                raise EstimateError(f"unknown table reference {ref.table!r}")
-            self._column(ts, ref.column)
-            return ref.table, ref.column
-        owners = [b for b, ts in bindings.items() if ref.column in ts.columns]
-        if not owners:
-            raise EstimateError(f"unknown column {ref.column!r}")
-        if len(owners) > 1:
-            raise EstimateError(f"ambiguous column {ref.column!r} (in {owners})")
-        return owners[0], ref.column
-
-    @staticmethod
-    def _item_name(item, idx: int) -> str:
-        """The planner's output-column naming (``_item_name``)."""
-        if item.alias:
-            return item.alias
-        if isinstance(item.expr, ColumnRef):
-            return item.expr.column
-        if isinstance(item.expr, AggCall):
-            inner = "*" if item.expr.arg is None else "expr"
-            if isinstance(item.expr.arg, ColumnRef):
-                inner = item.expr.arg.column
-            return f"{item.expr.func}_{inner}"
-        return f"col_{idx}"
-
-    def _collect_expr(self, expr, bindings, refs) -> None:
-        if isinstance(expr, ColumnRef):
-            refs.add(self._resolve(expr, bindings))
-        elif isinstance(expr, BinOp):
-            self._collect_expr(expr.left, bindings, refs)
-            self._collect_expr(expr.right, bindings, refs)
-        elif isinstance(expr, AggCall) and expr.arg is not None:
-            self._collect_expr(expr.arg, bindings, refs)
-
-    def _collect_predicate(self, pred, bindings, refs, selective) -> float:
-        """Collect column references; return the predicate's selectivity
-        and mark bindings that gained a single-table selection."""
-        if isinstance(pred, (Between, InList)):
-            binding, column = self._resolve(pred.col, bindings)
-            refs.add((binding, column))
-            selective.add(binding)
-            cs = bindings[binding].column(column)
-            if isinstance(pred, Between):
-                return cs.selectivity_between(pred.low.value, pred.high.value)
-            hits = sum(cs.selectivity_eq(lit.value) for lit in pred.values)
-            return min(1.0, hits)
-        if isinstance(pred, OrGroup):
+    def _selectivity(self, selection: tuple) -> float:
+        """One ``PlannedQuery.selections`` entry's selectivity."""
+        op, column, value = selection
+        if op == "or":
             miss = 1.0
-            for branch in pred.preds:
-                miss *= 1.0 - self._collect_predicate(
-                    branch, bindings, refs, selective
-                )
+            for branch in value:
+                miss *= 1.0 - self._selectivity(branch)
             return 1.0 - miss
-        if not isinstance(pred, Comparison):
-            raise EstimateError(f"unsupported predicate {pred!r}")
-        lcol = isinstance(pred.left, ColumnRef)
-        rcol = isinstance(pred.right, ColumnRef)
-        if lcol and rcol:
-            # a join edge (==, cross-binding) or a post-join filter;
-            # neither creates a single-table candidate list
-            refs.add(self._resolve(pred.left, bindings))
-            refs.add(self._resolve(pred.right, bindings))
-            return 1.0
-        if lcol and isinstance(pred.right, Literal):
-            binding, column = self._resolve(pred.left, bindings)
-            op, value = pred.op, pred.right.value
-        elif rcol and isinstance(pred.left, Literal):
-            binding, column = self._resolve(pred.right, bindings)
-            flip = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
-            op, value = flip.get(pred.op, pred.op), pred.left.value
-        else:
-            raise EstimateError(f"unsupported predicate {pred!r}")
-        refs.add((binding, column))
-        selective.add(binding)
-        return bindings[binding].column(column).selectivity_cmp(op, value)
+        schema, table, name = column
+        stats = self.stats.table(schema, table).column(name)
+        if op == "between":
+            return stats.selectivity_between(*value)
+        if op == "in":
+            return min(1.0, sum(stats.selectivity_eq(v) for v in value))
+        return stats.selectivity_cmp(op, value)
 
     # ==================================================================
     # accuracy feedback loop

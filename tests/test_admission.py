@@ -24,8 +24,9 @@ The unit tests after the properties pin what pricing first buys and
 what it costs: a refused request is never compiled, no valve means no
 statistics catalog, the front door and the valve share one estimator, a
 request the door priced is not priced again, a SQL text is priced once
-per statistics catalog, a text the estimator cannot price falls back to
-compile, counted, and an arrival in the past is refused before anything
+per statistics catalog, a text its engine refuses to price falls back
+to compile, counted, and raises there whether the valve is full or
+not, and an arrival in the past is refused before anything
 is routed, priced or numbered.
 """
 
@@ -341,9 +342,9 @@ def test_a_catalog_change_rebuilds_the_statistics_not_the_estimator():
 
 def test_a_sql_text_is_priced_once_per_catalog(monkeypatch):
     calls = []
-    inner = QueryEstimator._estimate_sql
+    inner = QueryEstimator._price
     monkeypatch.setattr(
-        QueryEstimator, "_estimate_sql",
+        QueryEstimator, "_price",
         lambda self, sql: calls.append(sql) or inner(self, sql),
     )
     rdb = make()
@@ -364,28 +365,28 @@ def test_a_sql_text_is_priced_once_per_catalog(monkeypatch):
 
 
 def test_an_unpriceable_request_falls_back_to_compile_and_is_counted():
-    rdb = make()
-    rdb.byte_budget = 1 << 40
-    with pytest.raises(SqlError):
-        rdb.submit("SELECT nope FROM t")
-    assert rdb._next_query_id == 0                       # no id consumed
-    stats = rdb.plan_cache_stats()
-    assert stats["unpriced"] == 1 and stats["priced"] == 0
-
-
-def test_a_text_the_planner_rejects_is_refused_unseen_by_a_full_valve():
-    """The one thing pricing first changes: the planner's own checks run
-    at compile, so a priceable text it would reject raises only when
-    the valve admits it; a full valve refuses it like any other."""
-    bad = "SELECT v, count(*) c FROM t"   # aggregate beside a plain column
-    rdb = make()
-    rdb.byte_budget = 1
-    with pytest.raises(SqlError):
-        rdb.submit(bad)                                   # admitted: compiles
-    rdb.submit("SELECT v FROM t")
-    handle = rdb.submit(bad)                              # full: refused
-    assert handle.sql == bad and rdb.plan_cache_stats()["refused_before_compile"] == 1
-    assert rdb.run_until_done()
+    """The engine that compiles a text prices it, so a text it refuses
+    is unpriced and raises at compile, whether the valve is full or not."""
+    for bad in (
+        "SELECT nope FROM t",
+        "SELECT v, count(*) c FROM t",   # the planner's own refusal
+    ):
+        for full in (False, True):
+            rdb = make()
+            rdb.byte_budget = 1
+            if full:
+                rdb.submit("SELECT v FROM t")
+            before = rdb.plan_cache_stats()
+            query_id = rdb.next_query_id
+            with pytest.raises(SqlError):
+                rdb.submit(bad)
+            stats = rdb.plan_cache_stats()
+            assert rdb.next_query_id == query_id                 # no id consumed
+            assert stats["unpriced"] == 1 and stats["priced"] == before["priced"]
+            assert stats["refused_before_compile"] == 0
+            # nothing cached: no text, no shape
+            assert (stats["size"], stats["shapes"]) == (before["size"], before["shapes"])
+            assert rdb.run_until_done()
 
 
 @pytest.mark.parametrize("budget", [None, 1], ids=["no-valve", "full-valve"])

@@ -153,6 +153,23 @@ class TestAdmission:
         assert door.rejected_by_cause == {"estimate-error": 1}
         assert door.offered == 2 and door.admitted == 1
 
+    def test_a_text_the_planner_rejects_is_an_estimate_error(self):
+        """The engine that would compile a text prices it, so the
+        planner's refusal is the door's and the later offers still run."""
+        rdb = make_rdb()
+        door = FrontDoor(rdb)
+        offers = [
+            (0.1, "SELECT v FROM t WHERE id < 10"),
+            (0.2, "SELECT v, sum(v) s FROM t"),   # aggregate beside a column
+            (0.3, "SELECT v FROM t WHERE id < 20"),
+        ]
+        for node, (arrival, sql) in enumerate(offers):
+            door.offer(sql, node=node, arrival=arrival)
+        assert rdb.run_until_done(max_time=120.0)
+        assert door.rejected_by_cause == {"estimate-error": 1}
+        assert door.offered == 3 and door.admitted == 2
+        assert [t.outcome for t in door.tickets.values()] == ["finished"] * 2
+
     def test_admission_none_observes_but_never_rejects(self):
         rdb = make_rdb()
         door = FrontDoor(rdb, policy=FrontDoorPolicy(

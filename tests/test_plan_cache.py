@@ -20,7 +20,6 @@ from repro.dbms.executor import RingDatabase
 from repro.dbms.qpu import KvLookup, MalQuery, StreamAggregate
 from repro.dbms.qpu.mal import PLAN_CACHE_SIZE
 from repro.dbms.sql import SqlError, parse, parse_cached, plan_select
-from repro.dbms.statistics import QueryEstimator, StatisticsCatalog
 from repro.workloads.tpch import TPCH_QUERIES, generate_tpch
 
 N_ROWS = 600
@@ -215,9 +214,7 @@ AST_TEXTS = [
 @pytest.mark.parametrize("sql", AST_TEXTS)
 def test_planner_and_estimator_leave_the_shared_ast_untouched(sql):
     rdb = make_rdb()
-    estimator = QueryEstimator(
-        StatisticsCatalog.from_catalog(rdb.catalog), rdb.cost_model
-    )
+    estimator = rdb.estimator
     shared = parse_cached(sql)
     assert parse_cached(sql) is shared               # one parse per text
     pristine = copy.deepcopy(shared)

@@ -7,13 +7,14 @@ Two layers of guarantees:
   (linear interpolation can only be wrong inside the straddled
   bucket), selectivities stay in [0, 1], and the distinct sketch is
   exact below its capacity.
-* **Golden workloads** -- the estimator prices every query of the QPU
-  golden harness (uniform / gaussian / TPC-H, the five golden seeds)
-  *before compilation* and must land within a fixed ratio of the
-  compiler's ``CompiledQuery.footprint_bytes``.  On this dialect the
-  prediction is exact -- whole columns bind regardless of predicate
-  ranges -- so the ratio band is tight on purpose: widening it means
-  the estimator regressed.
+* **The estimator's own answers** -- a KV hit and miss and a
+  streaming fold are priced exactly as their engine compiles them, a
+  request no engine accepts or its engine refuses is an
+  ``EstimateError``, and the feedback loop folds predicted against
+  actual.  ``tests/test_pricing_parity.py`` holds every request source
+  (the QPU golden harness streams below among them) to what ``compile``
+  declares, byte for byte; ``tests/test_pricing_golden.py`` pins the
+  selectivities and query classes.
 """
 
 import random
@@ -22,14 +23,14 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.dbms.qpu import KvLookup, StreamAggregate
 from repro.dbms.statistics import (
     DistinctSketch,
     EquiDepthHistogram,
     EstimateError,
-    QueryEstimator,
     StatisticsCatalog,
 )
-from tests.qpu_harness import SEEDS, _base_table, _ring_config
+from tests.qpu_harness import _base_table, _ring_config
 
 SETTINGS = {
     "deadline": None,
@@ -114,34 +115,8 @@ def test_column_selectivity_bounds(probe, op):
 
 
 # ----------------------------------------------------------------------
-# golden workloads: predicted footprint vs the compiler's
+# the QPU golden harness request streams (tests/test_pricing_parity.py)
 # ----------------------------------------------------------------------
-RATIO_LOW, RATIO_HIGH = 0.99, 1.01
-
-
-def _check(rdb, requests):
-    stats = StatisticsCatalog.from_catalog(rdb.catalog)
-    estimator = QueryEstimator(stats, rdb.cost_model)
-    checked = 0
-    for request in requests:
-        qpu = rdb.route(request)
-        compiled = qpu.compile(request)
-        predicted = estimator.estimate(request)
-        assert predicted.engine == qpu.engine_class
-        actual = compiled.footprint_bytes
-        if actual == 0:
-            assert predicted.footprint_bytes == 0
-        else:
-            ratio = predicted.footprint_bytes / actual
-            assert RATIO_LOW <= ratio <= RATIO_HIGH, (
-                f"{request!r}: predicted {predicted.footprint_bytes} vs "
-                f"compiled {actual}"
-            )
-        assert predicted.cost == pytest.approx(qpu.estimate_cost(compiled))
-        checked += 1
-    assert checked == len(requests)
-
-
 def _uniform_requests(seed):
     """The exact query stream of ``qpu_harness.run_uniform``."""
     n_rows = 1200
@@ -188,76 +163,54 @@ def _gaussian_requests(seed):
     return out
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_estimator_matches_compiler_uniform(seed):
+def _rdb():
     from repro.dbms.executor import RingDatabase
 
-    rdb = RingDatabase(_ring_config(seed))
-    rdb.load_table("t", _base_table(seed, 1200), rows_per_partition=100)
-    _check(rdb, _uniform_requests(seed))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_estimator_matches_compiler_gaussian(seed):
-    from repro.dbms.executor import RingDatabase
-
-    rdb = RingDatabase(_ring_config(seed))
-    rdb.load_table("t", _base_table(seed, 1200), rows_per_partition=100)
-    _check(rdb, _gaussian_requests(seed))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_estimator_matches_compiler_tpch(seed):
-    from repro.dbms.executor import RingDatabase
-    from repro.workloads.tpch.queries import TPCH_QUERIES
-    from repro.workloads.tpch.schema import generate_tpch
-
-    rdb = RingDatabase(_ring_config(seed))
-    for table, columns in generate_tpch(scale_factor=0.001, seed=seed).items():
-        rdb.load_table(table, columns, rows_per_partition=2000)
-    _check(rdb, [q.sql for q in TPCH_QUERIES])
+    rdb = RingDatabase(_ring_config(0))
+    rdb.load_table("t", _base_table(0, 1200), rows_per_partition=100)
+    return rdb
 
 
 def test_estimator_prices_kv_and_stream():
-    from repro.dbms.executor import RingDatabase
-    from repro.dbms.qpu import KvLookup, StreamAggregate
-
-    rdb = RingDatabase(_ring_config(0))
-    rdb.load_table("t", _base_table(0, 1200), rows_per_partition=100)
-    _check(rdb, [
-        KvLookup(table="t", key=5, column="v"),
-        KvLookup(table="t", key=1150, column="v"),
-        KvLookup(table="t", key=-3, column="v"),     # miss: zero bytes
-        KvLookup(table="t", key=99999, column="v"),  # miss past the end
-        StreamAggregate(table="t", value_column="v", func="sum"),
-        StreamAggregate(table="t", value_column="v", func="avg",
-                        group_column="g"),
-    ])
+    rdb = _rdb()
+    for request, nbytes, selectivity in [
+        (KvLookup(table="t", key=5, column="v"), 800, 1 / 1200),
+        (KvLookup(table="t", key=1150, column="v"), 800, 1 / 1200),
+        (KvLookup(table="t", key=-3, column="v"), 0, 0.0),     # miss: zero bytes
+        (KvLookup(table="t", key=99999, column="v"), 0, 0.0),  # miss past the end
+        (StreamAggregate(table="t", value_column="v", func="sum"), 9600, 1.0),
+        (StreamAggregate(table="t", value_column="v", func="avg",
+                         group_column="g"), 19200, 1.0),
+    ]:
+        qpu = rdb.route(request)
+        compiled = qpu.compile(request)
+        est = rdb.estimator.estimate(request)
+        assert (est.engine, est.footprint_bytes, est.description, est.cost) == (
+            compiled.engine, compiled.footprint_bytes, compiled.description,
+            qpu.estimate_cost(compiled),
+        ), request
+        assert (est.footprint_bytes, est.selectivity) == (nbytes, selectivity)
 
 
 def test_estimator_rejects_what_it_cannot_price():
-    from repro.dbms.executor import RingDatabase
-
-    rdb = RingDatabase(_ring_config(0))
-    rdb.load_table("t", _base_table(0, 1200), rows_per_partition=100)
-    stats = StatisticsCatalog.from_catalog(rdb.catalog)
-    estimator = QueryEstimator(stats, rdb.cost_model)
-    with pytest.raises(EstimateError):
-        estimator.estimate("SELECT v FROM nowhere")
-    with pytest.raises(EstimateError):
-        estimator.estimate("THIS IS NOT SQL")
+    estimator = _rdb().estimator
+    for request in [
+        "SELECT v FROM nowhere",
+        "THIS IS NOT SQL",
+        "SELECT v, sum(v) s FROM t",      # the planner refuses it
+        KvLookup(table="nowhere", key=1, column="v"),
+        StreamAggregate(table="t", value_column="v", func="median"),
+        ("not", "a", "request"),          # no engine accepts it
+    ]:
+        with pytest.raises(EstimateError):
+            estimator.estimate(request)
 
 
 # ----------------------------------------------------------------------
 # the feedback loop
 # ----------------------------------------------------------------------
 def test_accuracy_report_folds_predicted_vs_actual():
-    from repro.dbms.executor import RingDatabase
-
-    rdb = RingDatabase(_ring_config(0))
-    rdb.load_table("t", _base_table(0, 1200), rows_per_partition=100)
-    stats = StatisticsCatalog.from_catalog(rdb.catalog)
-    estimator = QueryEstimator(stats, rdb.cost_model)
+    estimator = _rdb().estimator
     est = estimator.estimate("SELECT v FROM t WHERE id < 50")
     estimator.record(est, est.footprint_bytes, service_time=0.5)
     estimator.record(est, est.footprint_bytes * 2, service_time=1.5)
