@@ -20,6 +20,7 @@ BAT.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Generator, List, Optional, Sequence
 
@@ -35,6 +36,10 @@ class PinStep:
 
     bat_id: int
     op_time: float = 0.0  # CPU seconds executed before this pin is issued
+
+    def __post_init__(self) -> None:
+        if math.isnan(self.op_time):
+            raise ValueError("operator time cannot be NaN")
 
 
 @dataclass(slots=True)
@@ -52,10 +57,11 @@ class QuerySpec:
     tier: int = 0
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
-            raise ValueError("arrival time cannot be negative")
-        if self.tail_time < 0:
-            raise ValueError("tail time cannot be negative")
+        # "not >= 0" also refuses NaN, which no comparison orders
+        if not self.arrival >= 0:
+            raise ValueError(f"arrival time must be >= 0, not {self.arrival}")
+        if not self.tail_time >= 0:
+            raise ValueError(f"tail time must be >= 0, not {self.tail_time}")
 
     @property
     def bat_ids(self) -> List[int]:

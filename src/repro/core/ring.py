@@ -33,7 +33,7 @@ from repro.events.tracer import Tracer
 from repro.metrics.collector import MetricsCollector
 from repro.net.topology import Ring
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
+from repro.sim.process import ArrivalStream, Process
 from repro.sim.rng import RngRegistry
 
 __all__ = ["DataCyclotron"]
@@ -245,26 +245,39 @@ class DataCyclotron:
     # ------------------------------------------------------------------
     # workload submission
     # ------------------------------------------------------------------
-    def submit(self, spec: QuerySpec) -> Process:
-        """Schedule one query to register at its arrival time."""
+    def _book(self, spec: QuerySpec) -> Tuple[NodeRuntime, float]:
+        """Validate and count one query; return where it registers and
+        how long from now."""
         unknown = [b for b in spec.bat_ids if b not in self._bat_sizes]
         if unknown:
             raise ValueError(f"query {spec.query_id} references unknown BATs {unknown}")
         if not 0 <= spec.node < self.config.n_nodes:
             raise ValueError(f"query {spec.query_id} targets invalid node {spec.node}")
-        runtime = self.nodes[spec.node]
         delay = spec.arrival - self.sim.now
         if delay < 0:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         self._submitted += 1
+        return self.nodes[spec.node], delay
+
+    def submit(self, spec: QuerySpec) -> Process:
+        """Schedule one query to register at its arrival time."""
+        runtime, delay = self._book(spec)
         return Process(self.sim, query_process, runtime, spec, start_delay=delay)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
-        count = 0
-        for spec in specs:
-            self.submit(spec)
-            count += 1
-        return count
+        """:meth:`submit` every spec; returns how many.  A query holds a
+        record, not a process, until it is the next to arrive
+        (:class:`~repro.sim.process.ArrivalStream`); the run is the one
+        ``submit`` per spec makes.  A spec that fails validation raises,
+        and the ones before it stay submitted."""
+        stream = ArrivalStream(self.sim, query_process)
+        try:
+            for spec in specs:
+                runtime, delay = self._book(spec)
+                stream.post(delay, runtime, spec)
+        finally:
+            stream.start()
+        return len(stream)
 
     # ------------------------------------------------------------------
     # execution

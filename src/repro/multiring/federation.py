@@ -8,14 +8,15 @@ re-homed later by the placement manager.
 
 The degenerate configuration -- one ring, zero gateways -- schedules no
 federation machinery at all: submission delegates to the classic
-``DataCyclotron.submit`` and the run loop mirrors the classic
-``run_until_done`` line for line, so the event stream is bit-identical
-to a stand-alone deployment (tests/test_multiring_golden.py pins this).
+``DataCyclotron.submit`` / ``submit_all`` and the run loop mirrors the
+classic ``run_until_done`` line for line, so the event stream is
+bit-identical to a stand-alone deployment
+(tests/test_multiring_golden.py pins this).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.messages import REQUEST_MESSAGE_SIZE
 from repro.core.query import QuerySpec
@@ -31,7 +32,7 @@ from repro.multiring.placement import PlacementManager
 from repro.multiring.router import CrossRingRouter, fetch_timeout_for
 from repro.multiring.splitmerge import SplitMergeController
 from repro.sim.engine import Simulator
-from repro.sim.process import Process
+from repro.sim.process import ArrivalStream, Process
 
 __all__ = ["FederationHost", "RingFederation", "federated_query_process"]
 
@@ -140,17 +141,22 @@ class FederationHost:
     def global_node(self, ring_id: int, local: int) -> int:
         return ring_id * self.config.nodes_per_ring + local
 
-    def _dispatch(self, ring_id: int, spec: QuerySpec, node: int,
-                  arrival: float) -> Process:
-        """Run ``spec`` at ring-local ``node`` from ``arrival`` on (the
+    def _book(self, ring_id: int, spec: QuerySpec, node: int,
+              arrival: float) -> Tuple[NodeRuntime, float]:
+        """Count ``spec`` on the ring it runs on; return the runtime of
+        ring-local ``node`` and the delay from now to ``arrival`` (the
         spec's own ``node`` and ``arrival`` are where it was submitted,
         not where it runs)."""
         ring = self.rings[ring_id]
         if not 0 <= node < ring.config.n_nodes:
             raise ValueError(f"query {spec.query_id} targets invalid node {node}")
         ring._submitted += 1
-        runtime = ring.nodes[node]
-        delay = max(0.0, arrival - self.sim.now)
+        return ring.nodes[node], max(0.0, arrival - self.sim.now)
+
+    def _dispatch(self, ring_id: int, spec: QuerySpec, node: int,
+                  arrival: float) -> Process:
+        """Run ``spec`` at ring-local ``node`` from ``arrival`` on."""
+        runtime, delay = self._book(ring_id, spec, node, arrival)
         return Process(
             self.sim, federated_query_process, self, ring_id, runtime, spec,
             start_delay=delay,
@@ -325,6 +331,14 @@ class RingFederation(FederationHost):
             proc = self.rings[self.active_rings[0]].submit(spec)
             self._submitted += 1
             return proc
+        ring_id, node, arrival = self._place(spec)
+        proc = self._dispatch(ring_id, spec, node, arrival)
+        self._submitted += 1
+        return proc
+
+    def _place(self, spec: QuerySpec) -> Tuple[int, int, float]:
+        """Validate ``spec`` and decide where it runs: ``(ring, node,
+        arrival)``, shipped if :meth:`_maybe_ship` says so."""
         bats = spec.bat_ids
         unknown = [b for b in bats if b not in self.catalog]
         if unknown:
@@ -332,17 +346,31 @@ class RingFederation(FederationHost):
         if spec.arrival < self.sim.now:
             raise ValueError(f"query {spec.query_id} arrives in the past")
         ring_id, local = self.locate(spec.node)
-        ring_id, node, arrival = self._maybe_ship(spec, ring_id, local, bats)
-        proc = self._dispatch(ring_id, spec, node, arrival)
-        self._submitted += 1
-        return proc
+        return self._maybe_ship(spec, ring_id, local, bats)
 
     def submit_all(self, specs: Iterable[QuerySpec]) -> int:
-        count = 0
-        for spec in specs:
-            self.submit(spec)
-            count += 1
-        return count
+        """:meth:`submit` every spec; returns how many.  Each is
+        validated, shipped and booked here, as ``submit`` does, but holds
+        a record, not a process, until it is the next to arrive
+        (:class:`~repro.sim.process.ArrivalStream`).  A spec that fails
+        validation raises, and the ones before it stay submitted."""
+        if not self.federated:
+            ring = self.rings[self.active_rings[0]]
+            before = ring._submitted
+            try:
+                return ring.submit_all(specs)
+            finally:
+                self._submitted += ring._submitted - before
+        stream = ArrivalStream(self.sim, federated_query_process, self)
+        try:
+            for spec in specs:
+                ring_id, node, arrival = self._place(spec)
+                runtime, delay = self._book(ring_id, spec, node, arrival)
+                stream.post(delay, ring_id, runtime, spec)
+                self._submitted += 1
+        finally:
+            stream.start()
+        return len(stream)
 
     def _scheduler(self, ring_id: int):
         """Per-ring nomadic bid scheduler, created on first ship."""
@@ -363,7 +391,7 @@ class RingFederation(FederationHost):
         beat shipping the (large) BATs.  The landing node is picked by
         the target ring's own cost bids; the inter-ring hop is charged
         to the arrival time.  ``bats`` are the query's distinct BATs,
-        derived once by :meth:`submit`.  Returns ``(ring_id, node,
+        derived once by :meth:`_place`.  Returns ``(ring_id, node,
         arrival)`` where the query runs; ``spec`` is not copied.
         """
         best = self._ship_target(ring_id, bats)

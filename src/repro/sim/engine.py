@@ -30,6 +30,15 @@ at.  A fired one is credited like a fast-forwarded hop when somebody
 looks, so :attr:`Simulator.processed` reads what a run that pushed
 every serialise-end would read, at any moment.
 
+A fourth kind is *parked*: an arrival booked through a
+:class:`~repro.sim.process.ArrivalStream` (``submit_all`` on a ring or
+a federation) holds the heap key its process's first resume would have
+been posted under, but only the stream's earliest arrival is on the
+heap.  Each arrival pushes the next one when it starts, so every parked
+arrival dispatches at its own key.  :attr:`Simulator.pending` counts
+what is on the heap: neither a reserved key nor a parked arrival behind
+the next one.
+
 The engine can publish a :class:`~repro.events.types.SimEventFired`
 event onto an attached :class:`~repro.events.bus.Bus` for every callback
 it dispatches; the publish is skipped entirely (one load of its
@@ -161,13 +170,13 @@ class Simulator:
     # ------------------------------------------------------------------
     def schedule(self, delay: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``fn(*args)`` at absolute simulated ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
@@ -183,13 +192,13 @@ class Simulator:
         cancelled or introspected, only dispatched.
         """
         time = self.now + delay
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         heapq.heappush(self._heap, (time, self.now, next(self._seq), fn, args, None))
 
     def post_at(self, time: float, fn: Callable[..., Any], *args: Any) -> None:
         """Fast-lane :meth:`schedule_at` for a never-cancelled callback."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
@@ -208,7 +217,7 @@ class Simulator:
         those scheduled before it.  Used by rotation fast-forwarding to
         re-materialise elided link events bit-exactly.
         """
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
@@ -218,7 +227,7 @@ class Simulator:
         self, time: float, origin: float, fn: Callable[..., Any], *args: Any
     ) -> Event:
         """Cancellable-lane :meth:`post_backdated` (returns an Event)."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} (now is t={self.now})"
             )
@@ -424,7 +433,11 @@ class Simulator:
 
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Number of live (non-cancelled) entries on the heap.
+
+        An :class:`~repro.sim.process.ArrivalStream` counts once, for its
+        next arrival, however many arrivals it still has parked; a
+        reserved key that was never pushed does not count."""
         return len(self._heap) - self._cancelled
 
     @property

@@ -9,15 +9,20 @@ generator function; the generator it returns yields:
 * :class:`Delay` -- sleep for a simulated duration,
 * :class:`Future` -- suspend until another party resolves it,
 * another :class:`Process` -- join it (resume when it finishes).
+
+An :class:`ArrivalStream` starts many processes at times booked up
+front (an open-loop workload's queries) while holding only a record per
+process that has not started yet.
 """
 
 from __future__ import annotations
 
+import heapq
 from typing import Any, Callable, Generator, Optional
 
-from repro.sim.engine import Simulator
+from repro.sim.engine import SimulationError, Simulator
 
-__all__ = ["Delay", "Future", "Process", "ProcessKilled"]
+__all__ = ["ArrivalStream", "Delay", "Future", "Process", "ProcessKilled"]
 
 
 class Delay:
@@ -90,8 +95,10 @@ class Process:
     ``Process(sim, body, *args, start_delay=0.0)`` calls ``body(*args)``
     at the first resume, ``start_delay`` after construction, so a
     process that has not started holds its arguments, not a generator
-    frame.  A finished process drops its generator; the waiter list is
-    allocated by the first :meth:`join`.
+    frame.  ``start_delay=None`` posts nothing: the caller pushes the
+    first ``_resume`` itself (:class:`ArrivalStream`).  A finished
+    process drops its generator; the waiter list is allocated by the
+    first :meth:`join`.
 
     >>> sim = Simulator()
     >>> log = []
@@ -109,7 +116,7 @@ class Process:
                  "_waiters")
 
     def __init__(self, sim: Simulator, body: Callable[..., Generator],
-                 *args: Any, start_delay: float = 0.0):
+                 *args: Any, start_delay: Optional[float] = 0.0):
         self.sim = sim
         self._body: Optional[Callable[..., Generator]] = body
         self._args = args
@@ -117,7 +124,8 @@ class Process:
         self._finished = False
         self._result: Any = None
         self._waiters: Optional[list[Future]] = None
-        sim.post(start_delay, self._resume, None)
+        if start_delay is not None:
+            sim.post(start_delay, self._resume, None)
 
     # ------------------------------------------------------------------
     @property
@@ -188,6 +196,87 @@ class Process:
         waiters, self._waiters = self._waiters, None
         for fut in waiters or ():
             fut.resolve(result)
+
+
+class ArrivalStream:
+    """Processes booked now, built one arrival ahead of the clock.
+
+    ``ArrivalStream(sim, body, *prefix)``, then ``post(delay, *args)``
+    per process, then :meth:`start` once.  Each ``post`` draws the heap key
+    ``Process(sim, body, *prefix, *args, start_delay=delay)`` would have
+    drawn at that point, ``(now + delay, now, seq)``, and keeps one
+    record: that key and ``args``.  :meth:`start` sorts the records by
+    key and puts the earliest on the heap as a :class:`Process` whose
+    first ``_resume`` carries that key.  When that process starts, the
+    stream builds the next record's process and pushes it under its own
+    key, which is larger, so the next arrival is on the heap before the
+    engine could need it.  Every process therefore dispatches at the
+    key, and in the order, the eager processes would have, and the
+    ``SimEventFired`` stream (``Process._resume`` at each key) is the
+    same; a booked arrival costs a record until it is one arrival away.
+    Only the next arrival counts in :attr:`Simulator.pending`.
+
+    >>> sim = Simulator()
+    >>> log = []
+    >>> def hello(name):
+    ...     log.append((name, sim.now))
+    ...     yield Delay(0.0)
+    >>> stream = ArrivalStream(sim, hello)
+    >>> stream.post(2.0, "late")
+    >>> stream.post(1.0, "early")
+    >>> stream.start()
+    >>> sim.pending, len(stream)
+    (1, 2)
+    >>> sim.run()
+    >>> log
+    [('early', 1.0), ('late', 2.0)]
+    """
+
+    __slots__ = ("sim", "_body", "_prefix", "_records", "_booked")
+
+    def __init__(self, sim: Simulator, body: Callable[..., Generator],
+                 *prefix: Any):
+        self.sim = sim
+        self._body = body
+        self._prefix = prefix
+        # (time, scheduled at, seq, *args); latest first once started,
+        # so the next arrival is popped off the end
+        self._records: list[tuple] = []
+        self._booked = 0
+
+    def __len__(self) -> int:
+        """Processes booked, started or not."""
+        return self._booked
+
+    def post(self, delay: float, *args: Any) -> None:
+        """Book ``body(*prefix, *args)`` to start ``delay`` from now."""
+        sim = self.sim
+        time = sim.now + delay
+        if not delay >= 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        self._records.append((time, sim.now, next(sim._seq), *args))
+        self._booked += 1
+
+    def start(self) -> None:
+        """Put the earliest booked arrival on the heap."""
+        self._records.sort(reverse=True)
+        self._push_next()
+
+    def _push_next(self) -> None:
+        records = self._records
+        if not records:
+            return
+        record = records.pop()
+        proc = Process(self.sim, self._arrive, *record[3:], start_delay=None)
+        heapq.heappush(
+            self.sim._heap, (*record[:3], proc._resume, (None,), None)
+        )
+
+    def _arrive(self, *args: Any) -> Generator:
+        """A booked process's body: hand the heap the next arrival, then
+        run the real body."""
+        self._push_next()
+        return self._body(*self._prefix, *args)
 
 
 def all_of(sim: Simulator, futures: list[Future]) -> Future:

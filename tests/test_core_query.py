@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import PinStep, QuerySpec
+from repro.core import DataCyclotron, DataCyclotronConfig, PinStep, QuerySpec
 from repro.core.messages import BATMessage, RequestMessage
 
 from helpers import MB, build_dc
@@ -37,6 +37,35 @@ def test_spec_validation():
         QuerySpec.simple(1, 0, 0.0, [1], [0.1, 0.2])
     with pytest.raises(ValueError):
         QuerySpec.simple(1, 0, 0.0, [], [])
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("build", [
+    lambda: QuerySpec.simple(1, 1, NAN, [3], [0.001]),
+    lambda: QuerySpec(query_id=1, node=0, arrival=0.0, steps=[PinStep(1)],
+                      tail_time=NAN),
+    lambda: PinStep(1, NAN),
+    lambda: QuerySpec.simple(1, 0, 0.0, [1, 2], [NAN, 0.001]),
+], ids=["arrival", "tail_time", "op_time", "simple-op_time"])
+def test_a_nan_time_is_refused_where_the_spec_is_built(build):
+    with pytest.raises(ValueError, match="nan|NaN"):
+        build()
+
+
+def test_a_nan_arrival_cannot_reach_the_clock():
+    """A NaN arrival orders against nothing: it used to be accepted and
+    break the run's event order far from its cause (a time series saw
+    time go backwards at a later query)."""
+    dc = DataCyclotron(DataCyclotronConfig(n_nodes=4, seed=1))
+    for bat_id in range(4):
+        dc.add_bat(bat_id, MB)
+    with pytest.raises(ValueError):
+        dc.submit(QuerySpec.simple(1, 1, NAN, [3], [0.001]))
+    dc.submit(QuerySpec.simple(0, 1, 0.5, [2], [0.001]))
+    assert dc.run_until_done(max_time=20)
+    assert dc.summary()["queries_finished"] == 1
 
 
 # ----------------------------------------------------------------------

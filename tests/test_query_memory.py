@@ -1,11 +1,15 @@
 """A query holds memory only while it runs.
 
-A submitted query that has not arrived yet is a :class:`Process` that
-holds its body and arguments, not a generator frame; a finished process
-drops its generator; and a settled federated query leaves nothing keyed
-by its id in its host's maps but its outcome.  The byte bound is per
-pending query, traced over 2 000 submissions: a generator frame per
-query, or a copy of every spec, breaks it.
+A query submitted with ``submit`` that has not arrived yet is a
+:class:`Process` that holds its body and arguments, not a generator
+frame.  One submitted with ``submit_all`` is less until it is the next
+to arrive: a record of its heap key and arguments in an
+:class:`ArrivalStream`.  A finished process drops its generator; and a
+settled federated query leaves nothing keyed by its id in its host's
+maps but its outcome.  The byte bounds are per pending query, traced
+over 2 000 submissions: a generator frame per query, or a copy of every
+spec, breaks the ``submit`` bound, and a process per query the
+``submit_all`` one.
 """
 
 import gc
@@ -21,10 +25,14 @@ from repro.sim.engine import Simulator
 from repro.sim.process import Delay, Process
 
 N_PENDING = 2000
-# Process + its argument tuple + the heap entry and its bound method:
-# about 400-470 B on CPython 3.11; an unstarted generator frame adds
-# about 290 B, and a federation's copy of the spec more
+# submit: Process + its argument tuple + the heap entry and its bound
+# method, about 400-470 B on CPython 3.11; an unstarted generator frame
+# adds about 290 B, and a federation's copy of the spec more
 BYTES_PER_PENDING_QUERY = 512
+# submit_all: the record -- a tuple of the key and the arguments, its
+# time and seq objects and a list slot -- about 135-145 B; a process per
+# query, as submit builds, is about 400-420 B
+BYTES_PER_PENDING_ARRIVAL = 200
 
 
 def _ring():
@@ -39,10 +47,11 @@ def _federation():
     ))
 
 
-@pytest.mark.parametrize(
-    "build, n_nodes", [(_ring, 4), (_federation, 8)], ids=["ring", "federation"],
-)
-def test_a_query_that_has_not_arrived_holds_no_generator(build, n_nodes):
+@pytest.mark.parametrize("build, n_nodes, stream", [
+    (_ring, 4, False), (_federation, 8, False),
+    (_ring, 4, True), (_federation, 8, True),
+], ids=["ring", "federation", "ring-submit_all", "federation-submit_all"])
+def test_a_query_that_has_not_arrived_holds_no_generator(build, n_nodes, stream):
     host = build()
     for bat_id in range(8):
         host.add_bat(bat_id, MB)
@@ -51,18 +60,26 @@ def test_a_query_that_has_not_arrived_holds_no_generator(build, n_nodes):
                          [i % 8, (i + 3) % 8], [0.001, 0.002])
         for i in range(N_PENDING)
     ]
+    procs = []
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        procs = [host.submit(spec) for spec in specs]
+        if stream:
+            assert host.submit_all(specs) == N_PENDING
+        else:
+            procs = [host.submit(spec) for spec in specs]
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert all(proc._gen is None for proc in procs)
-    assert held / N_PENDING < BYTES_PER_PENDING_QUERY
+    if stream:
+        assert host.sim.pending == 1  # only the next arrival is on the heap
+    bound = BYTES_PER_PENDING_ARRIVAL if stream else BYTES_PER_PENDING_QUERY
+    assert held / N_PENDING < bound
     assert host.run_until_done(max_time=60.0)
+    assert host.completed_queries == N_PENDING
     assert all(proc.finished and proc._gen is None for proc in procs)
 
 

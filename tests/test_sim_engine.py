@@ -52,6 +52,27 @@ def test_negative_delay_rejected():
         sim.schedule(-1.0, lambda: None)
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda sim: sim.post(NAN, lambda: None),
+    lambda sim: sim.post_at(NAN, lambda: None),
+    lambda sim: sim.schedule(NAN, lambda: None),
+    lambda sim: sim.schedule_at(NAN, lambda: None),
+    lambda sim: sim.post_backdated(NAN, 0.0, lambda: None),
+    lambda sim: sim.schedule_backdated_at(NAN, 0.0, lambda: None),
+], ids=["post", "post_at", "schedule", "schedule_at", "post_backdated",
+        "schedule_backdated_at"])
+def test_a_nan_time_is_refused(call):
+    """NaN compares false both ways, so ``delay < 0`` let it through;
+    the guards read ``not delay >= 0``."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        call(sim)
+    assert sim.pending == 0
+
+
 def test_schedule_in_past_rejected():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.sim.engine import Simulator
-from repro.sim.process import Delay, Future, Process, ProcessKilled, all_of
+from repro.sim.engine import SimulationError, Simulator
+from repro.sim.process import (
+    ArrivalStream, Delay, Future, Process, ProcessKilled, all_of,
+)
 
 
 def test_delay_advances_time():
@@ -261,3 +263,77 @@ def test_many_processes_interleave_deterministically():
         (3.0, "fast"),
         (4.5, "slow"),
     ]
+
+
+def _traced(sim, book):
+    """Dispatch trace of a run: ``book(sim, body)`` books the starts."""
+    trace = []
+
+    def body(name, dwell):
+        trace.append((sim.now, name))
+        yield Delay(dwell)
+        trace.append((sim.now, name + " done"))
+
+    def tick(name):
+        trace.append((sim.now, name))
+
+    sim.post(0.5, tick, "tick a")
+    book(sim, body)
+    sim.post(0.5, tick, "tick b")
+    sim.post_at(1.0, tick, "tick c")
+    fired = []
+    while sim.step():
+        fired.append(sim._entry[:3] + (sim._entry[3].__qualname__,))
+    return trace, fired
+
+
+# out of time order, with equal times and a start at a tick's instant
+STARTS = [(1.0, "c", 0.2), (0.5, "a", 0.5), (0.0, "z", 1.0), (1.0, "d", 0.0),
+          (0.5, "b", 0.25)]
+
+
+def test_an_arrival_stream_dispatches_as_eager_processes():
+    """Same keys, same order, same qualnames as one Process per start,
+    with other events booked before, after and between them."""
+    def eager(sim, body):
+        for at, name, dwell in STARTS:
+            Process(sim, body, name, dwell, start_delay=at)
+
+    def streamed(sim, body):
+        stream = ArrivalStream(sim, body)
+        for at, name, dwell in STARTS:
+            stream.post(at, name, dwell)
+        stream.start()
+        assert len(stream) == len(STARTS)
+        assert sim.pending == 2  # the tick booked so far, the next arrival
+
+    assert _traced(Simulator(), streamed) == _traced(Simulator(), eager)
+
+
+def test_an_arrival_stream_passes_its_prefix_and_runs_mid_run():
+    sim = Simulator()
+    seen = []
+
+    def body(host, name):
+        seen.append((sim.now, host, name))
+        yield Delay(0.0)
+
+    def book():
+        stream = ArrivalStream(sim, body, "host")
+        stream.post(1.0, "later")
+        stream.post(0.0, "now")
+        stream.start()
+
+    sim.post(2.0, book)
+    sim.run()
+    assert seen == [(2.0, "host", "now"), (3.0, "host", "later")]
+
+
+@pytest.mark.parametrize("delay", [-1.0, float("nan")])
+def test_an_arrival_stream_refuses_a_start_in_the_past(delay):
+    sim = Simulator()
+    stream = ArrivalStream(sim, lambda: iter(()))
+    with pytest.raises(SimulationError):
+        stream.post(delay)
+    stream.start()
+    assert sim.pending == 0 and len(stream) == 0
